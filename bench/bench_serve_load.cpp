@@ -218,11 +218,14 @@ int main() {
 
   // The serving stack under test: one engine + epoll reactor server
   // persists across the sweep; the cache is cleared between points.
+  // `wb` outlives every engine below, so the epoch needs no owner.
+  const serve::EpochHandle epoch =
+      serve::Epoch::Create(&wb->repager(), &wb->titles(), &wb->years(),
+                           nullptr, {.id = 1, .source = "in-process"});
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = static_cast<int>(engine_threads);
-  serve::ServeEngine engine(&wb->repager(), serve_options);
-  ui::RePagerService service(&engine, &wb->repager(), &wb->titles(),
-                             &wb->years());
+  serve::ServeEngine engine(epoch, serve_options);
+  ui::RePagerService service(&engine);
   ui::HttpServerOptions http_options;
   http_options.num_pollers = pollers;
   ui::HttpServer server(
@@ -438,9 +441,8 @@ int main() {
     tiny.num_threads = 1;
     tiny.batcher.max_batch_size = 1;
     tiny.batcher.max_queue_depth = 2;
-    serve::ServeEngine tiny_engine(&wb->repager(), tiny);
-    ui::RePagerService tiny_service(&tiny_engine, &wb->repager(),
-                                    &wb->titles(), &wb->years());
+    serve::ServeEngine tiny_engine(epoch, tiny);
+    ui::RePagerService tiny_service(&tiny_engine);
     ui::HttpServer tiny_server(
         [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
           tiny_service.HandleAsync(request, std::move(done));

@@ -47,9 +47,11 @@ inline ui::RePagerService& Service() {
     auto* wb = eval::Workbench::Create(options).value().release();
     serve::ServeEngineOptions engine_options;
     engine_options.num_threads = 1;
-    auto* engine = new serve::ServeEngine(&wb->repager(), engine_options);
-    return new ui::RePagerService(engine, &wb->repager(), &wb->titles(),
-                                  &wb->years());
+    auto* engine = new serve::ServeEngine(
+        serve::Epoch::Create(&wb->repager(), &wb->titles(), &wb->years(),
+                             nullptr, {.id = 1, .source = "in-process"}),
+        engine_options);
+    return new ui::RePagerService(engine);
   }();
   return *service;
 }

@@ -12,7 +12,15 @@ fails (exit 1) when one references:
   - an unknown test binary (`rpg_<dir>_test` must have tests/<dir>/),
   - an unknown CMake target in a `./build/<name>` invocation (the target
     set is derived from bench/*.cpp and examples/*.cpp stems, tests/
-    directories, and the static targets `rpg` / `docs_check`).
+    directories, and the static targets `rpg` / `docs_check`),
+  - a wrong bound for a gated metric: wherever a doc (or the module
+    docstring of scripts/check_bench_regression.py) quotes a bound for a
+    metric in that script's *_LIMITS tables — `overhead_ratio <= 1.05`,
+    `attributed_fraction >= 0.9`, or "gated ≤ N" after the metric's
+    name in the same paragraph — the number must equal the table's.
+
+Before scanning, a built-in fixture checks that the bound check catches
+a doc quoting 1.02 against a 1.05 tracing limit.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -21,7 +29,9 @@ unit test is.
 Run from the repository root: python3 scripts/check_docs.py
 """
 
+import importlib.util
 import itertools
+import math
 import re
 import sys
 from pathlib import Path
@@ -50,6 +60,104 @@ def known_cmake_targets():
 
 
 TARGETS = known_cmake_targets()
+
+# A bound quote: a comparison operator and a number, either right after
+# a metric name ("overhead_ratio <= 1.05") or after the word "gated"
+# ("gated ≥ 0.9"), which refers to the closest metric named before it
+# in the same paragraph. Percentages ("≤ 5 %") are prose, not quotes.
+OPERATORS = {"<=": "max", "≤": "max", "<": "max",
+             ">=": "min", "≥": "min", ">": "min"}
+OP_RE = "|".join(re.escape(op) for op in sorted(OPERATORS, key=len,
+                                                  reverse=True))
+NAME_RE = re.compile(r"(?<![\w.])[A-Za-z_][\w.]*")
+QUOTE_RE = re.compile(
+    rf"(?<![\w.])(?P<name>gated|[A-Za-z_][\w.]*)\s*(?P<op>{OP_RE})\s*"
+    r"(?P<num>\d+(?:\.\d+)?|\.\d+)(?!\.?\d)(?!\s*%)")
+
+
+def load_bench_gate():
+    """Imports scripts/check_bench_regression.py as a module."""
+    path = ROOT / "scripts" / "check_bench_regression.py"
+    spec = importlib.util.spec_from_file_location("check_bench_regression",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def gated_bounds(module):
+    """{metric: {"max"|"min": {bounds}}} over every *_LIMITS table, keyed
+    by both the JSON path and its last component."""
+    bounds = {}
+    for name, table in vars(module).items():
+        if not name.endswith("_LIMITS"):
+            continue
+        for entry in table:
+            path, kind, bound = entry[:3]
+            for key in {path, path.rsplit(".", 1)[-1]}:
+                bounds.setdefault(key, {}).setdefault(kind, set()).add(bound)
+    return bounds
+
+
+def check_bounds(text, bounds):
+    """Returns (line_no, problem) for every quoted bound in `text` that
+    disagrees with `bounds`."""
+    problems = []
+    text = text.replace("`", "")
+    offset = 0
+    for paragraph in re.split(r"(\n\s*\n)", text):
+        for m in QUOTE_RE.finditer(paragraph):
+            name = m.group("name")
+            if name == "gated":
+                named = [n.group(0) for n in
+                         NAME_RE.finditer(paragraph, 0, m.start())
+                         if n.group(0) in bounds]
+                if not named:
+                    continue
+                name = named[-1]
+            elif name not in bounds:
+                continue
+            kind = OPERATORS[m.group("op")]
+            quoted = float(m.group("num"))
+            allowed = bounds[name].get(kind, set())
+            if not any(math.isclose(quoted, b) for b in allowed):
+                line_no = text.count("\n", 0, offset + m.start()) + 1
+                gate = ", ".join(f"{k} {b:g}" for k, bs in
+                                 sorted(bounds[name].items()) for b in bs)
+                problems.append(
+                    (line_no, f"`{name}` quoted as {m.group('op')} "
+                              f"{m.group('num')} but the gate is {gate}"))
+        offset += len(paragraph)
+    return problems
+
+
+def bound_check_self_test():
+    """The bound check must flag the drift it exists for: a doc quoting
+    the old 1.02 tracing bound against a 1.05 table. Returns problems."""
+
+    class Fixture:
+        TABLE4_LIMITS = [
+            ("tracing.overhead_ratio", "max", 1.05, "tracing.compiled_in"),
+            ("stages.attributed_fraction", "min", 0.90, "tracing.compiled_in"),
+        ]
+
+    bounds = gated_bounds(Fixture)
+    stale = ["gated `overhead_ratio <= 1.02`",
+             "`tracing.overhead_ratio`, gated ≤ 1.02 by the perf gate",
+             "`attributed_fraction` (the spans' share;\ngated ≥ 0.8)"]
+    current = ["gated `overhead_ratio <= 1.05`",
+               "`tracing.overhead_ratio`, gated ≤ 1.05 by the perf gate",
+               "`attributed_fraction` (the spans' share;\ngated ≥ 0.9)",
+               "`overhead_ratio` was 1.02 before the kernel rewrite"]
+    problems = []
+    for doc in stale:
+        if not check_bounds(doc, bounds):
+            problems.append(f"bound self-check: stale quote not caught: {doc!r}")
+    for doc in current:
+        for _, problem in check_bounds(doc, bounds):
+            problems.append(f"bound self-check: false alarm on {doc!r}: "
+                            f"{problem}")
+    return problems
 
 
 def expand_braces(token: str):
@@ -90,7 +198,12 @@ def check_token(token: str):
 
 
 def main() -> int:
-    failures = []
+    failures = bound_check_self_test()
+    gate = load_bench_gate()
+    bounds = gated_bounds(gate)
+    for line_no, problem in check_bounds(gate.__doc__, bounds):
+        failures.append(f"scripts/check_bench_regression.py docstring:"
+                        f"{line_no}: {problem}")
     for doc in DOC_FILES:
         doc_path = ROOT / doc
         if not doc_path.exists():
@@ -106,6 +219,8 @@ def main() -> int:
             for token in re.findall(r"`([^`\n]+)`", line):
                 for problem in check_token(token.strip()):
                     failures.append(f"{doc}:{line_no}: {problem}")
+        for line_no, problem in check_bounds(text, bounds):
+            failures.append(f"{doc}:{line_no}: {problem}")
     if failures:
         print("docs_check FAILED:", file=sys.stderr)
         for f in failures:

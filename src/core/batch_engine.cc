@@ -21,9 +21,7 @@ size_t ResolveThreads(int requested) {
 }  // namespace
 
 BatchEngine::BatchEngine(const RePaGer* repager, BatchEngineOptions options)
-    : repager_(repager),
-      options_(options),
-      pool_(ResolveThreads(options.num_threads)) {}
+    : repager_(repager), pool_(ResolveThreads(options.num_threads)) {}
 
 BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   Timer wall;
@@ -60,10 +58,8 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
                 ? Result<RePagerResult>(Status::FailedPrecondition(
                       "BatchEngine has no RePaGer: engine default is null "
                       "and the query carries no substrate handle"))
-            : options_.reuse_scratch
-                ? repager->Generate(queries[i].query, queries[i].options,
-                                    &scratch)
-                : repager->Generate(queries[i].query, queries[i].options);
+                : repager->Generate(queries[i].query, queries[i].options,
+                                    &scratch);
         if (trace) {
           trace->AddSpan(obs::Stage::kSolve, solve_start,
                          trace->NowNs() - solve_start, r.ok() ? 1 : 0);

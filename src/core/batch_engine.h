@@ -73,9 +73,6 @@ struct BatchResult {
 struct BatchEngineOptions {
   /// Worker threads; <= 0 means std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// When false, every query builds a fresh QueryScratch (the "scratch
-  /// off" ablation in bench_table4_runtime). Keep true in production.
-  bool reuse_scratch = true;
 };
 
 /// Runs batches of independent RePaGer queries on a worker pool.
@@ -98,7 +95,6 @@ class BatchEngine {
 
  private:
   const RePaGer* repager_;
-  BatchEngineOptions options_;
   ThreadPool pool_;
 };
 

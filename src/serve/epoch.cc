@@ -22,7 +22,7 @@ EpochHandle Epoch::Create(const core::RePaGer* repager,
                           const std::vector<std::string>* titles,
                           const std::vector<uint16_t>* years,
                           std::shared_ptr<const void> owner, Info info) {
-  RPG_CHECK(repager != nullptr);
+  RPG_CHECK(repager != nullptr && titles != nullptr && years != nullptr);
   auto epoch = std::shared_ptr<Epoch>(new Epoch());
   epoch->repager_ = repager;
   epoch->titles_ = titles;
@@ -49,13 +49,6 @@ EpochHandle Epoch::FromSnapshot(std::unique_ptr<snapshot::ServingState> state,
   std::shared_ptr<const snapshot::ServingState> owner = std::move(state);
   return Create(&owner->repager(), &owner->titles(), &owner->years(),
                 owner, std::move(info));
-}
-
-EpochHandle Epoch::Borrowed(const core::RePaGer* repager) {
-  Info info;
-  info.source = "borrowed";
-  info.loaded_unix_ms = NowUnixMs();
-  return Create(repager, nullptr, nullptr, nullptr, std::move(info));
 }
 
 Result<EpochHandle> LoadEpochFromSnapshot(const std::string& path,

@@ -30,8 +30,9 @@
 ///    untouched on any error.
 ///  - Create(): wraps an in-process-built substrate (eval::Workbench or
 ///    anything else) with a type-erased owner keeping it alive.
-///  - Borrowed(): compat shim for the pre-epoch API — wraps a raw
-///    RePaGer* the caller keeps alive, as epoch id 0 with no metadata.
+///
+/// Either way the epoch carries its rendering metadata (titles, years),
+/// so every response renders from the epoch it was served on.
 
 #include <cstdint>
 #include <memory>
@@ -55,8 +56,7 @@ class Epoch {
  public:
   /// Load provenance, rendered into /api/stats and GET /metrics.
   struct Info {
-    /// Monotonically increasing generation number; 0 is reserved for
-    /// Borrowed() compat epochs.
+    /// Monotonically increasing generation number.
     uint64_t id = 0;
     /// Where the substrate came from: a snapshot path, or "in-process".
     std::string source;
@@ -71,8 +71,8 @@ class Epoch {
   /// Wraps an in-process substrate. `owner` is a type-erased keep-alive
   /// for whatever object(s) the raw pointers borrow from (e.g. the
   /// eval::Workbench); it may be null when the caller guarantees
-  /// lifetime some other way. `titles`/`years` may be null (rendering
-  /// then needs caller-supplied metadata, see ui::RePagerService).
+  /// lifetime some other way. `repager`, `titles` and `years` must be
+  /// non-null.
   static EpochHandle Create(const core::RePaGer* repager,
                             const std::vector<std::string>* titles,
                             const std::vector<uint16_t>* years,
@@ -84,16 +84,10 @@ class Epoch {
       std::unique_ptr<snapshot::ServingState> state, uint64_t id,
       std::string source, double load_seconds);
 
-  /// Compat shim for the raw-pointer API: the caller keeps `repager`
-  /// alive for the epoch's lifetime (the old "must outlive the engine"
-  /// contract, now confined to this one constructor).
-  static EpochHandle Borrowed(const core::RePaGer* repager);
-
   Epoch(const Epoch&) = delete;
   Epoch& operator=(const Epoch&) = delete;
 
   const core::RePaGer& repager() const { return *repager_; }
-  /// Null for Borrowed() epochs (no rendering metadata).
   const std::vector<std::string>* titles() const { return titles_; }
   const std::vector<uint16_t>* years() const { return years_; }
   const Info& info() const { return info_; }

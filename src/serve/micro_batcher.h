@@ -17,8 +17,8 @@
 /// latency at all.
 ///
 /// Ownership / thread-safety model:
-///  - Submit() is safe from any thread and returns a future fulfilled by
-///    the dispatcher thread after the batch completes.
+///  - SubmitAsync() is safe from any thread; its callback runs on the
+///    dispatcher thread after the batch completes.
 ///  - One internal dispatcher thread collects and executes batches (the
 ///    parallelism lives inside BatchEngine, not here).
 ///  - Shutdown() (or the destructor) drains everything already queued
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 
@@ -102,13 +101,10 @@ class MicroBatcher {
   /// cheap — it runs between batches.
   using Callback = std::function<void(Result<core::RePagerResult>)>;
 
-  /// Enqueues one query; the future is fulfilled with the engine's
-  /// per-query result (errors land in the Result, not as exceptions).
-  std::future<Result<core::RePagerResult>> Submit(core::BatchQuery query);
-
-  /// Callback flavour of Submit for the event-driven serving path: no
-  /// thread blocks on a future, the completion is delivered where the
-  /// batch finished. This is what lets epoll poller threads hand off
+  /// Enqueues one query; `callback` receives the engine's per-query
+  /// result (errors land in the Result, not as exceptions). No thread
+  /// blocks on the solve: the completion is delivered where the batch
+  /// finished. This is what lets epoll poller threads hand off
   /// compute without pinning themselves (docs/serving.md). When the
   /// queue is at max_queue_depth the callback fires inline with
   /// Status::Unavailable instead of queueing (overload shed).
@@ -127,7 +123,7 @@ class MicroBatcher {
   };
 
   void DispatchLoop();
-  /// Runs one batch on the engine and fulfills its promises.
+  /// Runs one batch on the engine and invokes its callbacks.
   void RunBatch(std::deque<Pending> batch);
   /// Retry-After hint for a status completed right now: measured drain
   /// time (EWMA per-item service time × current queue depth) in whole

@@ -93,10 +93,6 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
   }
 }
 
-ServeEngine::ServeEngine(const core::RePaGer* repager,
-                         ServeEngineOptions options)
-    : ServeEngine(Epoch::Borrowed(repager), options) {}
-
 ServeEngine::~ServeEngine() { batcher_.Shutdown(); }
 
 Result<ServeResponse> ServeEngine::Generate(const std::string& query,

@@ -100,14 +100,8 @@ class ServeEngine {
   /// miss. Must not block.
   using GenerateCallback = std::function<void(Result<ServeResponse>)>;
 
-  /// The primary constructor: serves from `epoch` until SwapEpoch.
+  /// Serves from `epoch` until SwapEpoch.
   explicit ServeEngine(EpochHandle epoch, ServeEngineOptions options = {});
-
-  /// Compat wrapper over the pre-epoch API: wraps `repager` in a single
-  /// static Borrowed epoch (id 0). The caller keeps `repager` alive for
-  /// the engine's lifetime, exactly as before.
-  explicit ServeEngine(const core::RePaGer* repager,
-                       ServeEngineOptions options = {});
   ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;

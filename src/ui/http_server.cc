@@ -294,7 +294,10 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
  public:
   Poller(const AsyncHandler* handler, const HttpServerOptions* options,
          std::shared_ptr<SharedState> shared)
-      : handler_(handler), options_(options), shared_(std::move(shared)) {}
+      : handler_(handler),
+        options_(options),
+        limits_{options->max_header_bytes, options->max_body_bytes},
+        shared_(std::move(shared)) {}
 
   ~Poller() {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -398,7 +401,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     size_t drained = 0;
     uint64_t request_seq = 0;  ///< guards stale/duplicate completions
     uint32_t interest = EPOLLIN;
-    /// Deadline generation: every ArmDeadline/DisarmDeadline bumps it,
+    /// Deadline generation: every ArmDeadline bumps it,
     /// invalidating the heap entries pushed for older generations (lazy
     /// deletion — the heap is pruned as stale heads surface).
     uint64_t deadline_gen = 0;
@@ -572,8 +575,6 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
         {SteadyClock::now() + after, conn->id, conn->deadline_gen});
   }
 
-  void DisarmDeadline(Conn* conn) { ++conn->deadline_gen; }
-
   /// Sheds a just-accepted fd with the canned inline 503: half-close,
   /// drain what the client already sent (close() on unread bytes would
   /// RST the 503 away), then give the descriptor back.
@@ -723,16 +724,11 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   /// connection errored or the peer closed with no parseable request in
   /// flight (the conn should be closed). A clean half-close after a
   /// complete request sets peer_eof and returns true: the request still
-  /// deserves its response.
-  /// One maximal request: header block + "\r\n\r\n" + body. Anything a
-  /// connection buffers beyond this can only be pipelined follow-ups,
-  /// which wait in the kernel buffer instead.
-  size_t MaxBufferedBytes() const {
-    return options_->max_header_bytes + 4 + options_->max_body_bytes;
-  }
-
+  /// deserves its response. Anything a connection would buffer beyond
+  /// one maximal request can only be pipelined follow-ups, which wait in
+  /// the kernel buffer instead.
   bool ReadAvailable(Conn* conn) {
-    const size_t max_buffered = MaxBufferedBytes();
+    const size_t max_buffered = limits_.MaxBufferedBytes();
     char chunk[16384];
     for (;;) {
       if (conn->in.size() >= max_buffered) return true;
@@ -784,9 +780,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   /// needed or a protocol error took over the connection. May destroy
   /// the conn.
   bool ParseAndDispatchOne(Conn* conn) {
-    FrameResult framed = FrameOneRequest(
-        conn->in, conn->peer_eof,
-        {options_->max_header_bytes, options_->max_body_bytes});
+    FrameResult framed = FrameOneRequest(conn->in, conn->peer_eof, limits_);
     switch (framed.verdict) {
       case FrameResult::Verdict::kNeedMore:
         return false;
@@ -1003,6 +997,8 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
 
   const AsyncHandler* handler_;
   const HttpServerOptions* options_;
+  /// The request-size ceilings, shared by the read bound and framing.
+  const FramingLimits limits_;
   std::shared_ptr<SharedState> shared_;
 
   int epoll_fd_ = -1;

@@ -48,42 +48,22 @@ HttpResponse BadParameter(const std::string& name, const std::string& value) {
 }  // namespace
 
 RePagerService::RePagerService(serve::ServeEngine* engine)
-    : engine_(engine), repager_(nullptr), titles_(nullptr), years_(nullptr) {
+    : engine_(engine) {
   RPG_CHECK(engine_ != nullptr);
-  // Rendering needs titles/years; with no fallback pointers they must
-  // come from the epoch. Catch a Borrowed-epoch misconfiguration at
-  // construction, not on the first request.
-  serve::EpochHandle epoch = engine_->CurrentEpoch();
-  RPG_CHECK(epoch->titles() != nullptr && epoch->years() != nullptr);
 }
 
-RePagerService::RePagerService(serve::ServeEngine* engine,
-                               const core::RePaGer* repager,
-                               const std::vector<std::string>* titles,
-                               const std::vector<uint16_t>* years)
-    : engine_(engine), repager_(repager), titles_(titles), years_(years) {
-  RPG_CHECK(engine_ != nullptr && repager_ != nullptr &&
-            titles_ != nullptr && years_ != nullptr);
-}
-
-std::string RePagerService::RenderPathJson(
-    const std::string& query, const serve::ServeResponse& response,
-    const core::RePaGer* repager, const std::vector<std::string>* titles,
-    const std::vector<uint16_t>* years, bool debug,
-    const obs::TraceContext* trace) {
-  // Prefer the substrate of the epoch this response was served on: the
-  // response's handle keeps it alive through rendering, and after a
-  // flip an in-flight old-epoch response must render with ITS titles /
-  // years / importances, not the new epoch's. The parameters remain as
-  // the fallback for metadata-free Borrowed epochs.
-  if (response.epoch != nullptr) {
-    repager = &response.epoch->repager();
-    if (response.epoch->titles() != nullptr) {
-      titles = response.epoch->titles();
-      years = response.epoch->years();
-    }
-  }
-  RPG_CHECK(repager != nullptr && titles != nullptr && years != nullptr);
+std::string RePagerService::RenderPathJson(const std::string& query,
+                                           const serve::ServeResponse& response,
+                                           bool debug,
+                                           const obs::TraceContext* trace) {
+  // Render from the epoch this response was served on: the response's
+  // handle keeps it alive through rendering, and after a flip an
+  // in-flight old-epoch response must render with ITS titles / years /
+  // importances, not the new epoch's.
+  const serve::Epoch& epoch = *response.epoch;
+  const core::RePaGer& repager = epoch.repager();
+  const std::vector<std::string>& titles = *epoch.titles();
+  const std::vector<uint16_t>& years = *epoch.years();
   const core::RePagerResult& result = *response.result;
   std::unordered_set<graph::PaperId> seeds(result.initial_seeds.begin(),
                                            result.initial_seeds.end());
@@ -101,11 +81,11 @@ std::string RePagerService::RenderPathJson(
   for (graph::PaperId p : result.path.nodes()) {
     w.BeginObject();
     w.Key("id").UInt(p);
-    w.Key("title").String((*titles)[p]);
-    w.Key("year").Int((*years)[p]);
+    w.Key("title").String(titles[p]);
+    w.Key("year").Int(years[p]);
     // Node-weight legend: a * pgscore + b * venue, higher = more
     // important in the whole reading path (§V panel e).
-    w.Key("importance").Double(repager->Importance(p));
+    w.Key("importance").Double(repager.Importance(p));
     // Green vs gray marking of Fig. 9: was the paper in the engine's
     // initial top-K, or surfaced by citation analysis?
     w.Key("from_engine").Bool(seeds.contains(p));
@@ -122,7 +102,7 @@ std::string RePagerService::RenderPathJson(
   w.EndArray();
   // Navigation bar (§V panel b): the flattened reading order.
   w.Key("reading_order").BeginArray();
-  for (graph::PaperId p : result.path.FlattenedOrder(*years)) w.UInt(p);
+  for (graph::PaperId p : result.path.FlattenedOrder(years)) w.UInt(p);
   w.EndArray();
   if (debug) {
     // Stage breakdown of the result's own solve (cached results keep the
@@ -162,8 +142,8 @@ Result<std::string> RePagerService::PathJson(const std::string& query,
                                              int year_cutoff) const {
   RPG_ASSIGN_OR_RETURN(serve::ServeResponse response,
                        engine_->Generate(query, num_seeds, year_cutoff));
-  return RenderPathJson(query, response, repager_, titles_, years_,
-                        /*debug=*/false, /*trace=*/nullptr);
+  return RenderPathJson(query, response, /*debug=*/false,
+                        /*trace=*/nullptr);
 }
 
 HttpResponse RePagerService::ErrorResponse(const Status& status) {
@@ -348,21 +328,20 @@ void RePagerService::HandleAsync(const HttpRequest& request,
     // the calling poller thread returns to its event loop immediately.
     // The continuation deliberately does NOT capture `this`: a compute
     // finishing after server.Stop() may outlive the service object, so
-    // it may only touch workbench-owned substrates (which outlive the
-    // engine) and the post-Stop-safe `done`. The trace shared_ptr rides
-    // along; by completion time every serving-layer span is in it.
+    // it may only touch the response's own epoch and the post-Stop-safe
+    // `done`. The trace shared_ptr rides along; by completion time every
+    // serving-layer span is in it.
     engine_->GenerateAsync(
         q->second, num_seeds, year, request.trace,
-        [query = q->second, repager = repager_, titles = titles_,
-         years = years_, debug, trace = request.trace,
+        [query = q->second, debug, trace = request.trace,
          done = std::move(done)](Result<serve::ServeResponse> response) {
           if (!response.ok()) {
             done(ErrorResponse(response.status()));
             return;
           }
           done({200, "application/json",
-                RenderPathJson(query, response.value(), repager, titles,
-                               years, debug, trace.get())});
+                RenderPathJson(query, response.value(), debug,
+                               trace.get())});
         });
     return;
   }

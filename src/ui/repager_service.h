@@ -2,7 +2,6 @@
 #define RPG_UI_REPAGER_SERVICE_H_
 
 #include <string>
-#include <vector>
 
 #include "serve/serve_engine.h"
 #include "ui/http_server.h"
@@ -59,21 +58,11 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 /// blocking wrapper kept for tests and the serve_ui self-test.
 class RePagerService {
  public:
-  /// Epoch-serving constructor: every response renders from its own
-  /// epoch's substrate (titles/years/repager ride on the
-  /// ServeResponse's epoch handle), so the service needs nothing beyond
-  /// the engine and reloads require no re-wiring here. The engine must
-  /// outlive the service and its current epoch must carry rendering
-  /// metadata (i.e. not Epoch::Borrowed).
+  /// Every response renders from its own epoch's substrate
+  /// (titles/years/repager ride on the ServeResponse's epoch handle), so
+  /// the service needs nothing beyond the engine and reloads require no
+  /// re-wiring here. The engine must outlive the service.
   explicit RePagerService(serve::ServeEngine* engine);
-
-  /// Compat constructor for borrowed-substrate engines (no epoch
-  /// metadata): rendering falls back to these pointers, which must
-  /// outlive the service. `repager` is only used for the per-paper
-  /// Importance() rendering.
-  RePagerService(serve::ServeEngine* engine, const core::RePaGer* repager,
-                 const std::vector<std::string>* titles,
-                 const std::vector<uint16_t>* years);
 
   /// Optional: lets /api/stats report the HTTP reactor's own gauges
   /// (open connections, accepted, protocol errors). The server must
@@ -99,17 +88,12 @@ class RePagerService {
   /// service (`this`) — a compute finishing after the service was
   /// destroyed (server stopped mid-flight) may still run this. The
   /// response's own epoch handle supplies (and keeps alive) the
-  /// substrate it renders from; the repager/titles/years parameters are
-  /// only the fallback for metadata-free Borrowed epochs, where the
-  /// old "must outlive the engine" contract still applies.
+  /// substrate it renders from.
   /// `debug` appends the "debug" object (stage breakdown + trace spans);
   /// `trace` may be null even in debug mode (tracing disabled) — the
   /// result-attached stage spans still render.
   static std::string RenderPathJson(const std::string& query,
                                     const serve::ServeResponse& response,
-                                    const core::RePaGer* repager,
-                                    const std::vector<std::string>* titles,
-                                    const std::vector<uint16_t>* years,
                                     bool debug,
                                     const obs::TraceContext* trace);
 
@@ -131,9 +115,6 @@ class RePagerService {
   std::string MetricsText() const;
 
   serve::ServeEngine* engine_;
-  const core::RePaGer* repager_;
-  const std::vector<std::string>* titles_;
-  const std::vector<uint16_t>* years_;
   const HttpServer* server_ = nullptr;
 };
 

@@ -67,7 +67,6 @@ TEST_F(BatchEngineFixture, BatchedMatchesSerialGenerate) {
 
   BatchEngineOptions options;
   options.num_threads = 4;
-  options.reuse_scratch = true;
   BatchEngine engine(&wb_->repager(), options);
   EXPECT_EQ(engine.num_threads(), 4u);
   BatchResult result = engine.Run(batch);
@@ -77,21 +76,6 @@ TEST_F(BatchEngineFixture, BatchedMatchesSerialGenerate) {
   EXPECT_GT(result.wall_seconds, 0.0);
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(result.results[i].ok()) << "query " << i;
-    auto serial =
-        wb_->repager().Generate(batch[i].query, batch[i].options).value();
-    ExpectSameResult(result.results[i].value(), serial);
-  }
-}
-
-TEST_F(BatchEngineFixture, BatchedWithoutScratchReuseAlsoMatches) {
-  auto batch = MakeBatch(4);
-  BatchEngineOptions options;
-  options.num_threads = 2;
-  options.reuse_scratch = false;
-  BatchEngine engine(&wb_->repager(), options);
-  BatchResult result = engine.Run(batch);
-  ASSERT_EQ(result.num_ok, batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
     auto serial =
         wb_->repager().Generate(batch[i].query, batch[i].options).value();
     ExpectSameResult(result.results[i].value(), serial);

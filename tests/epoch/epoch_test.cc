@@ -121,26 +121,6 @@ std::vector<std::string> TestQueries(size_t n) {
   return queries;
 }
 
-TEST(EpochTest, BorrowedCompatServesIdenticalToDirectGenerate) {
-  // The raw-pointer compat path: a Borrowed epoch (id 0) behind the old
-  // ServeEngine(const RePaGer*) constructor.
-  ServeEngineOptions options;
-  options.num_threads = 2;
-  ServeEngine engine(&snapshot::TestWorkbench().repager(), options);
-  EXPECT_EQ(engine.CurrentEpoch()->id(), 0u);
-  EXPECT_EQ(engine.CurrentEpoch()->info().source, "borrowed");
-
-  const std::string query = TestQueries(1).front();
-  auto served = engine.Generate(query, 0, 0);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  auto direct = snapshot::TestWorkbench().repager().Generate(query);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(Fingerprint(*served->result), Fingerprint(*direct));
-  // The response pins its epoch even on the compat path.
-  ASSERT_NE(served->epoch, nullptr);
-  EXPECT_EQ(served->epoch->id(), 0u);
-}
-
 TEST(EpochTest, SnapshotEpochCarriesMetadata) {
   EpochHandle epoch = LoadTestEpoch(/*relabel=*/false, /*id=*/1);
   ASSERT_NE(epoch, nullptr);

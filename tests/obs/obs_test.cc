@@ -209,9 +209,9 @@ class LiveStack {
     const eval::Workbench& wb = serve::SharedWorkbench();
     serve::ServeEngineOptions options;
     options.num_threads = 2;
-    engine_ = std::make_unique<serve::ServeEngine>(&wb.repager(), options);
-    service_ = std::make_unique<ui::RePagerService>(
-        engine_.get(), &wb.repager(), &wb.titles(), &wb.years());
+    engine_ =
+        std::make_unique<serve::ServeEngine>(serve::TestEpoch(wb), options);
+    service_ = std::make_unique<ui::RePagerService>(engine_.get());
     server_ = std::make_unique<ui::HttpServer>(
         [this](const ui::HttpRequest& request, ui::HttpServer::Done done) {
           service_->HandleAsync(request, std::move(done));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -19,13 +20,26 @@ core::BatchQuery MakeQuery(size_t bank_index) {
   return q;
 }
 
+/// SubmitAsync with the completion delivered through a future, for tests
+/// that block on their results.
+std::future<Result<core::RePagerResult>> SubmitForFuture(
+    MicroBatcher& batcher, core::BatchQuery query) {
+  auto promise = std::make_shared<std::promise<Result<core::RePagerResult>>>();
+  std::future<Result<core::RePagerResult>> future = promise->get_future();
+  batcher.SubmitAsync(std::move(query),
+                      [promise](Result<core::RePagerResult> result) {
+                        promise->set_value(std::move(result));
+                      });
+  return future;
+}
+
 TEST(MicroBatcherTest, SingleRequestFlushesOnDeadline) {
   core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
   MicroBatcherOptions options;
   options.max_batch_size = 64;  // never reached
   options.flush_window = std::chrono::microseconds(2000);
   MicroBatcher batcher(&engine, options);
-  auto future = batcher.Submit(MakeQuery(0));
+  auto future = SubmitForFuture(batcher, MakeQuery(0));
   Result<core::RePagerResult> result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->ranked.empty());
@@ -44,7 +58,9 @@ TEST(MicroBatcherTest, FlushOnSizeGroupsConcurrentArrivals) {
   options.flush_window = std::chrono::microseconds(30'000'000);
   MicroBatcher batcher(&engine, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+  }
   for (auto& f : futures) {
     Result<core::RePagerResult> r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -62,7 +78,9 @@ TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
   std::vector<core::BatchQuery> queries;
   for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (const auto& q : queries) futures.push_back(batcher.Submit(q));
+  for (const auto& q : queries) {
+    futures.push_back(SubmitForFuture(batcher, q));
+  }
   for (size_t i = 0; i < queries.size(); ++i) {
     Result<core::RePagerResult> batched = futures[i].get();
     auto serial = wb.repager().Generate(queries[i].query, queries[i].options);
@@ -79,8 +97,9 @@ TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
 TEST(MicroBatcherTest, PerQueryErrorsLandInTheirSlot) {
   core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
   MicroBatcher batcher(&engine, {});
-  auto bad = batcher.Submit({.query = "zzzz qqqq wwww", .options = {}});
-  auto good = batcher.Submit(MakeQuery(0));
+  auto bad =
+      SubmitForFuture(batcher, {.query = "zzzz qqqq wwww", .options = {}});
+  auto good = SubmitForFuture(batcher, MakeQuery(0));
   EXPECT_FALSE(bad.get().ok());
   EXPECT_TRUE(good.get().ok());
 }
@@ -96,7 +115,9 @@ TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
   // not queue without limit.
   constexpr int kBurst = 6;
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < kBurst; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  for (int i = 0; i < kBurst; ++i) {
+    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+  }
   int ok = 0, shed = 0;
   for (auto& f : futures) {
     Result<core::RePagerResult> r = f.get();
@@ -123,7 +144,9 @@ TEST(MicroBatcherTest, UnboundedQueueNeverSheds) {
   options.max_queue_depth = 0;  // explicit opt-out
   MicroBatcher batcher(&engine, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+  }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(batcher.Stats().rejected_overload, 0u);
 }
@@ -143,7 +166,7 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
   constexpr int kBurst = 4;
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(batcher.Submit(MakeQuery(0)));
+    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
   }
   int ok = 0, expired = 0;
   for (auto& f : futures) {
@@ -179,7 +202,9 @@ TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
   };
   MicroBatcher batcher(&engine, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher.Submit(MakeQuery(0)));
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+  }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   EXPECT_EQ(batcher.Stats().deadline_expired, 0u);
 }
@@ -188,7 +213,7 @@ TEST(MicroBatcherTest, ServiceTimeEwmaTracksBatches) {
   core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
   MicroBatcher batcher(&engine, {});
   EXPECT_EQ(batcher.Stats().ewma_item_seconds, 0.0);  // no samples yet
-  auto r = batcher.Submit(MakeQuery(0)).get();
+  auto r = SubmitForFuture(batcher, MakeQuery(0)).get();
   ASSERT_TRUE(r.ok());
   // One real solve has been measured; the EWMA is seeded with it.
   EXPECT_GT(batcher.Stats().ewma_item_seconds, 0.0);
@@ -201,11 +226,13 @@ TEST(MicroBatcherTest, ShutdownDrainsQueuedRequests) {
   options.flush_window = std::chrono::microseconds(30'000'000);
   auto batcher = std::make_unique<MicroBatcher>(&engine, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(batcher->Submit(MakeQuery(0)));
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(SubmitForFuture(*batcher, MakeQuery(0)));
+  }
   batcher->Shutdown();  // must not drop the queued work
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // Submitting after shutdown fails cleanly instead of hanging.
-  auto late = batcher->Submit(MakeQuery(0));
+  auto late = SubmitForFuture(*batcher, MakeQuery(0));
   EXPECT_FALSE(late.get().ok());
 }
 

@@ -47,7 +47,7 @@ core::RePagerResult SerialReference(const std::string& query, int num_seeds,
 TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
 
   auto first = engine.Generate(entry.query, 0, entry.year);
@@ -69,7 +69,7 @@ TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
 TEST(ServeEngineTest, CanonicalKeyUnifiesEquivalentQueries) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
 
   std::string shouted = entry.query;
@@ -87,7 +87,7 @@ TEST(ServeEngineTest, CanonicalKeyUnifiesEquivalentQueries) {
 TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   auto r = engine.Generate("zzzz qqqq wwww", 0, 0);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(engine.metrics().ToJson().find("\"errors_total\":0"),
@@ -113,7 +113,7 @@ TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
   ServeEngineOptions options;
   options.num_threads = 2;
   options.cache.cache_negative = false;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
   EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
   QueryCacheStats stats = engine.cache().Stats();
@@ -126,7 +126,7 @@ TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
 TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(2);
 
   std::promise<Result<ServeResponse>> cold_promise;
@@ -154,7 +154,7 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
   ServeEngineOptions options;
   options.num_threads = 2;
   options.enable_cache = false;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
   auto first = engine.Generate(entry.query, 0, entry.year);
   auto second = engine.Generate(entry.query, 0, entry.year);
@@ -168,7 +168,7 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
 TEST(ServeEngineTest, ConcurrentIdenticalRequestsComputeOnce) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(1);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -191,7 +191,7 @@ TEST(ServeEngineTest, ConcurrentIdenticalRequestsComputeOnce) {
 TEST(ServeEngineTest, StatsJsonIsLive) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&SharedWorkbench().repager(), options);
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
   engine.Generate(entry.query, 0, entry.year);
   engine.Generate(entry.query, 0, entry.year);
@@ -211,9 +211,8 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   // Distinct `seeds` values make distinct canonical keys, so nothing
@@ -284,9 +283,8 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.queue_deadline = std::chrono::milliseconds(5);
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   constexpr int kBurst = 10;
@@ -374,7 +372,7 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
-  ServeEngine engine(&wb.repager(), options);
+  ServeEngine engine(TestEpoch(wb), options);
   const auto& entry = wb.bank().Get(1);
   // Overload the queue, remembering which seed counts were shed.
   constexpr int kBurst = 6;
@@ -407,9 +405,8 @@ TEST(ServeEngineTest, StopDrainsInFlightSolveEndToEnd) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
   ui::HttpServer server(
       [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
         service.HandleAsync(request, std::move(done));
@@ -458,9 +455,8 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
   // The production path: async handler on the epoll reactor, so poller
   // threads hand compute to the engine instead of blocking on it.
   ui::HttpServer server(
@@ -475,9 +471,8 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   ref_options.num_threads = 1;
   ref_options.enable_cache = false;
   ref_options.batcher.max_batch_size = 1;
-  ServeEngine ref_engine(&wb.repager(), ref_options);
-  ui::RePagerService ref_service(&ref_engine, &wb.repager(), &wb.titles(),
-                                 &wb.years());
+  ServeEngine ref_engine(TestEpoch(wb), ref_options);
+  ui::RePagerService ref_service(&ref_engine);
 
   constexpr int kClients = 4, kRounds = 3;
   std::vector<std::string> expected(kClients);
@@ -536,9 +531,8 @@ TEST(ServeEngineTest, SlowClientReceivesBitIdenticalResponse) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 2;
-  ServeEngine engine(&wb.repager(), options);
-  ui::RePagerService service(&engine, &wb.repager(), &wb.titles(),
-                             &wb.years());
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
   ui::HttpServer server(
       [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
         service.HandleAsync(request, std::move(done));

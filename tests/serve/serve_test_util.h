@@ -2,6 +2,7 @@
 #define RPG_TESTS_SERVE_SERVE_TEST_UTIL_H_
 
 #include "eval/workbench.h"
+#include "serve/epoch.h"
 
 namespace rpg::serve {
 
@@ -20,6 +21,17 @@ inline const eval::Workbench& SharedWorkbench() {
     return eval::Workbench::Create(options).value().release();
   }();
   return *wb;
+}
+
+/// A serving epoch over `substrate` (an eval::Workbench or a
+/// snapshot::ServingState), which the caller keeps alive for the epoch's
+/// lifetime: the epoch holds no owner. Every suite that stands up a
+/// ServeEngine over an in-process substrate builds its epoch here.
+template <typename Substrate>
+EpochHandle TestEpoch(const Substrate& substrate) {
+  return Epoch::Create(&substrate.repager(), &substrate.titles(),
+                       &substrate.years(), nullptr,
+                       {.id = 1, .source = "in-process"});
 }
 
 }  // namespace rpg::serve

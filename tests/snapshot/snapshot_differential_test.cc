@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../serve/serve_test_util.h"
 #include "core/batch_engine.h"
 #include "serve/serve_engine.h"
 #include "snapshot/serving_state.h"
@@ -101,12 +102,10 @@ TEST(SnapshotDifferentialTest, ServeJsonIdentical) {
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = 2;
   serve_options.enable_cache = false;
-  serve::ServeEngine rebuilt_engine(&wb.repager(), serve_options);
-  serve::ServeEngine loaded_engine(&state.repager(), serve_options);
-  ui::RePagerService rebuilt_service(&rebuilt_engine, &wb.repager(),
-                                     &wb.titles(), &wb.years());
-  ui::RePagerService loaded_service(&loaded_engine, &state.repager(),
-                                    &state.titles(), &state.years());
+  serve::ServeEngine rebuilt_engine(serve::TestEpoch(wb), serve_options);
+  serve::ServeEngine loaded_engine(serve::TestEpoch(state), serve_options);
+  ui::RePagerService rebuilt_service(&rebuilt_engine);
+  ui::RePagerService loaded_service(&loaded_engine);
 
   const std::regex timing("\"(serve_)?seconds\":[-+0-9.eE]+");
   const auto& bank = wb.bank();

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "../serve/serve_test_util.h"
 #include "eval/workbench.h"
 #include "serve/serve_engine.h"
 #include "ui/http_client.h"
@@ -1208,9 +1209,8 @@ class ServiceFixture : public ::testing::Test {
     wb_ = eval::Workbench::Create(options).value().release();
     serve::ServeEngineOptions serve_options;
     serve_options.num_threads = 2;
-    engine_ = new serve::ServeEngine(&wb_->repager(), serve_options);
-    service_ = new RePagerService(engine_, &wb_->repager(), &wb_->titles(),
-                                  &wb_->years());
+    engine_ = new serve::ServeEngine(serve::TestEpoch(*wb_), serve_options);
+    service_ = new RePagerService(engine_);
   }
   static void TearDownTestSuite() {
     delete service_;
