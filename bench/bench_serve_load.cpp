@@ -27,7 +27,7 @@
 //   RPG_SERVE_REQUESTS     requests per client         (default 40)
 //   RPG_SERVE_QUERIES      distinct queries in the mix (default 12)
 //   RPG_SERVE_ZIPF_S       Zipf exponent               (default 1.1)
-//   RPG_SERVE_THREADS      BatchEngine worker threads  (default hardware)
+//   RPG_SERVE_THREADS      solver threads              (default hardware)
 //   RPG_SERVE_POLLERS      epoll reactor threads       (default 2)
 //   RPG_SERVE_LORIS        slow-loris connections held (default 32; 0 skips)
 
@@ -435,12 +435,11 @@ int main() {
     service.AttachServer(&server);
 
     // Phase D — batcher overload: a burst of distinct cold queries
-    // against a deliberately tiny queue (depth 2, batch size 1) must
+    // against a deliberately tiny queue (depth 2, one solver) must
     // split into 200s and 429-with-Retry-After sheds, nothing else.
     serve::ServeEngineOptions tiny;
     tiny.num_threads = 1;
-    tiny.batcher.max_batch_size = 1;
-    tiny.batcher.max_queue_depth = 2;
+      tiny.batcher.max_queue_depth = 2;
     serve::ServeEngine tiny_engine(epoch, tiny);
     ui::RePagerService tiny_service(&tiny_engine);
     ui::HttpServer tiny_server(

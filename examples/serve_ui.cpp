@@ -1,13 +1,13 @@
 // RePaGer web UI (§V) behind the production serving layer: builds the
 // substrates into a serving Epoch, wires a serve::ServeEngine (sharded
-// query cache -> single-flight -> micro-batched BatchEngine; see
-// docs/serving.md), and serves the single-page interface plus the JSON
-// API. The engine serves from a swappable epoch: POST /api/admin/reload
+// query cache -> single-flight -> solver threads; see docs/serving.md),
+// and serves the single-page interface plus the JSON API. The engine
+// serves from a swappable epoch: POST /api/admin/reload
 // (or --watch-snapshot) flips to a new snapshot with zero downtime —
 // in-flight requests finish on the old epoch.
 //
-// Usage: serve_ui [port] [--threads=N] [--cache-mb=M] [--batch-window-us=U]
-//                 [--pollers=P] [--max-conns=C] [--idle-timeout-ms=T]
+// Usage: serve_ui [port] [--threads=N] [--cache-mb=M] [--pollers=P]
+//                 [--max-conns=C] [--idle-timeout-ms=T]
 //                 [--queue-depth=D] [--snapshot=FILE] [--watch-snapshot]
 //                 [--watch-snapshot-ms=I]
 //   --snapshot=FILE      boot from an mmap'd snapshot (snapshot_build)
@@ -18,13 +18,12 @@
 //                        it into a new serving epoch when it changes
 //                        (requires --snapshot)
 //   --watch-snapshot-ms=I  poll interval in milliseconds (default 2000)
-//   --threads=N          BatchEngine worker threads (default: hardware)
+//   --threads=N          solver threads (default: hardware)
 //   --cache-mb=M         query-cache budget in MiB (0 disables the cache)
-//   --batch-window-us=U  micro-batch flush window in microseconds
 //   --pollers=P          epoll reactor threads (default 2)
 //   --max-conns=C        connection cap; 503-shed past it (0 = unlimited)
 //   --idle-timeout-ms=T  idle/slow-loris reap deadline (0 disables)
-//   --queue-depth=D      batcher backlog bound; 429-shed past it (0 = off)
+//   --queue-depth=D      solver queue bound; 429-shed past it (0 = off)
 //
 // By default the server performs a cold + cached self-request pair as a
 // smoke test and exits; set RPG_SERVE_FOREVER=1 to keep serving until
@@ -77,7 +76,7 @@ int64_t FileMtimeNs(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace rpg;
   int port = 0;
-  long threads = 0, cache_mb = 64, batch_window_us = 2000, pollers = 2;
+  long threads = 0, cache_mb = 64, pollers = 2;
   long max_conns = 1024, idle_timeout_ms = 60'000, queue_depth = 256;
   long watch_ms = 2000;
   bool watch_snapshot = false;
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
     }
     if (ParseIntFlag(argv[i], "--threads", &threads) ||
         ParseIntFlag(argv[i], "--cache-mb", &cache_mb) ||
-        ParseIntFlag(argv[i], "--batch-window-us", &batch_window_us) ||
         ParseIntFlag(argv[i], "--pollers", &pollers) ||
         ParseIntFlag(argv[i], "--max-conns", &max_conns) ||
         ParseIntFlag(argv[i], "--idle-timeout-ms", &idle_timeout_ms) ||
@@ -161,8 +159,6 @@ int main(int argc, char** argv) {
   serve_options.num_threads = static_cast<int>(threads);
   serve_options.enable_cache = cache_mb > 0;
   serve_options.cache.max_bytes = static_cast<size_t>(cache_mb) << 20;
-  serve_options.batcher.flush_window =
-      std::chrono::microseconds(batch_window_us);
   serve_options.batcher.max_queue_depth = static_cast<size_t>(queue_depth);
   serve::ServeEngine engine(epoch, serve_options);
 
@@ -220,12 +216,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("RePaGer UI listening on http://127.0.0.1:%d/  "
-              "(threads=%zu cache-mb=%ld batch-window-us=%ld pollers=%ld "
+              "(threads=%zu cache-mb=%ld pollers=%ld "
               "max-conns=%ld idle-timeout-ms=%ld queue-depth=%ld "
               "epoch=%llu%s)\n",
-              port_or.value(), engine.num_threads(), cache_mb,
-              batch_window_us, pollers, max_conns, idle_timeout_ms,
-              queue_depth,
+              port_or.value(), engine.num_threads(), cache_mb, pollers,
+              max_conns, idle_timeout_ms, queue_depth,
               static_cast<unsigned long long>(engine.CurrentEpoch()->id()),
               watch_snapshot ? " watch-snapshot" : "");
   std::printf("try:  curl 'http://127.0.0.1:%d/api/path?q=%s'\n",

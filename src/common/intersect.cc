@@ -117,10 +117,6 @@ void NeighborBitmap::Unstamp(std::span<const uint32_t> list) {
   for (uint32_t v : list) words_[v >> 6] &= ~(uint64_t{1} << (v & 63));
 }
 
-void NeighborBitmap::Clear() {
-  std::fill(words_.begin(), words_.end(), 0);
-}
-
 size_t NeighborBitmap::CountCommon(std::span<const uint32_t> probe,
                                    size_t cap) const {
   if (cap == 0) return 0;

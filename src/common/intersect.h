@@ -96,10 +96,6 @@ class NeighborBitmap {
   /// Stamp(list). Pass the same list that was stamped.
   void Unstamp(std::span<const uint32_t> list);
 
-  /// Zeroes the whole bitmap (O(universe); only for recovery when the
-  /// previously stamped list is no longer known).
-  void Clear();
-
   bool Test(uint32_t v) const {
     return (words_[v >> 6] >> (v & 63)) & 1u;
   }

@@ -4,6 +4,12 @@
 
 namespace rpg {
 
+size_t ResolveThreadCount(int requested) {
+  if (requested > 0) return static_cast<size_t>(requested);
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   RPG_CHECK(num_threads > 0) << "thread pool needs at least one worker";
   workers_.reserve(num_threads);

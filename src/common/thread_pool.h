@@ -21,9 +21,10 @@
 ///    worker thread.
 ///
 /// This is the execution substrate of core::BatchEngine (one worker =
-/// one reusable core::QueryScratch); kept deliberately minimal — no
-/// priorities, no work stealing — because RePaGer batch queries are
-/// coarse-grained and embarrassingly parallel.
+/// one reusable core::QueryScratch per Run); kept deliberately minimal —
+/// no priorities, no work stealing — because RePaGer batch queries are
+/// coarse-grained and embarrassingly parallel. The serving path does not
+/// use it: serve::MicroBatcher runs its own long-lived solver threads.
 
 #include <condition_variable>
 #include <deque>
@@ -37,6 +38,11 @@
 #include <vector>
 
 namespace rpg {
+
+/// Resolves a thread-count knob where `<= 0` means "one per hardware
+/// thread": `requested` if positive, else
+/// std::thread::hardware_concurrency() (1 when unknown).
+size_t ResolveThreadCount(int requested);
 
 class ThreadPool {
  public:

@@ -10,18 +10,41 @@
 
 namespace rpg::core {
 
-namespace {
-
-size_t ResolveThreads(int requested) {
-  if (requested > 0) return static_cast<size_t>(requested);
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+Result<RePagerResult> SolveQuery(const BatchQuery& query,
+                                 const RePaGer* fallback,
+                                 QueryScratch* scratch) {
+  // Request trace: the calling thread is the only one touching the
+  // query's context during the solve (the query was handed over through
+  // a mutex-guarded queue, which orders the submitter's earlier span
+  // writes before ours).
+  obs::TraceContext* trace = query.trace.get();
+  uint64_t solve_start = trace ? trace->NowNs() : 0;
+  // Epoch pinning: a query-carried handle wins over the fallback, and
+  // holding `query.repager` keeps that epoch's whole substrate alive for
+  // the duration of the solve.
+  const RePaGer* repager = query.repager ? query.repager.get() : fallback;
+  Result<RePagerResult> r =
+      repager == nullptr
+          ? Result<RePagerResult>(Status::FailedPrecondition(
+                "no RePaGer: the engine default is null and the query "
+                "carries no substrate handle"))
+          : repager->Generate(query.query, query.options, scratch);
+  if (trace) {
+    trace->AddSpan(obs::Stage::kSolve, solve_start,
+                   trace->NowNs() - solve_start, r.ok() ? 1 : 0);
+    if (r.ok()) {
+      // The pipeline spans are clocked from Generate's own start;
+      // rebasing them onto the solve span's start lines the whole
+      // request trace up on one axis.
+      trace->AppendRebased(r->stages, solve_start);
+      trace->AttachSteinerStats(r->steiner_stats);
+    }
+  }
+  return r;
 }
 
-}  // namespace
-
 BatchEngine::BatchEngine(const RePaGer* repager, BatchEngineOptions options)
-    : repager_(repager), pool_(ResolveThreads(options.num_threads)) {}
+    : repager_(repager), pool_(ResolveThreadCount(options.num_threads)) {}
 
 BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   Timer wall;
@@ -41,37 +64,8 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
       QueryScratch scratch;
       for (size_t i = next.fetch_add(1); i < queries.size();
            i = next.fetch_add(1)) {
-        // Request trace: this worker is the only thread touching the
-        // query's context during the solve (the dispatcher handed the
-        // batch over through the pool queue, which orders its earlier
-        // queue-span writes before ours).
-        obs::TraceContext* trace = queries[i].trace.get();
-        uint64_t solve_start = trace ? trace->NowNs() : 0;
-        // Epoch pinning: a query-carried handle wins over the engine
-        // default, and holding `queries[i].repager` keeps that epoch's
-        // whole substrate alive for the duration of the solve.
-        const RePaGer* repager =
-            queries[i].repager ? queries[i].repager.get() : repager_;
         // Distinct slots: no synchronization needed on the writes.
-        Result<RePagerResult> r =
-            repager == nullptr
-                ? Result<RePagerResult>(Status::FailedPrecondition(
-                      "BatchEngine has no RePaGer: engine default is null "
-                      "and the query carries no substrate handle"))
-                : repager->Generate(queries[i].query, queries[i].options,
-                                    &scratch);
-        if (trace) {
-          trace->AddSpan(obs::Stage::kSolve, solve_start,
-                         trace->NowNs() - solve_start, r.ok() ? 1 : 0);
-          if (r.ok()) {
-            // The pipeline spans are clocked from Generate's own start;
-            // rebasing them onto the solve span's start lines the whole
-            // request trace up on one axis.
-            trace->AppendRebased(r->stages, solve_start);
-            trace->AttachSteinerStats(r->steiner_stats);
-          }
-        }
-        batch.results[i] = std::move(r);
+        batch.results[i] = SolveQuery(queries[i], repager_, &scratch);
       }
     }));
   }

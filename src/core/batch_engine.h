@@ -2,13 +2,22 @@
 #define RPG_CORE_BATCH_ENGINE_H_
 
 /// \file
-/// Batched parallel query engine for RePaGer. The paper's serving
-/// scenario is many independent survey queries against one immutable
-/// citation graph — embarrassingly parallel — so BatchEngine fans a batch
-/// of queries across a fixed-size ThreadPool, each worker reusing one
-/// core::QueryScratch so per-query allocations drop to near zero after
-/// warm-up (the dominant cost now that the NEWST solver is fast; see
-/// ROADMAP "Perf — Steiner hot path").
+/// Per-query solve step and batched parallel query engine for RePaGer.
+/// The paper's serving scenario is many independent survey queries
+/// against one immutable citation graph — embarrassingly parallel.
+///
+/// SolveQuery is the one place a BatchQuery becomes a result: substrate
+/// choice (epoch handle or fallback), the `solve` trace span and the
+/// splicing of the pipeline's stage spans. Two callers share it:
+///  - serve::MicroBatcher's solver threads, one query at a time, each
+///    thread reusing one core::QueryScratch for its whole life (the
+///    serving path);
+///  - BatchEngine::Run, which fans a batch of queries across a
+///    fixed-size ThreadPool and blocks until all are done (offline
+///    batches: benches, perfbench's parallel-efficiency probe). Each
+///    worker reuses one QueryScratch for the duration of a Run().
+/// Scratch reuse makes per-query allocations drop to near zero after
+/// warm-up (see ROADMAP "Perf — Steiner hot path").
 ///
 /// Ownership / thread-safety model:
 ///  - The RePaGer (and, through it, the CitationGraph, SearchEngine and
@@ -16,8 +25,9 @@
 ///    workers. The engine-level default must outlive the BatchEngine;
 ///    a per-query BatchQuery::repager is an owning shared_ptr (an epoch
 ///    handle alias) and keeps its substrate alive by itself.
-///  - Each pool worker owns one QueryScratch for the duration of a
-///    Run(); scratches are never shared between threads.
+///  - Scratches are never shared between threads, and a scratch refers
+///    to no graph between calls, so it may outlive the epoch it last
+///    solved on.
 ///  - Run() may be called repeatedly (the pool persists across batches)
 ///    but not concurrently from multiple threads on the same BatchEngine.
 ///  - Per-query results are bit-identical to calling
@@ -38,21 +48,30 @@ namespace rpg::core {
 struct BatchQuery {
   std::string query;
   RePagerOptions options;
-  /// Optional request trace (shared with the serving layer). The worker
-  /// that executes this query records a `solve` span and splices the
-  /// pipeline's stage spans into it. The shared_ptr keeps the context
-  /// alive even if the originating request was already answered (e.g. a
-  /// reactor-side deadline 503).
+  /// Optional request trace (shared with the serving layer). The thread
+  /// that solves this query records a `solve` span and splices the
+  /// pipeline's stage spans into it (SolveQuery). The shared_ptr keeps
+  /// the context alive even if the originating request was already
+  /// answered (e.g. a reactor-side deadline 503).
   std::shared_ptr<obs::TraceContext> trace;
   /// Optional owning substrate handle, overriding the engine-level
   /// RePaGer for this one query. This is how epoch-based serving works
   /// (serve::Epoch): the serving layer pins the request's epoch with an
   /// aliasing shared_ptr, so the substrate the worker reads stays alive
   /// until this query's result is delivered even if the serving tier
-  /// swapped to a newer epoch mid-batch. Null means "use the engine's
-  /// constructor-supplied RePaGer" (the pre-epoch behaviour).
+  /// swapped to a newer epoch while it was queued. Null means "use the
+  /// fallback RePaGer" (BatchEngine's constructor-supplied default).
   std::shared_ptr<const RePaGer> repager;
 };
+
+/// Solves one query on the calling thread with `scratch`: the query's
+/// own substrate handle if it has one, else `fallback`; neither gives
+/// FailedPrecondition. With a trace attached, records the `solve` span,
+/// splices the pipeline's stage spans onto it and attaches the NEWST
+/// counters. Results are bit-identical to RePaGer::Generate.
+Result<RePagerResult> SolveQuery(const BatchQuery& query,
+                                 const RePaGer* fallback,
+                                 QueryScratch* scratch);
 
 /// Result of a batch run. `results[i]` corresponds to `queries[i]` —
 /// per-query failures (empty query, no hits, ...) land in their slot

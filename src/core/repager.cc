@@ -51,6 +51,10 @@ void BuildWeightedSubgraph(const graph::Subgraph& sg,
       builder->AddEdge(local, cited, weights.EdgeCost(gu, gv, con_scratch));
     }
   }
+  // Drop the last stamp while its graph is certainly alive: a scratch
+  // that outlives this graph (a solver thread's scratch across an epoch
+  // flip) must never unstamp through it later.
+  if (con_scratch != nullptr) con_scratch->Release();
   builder->BuildInto(out);
 }
 

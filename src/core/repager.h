@@ -14,11 +14,12 @@
 ///  - Generate() is const and touches only shared immutable state plus
 ///    its own locals — EXCEPT the explicit-scratch overload, whose
 ///    QueryScratch is the per-call mutable state. Give each concurrent
-///    caller its own QueryScratch (BatchEngine allocates one per
-///    worker); never share a scratch between threads.
+///    caller its own QueryScratch (each serving solver thread owns one
+///    for its life; BatchEngine allocates one per worker per Run);
+///    never share a scratch between threads.
 ///  - The scratch-free Generate() is a thin wrapper that builds a fresh
 ///    QueryScratch per call. Results are bit-identical either way; the
-///    scratch exists purely so batch serving can amortize the per-query
+///    scratch exists purely so serving can amortize the per-query
 ///    allocations (KHop visit map, subgraph id map + CSR arrays,
 ///    weighted-graph builder buffers) that dominate once the Steiner
 ///    solver is fast (see ROADMAP "Perf — Steiner hot path").
@@ -96,9 +97,11 @@ struct RePagerResult {
 /// first query everything here is warm, so subsequent Generate calls make
 /// almost no allocations outside the returned RePagerResult.
 ///
-/// One scratch per thread: BatchEngine gives each pool worker its own.
-/// The scratch carries no query state between calls — results are
-/// bit-identical with a fresh or a reused scratch.
+/// One scratch per thread: each serving solver thread owns one for its
+/// whole life, and BatchEngine gives each pool worker its own. The
+/// scratch carries no query state between calls — results are
+/// bit-identical with a fresh or a reused scratch — and refers to no
+/// graph between calls, so it may outlive the epoch it last solved on.
 class QueryScratch {
  public:
   QueryScratch() = default;

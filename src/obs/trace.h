@@ -13,18 +13,18 @@
 ///    the `stages` block of /api/path?debug=1.
 ///  - A request trace (TraceContext) is created per request by the
 ///    ui::HttpServer reactor and carried by shared_ptr through
-///    RePagerService -> ServeEngine -> MicroBatcher -> BatchEngine, each
-///    recording its serving-side span (cache lookup, single-flight wait,
-///    batch queue, solve). The BatchEngine worker splices the pipeline
-///    spans into the request trace (rebased onto the solve span), so a
-///    slow-query log line shows the full life of the request.
+///    RePagerService -> ServeEngine -> MicroBatcher -> solver thread,
+///    each recording its serving-side span (cache lookup, single-flight
+///    wait, batch queue, solve). The solver (core::SolveQuery) splices
+///    the pipeline spans into the request trace (rebased onto the solve
+///    span), so a slow-query log line shows the full life of the request.
 ///
 /// Thread-safety model: a TraceContext is NOT internally synchronized.
 /// It is touched strictly along the request's causal chain — poller
-/// thread at dispatch, batcher dispatcher at batch assembly, pool worker
-/// during the solve, completion-delivering thread at the end — and every
-/// handoff on that chain already carries a happens-before edge (batcher
-/// mutex, thread-pool queue, flight mutex, completion queue). Never share
+/// thread at dispatch, solver thread from dequeue through the solve,
+/// completion-delivering thread at the end — and every handoff on that
+/// chain already carries a happens-before edge (batcher mutex, flight
+/// mutex, completion queue). Never share
 /// one context between concurrent requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded
@@ -61,8 +61,8 @@ enum class Stage : uint8_t {
   kRank,             ///< ranked candidate-list assembly
   kCacheLookup,      ///< serve: QueryCache probe
   kSingleFlightWait, ///< serve: joined an identical in-flight compute
-  kBatchQueue,       ///< serve: waited in the micro-batcher queue
-  kSolve,            ///< serve: BatchEngine worker ran Generate
+  kBatchQueue,       ///< serve: waited in the queue for a free solver
+  kSolve,            ///< serve: a solver thread ran Generate
 };
 
 inline constexpr size_t kNumPipelineStages = 8;

@@ -19,19 +19,8 @@ constexpr size_t kBitmapMinDegree = 64;
 
 void ConScratch::SetSource(const graph::CitationGraph& g, graph::PaperId i) {
   if (g_ == &g && source_ == i) return;
-  if (stamped_) {
-    // O(degree) unstamp of the previous source — never a full clear.
-    out_bits_.Unstamp(g_->OutNeighbors(source_));
-    in_bits_.Unstamp(g_->InNeighbors(source_));
-    stamped_ = false;
-  }
-  if (g_ != &g) {
-    // Scratch moved to a different graph: the stamped lists are no
-    // longer addressable, so fall back to the O(universe) recovery.
-    out_bits_.Clear();
-    in_bits_.Clear();
-    g_ = &g;
-  }
+  Release();
+  g_ = &g;
   source_ = i;
   auto out = g.OutNeighbors(i);
   auto in = g.InNeighbors(i);
@@ -42,6 +31,17 @@ void ConScratch::SetSource(const graph::CitationGraph& g, graph::PaperId i) {
     in_bits_.Stamp(in);
     stamped_ = true;
   }
+}
+
+void ConScratch::Release() {
+  if (stamped_) {
+    // O(degree) unstamp of the current source — never a full clear.
+    out_bits_.Unstamp(g_->OutNeighbors(source_));
+    in_bits_.Unstamp(g_->InNeighbors(source_));
+    stamped_ = false;
+  }
+  g_ = nullptr;
+  source_ = kNoSource;
 }
 
 WeightModel::WeightModel(const graph::CitationGraph* g,

@@ -32,6 +32,12 @@ class WeightModel;
 /// O(universe)), so a long-lived scratch — one per core::QueryScratch —
 /// never pays a full clear and is allocation-free after warm-up.
 ///
+/// Lifetime: while a source is stamped the scratch refers to its graph
+/// (the unstamp reads that graph's adjacency). Call Release() before the
+/// graph can go away; core::BuildWeightedSubgraph does so at the end of
+/// every call, so a scratch that outlives a serving epoch never touches
+/// the freed graph.
+///
 /// Low-degree sources skip the stamping and fall through to the adaptive
 /// merge/gallop kernels, so Con(i, j, &scratch) is never slower than
 /// Con(i, j) — and, by the shared min(|a ∩ b|, cap) kernel contract,
@@ -43,17 +49,25 @@ class ConScratch {
   ConScratch(const ConScratch&) = delete;
   ConScratch& operator=(const ConScratch&) = delete;
 
+  /// Unstamps the current source (O(degree)) and forgets its graph. The
+  /// graph must still be alive; afterwards the scratch refers to no
+  /// graph and may be reused on any other.
+  void Release();
+
  private:
   friend class WeightModel;
 
   static constexpr graph::PaperId kNoSource = 0xFFFFFFFFu;
 
   /// Stamp source i's adjacency if it is dense enough to pay off;
-  /// no-op when (graph, i) is already the stamped source.
+  /// no-op when (graph, i) is already the current source. Releases the
+  /// previous source, whose graph must still be alive.
   void SetSource(const graph::CitationGraph& g, graph::PaperId i);
 
+  /// Both bitmaps are all-zero whenever !stamped_.
   intersect::NeighborBitmap out_bits_;
   intersect::NeighborBitmap in_bits_;
+  /// Graph of the current source; null after Release().
   const graph::CitationGraph* g_ = nullptr;
   graph::PaperId source_ = kNoSource;
   bool stamped_ = false;

@@ -16,14 +16,6 @@ std::vector<double> LatencyBucketEdgesMs() {
   return edges;
 }
 
-std::vector<double> SizeBucketEdges(size_t cap) {
-  if (cap == 0) cap = 1;  // Histogram requires >= 2 edges
-  std::vector<double> edges;
-  edges.reserve(cap + 1);
-  for (size_t i = 1; i <= cap + 1; ++i) edges.push_back(static_cast<double>(i));
-  return edges;
-}
-
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   return &counters_[name];

@@ -76,9 +76,6 @@ class MetricHistogram {
 /// inside the edges for both cache hits (~µs–ms) and full solves (~s).
 std::vector<double> LatencyBucketEdgesMs();
 
-/// Linear 1..cap edges for batch-size histograms.
-std::vector<double> SizeBucketEdges(size_t cap);
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

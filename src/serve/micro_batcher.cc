@@ -3,25 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
+#include "common/timer.h"
 
 namespace rpg::serve {
 
 namespace {
-/// EWMA smoothing for per-item service time: ~0.2 weights the last
-/// dozen-ish batches, enough to track load shifts without flapping the
-/// Retry-After hint on every outlier batch.
+/// EWMA smoothing for per-solve service time: ~0.2 weights the last
+/// dozen-ish solves, enough to track load shifts without flapping the
+/// Retry-After hint on every outlier query.
 constexpr double kEwmaAlpha = 0.2;
 }  // namespace
 
-MicroBatcher::MicroBatcher(core::BatchEngine* engine,
-                           MicroBatcherOptions options)
-    : engine_(engine), options_(options) {
-  RPG_CHECK(engine_ != nullptr);
-  if (options_.max_batch_size == 0) options_.max_batch_size = 1;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+MicroBatcher::MicroBatcher(size_t num_solvers, MicroBatcherOptions options)
+    : options_(std::move(options)) {
+  num_solvers = std::max<size_t>(num_solvers, 1);
+  solvers_.reserve(num_solvers);
+  for (size_t i = 0; i < num_solvers; ++i) {
+    solvers_.emplace_back([this] { SolverLoop(); });
+  }
 }
 
 MicroBatcher::~MicroBatcher() { Shutdown(); }
@@ -45,13 +46,13 @@ void MicroBatcher::SubmitAsync(core::BatchQuery query, Callback callback) {
       // is actually likely to exist.
       ++stats_.rejected_overload;
       rejected = Status::Unavailable(
-                     "micro-batch queue full (" +
+                     "solver queue full (" +
                      std::to_string(options_.max_queue_depth) + " waiting)")
                      .WithRetryAfter(RetryAfterSecondsLocked());
     } else {
       pending_.push_back(std::move(p));
       ++stats_.requests;
-      cv_.notify_all();
+      cv_.notify_one();
       return;
     }
   }
@@ -65,7 +66,9 @@ void MicroBatcher::Shutdown() {
     shutdown_ = true;
   }
   cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& solver : solvers_) {
+    if (solver.joinable()) solver.join();
+  }
 }
 
 MicroBatcherStats MicroBatcher::Stats() const {
@@ -77,30 +80,27 @@ MicroBatcherStats MicroBatcher::Stats() const {
 }
 
 int MicroBatcher::RetryAfterSecondsLocked() const {
-  const double drain =
-      ewma_item_seconds_ * static_cast<double>(pending_.size());
+  const double drain = ewma_item_seconds_ *
+                       static_cast<double>(pending_.size()) /
+                       static_cast<double>(solvers_.size());
   return static_cast<int>(std::clamp(std::ceil(drain), 1.0, 30.0));
 }
 
-void MicroBatcher::DispatchLoop() {
+void MicroBatcher::SolverLoop() {
+  core::QueryScratch scratch;
   for (;;) {
-    std::deque<Pending> batch;
+    Pending next;
+    bool have_next = false;
     std::vector<Callback> expired;
     int expired_retry_after = 1;
-    bool flushed_on_size = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return !pending_.empty() || shutdown_; });
-      if (pending_.empty() && shutdown_) return;
-      // Wait until the batch fills or the oldest request's deadline
-      // passes. Shutdown flushes immediately (drain semantics).
-      auto deadline = pending_.front().enqueued + options_.flush_window;
-      while (pending_.size() < options_.max_batch_size && !shutdown_) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
+      // Shutdown drains: solvers exit only once the queue is empty.
+      if (pending_.empty()) return;
       // Queue deadline: entries that waited past queue_deadline are
       // expired, not solved — their callers have given up (or will, by
-      // the time the engine would finish). The deque is FIFO, so the
+      // the time the solve would finish). The deque is FIFO, so the
       // expired prefix is exactly the over-age set.
       if (options_.queue_deadline.count() > 0) {
         const auto now = std::chrono::steady_clock::now();
@@ -114,61 +114,40 @@ void MicroBatcher::DispatchLoop() {
           expired_retry_after = RetryAfterSecondsLocked();
         }
       }
-      flushed_on_size = pending_.size() >= options_.max_batch_size;
-      size_t take = std::min(pending_.size(), options_.max_batch_size);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(pending_.front()));
+      if (!pending_.empty()) {
+        next = std::move(pending_.front());
         pending_.pop_front();
-      }
-      if (!batch.empty()) {
+        have_next = true;
         ++stats_.batches;
-        if (flushed_on_size) {
-          ++stats_.flushes_on_size;
-        } else {
-          ++stats_.flushes_on_deadline;
-        }
-        stats_.max_batch_size_seen =
-            std::max(stats_.max_batch_size_seen, batch.size());
       }
     }
     // Expired completions fire outside mu_, like every other callback.
     for (Callback& callback : expired) {
-      callback(Status::DeadlineExceeded(
-                   "request expired in micro-batch queue")
+      callback(Status::DeadlineExceeded("request expired in solver queue")
                    .WithRetryAfter(expired_retry_after));
     }
-    if (!batch.empty()) RunBatch(std::move(batch));
-  }
-}
+    if (!have_next) continue;
 
-void MicroBatcher::RunBatch(std::deque<Pending> batch) {
-  std::vector<core::BatchQuery> queries;
-  queries.reserve(batch.size());
-  const auto dispatched = std::chrono::steady_clock::now();
-  for (const Pending& p : batch) {
-    // Queue-time span: enqueue (any submitter thread) -> batch assembly
-    // (this dispatcher thread); the handoff through mu_ orders the
-    // submitter's earlier trace writes before ours.
-    if (p.query.trace) {
-      p.query.trace->AddSpanBetween(obs::Stage::kBatchQueue, p.enqueued,
-                                    dispatched);
+    // Queue-time span: enqueue (any submitter thread) -> dispatch (this
+    // solver); the handoff through mu_ orders the submitter's earlier
+    // trace writes before ours.
+    if (next.query.trace) {
+      next.query.trace->AddSpanBetween(obs::Stage::kBatchQueue, next.enqueued,
+                                       std::chrono::steady_clock::now());
     }
-    queries.push_back(p.query);
-  }
-  core::BatchResult result = engine_->Run(queries);
-  RPG_CHECK(result.results.size() == batch.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const double per_item =
-        result.wall_seconds / static_cast<double>(batch.size());
-    ewma_item_seconds_ = ewma_item_seconds_ == 0
-                             ? per_item
-                             : kEwmaAlpha * per_item +
-                                   (1 - kEwmaAlpha) * ewma_item_seconds_;
-  }
-  if (options_.on_batch) options_.on_batch(batch.size(), result.wall_seconds);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].callback(std::move(result.results[i]));
+    Timer solve;
+    Result<core::RePagerResult> result =
+        core::SolveQuery(next.query, /*fallback=*/nullptr, &scratch);
+    const double seconds = solve.ElapsedSeconds();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ewma_item_seconds_ = ewma_item_seconds_ == 0
+                               ? seconds
+                               : kEwmaAlpha * seconds +
+                                     (1 - kEwmaAlpha) * ewma_item_seconds_;
+    }
+    if (options_.on_solve) options_.on_solve(seconds);
+    next.callback(std::move(result));
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/json_writer.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace rpg::serve {
 
@@ -25,19 +26,11 @@ struct ServeEngine::Flight {
 
 namespace {
 
-core::BatchEngineOptions MakeBatchOptions(const ServeEngineOptions& options) {
-  core::BatchEngineOptions be;
-  be.num_threads = options.num_threads;
-  return be;
-}
-
 MicroBatcherOptions MakeBatcherOptions(const ServeEngineOptions& options,
-                                       MetricHistogram* batch_size,
                                        MetricHistogram* solve_ms) {
   MicroBatcherOptions mb = options.batcher;
-  mb.on_batch = [batch_size, solve_ms](size_t size, double wall_seconds) {
-    batch_size->Observe(static_cast<double>(size));
-    solve_ms->Observe(wall_seconds * 1e3);
+  mb.on_solve = [solve_ms](double seconds) {
+    solve_ms->Observe(seconds * 1e3);
   };
   return mb;
 }
@@ -54,18 +47,13 @@ bool IsCacheableError(const Status& status) {
 
 ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
-      // The BatchEngine's engine-level default stays null: every query
-      // carries its own epoch-pinned substrate handle, which is the
-      // whole point of the refactor.
-      batch_engine_(nullptr, MakeBatchOptions(options)),
       cache_(options.cache),
-      batcher_(&batch_engine_,
-               MakeBatcherOptions(
-                   options,
-                   metrics_.GetHistogram("batch_size",
-                                         SizeBucketEdges(
-                                             options.batcher.max_batch_size)),
-                   metrics_.GetHistogram("solve_ms", LatencyBucketEdgesMs()))),
+      // Solver queries carry their own epoch-pinned substrate handle;
+      // the batcher has no default RePaGer.
+      batcher_(ResolveThreadCount(options.num_threads),
+               MakeBatcherOptions(options,
+                                  metrics_.GetHistogram(
+                                      "solve_ms", LatencyBucketEdgesMs()))),
       epoch_(std::move(epoch)),
       requests_total_(metrics_.GetCounter("requests_total")),
       cache_hits_(metrics_.GetCounter("cache_hits")),
@@ -224,13 +212,12 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   if (num_seeds > 0) bq.options.num_initial_seeds = num_seeds;
   if (year_cutoff > 0) bq.options.year_cutoff = year_cutoff;
   bq.trace = trace;
-  // Pin the substrate: the worker solves on THIS request's epoch no
-  // matter how many flips happen while the query sits in the batch
-  // queue, and the aliasing handle keeps the epoch alive through the
-  // solve.
+  // Pin the substrate: the solver works on THIS request's epoch no
+  // matter how many flips happen while the query sits in the queue, and
+  // the aliasing handle keeps the epoch alive through the solve.
   bq.repager = Epoch::RepagerHandle(epoch);
-  // No thread blocks here: the continuation runs on the batcher's
-  // dispatcher thread once the batch containing this query completes.
+  // No thread blocks here: the continuation runs on the solver thread
+  // right after this query's solve.
   batcher_.SubmitAsync(
       std::move(bq),
       [this, key, flight_key, eid, epoch = std::move(epoch), flight,
@@ -411,9 +398,6 @@ std::string ServeEngine::StatsJson() const {
   w.Key("batcher").BeginObject();
   w.Key("requests").UInt(bs.requests);
   w.Key("batches").UInt(bs.batches);
-  w.Key("flushes_on_size").UInt(bs.flushes_on_size);
-  w.Key("flushes_on_deadline").UInt(bs.flushes_on_deadline);
-  w.Key("max_batch_size_seen").UInt(bs.max_batch_size_seen);
   w.Key("queue_depth").UInt(bs.queue_depth);
   w.Key("max_queue_depth").UInt(options_.batcher.max_queue_depth);
   w.Key("rejected_overload").UInt(bs.rejected_overload);
@@ -424,7 +408,7 @@ std::string ServeEngine::StatsJson() const {
               ? 0
               : options_.batcher.queue_deadline.count()));
   w.Key("ewma_item_seconds").Double(bs.ewma_item_seconds);
-  w.Key("threads").UInt(batch_engine_.num_threads());
+  w.Key("threads").UInt(batcher_.num_solvers());
   w.EndObject();
   // Per-stage latency attribution over computed (non-cached) results.
   // attributed_fraction = stage-span time / pipeline wall time: how much

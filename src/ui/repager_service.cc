@@ -324,7 +324,7 @@ void RePagerService::HandleAsync(const HttpRequest& request,
       debug = it->second == "1" || it->second == "true";
     }
     // The compute handoff: cache hits complete inline (microseconds);
-    // misses complete from the batcher's dispatcher thread. Either way
+    // misses complete from the solver thread. Either way
     // the calling poller thread returns to its event loop immediately.
     // The continuation deliberately does NOT capture `this`: a compute
     // finishing after server.Stop() may outlive the service object, so

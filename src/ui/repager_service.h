@@ -15,9 +15,9 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 
 /// The RePaGer web application backend (§V). A thin route layer: every
 /// query is served by serve::ServeEngine (sharded result cache ->
-/// single-flight -> micro-batched BatchEngine; see docs/serving.md),
-/// so repeated queries come back from the cache in microseconds and
-/// concurrent misses share batches. Routes:
+/// single-flight -> solver threads; see docs/serving.md), so repeated
+/// queries come back from the cache in microseconds and concurrent
+/// misses are solved in parallel. Routes:
 ///
 ///   GET  /                      the single-page UI (embedded HTML)
 ///   GET  /api/path?q=<query>[&seeds=N][&year=Y][&debug=1]
@@ -53,8 +53,8 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///
 /// HandleAsync is the reactor entry point: cheap routes complete inline
 /// on the poller thread; /api/path hands compute to
-/// ServeEngine::GenerateAsync and completes from the batcher's
-/// dispatcher, so poller threads never block on a solve. Handle is the
+/// ServeEngine::GenerateAsync and completes from the solver thread, so
+/// poller threads never block on a solve. Handle is the
 /// blocking wrapper kept for tests and the serve_ui self-test.
 class RePagerService {
  public:

@@ -16,9 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,6 +323,39 @@ TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
   }
 }
 
+TEST(EpochTest, SolverScratchOutlivesFreedEpoch) {
+  // One solver thread, so one persistent QueryScratch solves on epoch A
+  // and then, after A's substrate is freed, on epoch B. Nothing in the
+  // scratch may still refer to A's graph (ASan covers the reads), and
+  // the answers on B must equal a fresh Generate on B.
+  std::vector<std::string> queries = TestQueries(4);
+  ServeEngineOptions options;
+  options.num_threads = 1;
+  EpochHandle a = LoadTestEpoch(false, 1);
+  std::weak_ptr<const Epoch> a_alive = a;
+  ServeEngine engine(std::move(a), options);
+  for (const std::string& q : queries) {
+    ASSERT_TRUE(engine.Generate(q, 0, 0).ok());
+  }
+  engine.SwapEpoch(LoadTestEpoch(true, 2));
+  // The engine dropped its handle; the solver drops the last request's
+  // pin right after completing it.
+  for (int i = 0; i < 500 && !a_alive.expired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(a_alive.expired()) << "epoch A is still referenced";
+
+  EpochHandle fresh = LoadTestEpoch(true, 2);
+  for (const std::string& q : queries) {
+    auto served = engine.Generate(q, 0, 0);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_FALSE(served->cache_hit);
+    EXPECT_EQ(served->epoch->id(), 2u);
+    EXPECT_EQ(Fingerprint(*served->result), ReferenceFingerprint(*fresh, q, 0))
+        << "solve after a freed epoch diverges for query: " << q;
+  }
+}
+
 TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
   // The live-churn pin (runs under TSan in the tsan-serve CI job):
   // worker threads hammer the engine while the main thread flips the
@@ -338,7 +373,6 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
 
   ServeEngineOptions options;
   options.num_threads = 2;
-  options.batcher.flush_window = std::chrono::microseconds(200);
   ServeEngine engine(a, options);
 
   constexpr int kWorkers = 4;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -12,13 +15,40 @@
 namespace rpg::serve {
 namespace {
 
+/// The shared workbench's substrate as a query handle: the batcher has
+/// no default RePaGer, every query carries its own.
+std::shared_ptr<const core::RePaGer> WorkbenchHandle() {
+  static const EpochHandle epoch = TestEpoch(SharedWorkbench());
+  return Epoch::RepagerHandle(epoch);
+}
+
 core::BatchQuery MakeQuery(size_t bank_index) {
   const auto& entry = SharedWorkbench().bank().Get(bank_index);
   core::BatchQuery q;
   q.query = entry.query;
   q.options.year_cutoff = entry.year;
+  q.repager = WorkbenchHandle();
   return q;
 }
+
+/// A one-shot gate: Wait blocks until Open, or gives up after `timeout`.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  bool Wait(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 /// SubmitAsync with the completion delivered through a future, for tests
 /// that block on their results.
@@ -33,48 +63,51 @@ std::future<Result<core::RePagerResult>> SubmitForFuture(
   return future;
 }
 
-TEST(MicroBatcherTest, SingleRequestFlushesOnDeadline) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
-  MicroBatcherOptions options;
-  options.max_batch_size = 64;  // never reached
-  options.flush_window = std::chrono::microseconds(2000);
-  MicroBatcher batcher(&engine, options);
+TEST(MicroBatcherTest, SingleRequestDispatchesImmediately) {
+  MicroBatcher batcher(2);
   auto future = SubmitForFuture(batcher, MakeQuery(0));
   Result<core::RePagerResult> result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->ranked.empty());
   MicroBatcherStats stats = batcher.Stats();
   EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.flushes_on_deadline, 1u);
-  EXPECT_EQ(stats.flushes_on_size, 0u);
+  EXPECT_EQ(stats.batches, 1u);  // one dispatch, one query
+  EXPECT_EQ(batcher.num_solvers(), 2u);
 }
 
-TEST(MicroBatcherTest, FlushOnSizeGroupsConcurrentArrivals) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
-  MicroBatcherOptions options;
-  options.max_batch_size = 3;
-  // A long window, so only the size trigger can flush the full batch.
-  options.flush_window = std::chrono::microseconds(30'000'000);
-  MicroBatcher batcher(&engine, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
-  }
-  for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  MicroBatcherStats stats = batcher.Stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.flushes_on_size, 1u);
-  EXPECT_EQ(stats.max_batch_size_seen, 3u);
+TEST(MicroBatcherTest, SlowQueryDoesNotBlockOthers) {
+  // The first query's callback holds its solver until the second
+  // query's callback opens the latch. With work-conserving dispatch the
+  // other solver takes the second query while the first is still held;
+  // behind a batch barrier the second callback could never run and the
+  // first would time out.
+  Latch second_done;
+  std::promise<bool> first_released;
+  MicroBatcher batcher(2);  // joins its solvers before the latch goes
+  batcher.SubmitAsync(MakeQuery(0), [&](Result<core::RePagerResult> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    first_released.set_value(second_done.Wait(std::chrono::seconds(30)));
+  });
+  batcher.SubmitAsync(MakeQuery(1), [&](Result<core::RePagerResult> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    second_done.Open();
+  });
+  EXPECT_TRUE(first_released.get_future().get());
+}
+
+TEST(MicroBatcherTest, QueryWithoutSubstrateFailsPrecondition) {
+  MicroBatcher batcher(1);
+  core::BatchQuery q = MakeQuery(0);
+  q.repager = nullptr;
+  Result<core::RePagerResult> r = SubmitForFuture(batcher, q).get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().ToString();
 }
 
 TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
   const eval::Workbench& wb = SharedWorkbench();
-  core::BatchEngine engine(&wb.repager(), {.num_threads = 2});
-  MicroBatcher batcher(&engine, {});
+  MicroBatcher batcher(2);
   std::vector<core::BatchQuery> queries;
   for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
   std::vector<std::future<Result<core::RePagerResult>>> futures;
@@ -95,22 +128,20 @@ TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
 }
 
 TEST(MicroBatcherTest, PerQueryErrorsLandInTheirSlot) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
-  MicroBatcher batcher(&engine, {});
-  auto bad =
-      SubmitForFuture(batcher, {.query = "zzzz qqqq wwww", .options = {}});
+  MicroBatcher batcher(2);
+  auto bad = SubmitForFuture(batcher, {.query = "zzzz qqqq wwww",
+                                       .options = {},
+                                       .repager = WorkbenchHandle()});
   auto good = SubmitForFuture(batcher, MakeQuery(0));
   EXPECT_FALSE(bad.get().ok());
   EXPECT_TRUE(good.get().ok());
 }
 
 TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
   MicroBatcherOptions options;
-  options.max_batch_size = 1;  // one solve at a time -> backlog builds
   options.max_queue_depth = 1;
-  MicroBatcher batcher(&engine, options);
-  // A burst far past the bound: the dispatcher absorbs at most one
+  MicroBatcher batcher(1, options);  // one solve at a time -> backlog builds
+  // A burst far past the bound: the solver absorbs at most one
   // executing + one queued; the rest must shed inline with Unavailable,
   // not queue without limit.
   constexpr int kBurst = 6;
@@ -138,11 +169,9 @@ TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
 }
 
 TEST(MicroBatcherTest, UnboundedQueueNeverSheds) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
   MicroBatcherOptions options;
-  options.max_batch_size = 1;
   options.max_queue_depth = 0;  // explicit opt-out
-  MicroBatcher batcher(&engine, options);
+  MicroBatcher batcher(1, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
@@ -152,17 +181,15 @@ TEST(MicroBatcherTest, UnboundedQueueNeverSheds) {
 }
 
 TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
   MicroBatcherOptions options;
-  options.max_batch_size = 1;
   options.queue_deadline = std::chrono::milliseconds(50);
-  // The on_batch tap runs on the dispatcher thread: sleeping in it
+  // The on_solve tap runs on the (only) solver thread: sleeping in it
   // wedges dispatch long enough for everything still queued to age past
   // the deadline — deterministic, no timing races against solve speed.
-  options.on_batch = [](size_t, double) {
+  options.on_solve = [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
   };
-  MicroBatcher batcher(&engine, options);
+  MicroBatcher batcher(1, options);
   constexpr int kBurst = 4;
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < kBurst; ++i) {
@@ -181,7 +208,7 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
       ++expired;
     }
   }
-  // The first batch (picked up before the wedge) computes; everything
+  // The first query (picked up before the wedge) computes; everything
   // that sat out the 250 ms sleep is past the 50 ms deadline.
   EXPECT_GE(ok, 1);
   EXPECT_GE(expired, 1);
@@ -192,15 +219,13 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
 }
 
 TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 1});
   MicroBatcherOptions options;
-  options.max_batch_size = 1;
   // Same wedge as above, but with queue_deadline at its 0 default every
   // entry waits out the stall and still computes.
-  options.on_batch = [](size_t, double) {
+  options.on_solve = [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   };
-  MicroBatcher batcher(&engine, options);
+  MicroBatcher batcher(1, options);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
     futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
@@ -209,9 +234,8 @@ TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
   EXPECT_EQ(batcher.Stats().deadline_expired, 0u);
 }
 
-TEST(MicroBatcherTest, ServiceTimeEwmaTracksBatches) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
-  MicroBatcher batcher(&engine, {});
+TEST(MicroBatcherTest, ServiceTimeEwmaTracksSolves) {
+  MicroBatcher batcher(2);
   EXPECT_EQ(batcher.Stats().ewma_item_seconds, 0.0);  // no samples yet
   auto r = SubmitForFuture(batcher, MakeQuery(0)).get();
   ASSERT_TRUE(r.ok());
@@ -221,10 +245,7 @@ TEST(MicroBatcherTest, ServiceTimeEwmaTracksBatches) {
 }
 
 TEST(MicroBatcherTest, ShutdownDrainsQueuedRequests) {
-  core::BatchEngine engine(&SharedWorkbench().repager(), {.num_threads = 2});
-  MicroBatcherOptions options;
-  options.flush_window = std::chrono::microseconds(30'000'000);
-  auto batcher = std::make_unique<MicroBatcher>(&engine, options);
+  auto batcher = std::make_unique<MicroBatcher>(2);
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
     futures.push_back(SubmitForFuture(*batcher, MakeQuery(0)));
@@ -234,6 +255,36 @@ TEST(MicroBatcherTest, ShutdownDrainsQueuedRequests) {
   // Submitting after shutdown fails cleanly instead of hanging.
   auto late = SubmitForFuture(*batcher, MakeQuery(0));
   EXPECT_FALSE(late.get().ok());
+}
+
+TEST(MicroBatcherTest, ShutdownDrainsEverySolver) {
+  // A backlog deeper than the solver count, cut off by Shutdown while
+  // every solver is busy: each queued callback fires exactly once, and
+  // none with the after-shutdown FailedPrecondition.
+  constexpr size_t kSolvers = 3;
+  constexpr int kQueries = 12;
+  auto batcher = std::make_unique<MicroBatcher>(kSolvers);
+  std::mutex mu;
+  std::vector<int> fired(kQueries, 0);
+  int failed_precondition = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    batcher->SubmitAsync(MakeQuery(static_cast<size_t>(i) % 4),
+                         [&, i](Result<core::RePagerResult> r) {
+                           std::lock_guard<std::mutex> lock(mu);
+                           ++fired[i];
+                           if (!r.ok() && r.status().code() ==
+                                              StatusCode::kFailedPrecondition) {
+                             ++failed_precondition;
+                           }
+                         });
+  }
+  batcher->Shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  for (int i = 0; i < kQueries; ++i) EXPECT_EQ(fired[i], 1) << i;
+  EXPECT_EQ(failed_precondition, 0);
+  MicroBatcherStats stats = batcher->Stats();
+  EXPECT_EQ(stats.batches, static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 }  // namespace

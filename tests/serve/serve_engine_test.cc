@@ -200,7 +200,7 @@ TEST(ServeEngineTest, StatsJsonIsLive) {
   EXPECT_NE(json.find("\"hits\":1"), std::string::npos);
   EXPECT_NE(json.find("\"batches\":1"), std::string::npos);
   EXPECT_NE(json.find("\"e2e_ms\":"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_size\":"), std::string::npos);
+  EXPECT_NE(json.find("\"solve_ms\":"), std::string::npos);
 }
 
 TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
@@ -209,7 +209,6 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
   // waiter; the rest of a burst must shed.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
   ServeEngine engine(TestEpoch(wb), options);
   ui::RePagerService service(&engine);
@@ -276,12 +275,11 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
 TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   const eval::Workbench& wb = SharedWorkbench();
   // One solve at a time with a 1 ms queue deadline: the tail of a burst
-  // has aged out by the time the dispatcher reaches it (each predecessor
+  // has aged out by the time the solver reaches it (each predecessor
   // costs a full pipeline solve), and must be answered with a typed
   // DeadlineExceeded -> 503 instead of being solved for nobody.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
   options.batcher.queue_deadline = std::chrono::milliseconds(5);
   ServeEngine engine(TestEpoch(wb), options);
   ui::RePagerService service(&engine);
@@ -370,7 +368,6 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_batch_size = 1;
   options.batcher.max_queue_depth = 1;
   ServeEngine engine(TestEpoch(wb), options);
   const auto& entry = wb.bank().Get(1);
@@ -470,7 +467,6 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   ServeEngineOptions ref_options;
   ref_options.num_threads = 1;
   ref_options.enable_cache = false;
-  ref_options.batcher.max_batch_size = 1;
   ServeEngine ref_engine(TestEpoch(wb), ref_options);
   ui::RePagerService ref_service(&ref_engine);
 
