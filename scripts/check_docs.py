@@ -17,10 +17,16 @@ fails (exit 1) when one references:
     docstring of scripts/check_bench_regression.py) quotes a bound for a
     metric in that script's *_LIMITS tables — `overhead_ratio <= 1.05`,
     `attributed_fraction >= 0.9`, or "gated ≤ N" after the metric's
-    name in the same paragraph — the number must equal the table's.
+    name in the same paragraph — the number must equal the table's,
+  - a member that does not exist: in a `Type::member` token (namespace
+    prefixes and a trailing argument list allowed), where Type is a
+    struct or class defined under src/, the member must be declared in
+    that definition or one of its bases — so docs cannot go on naming a
+    deleted option field.
 
-Before scanning, a built-in fixture checks that the bound check catches
-a doc quoting 1.02 against a 1.05 tracing limit.
+Before scanning, built-in fixtures check that the bound check catches a
+doc quoting 1.02 against a 1.05 tracing limit, and that the member check
+catches a made-up field of a fixture struct.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -60,6 +66,103 @@ def known_cmake_targets():
 
 
 TARGETS = known_cmake_targets()
+
+# C++ comments and string/char literals (raw strings included), blanked
+# before looking for declarations; digit separators are removed first.
+CPP_NOISE_RE = re.compile(
+    r'R"(?P<delim>[^(\s]*)\(.*?\)(?P=delim)"|//[^\n]*|/\*.*?\*/'
+    r'|"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'", re.S)
+DIGIT_SEP_RE = re.compile(r"(?<=[0-9A-Fa-f])'(?=[0-9A-Fa-f])")
+# `struct Name {`, `class A::Name final : public Base<T> {`, `enum class E {`.
+DECL_RE = re.compile(
+    r"\b(?:struct|class)\s+(?:\w+::)*(?P<name>\w+)\s*(?:final\s*)?"
+    r"(?::(?!:)(?P<bases>[^;{}]*))?\{")
+# A name being declared: followed by a parameter list, initializer,
+# terminator, body, array bound, or enumerator separator.
+DECLARED_RE = re.compile(r"(~?[A-Za-z_]\w*)\s*(?=[(=;{\[,}])")
+SCOPED_RE = re.compile(
+    r"(?:\w+::)*(?P<type>\w+)::(?P<member>~?[A-Za-z_]\w*)(?:\(.*\))?")
+
+
+def declared_members(sources):
+    """{type name: (declared names, base names)} over every struct/class
+    definition in `sources` (C++ texts). Same-named types merge."""
+    types = {}
+    for text in sources:
+        text = CPP_NOISE_RE.sub(" ", DIGIT_SEP_RE.sub("", text))
+        for m in DECL_RE.finditer(text):
+            # The body at its own nesting level: inline function bodies
+            # and nested types are blanked (nested types get their own
+            # entry).
+            depth, body = 0, []
+            for c in text[m.end() - 1:]:
+                depth -= c == "}"
+                if depth == 0 and c == "}":
+                    break
+                body.append(c if depth <= 1 else " ")
+                depth += c == "{"
+            names, bases = types.setdefault(m.group("name"), (set(), set()))
+            names.update(DECLARED_RE.findall("".join(body)))
+            bases.update(re.findall(r"(\w+)\s*(?:<[^,]*>)?\s*(?:,|$)",
+                                    (m.group("bases") or "").strip()))
+    return types
+
+
+def check_member(token, types):
+    """Problems for a `Type::member` token whose Type is a struct or class
+    in `types` that, bases included, declares no such member."""
+    m = SCOPED_RE.fullmatch(token)
+    if not m or m.group("type") not in types:
+        return []
+    seen, pending = set(), [m.group("type")]
+    while pending:
+        name = pending.pop()
+        if name in seen or name not in types:
+            continue
+        seen.add(name)
+        names, bases = types[name]
+        if m.group("member") in names:
+            return []
+        pending.extend(bases)
+    return [f"`{token}`: {m.group('type')} declares no member "
+            f"{m.group('member')}"]
+
+
+MEMBER_FIXTURE = """
+namespace demo {
+struct FixtureBase { int inherited = 0; };
+struct FixtureOptions : public FixtureBase {
+  int real_knob = 1;  // ghost_knob was removed
+  std::chrono::milliseconds timeout{1'000};
+  void Reset();
+};
+}  // namespace demo
+"""
+
+
+def member_check_self_test():
+    """The member check must flag a doc naming a field the struct does
+    not declare (a comment mentioning it does not count) and pass real
+    members. Returns problems."""
+    types = declared_members([MEMBER_FIXTURE])
+    problems = []
+    for token in ["FixtureOptions::made_up_knob",
+                  "demo::FixtureOptions::ghost_knob"]:
+        if not check_member(token, types):
+            problems.append(
+                f"member self-check: made-up member not caught: `{token}`")
+    for token in ["FixtureOptions::real_knob", "demo::FixtureOptions::timeout",
+                  "FixtureOptions::Reset()", "FixtureOptions::inherited",
+                  "demo::FixtureOptions", "demo::Unknown::anything"]:
+        for problem in check_member(token, types):
+            problems.append(f"member self-check: false alarm: {problem}")
+    return problems
+
+
+SRC_TYPES = declared_members(
+    path.read_text(encoding="utf-8", errors="replace")
+    for path in sorted((ROOT / "src").rglob("*"))
+    if path.suffix in (".h", ".cc"))
 
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
@@ -194,11 +297,12 @@ def check_token(token: str):
         if m and m.group(1) not in TARGETS:
             problems.append(
                 f"`{token}` names unknown CMake target {m.group(1)}")
+        problems += check_member(token, SRC_TYPES)
     return problems
 
 
 def main() -> int:
-    failures = bound_check_self_test()
+    failures = bound_check_self_test() + member_check_self_test()
     gate = load_bench_gate()
     bounds = gated_bounds(gate)
     for line_no, problem in check_bounds(gate.__doc__, bounds):

@@ -26,9 +26,24 @@ namespace rpg::ui {
 
 namespace {
 
-/// A misbehaving client in the drain state gets at most this much read
-/// and discarded before the connection is dropped anyway.
-constexpr size_t kMaxDrainBytes = 4u << 20;
+using SteadyClock = std::chrono::steady_clock;
+
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+/// Progress deadline for half-written responses and protocol-error
+/// drains: a peer that accepts no bytes for this long is closed. Re-armed
+/// on every successful partial write, so a slow reader survives as long
+/// as it keeps draining.
+constexpr std::chrono::milliseconds kWriteTimeout{20'000};
+/// Graceful-drain budget for Stop(): in-flight requests get this long to
+/// finish before they are cut.
+constexpr std::chrono::milliseconds kDrainTimeout{5'000};
+/// The request-size ceilings, shared by the read bound and framing.
+constexpr FramingLimits kFramingLimits{};
+/// A client whose input the server throws away (a shed connection, or a
+/// protocol-error drain) gets at most this much read and discarded
+/// before the connection is dropped anyway.
+constexpr size_t kMaxDiscardBytes = 4u << 20;
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -56,7 +71,22 @@ constexpr char kShedResponse[] =
     "\r\n"
     "server at connection cap";
 
-using SteadyClock = std::chrono::steady_clock;
+/// Reads and discards `fd`'s input until it would block, the peer is done
+/// (EOF or error), or `*discarded` passes kMaxDiscardBytes. Returns true
+/// only when it stopped on would-block: more input may still come.
+bool DiscardInput(int fd, size_t* discarded) {
+  char chunk[16384];
+  for (;;) {
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      *discarded += static_cast<size_t>(n);
+      if (*discarded > kMaxDiscardBytes) return false;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+}
 
 }  // namespace
 
@@ -289,15 +319,12 @@ struct HttpServer::SharedState {
 /// shared_from_this(), so the completion queue, its mutex, and the
 /// eventfd stay alive until the last in-flight compute finishes — even
 /// if that is after Stop() returned and the server was destroyed. Late
-/// completions see stop_requested_ and drop their response.
+/// completions see loop_exited_ and drop their response.
 class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
  public:
   Poller(const AsyncHandler* handler, const HttpServerOptions* options,
          std::shared_ptr<SharedState> shared)
-      : handler_(handler),
-        options_(options),
-        limits_{options->max_header_bytes, options->max_body_bytes},
-        shared_(std::move(shared)) {}
+      : handler_(handler), options_(options), shared_(std::move(shared)) {}
 
   ~Poller() {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -332,19 +359,12 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     thread_ = std::thread([self = shared_from_this()] { self->Loop(); });
   }
 
-  void RequestStop() {
-    stop_requested_.store(true);
-    Wake();
-  }
-
   /// Begins a graceful drain: the poller stops accepting, closes idle
   /// connections, and keeps serving in-flight requests until `deadline`
   /// (or until none remain). In-flight completions are still delivered
   /// during the drain; only after the poller exits are they dropped.
   void RequestDrain(SteadyClock::time_point deadline) {
-    drain_deadline_ns_.store(deadline.time_since_epoch().count(),
-                             std::memory_order_relaxed);
-    drain_requested_.store(true, std::memory_order_release);
+    drain_deadline_.store(deadline.time_since_epoch().count());
     Wake();
   }
 
@@ -363,7 +383,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stop_requested_.load()) return;  // server stopped: drop it
+      if (loop_exited_) return;  // server stopped: drop it
       completions_.push_back({id, seq, std::move(response)});
     }
     Wake();
@@ -382,22 +402,21 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     size_t out_off = 0;
     enum class State { kReading, kHandling, kWriting, kDraining };
     State state = State::kReading;
-    bool keep_alive = true;
-    bool close_after_write = false;
-    /// Half-close + discard before the real close: set on protocol
-    /// errors (431/413/400) where the client may still be mid-request —
-    /// an immediate close() would RST the queued response away.
-    bool drain_after_write = false;
+    /// What follows the response being written. kDrain (half-close +
+    /// discard before the real close) is for protocol errors (431/413/400)
+    /// where the client may still be mid-request — an immediate close()
+    /// would RST the queued response away.
+    enum class AfterWrite { kKeepAlive, kClose, kDrain };
+    AfterWrite after_write = AfterWrite::kKeepAlive;
     bool peer_eof = false;
     /// Reentrancy guard: an inline handler completion lands back in
     /// PumpRequests via HandleCompletion; the guard keeps the pipeline
     /// advancing in the outer loop instead of recursing once per
     /// buffered request (attacker-controlled depth otherwise).
     bool pumping = false;
-    /// Peer IPv4 (host order) holding a per-IP slot; released at close.
-    /// Only meaningful when ip_tracked (cap enabled at accept time).
+    /// Peer IPv4 (host order) holding a per-IP slot, released at close;
+    /// 0 when the connection holds none (per-IP cap off at accept time).
     uint32_t peer_ip = 0;
-    bool ip_tracked = false;
     size_t drained = 0;
     uint64_t request_seq = 0;  ///< guards stale/duplicate completions
     uint32_t interest = EPOLLIN;
@@ -433,8 +452,8 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   void Loop() {
     thread_id_.store(std::this_thread::get_id());
     epoll_event events[64];
-    while (!stop_requested_.load()) {
-      if (!draining_ && drain_requested_.load(std::memory_order_acquire)) {
+    for (;;) {
+      if (!draining_ && DrainRequested()) {
         draining_ = true;
         EnterDrain();
       }
@@ -463,15 +482,10 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     // (nothing will ever drain the queue again) and cut what remains.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stop_requested_.store(true);
+      loop_exited_ = true;
       completions_.clear();
     }
-    for (auto& [id, conn] : conns_) {
-      ::close(conn->fd);
-      if (conn->ip_tracked) shared_->ReleaseIp(conn->peer_ip);
-      shared_->open_connections.fetch_sub(1);
-    }
-    conns_.clear();
+    while (!conns_.empty()) CloseConn(conns_.begin()->second.get());
   }
 
   /// Drain entry (runs once, on the poller thread): deregister the
@@ -480,22 +494,20 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   /// in-flight work the drain budget exists for.
   void EnterDrain() {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-    std::vector<uint64_t> idle;
-    for (const auto& [id, conn] : conns_) {
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      Conn* conn = (it++)->second.get();  // CloseConn erases only *conn
       if (conn->state == Conn::State::kReading ||
           conn->state == Conn::State::kDraining) {
-        idle.push_back(id);
+        CloseConn(conn);
       }
-    }
-    for (uint64_t id : idle) {
-      auto it = conns_.find(id);
-      if (it != conns_.end()) CloseConn(it->second.get());
     }
   }
 
+  bool DrainRequested() const { return drain_deadline_.load() != 0; }
+
   SteadyClock::time_point DrainDeadline() const {
-    return SteadyClock::time_point(SteadyClock::duration(
-        drain_deadline_ns_.load(std::memory_order_relaxed)));
+    return SteadyClock::time_point(
+        SteadyClock::duration(drain_deadline_.load()));
   }
 
   /// Bounded epoll_wait timeout: sleep exactly until the earliest live
@@ -548,12 +560,11 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
           // The handler blew its deadline: answer 503 + close on its
           // behalf. Bumping request_seq makes the eventual late
           // completion a guaranteed no-op even if the conn were somehow
-          // back in kHandling by then (it cannot be — close_after_write
-          // — but the guard is cheap).
+          // back in kHandling by then (it cannot be — it closes after
+          // this write — but the guard is cheap).
           shared_->deadline_closes.fetch_add(1);
           ++conn->request_seq;
-          conn->keep_alive = false;
-          conn->close_after_write = true;
+          conn->after_write = Conn::AfterWrite::kClose;
           {
             HttpResponse response;
             response.status = 503;
@@ -566,25 +577,32 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     }
   }
 
-  /// Schedules a deadline `after` from now for this connection,
-  /// superseding any previous one. <= 0 disables (bare disarm).
-  void ArmDeadline(Conn* conn, std::chrono::milliseconds after) {
+  /// Schedules the deadline for the connection's current state,
+  /// superseding any previous one: idle_timeout in kReading,
+  /// handler_timeout in kHandling, kWriteTimeout in kWriting/kDraining.
+  /// A timeout <= 0 leaves the connection without a deadline.
+  void ArmDeadline(Conn* conn) {
     ++conn->deadline_gen;
+    std::chrono::milliseconds after = kWriteTimeout;
+    if (conn->state == Conn::State::kReading) {
+      after = options_->idle_timeout;
+    } else if (conn->state == Conn::State::kHandling) {
+      after = options_->handler_timeout;
+    }
     if (after.count() <= 0) return;
     deadlines_.push(
         {SteadyClock::now() + after, conn->id, conn->deadline_gen});
   }
 
   /// Sheds a just-accepted fd with the canned inline 503: half-close,
-  /// drain what the client already sent (close() on unread bytes would
+  /// discard what the client already sent (close() on unread bytes would
   /// RST the 503 away), then give the descriptor back.
   static void ShedAccepted(int fd) {
     [[maybe_unused]] ssize_t n =
         ::send(fd, kShedResponse, sizeof(kShedResponse) - 1, MSG_NOSIGNAL);
     ::shutdown(fd, SHUT_WR);
-    char discard[4096];
-    while (::read(fd, discard, sizeof(discard)) > 0) {
-    }
+    size_t discarded = 0;
+    DiscardInput(fd, &discarded);
     ::close(fd);
   }
 
@@ -627,41 +645,38 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
       }
       // Per-IP cap: same inline shed, but charged to the one source
       // that exhausted its own budget rather than to global overload.
-      const uint32_t peer_ip =
-          peer.sin_family == AF_INET ? ntohl(peer.sin_addr.s_addr) : 0;
-      bool ip_tracked = false;
+      uint32_t peer_ip = 0;
       if (options_->max_connections_per_ip > 0 &&
           peer.sin_family == AF_INET) {
+        peer_ip = ntohl(peer.sin_addr.s_addr);
         if (!shared_->TryAcquireIp(peer_ip,
                                    options_->max_connections_per_ip)) {
           shared_->per_ip_shed.fetch_add(1);
           ShedAccepted(fd);
           continue;
         }
-        ip_tracked = true;
       }
-      auto conn = std::make_unique<Conn>();
-      conn->fd = fd;
-      conn->peer_ip = peer_ip;
-      conn->ip_tracked = ip_tracked;
       const uint64_t id = next_conn_id_++;
+      Conn* conn = conns_.emplace(id, std::make_unique<Conn>())
+                       .first->second.get();
+      conn->fd = fd;
       conn->id = id;
+      conn->peer_ip = peer_ip;
+      // Counted before registering, so CloseConn also undoes a failed
+      // registration.
+      shared_->open_connections.fetch_add(1);
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.u64 = id;
       if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-        if (ip_tracked) shared_->ReleaseIp(peer_ip);
-        ::close(fd);
+        CloseConn(conn);
         continue;
       }
-      shared_->open_connections.fetch_add(1);
       shared_->connections_accepted.fetch_add(1);
-      Conn* raw = conn.get();
-      conns_.emplace(id, std::move(conn));
       // The idle clock starts at accept and is NOT reset by partial
       // reads: a slow-loris dripping bytes dies on the same schedule as
       // a silent connection.
-      ArmDeadline(raw, options_->idle_timeout);
+      ArmDeadline(conn);
     }
   }
 
@@ -728,7 +743,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   /// one maximal request can only be pipelined follow-ups, which wait in
   /// the kernel buffer instead.
   bool ReadAvailable(Conn* conn) {
-    const size_t max_buffered = limits_.MaxBufferedBytes();
+    constexpr size_t max_buffered = kFramingLimits.MaxBufferedBytes();
     char chunk[16384];
     for (;;) {
       if (conn->in.size() >= max_buffered) return true;
@@ -780,7 +795,8 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   /// needed or a protocol error took over the connection. May destroy
   /// the conn.
   bool ParseAndDispatchOne(Conn* conn) {
-    FrameResult framed = FrameOneRequest(conn->in, conn->peer_eof, limits_);
+    FrameResult framed =
+        FrameOneRequest(conn->in, conn->peer_eof, kFramingLimits);
     switch (framed.verdict) {
       case FrameResult::Verdict::kNeedMore:
         return false;
@@ -800,15 +816,17 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     // A peer that half-closed cannot send another request — but requests
     // it pipelined before the FIN are already in conn->in and still get
     // served; the close happens once the buffer runs dry.
-    conn->keep_alive =
-        framed.keep_alive && (!conn->peer_eof || !conn->in.empty());
+    conn->after_write =
+        framed.keep_alive && (!conn->peer_eof || !conn->in.empty())
+            ? Conn::AfterWrite::kKeepAlive
+            : Conn::AfterWrite::kClose;
 
     conn->state = Conn::State::kHandling;
     // The handler deadline starts at dispatch: a wedged solve gets a
     // server-side 503 at handler_timeout instead of pinning this
     // connection until Stop(). <= 0 leaves kHandling unbounded (the
     // serve layer's queue-depth shedding is then the only limit).
-    ArmDeadline(conn, options_->handler_timeout);
+    ArmDeadline(conn);
     shared_->requests_handled.fetch_add(1);
     const uint64_t id = conn->id;
     const uint64_t seq = ++conn->request_seq;
@@ -861,12 +879,9 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     if (conn->state != Conn::State::kHandling || conn->request_seq != seq) {
       return;  // stale or duplicate completion
     }
-    // Draining (or stopped): this response still goes out, but the
+    // Draining: this response still goes out, but the
     // connection closes behind it instead of going back to kReading.
-    if (stop_requested_.load() || drain_requested_.load()) {
-      conn->keep_alive = false;
-    }
-    conn->close_after_write = !conn->keep_alive;
+    if (DrainRequested()) conn->after_write = Conn::AfterWrite::kClose;
     StartResponse(conn, response);  // may destroy the conn
     // A pipelined request may already be buffered; for an inline
     // completion (handler called done on this stack) the active pump
@@ -876,9 +891,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
 
   void SendProtocolError(Conn* conn, int status, const char* message) {
     shared_->protocol_errors.fetch_add(1);
-    conn->keep_alive = false;
-    conn->close_after_write = true;
-    conn->drain_after_write = true;  // the client may still be sending
+    conn->after_write = Conn::AfterWrite::kDrain;  // client may still send
     HttpResponse response;
     response.status = status;
     response.content_type = "text/plain";
@@ -892,7 +905,8 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
         "Connection: %s\r\n",
         response.status, ReasonPhrase(response.status),
         response.content_type.c_str(), response.body.size(),
-        conn->close_after_write ? "close" : "keep-alive");
+        conn->after_write == Conn::AfterWrite::kKeepAlive ? "keep-alive"
+                                                          : "close");
     for (const auto& [name, value] : response.headers) {
       conn->out += name;
       conn->out += ": ";
@@ -922,9 +936,9 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         SetInterest(conn, EPOLLOUT);
         // Progress deadline, re-armed per partial write: a reader that
-        // keeps draining survives; one that stalls for write_timeout is
-        // cut.
-        ArmDeadline(conn, options_->write_timeout);
+        // keeps draining survives; one that stalls for kWriteTimeout
+        // is cut.
+        ArmDeadline(conn);
         return;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -938,19 +952,19 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     shared_->responses_sent.fetch_add(1);
     conn->out.clear();
     conn->out_off = 0;
-    if (conn->drain_after_write) {
+    if (conn->after_write == Conn::AfterWrite::kDrain) {
       // Half-close, then discard whatever the client is still sending,
       // so the response survives in the socket buffer instead of being
-      // destroyed by a reset. Bounded in bytes (kMaxDrainBytes) and in
-      // time (write_timeout) — a client that never stops sending, or
+      // destroyed by a reset. Bounded in bytes (kMaxDiscardBytes) and in
+      // time (kWriteTimeout) — a client that never stops sending, or
       // never hangs up, is cut either way.
       ::shutdown(conn->fd, SHUT_WR);
       conn->state = Conn::State::kDraining;
       SetInterest(conn, EPOLLIN);
-      ArmDeadline(conn, options_->write_timeout);
+      ArmDeadline(conn);
       return;
     }
-    if (conn->close_after_write) {
+    if (conn->after_write == Conn::AfterWrite::kClose) {
       CloseConn(conn);
       return;
     }
@@ -959,23 +973,11 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     // A fresh idle window for the next request on this keep-alive
     // connection. Buffered pipelined requests are picked up by the
     // caller's pump (which disarms again at the next dispatch).
-    ArmDeadline(conn, options_->idle_timeout);
+    ArmDeadline(conn);
   }
 
   void DrainReads(Conn* conn) {
-    char chunk[16384];
-    for (;;) {
-      ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        conn->drained += static_cast<size_t>(n);
-        if (conn->drained > kMaxDrainBytes) break;
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n < 0 && errno == EINTR) continue;
-      break;  // EOF or error: the drain is over
-    }
-    CloseConn(conn);
+    if (!DiscardInput(conn->fd, &conn->drained)) CloseConn(conn);
   }
 
   void SetInterest(Conn* conn, uint32_t mask) {
@@ -990,15 +992,13 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   void CloseConn(Conn* conn) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
-    if (conn->ip_tracked) shared_->ReleaseIp(conn->peer_ip);
+    if (conn->peer_ip != 0) shared_->ReleaseIp(conn->peer_ip);
     shared_->open_connections.fetch_sub(1);
     conns_.erase(conn->id);  // destroys *conn
   }
 
   const AsyncHandler* handler_;
   const HttpServerOptions* options_;
-  /// The request-size ceilings, shared by the read bound and framing.
-  const FramingLimits limits_;
   std::shared_ptr<SharedState> shared_;
 
   int epoll_fd_ = -1;
@@ -1007,12 +1007,9 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   int spare_fd_ = -1;
   std::thread thread_;
   std::atomic<std::thread::id> thread_id_{};
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> drain_requested_{false};
-  /// Drain deadline as steady-clock ticks (atomic so RequestDrain can
-  /// publish it from the stopping thread; release/acquire pairs with
-  /// drain_requested_).
-  std::atomic<int64_t> drain_deadline_ns_{0};
+  /// Drain deadline as steady-clock ticks, published by RequestDrain
+  /// from the stopping thread; 0 means no drain was requested.
+  std::atomic<int64_t> drain_deadline_{0};
 
   // Poller-thread-only state.
   bool draining_ = false;
@@ -1025,9 +1022,11 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
                       std::greater<DeadlineEntry>>
       deadlines_;
 
-  // Cross-thread completion queue.
+  // Cross-thread completion queue. Once the loop has exited nothing
+  // drains it again, so Complete() drops what arrives after that.
   std::mutex mu_;
   std::deque<Completion> completions_;
+  bool loop_exited_ = false;
 };
 
 HttpServer::HttpServer(AsyncHandler handler, HttpServerOptions options)
@@ -1054,7 +1053,7 @@ Result<int> HttpServer::Start(int port) {
     ::close(fd);
     return Status::IoError(StrFormat("bind(%d) failed", port));
   }
-  if (::listen(fd, options_.listen_backlog) < 0) {
+  if (::listen(fd, kListenBacklog) < 0) {
     ::close(fd);
     return Status::IoError("listen() failed");
   }
@@ -1082,16 +1081,11 @@ Result<int> HttpServer::Start(int port) {
 
 void HttpServer::Stop() {
   running_.store(false);
-  if (options_.drain_timeout.count() > 0) {
-    // Graceful drain: every poller stops accepting and sheds its idle
-    // connections at once, then in-flight requests run to completion
-    // (their responses close the connection) until the shared deadline.
-    const auto deadline =
-        std::chrono::steady_clock::now() + options_.drain_timeout;
-    for (auto& poller : pollers_) poller->RequestDrain(deadline);
-  } else {
-    for (auto& poller : pollers_) poller->RequestStop();
-  }
+  // Every poller stops accepting and sheds its idle connections at once,
+  // then in-flight requests run to completion (their responses close the
+  // connection) until the shared deadline.
+  const auto deadline = SteadyClock::now() + kDrainTimeout;
+  for (auto& poller : pollers_) poller->RequestDrain(deadline);
   for (auto& poller : pollers_) poller->Join();
   pollers_.clear();
   int fd = listen_fd_.exchange(-1);

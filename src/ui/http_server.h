@@ -88,14 +88,16 @@ std::string UrlDecode(const std::string& s);
 /// tests.
 bool ParseContentLength(const std::string& value, size_t* out);
 
-/// Size ceilings the request-framing layer enforces (a plain-data mirror
-/// of the HttpServerOptions fields the parser needs, so framing can run
-/// without a server).
+/// Size ceilings the request-framing layer enforces. A header block over
+/// `max_header_bytes` is answered 431, a declared Content-Length over
+/// `max_body_bytes` 413; both close the connection after draining it.
+/// The server always frames with the defaults; tests and fuzz harnesses
+/// pass smaller ceilings.
 struct FramingLimits {
   size_t max_header_bytes = 64 * 1024;
   size_t max_body_bytes = 1024 * 1024;
   /// One maximal buffered request: header block + "\r\n\r\n" + body.
-  size_t MaxBufferedBytes() const {
+  constexpr size_t MaxBufferedBytes() const {
     return max_header_bytes + 4 + max_body_bytes;
   }
 };
@@ -131,40 +133,19 @@ struct HttpServerOptions {
   /// kernel spreads incoming connections without a dedicated acceptor.
   /// <= 0 means 2.
   int num_pollers = 2;
-  /// Hard ceilings against hostile or broken clients: a request whose
-  /// header block exceeds `max_header_bytes` is answered 431, a declared
-  /// Content-Length over `max_body_bytes` is answered 413; both close
-  /// the connection after politely draining it.
-  size_t max_header_bytes = 64 * 1024;
-  size_t max_body_bytes = 1024 * 1024;
-  /// listen(2) backlog.
-  int listen_backlog = 128;
-  /// Connection-lifecycle deadlines (docs/serving.md "Operational
-  /// limits"). `idle_timeout` bounds how long a connection may sit in
-  /// kReading without completing a request: it is armed at accept and
-  /// re-armed only when a response finishes, never by partial bytes, so
-  /// a slow-loris dripping header fragments is reaped on schedule, not
-  /// kept alive by its own drip. Expired idle connections get a clean
-  /// close. <= 0 disables.
+  /// Idle deadline (docs/serving.md "Operational limits"): bounds how
+  /// long a connection may sit in kReading without completing a request.
+  /// It is armed at accept and re-armed only when a response finishes,
+  /// never by partial bytes, so a slow-loris dripping header fragments is
+  /// reaped on schedule, not kept alive by its own drip. Expired idle
+  /// connections get a clean close. <= 0 disables.
   std::chrono::milliseconds idle_timeout{60'000};
-  /// Progress deadline for half-written responses (and protocol-error
-  /// drains): a peer that accepts no bytes for this long is closed.
-  /// Re-armed on every successful partial write, so a merely slow reader
-  /// survives as long as it keeps draining. <= 0 disables.
-  std::chrono::milliseconds write_timeout{20'000};
-  /// Graceful-drain budget for Stop(): accepting stops immediately and
-  /// idle connections close, but in-flight requests (handling or mid-
-  /// write) get up to this long to finish before being cut. <= 0 makes
-  /// Stop() immediate (the pre-lifecycle behavior).
-  std::chrono::milliseconds drain_timeout{5'000};
   /// Deadline for a request in kHandling: if the handler (or the compute
   /// it dispatched) has not completed within this budget, the server
   /// answers `503` + `Connection: close` itself and the late completion
   /// is dropped by the (conn id, seq) guard. This is the reactor's
   /// backstop against a wedged solve pinning its connection forever; the
-  /// serve layer's own queue deadline should fire first. <= 0 disables
-  /// (the pre-PR-6 behavior: no deadline while the handler owns the
-  /// request).
+  /// serve layer's own queue deadline should fire first. <= 0 disables.
   std::chrono::milliseconds handler_timeout{30'000};
   /// Open-connection cap across all pollers. A connection accepted at
   /// the cap is shed with an inline `503 Connection: close` (plus
@@ -251,8 +232,8 @@ class HttpServer {
 
   /// Graceful shutdown: stops accepting immediately, closes idle
   /// connections, then lets in-flight requests (handling or mid-write)
-  /// finish for up to `drain_timeout` before cutting whatever remains,
-  /// and joins all threads. Completion callbacks still held by in-flight
+  /// finish for up to 5 s before cutting whatever remains, and joins all
+  /// threads. Completion callbacks still held by in-flight
   /// compute remain safe to invoke afterwards (their responses are
   /// dropped once the drain is over). Idempotent.
   void Stop();

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -525,7 +526,6 @@ TEST(HttpServerTest, FragmentedBodyReassembled) {
 
 TEST(HttpServerTest, OversizedHeaderRejected431) {
   HttpServerOptions options;
-  options.max_header_bytes = 64 * 1024;
   HttpServer server(
       [](const HttpRequest&) { return HttpResponse{}; }, options);
   int port = server.Start(0).value();
@@ -944,7 +944,7 @@ TEST(HttpServerTest, ConnectionCapShedsWith503) {
 
 TEST(HttpServerTest, StopDrainsInFlightRequestBeforeClosing) {
   // An async handler parks the completion; Stop() must wait for it (up
-  // to drain_timeout) and still deliver the response, instead of
+  // to the 5 s drain budget) and still deliver the response, instead of
   // cutting the connection with the request half-served.
   std::mutex mu;
   std::vector<HttpServer::Done> parked;
@@ -996,6 +996,98 @@ TEST(HttpServerTest, StopClosesIdleConnectionsWithoutWaitingForDrain) {
   EXPECT_LT(elapsed, std::chrono::seconds(2));
   EXPECT_EQ(server.Stats().open_connections, 0u);
   client.Close();
+}
+
+TEST(HttpServerTest, StopCutsInFlightRequestAtDrainBudget) {
+  // The handler never completes while the server runs: Stop() waits out
+  // the 5 s drain budget, then cuts the connection without a response.
+  // The completion that finally arrives after the server is destroyed
+  // must be a no-op.
+  HttpServerOptions options;
+  options.handler_timeout = std::chrono::milliseconds(0);
+  std::mutex mu;
+  HttpServer::Done parked;
+  auto server = std::make_unique<HttpServer>(
+      [&](const HttpRequest&, HttpServer::Done done) {
+        std::lock_guard<std::mutex> lock(mu);
+        parked = std::move(done);
+      },
+      options);
+  int port = server->Start(0).value();
+  int fd = ConnectRaw(port);
+  ASSERT_GE(fd, 0);
+  std::string request = "GET /work HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ASSERT_TRUE(PollUntil([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return parked != nullptr;
+  }));
+  auto t0 = std::chrono::steady_clock::now();
+  server->Stop();
+  auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(elapsed, std::chrono::seconds(5));
+  EXPECT_LT(elapsed, std::chrono::seconds(7));
+  std::string response = ReadToEof(fd);
+  ::close(fd);
+  EXPECT_EQ(response.find("200"), std::string::npos);
+  EXPECT_EQ(server->Stats().open_connections, 0u);
+  server.reset();
+  HttpServer::Done late;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    late = std::move(parked);
+  }
+  late(HttpResponse{200, "text/plain", "too-late"});
+}
+
+TEST(HttpServerTest, ShedClientStreamingDoesNotStallKeptAliveConnection) {
+  // One poller and a cap of one, so the shed runs on the thread that
+  // serves the kept-alive connection. The shed client streams without
+  // pause; discarding its input is bounded, so the poller moves on.
+  HttpServerOptions options;
+  options.num_pollers = 1;
+  options.max_connections = 1;
+  HttpServer server([](const HttpRequest& request) {
+    // Holds the poller while the shed client connects and fills its
+    // socket buffer, so the shed overlaps the stream.
+    if (request.path == "/slow") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    return HttpResponse{200, "text/plain", "echo:" + request.path};
+  }, options);
+  int port = server.Start(0).value();
+  HttpClient kept;
+  ASSERT_TRUE(kept.Connect(port).ok());
+  ASSERT_TRUE(kept.Fetch("GET", "/first").ok());
+  auto slow = std::async(std::launch::async,
+                         [&] { return kept.Fetch("GET", "/slow"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  int fd = ConnectRaw(port);
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> stop{false};
+  std::thread streamer([&] {
+    std::string chunk(256 * 1024, 'x');
+    while (!stop.load() &&
+           ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL) > 0) {
+    }
+  });
+  // No ASSERT until the streamer is joined.
+  bool slow_ok = slow.get().ok();
+  auto next = std::async(std::launch::async,
+                         [&] { return kept.Fetch("GET", "/next"); });
+  bool answered = next.wait_for(std::chrono::seconds(1)) ==
+                  std::future_status::ready;
+  stop.store(true);
+  auto response = next.get();
+  streamer.join();
+  ::close(fd);
+  EXPECT_TRUE(slow_ok);
+  EXPECT_TRUE(answered);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->body, "echo:/next");
+  EXPECT_EQ(server.Stats().connections_shed, 1u);
+  server.Stop();
 }
 
 TEST(HttpServerTest, ExtraResponseHeadersRendered) {
