@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
 
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = static_cast<int>(threads);
-  serve_options.enable_cache = cache_mb > 0;
   serve_options.cache.max_bytes = static_cast<size_t>(cache_mb) << 20;
   serve_options.batcher.max_queue_depth = static_cast<size_t>(queue_depth);
   serve::ServeEngine engine(epoch, serve_options);

@@ -16,8 +16,9 @@ namespace {
 constexpr double kEwmaAlpha = 0.2;
 }  // namespace
 
-MicroBatcher::MicroBatcher(size_t num_solvers, MicroBatcherOptions options)
-    : options_(std::move(options)) {
+MicroBatcher::MicroBatcher(size_t num_solvers, MicroBatcherOptions options,
+                           std::function<void(double)> on_solve)
+    : options_(options), on_solve_(std::move(on_solve)) {
   num_solvers = std::max<size_t>(num_solvers, 1);
   solvers_.reserve(num_solvers);
   for (size_t i = 0; i < num_solvers; ++i) {
@@ -146,7 +147,7 @@ void MicroBatcher::SolverLoop() {
                                : kEwmaAlpha * seconds +
                                      (1 - kEwmaAlpha) * ewma_item_seconds_;
     }
-    if (options_.on_solve) options_.on_solve(seconds);
+    if (on_solve_) on_solve_(seconds);
     next.callback(std::move(result));
   }
 }

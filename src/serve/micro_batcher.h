@@ -53,10 +53,6 @@ struct MicroBatcherOptions {
   /// wastes solver time. The status carries a Retry-After hint from the
   /// measured drain time (see Stats().ewma_item_seconds). 0 = disabled.
   std::chrono::milliseconds queue_deadline{0};
-  /// Called on the solver thread after every solve with that solve's
-  /// wall seconds, before the query's callback — the ServeEngine's
-  /// metrics tap. May be empty.
-  std::function<void(double)> on_solve;
 };
 
 /// Point-in-time dispatch counters.
@@ -81,8 +77,12 @@ struct MicroBatcherStats {
 
 class MicroBatcher {
  public:
-  /// Starts `num_solvers` solver threads (at least one).
-  explicit MicroBatcher(size_t num_solvers, MicroBatcherOptions options = {});
+  /// Starts `num_solvers` solver threads (at least one). `on_solve`, if
+  /// set, is called on the solver thread after every solve with that
+  /// solve's wall seconds, before the query's callback — the
+  /// ServeEngine's metrics tap.
+  explicit MicroBatcher(size_t num_solvers, MicroBatcherOptions options = {},
+                        std::function<void(double)> on_solve = {});
   ~MicroBatcher();
 
   MicroBatcher(const MicroBatcher&) = delete;
@@ -124,6 +124,7 @@ class MicroBatcher {
   int RetryAfterSecondsLocked() const;
 
   MicroBatcherOptions options_;
+  std::function<void(double)> on_solve_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

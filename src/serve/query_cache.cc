@@ -100,11 +100,9 @@ struct QueryCache::Shard {
 
 QueryCache::QueryCache(QueryCacheOptions options)
     : shard_count_(RoundUpPowerOfTwo(
-          options.num_shards == 0 ? 1 : options.num_shards)),
-      cache_negative_(options.cache_negative) {
+          options.num_shards == 0 ? 1 : options.num_shards)) {
   shards_ = std::make_unique<Shard[]>(shard_count_);
-  shard_max_bytes_ =
-      options.max_bytes == 0 ? 0 : std::max<size_t>(1, options.max_bytes / shard_count_);
+  shard_max_bytes_ = options.max_bytes / shard_count_;
   shard_max_entries_ =
       options.max_entries == 0
           ? 0
@@ -165,7 +163,7 @@ void QueryCache::Insert(const std::string& key, CachedResult result,
 
 void QueryCache::InsertNegative(const std::string& key, const Status& status,
                                 uint64_t epoch_id) {
-  if (!cache_negative_ || status.ok()) return;
+  if (status.ok()) return;
   // A negative entry is just its key and message; sizeof(Entry) covers
   // the list node payload.
   size_t bytes = sizeof(Shard::Entry) + key.size() + status.message().size();
@@ -177,8 +175,8 @@ void QueryCache::InsertEntry(const std::string& key, CachedResult result,
   Shard& shard = shards_[HashKey(key) & (shard_count_ - 1)];
   std::lock_guard<std::mutex> lock(shard.mu);
   // Oversized entries would immediately evict themselves (plus the whole
-  // shard); refuse them instead.
-  if (shard_max_bytes_ != 0 && bytes > shard_max_bytes_) return;
+  // shard); refuse them instead. With a zero budget that is every entry.
+  if (bytes > shard_max_bytes_) return;
   if (auto it = shard.index.find(key); it != shard.index.end()) {
     shard.bytes -= it->second->bytes;
     if (it->second->result == nullptr) --shard.negative_entries;
@@ -196,8 +194,8 @@ void QueryCache::InsertEntry(const std::string& key, CachedResult result,
   } else {
     ++shard.insertions;
   }
-  while ((shard_max_bytes_ != 0 && shard.bytes > shard_max_bytes_) ||
-         (shard_max_entries_ != 0 && shard.lru.size() > shard_max_entries_)) {
+  while (shard.bytes > shard_max_bytes_ ||
+         shard.lru.size() > shard_max_entries_) {
     const auto& tail = shard.lru.back();
     shard.bytes -= tail.bytes;
     if (tail.result == nullptr) --shard.negative_entries;

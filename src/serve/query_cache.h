@@ -10,7 +10,7 @@
 ///
 /// Negative caching: deterministic failures ("no hits", "empty query")
 /// are just as repeatable as successes over the immutable corpus, so
-/// the cache can also remember an error Status under the same canonical
+/// the cache also remembers an error Status under the same canonical
 /// key (InsertNegative). A negative entry costs a few hundred bytes and
 /// spares a full KHop+NEWST attempt per repeat of a hopeless query.
 /// Negative hits/insertions/entries are counted separately so
@@ -37,7 +37,8 @@
 ///    either limit evicts from the LRU tail of the owning shard. Byte
 ///    accounting is per shard (total/N each), so a single giant entry
 ///    can only displace its own shard's tail — the usual sharded-LRU
-///    approximation.
+///    approximation. A byte budget of 0 caches nothing: every entry is
+///    oversized, so this is how the serving layer turns the cache off.
 
 #include <cstdint>
 #include <memory>
@@ -75,14 +76,12 @@ std::string CanonicalQueryKey(const std::string& query, int num_seeds,
 size_t EstimateResultBytes(const core::RePagerResult& result);
 
 struct QueryCacheOptions {
-  /// Total byte budget across all shards. 0 disables byte bounding.
+  /// Total byte budget across all shards. 0 caches nothing.
   size_t max_bytes = 64ull << 20;
-  /// Total entry budget across all shards. 0 disables entry bounding.
+  /// Total entry budget across all shards. 0 caches nothing.
   size_t max_entries = 4096;
   /// Shard count; rounded up to a power of two, minimum 1.
   size_t num_shards = 8;
-  /// Set false to make InsertNegative a no-op (errors always recompute).
-  bool cache_negative = true;
 };
 
 /// Hit/miss/stale counters for one epoch id (the per-epoch split of the
@@ -143,9 +142,9 @@ class QueryCache {
   void Insert(const std::string& key, CachedResult result,
               uint64_t epoch_id = 0);
 
-  /// Remembers a deterministic failure under `key` (no-op when
-  /// `cache_negative` is off or `status` is OK). Shares the LRU and the
-  /// capacity budgets with positive entries.
+  /// Remembers a deterministic failure under `key` (no-op when `status`
+  /// is OK). Shares the LRU and the capacity budgets with positive
+  /// entries.
   void InsertNegative(const std::string& key, const Status& status,
                       uint64_t epoch_id = 0);
 
@@ -166,7 +165,6 @@ class QueryCache {
   size_t shard_count_;
   size_t shard_max_bytes_;
   size_t shard_max_entries_;
-  bool cache_negative_;
 };
 
 }  // namespace rpg::serve

@@ -26,15 +26,6 @@ struct ServeEngine::Flight {
 
 namespace {
 
-MicroBatcherOptions MakeBatcherOptions(const ServeEngineOptions& options,
-                                       MetricHistogram* solve_ms) {
-  MicroBatcherOptions mb = options.batcher;
-  mb.on_solve = [solve_ms](double seconds) {
-    solve_ms->Observe(seconds * 1e3);
-  };
-  return mb;
-}
-
 /// Deterministic pipeline failures (no hits for the query, bad
 /// arguments) are cacheable: the immutable corpus guarantees the same
 /// query fails the same way tomorrow. Transient statuses (shutdown,
@@ -50,10 +41,10 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
       cache_(options.cache),
       // Solver queries carry their own epoch-pinned substrate handle;
       // the batcher has no default RePaGer.
-      batcher_(ResolveThreadCount(options.num_threads),
-               MakeBatcherOptions(options,
-                                  metrics_.GetHistogram(
-                                      "solve_ms", LatencyBucketEdgesMs()))),
+      batcher_(ResolveThreadCount(options.num_threads), options.batcher,
+               [solve_ms = metrics_.GetHistogram("solve_ms",
+                                                 LatencyBucketEdgesMs())](
+                   double seconds) { solve_ms->Observe(seconds * 1e3); }),
       epoch_(std::move(epoch)),
       requests_total_(metrics_.GetCounter("requests_total")),
       cache_hits_(metrics_.GetCounter("cache_hits")),
@@ -87,16 +78,11 @@ Result<ServeResponse> ServeEngine::Generate(const std::string& query,
                                             int num_seeds, int year_cutoff) {
   std::promise<Result<ServeResponse>> promise;
   std::future<Result<ServeResponse>> future = promise.get_future();
-  GenerateAsync(query, num_seeds, year_cutoff,
+  GenerateAsync(query, num_seeds, year_cutoff, /*trace=*/nullptr,
                 [&promise](Result<ServeResponse> response) {
                   promise.set_value(std::move(response));
                 });
   return future.get();
-}
-
-void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
-                                int year_cutoff, GenerateCallback callback) {
-  GenerateAsync(query, num_seeds, year_cutoff, nullptr, std::move(callback));
 }
 
 void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
@@ -115,29 +101,27 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   const std::string key = CanonicalQueryKey(query, num_seeds, year_cutoff);
   if (trace) trace->set_query_key(key);
 
-  if (options_.enable_cache) {
-    uint64_t lookup_start = trace ? trace->NowNs() : 0;
-    std::optional<CachedValue> hit = cache_.Lookup(key, eid);
-    if (trace) {
-      trace->AddSpan(obs::Stage::kCacheLookup, lookup_start,
-                     trace->NowNs() - lookup_start, hit ? 1 : 0);
-    }
-    if (hit) {
-      if (hit->negative()) {
-        negative_hits_->Increment();
-        FinishRequest(callback, e2e, epoch, Result<CachedResult>(hit->status),
-                      /*cache_hit=*/true, /*coalesced=*/false);
-        return;
-      }
-      cache_hits_->Increment();
-      hit_ms_->Observe(e2e.ElapsedSeconds() * 1e3);
-      FinishRequest(callback, e2e, epoch,
-                    Result<CachedResult>(std::move(hit->result)),
+  uint64_t lookup_start = trace ? trace->NowNs() : 0;
+  std::optional<CachedValue> hit = cache_.Lookup(key, eid);
+  if (trace) {
+    trace->AddSpan(obs::Stage::kCacheLookup, lookup_start,
+                   trace->NowNs() - lookup_start, hit ? 1 : 0);
+  }
+  if (hit) {
+    if (hit->negative()) {
+      negative_hits_->Increment();
+      FinishRequest(callback, e2e, epoch, Result<CachedResult>(hit->status),
                     /*cache_hit=*/true, /*coalesced=*/false);
       return;
     }
-    cache_misses_->Increment();
+    cache_hits_->Increment();
+    hit_ms_->Observe(e2e.ElapsedSeconds() * 1e3);
+    FinishRequest(callback, e2e, epoch,
+                  Result<CachedResult>(std::move(hit->result)),
+                  /*cache_hit=*/true, /*coalesced=*/false);
+    return;
   }
+  cache_misses_->Increment();
 
   // Single-flight admission: exactly one requester per (epoch,
   // canonical key) computes; everyone else registers a waiter on its
@@ -194,17 +178,15 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   // our miss and our claim (insert happens-before flight retirement,
   // which happens-before our claim), serve it instead of recomputing —
   // single-flight stays airtight even across flight generations.
-  if (options_.enable_cache) {
-    if (std::optional<CachedValue> hit =
-            cache_.Lookup(key, eid, /*count=*/false)) {
-      Result<CachedResult> resolved =
-          hit->negative() ? Result<CachedResult>(hit->status)
-                          : Result<CachedResult>(std::move(hit->result));
-      PublishOutcome(key, flight_key, eid, flight, resolved);
-      FinishRequest(callback, e2e, epoch, resolved, /*cache_hit=*/true,
-                    /*coalesced=*/false);
-      return;
-    }
+  if (std::optional<CachedValue> hit =
+          cache_.Lookup(key, eid, /*count=*/false)) {
+    Result<CachedResult> resolved =
+        hit->negative() ? Result<CachedResult>(hit->status)
+                        : Result<CachedResult>(std::move(hit->result));
+    PublishOutcome(key, flight_key, eid, flight, resolved);
+    FinishRequest(callback, e2e, epoch, resolved, /*cache_hit=*/true,
+                  /*coalesced=*/false);
+    return;
   }
 
   core::BatchQuery bq;
@@ -266,12 +248,10 @@ void ServeEngine::PublishOutcome(const std::string& cache_key,
   // is stamped with the epoch it was computed on; if a flip landed
   // while we were computing, the stamp is already stale and the first
   // post-flip lookup evicts it.
-  if (options_.enable_cache) {
-    if (outcome.ok()) {
-      cache_.Insert(cache_key, outcome.value(), epoch_id);
-    } else if (IsCacheableError(outcome.status())) {
-      cache_.InsertNegative(cache_key, outcome.status(), epoch_id);
-    }
+  if (outcome.ok()) {
+    cache_.Insert(cache_key, outcome.value(), epoch_id);
+  } else if (IsCacheableError(outcome.status())) {
+    cache_.InsertNegative(cache_key, outcome.status(), epoch_id);
   }
   {
     std::lock_guard<std::mutex> lock(flights_mu_);
@@ -370,7 +350,7 @@ std::string ServeEngine::StatsJson() const {
   w.Key("num_edges").UInt(epoch->info().num_edges);
   w.EndObject();
   w.Key("cache").BeginObject();
-  w.Key("enabled").Bool(options_.enable_cache);
+  w.Key("enabled").Bool(options_.cache.max_bytes > 0);
   w.Key("entries").UInt(cs.entries);
   w.Key("bytes").UInt(cs.bytes);
   w.Key("hits").UInt(cs.hits);

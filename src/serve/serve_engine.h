@@ -68,8 +68,8 @@ namespace rpg::serve {
 struct ServeEngineOptions {
   /// Solver threads (MicroBatcher); <= 0 means hardware_concurrency.
   int num_threads = 0;
-  /// Set false to bypass the result cache (every request computes).
-  bool enable_cache = true;
+  /// `cache.max_bytes = 0` turns the result cache off: nothing fits, so
+  /// every request computes.
   QueryCacheOptions cache;
   MicroBatcherOptions batcher;
 };
@@ -113,16 +113,12 @@ class ServeEngine {
   Result<ServeResponse> Generate(const std::string& query, int num_seeds,
                                  int year_cutoff);
 
-  /// Non-blocking flavour for event-driven callers: hand off the
-  /// request, get the response via `callback`.
-  void GenerateAsync(const std::string& query, int num_seeds,
-                     int year_cutoff, GenerateCallback callback);
-
-  /// Trace-aware flavour (the reactor's entry point): additionally
-  /// records serving-side spans — cache_lookup, singleflight_wait,
-  /// batch_queue, solve + the pipeline's stage spans — into `trace`
-  /// along the request's causal chain, and stamps the canonical query
-  /// key onto it. `trace` may be null (identical to the overload above).
+  /// Non-blocking flavour (the reactor's entry point): hand off the
+  /// request, get the response via `callback`. A non-null `trace`
+  /// additionally records serving-side spans — cache_lookup,
+  /// singleflight_wait, batch_queue, solve + the pipeline's stage spans
+  /// — along the request's causal chain, and gets the canonical query
+  /// key stamped onto it.
   void GenerateAsync(const std::string& query, int num_seeds,
                      int year_cutoff,
                      std::shared_ptr<obs::TraceContext> trace,

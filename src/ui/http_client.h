@@ -2,12 +2,11 @@
 #define RPG_UI_HTTP_CLIENT_H_
 
 /// \file
-/// Minimal blocking HTTP/1.1 client for loopback use: the serve load
-/// bench (bench/bench_serve_load.cpp) and the ui/serve test suites talk
-/// to HttpServer through it. Supports persistent (keep-alive)
-/// connections — one TCP connect can carry many requests — which is the
-/// whole point of the load generator; not a general-purpose client (no
-/// TLS, no chunked encoding, no redirects).
+/// Minimal blocking HTTP/1.1 client for loopback use: the ui, serve and
+/// obs test suites and perfbench's boot probe talk to HttpServer through
+/// it. Supports persistent (keep-alive) connections — one TCP connect
+/// can carry many requests; not a general-purpose client (no TLS, no
+/// chunked encoding, no redirects).
 
 #include <cstdint>
 #include <map>

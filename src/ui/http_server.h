@@ -197,7 +197,7 @@ struct HttpServerStats {
 /// docs/serving.md).
 ///
 /// Connection handling: HTTP/1.1 connections are persistent by default
-/// (the load bench reuses one connection per client); `Connection:
+/// (the serving benchmark reuses them across requests); `Connection:
 /// close` — or any HTTP/1.0 request without `Connection: keep-alive` —
 /// reverts to one-shot. Request bodies are read when Content-Length is
 /// present (POST endpoints). Requests on one connection are processed

@@ -186,10 +186,9 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
   // The on_solve tap runs on the (only) solver thread: sleeping in it
   // wedges dispatch long enough for everything still queued to age past
   // the deadline — deterministic, no timing races against solve speed.
-  options.on_solve = [](double) {
+  MicroBatcher batcher(1, options, [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  };
-  MicroBatcher batcher(1, options);
+  });
   constexpr int kBurst = 4;
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < kBurst; ++i) {
@@ -219,13 +218,11 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
 }
 
 TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
-  MicroBatcherOptions options;
   // Same wedge as above, but with queue_deadline at its 0 default every
   // entry waits out the stall and still computes.
-  options.on_solve = [](double) {
+  MicroBatcher batcher(1, MicroBatcherOptions{}, [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  };
-  MicroBatcher batcher(1, options);
+  });
   std::vector<std::future<Result<core::RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
     futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));

@@ -109,15 +109,6 @@ TEST(QueryCacheTest, NegativeEntryRemembersStatus) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-TEST(QueryCacheTest, NegativeCachingCanBeDisabled) {
-  QueryCacheOptions options;
-  options.cache_negative = false;
-  QueryCache cache(options);
-  cache.InsertNegative("bad", Status::NotFound("nope"));
-  EXPECT_FALSE(cache.Lookup("bad").has_value());
-  EXPECT_EQ(cache.Stats().negative_insertions, 0u);
-}
-
 TEST(QueryCacheTest, OkStatusNeverCachedAsNegative) {
   QueryCache cache;
   cache.InsertNegative("k", Status::OK());
@@ -144,7 +135,6 @@ TEST(QueryCacheTest, NegativeEntriesShareLruAndEvict) {
   QueryCacheOptions options;
   options.num_shards = 1;
   options.max_entries = 2;
-  options.max_bytes = 0;
   QueryCache cache(options);
   cache.InsertNegative("n1", Status::NotFound("x"));
   cache.Insert("p1", MakeResult(1));
@@ -162,7 +152,6 @@ TEST(QueryCacheTest, EntryCapacityEvictsLru) {
   QueryCacheOptions options;
   options.num_shards = 1;
   options.max_entries = 3;
-  options.max_bytes = 0;  // entries only
   QueryCache cache(options);
   cache.Insert("a", MakeResult(1));
   cache.Insert("b", MakeResult(1));
@@ -182,7 +171,7 @@ TEST(QueryCacheTest, ByteCapacityAccountingAndEviction) {
   size_t unit = EstimateResultBytes(*small);
   QueryCacheOptions options;
   options.num_shards = 1;
-  options.max_entries = 0;
+  options.max_entries = 100;  // bytes bind first
   options.max_bytes = unit * 3 + unit / 2;  // fits 3, not 4
   QueryCache cache(options);
   cache.Insert("a", MakeResult(16));
@@ -208,6 +197,18 @@ TEST(QueryCacheTest, OversizedEntryNotCached) {
   cache.Insert("big", big);
   EXPECT_EQ(cache.Stats().entries, 0u);
   EXPECT_FALSE(cache.Lookup("big").has_value());
+}
+
+TEST(QueryCacheTest, ZeroByteBudgetCachesNothing) {
+  QueryCacheOptions options;
+  options.max_bytes = 0;
+  QueryCache cache(options);
+  cache.Insert("p", MakeResult(1));
+  cache.InsertNegative("n", Status::NotFound("x"));
+  EXPECT_FALSE(cache.Lookup("p").has_value());
+  EXPECT_FALSE(cache.Lookup("n").has_value());
+  EXPECT_EQ(cache.Stats().entries, 0u);
+  EXPECT_EQ(cache.Stats().bytes, 0u);
 }
 
 TEST(QueryCacheTest, ShardCountRoundsUpToPowerOfTwo) {

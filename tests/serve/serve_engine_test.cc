@@ -109,20 +109,6 @@ TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
   EXPECT_NE(json.find("\"negative_hits\":1"), std::string::npos);
 }
 
-TEST(ServeEngineTest, NegativeCachingCanBeDisabled) {
-  ServeEngineOptions options;
-  options.num_threads = 2;
-  options.cache.cache_negative = false;
-  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
-  EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
-  EXPECT_FALSE(engine.Generate("zzzz qqqq wwww", 0, 0).ok());
-  QueryCacheStats stats = engine.cache().Stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.negative_insertions, 0u);
-  // Both requests reached the batcher: no negative entry intervened.
-  EXPECT_NE(engine.StatsJson().find("\"requests\":2"), std::string::npos);
-}
-
 TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
   ServeEngineOptions options;
   options.num_threads = 2;
@@ -131,7 +117,7 @@ TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
 
   std::promise<Result<ServeResponse>> cold_promise;
   auto cold_future = cold_promise.get_future();
-  engine.GenerateAsync(entry.query, 0, entry.year,
+  engine.GenerateAsync(entry.query, 0, entry.year, nullptr,
                        [&](Result<ServeResponse> r) {
                          cold_promise.set_value(std::move(r));
                        });
@@ -143,7 +129,7 @@ TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
 
   // Warm call completes inline (cache hit) before GenerateAsync returns.
   bool hit_inline = false;
-  engine.GenerateAsync(entry.query, 0, entry.year,
+  engine.GenerateAsync(entry.query, 0, entry.year, nullptr,
                        [&](Result<ServeResponse> r) {
                          hit_inline = r.ok() && r->cache_hit;
                        });
@@ -153,7 +139,7 @@ TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
 TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
   ServeEngineOptions options;
   options.num_threads = 2;
-  options.enable_cache = false;
+  options.cache.max_bytes = 0;
   ServeEngine engine(TestEpoch(SharedWorkbench()), options);
   const auto& entry = SharedWorkbench().bank().Get(0);
   auto first = engine.Generate(entry.query, 0, entry.year);
@@ -162,6 +148,7 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second->cache_hit);
   EXPECT_EQ(engine.cache().Stats().entries, 0u);
+  EXPECT_NE(engine.StatsJson().find("\"enabled\":false"), std::string::npos);
   ExpectIdentical(*second->result, *first->result);
 }
 
@@ -378,7 +365,7 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   std::atomic<int> done_count{0};
   for (int i = 0; i < kBurst; ++i) {
     int seeds = 5 + i;
-    engine.GenerateAsync(entry.query, seeds, entry.year,
+    engine.GenerateAsync(entry.query, seeds, entry.year, nullptr,
                          [&, seeds](Result<ServeResponse> r) {
                            if (!r.ok() && r.status().IsUnavailable()) {
                              std::lock_guard<std::mutex> lock(mu);
@@ -466,7 +453,7 @@ TEST(ServeEngineTest, ConcurrentHttpRequestsBitIdenticalToSerial) {
   // no serving state is shared with the system under test.
   ServeEngineOptions ref_options;
   ref_options.num_threads = 1;
-  ref_options.enable_cache = false;
+  ref_options.cache.max_bytes = 0;
   ServeEngine ref_engine(TestEpoch(wb), ref_options);
   ui::RePagerService ref_service(&ref_engine);
 

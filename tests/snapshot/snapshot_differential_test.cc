@@ -101,7 +101,7 @@ TEST(SnapshotDifferentialTest, ServeJsonIdentical) {
 
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = 2;
-  serve_options.enable_cache = false;
+  serve_options.cache.max_bytes = 0;
   serve::ServeEngine rebuilt_engine(serve::TestEpoch(wb), serve_options);
   serve::ServeEngine loaded_engine(serve::TestEpoch(state), serve_options);
   ui::RePagerService rebuilt_service(&rebuilt_engine);

@@ -942,6 +942,45 @@ TEST(HttpServerTest, ConnectionCapShedsWith503) {
   server.Stop();
 }
 
+TEST(HttpServerTest, IdleReapFreesConnectionCap) {
+  HttpServerOptions options;
+  options.max_connections = 4;
+  // Long enough that the probe below meets a full cap on a slow runner,
+  // short enough that the reap lands well inside PollUntil's budget.
+  options.idle_timeout = std::chrono::milliseconds(500);
+  HttpServer server([](const HttpRequest& request) {
+    return HttpResponse{200, "text/plain", "echo:" + request.path};
+  }, options);
+  int port = server.Start(0).value();
+  // A slow-loris pack fills the cap: each connection parks a partial
+  // header and never sends another byte.
+  std::vector<int> pack;
+  for (int i = 0; i < 4; ++i) {
+    int fd = ConnectRaw(port);
+    ASSERT_GE(fd, 0);
+    const char head[] = "GET /loris HTTP/1.1\r\nX-Drip: a";
+    ASSERT_GT(::send(fd, head, sizeof(head) - 1, MSG_NOSIGNAL), 0);
+    pack.push_back(fd);
+  }
+  ASSERT_TRUE(PollUntil([&] { return server.Stats().open_connections == 4; }));
+  // While the pack holds every slot, a fifth connect is shed with 503.
+  int probe = ConnectRaw(port);
+  ASSERT_GE(probe, 0);
+  std::string shed = ReadToEof(probe);
+  ::close(probe);
+  EXPECT_NE(shed.find("503"), std::string::npos);
+  EXPECT_EQ(server.Stats().connections_shed, 1u);
+  // The idle deadline reaps the whole pack...
+  EXPECT_TRUE(PollUntil([&] { return server.Stats().open_connections == 0; }));
+  EXPECT_GE(server.Stats().idle_closes, 4u);
+  for (int fd : pack) ::close(fd);
+  // ...and the freed slots admit a fresh client.
+  std::string fresh = FetchOnce(port, "GET /fresh HTTP/1.1");
+  EXPECT_NE(fresh.find("200 OK"), std::string::npos);
+  EXPECT_NE(fresh.find("echo:/fresh"), std::string::npos);
+  server.Stop();
+}
+
 TEST(HttpServerTest, StopDrainsInFlightRequestBeforeClosing) {
   // An async handler parks the completion; Stop() must wait for it (up
   // to the 5 s drain budget) and still deliver the response, instead of
