@@ -358,9 +358,9 @@ int main(int argc, char** argv) {
 
   // --- Batched end-to-end: serial Generate vs BatchEngine --------------
   // The whole evaluation sample (twice, so the pool has enough work per
-  // worker) at the default 30 seeds, swept over 1/2/4/8 threads (each
-  // worker reuses one scratch; serial vs serial+scratch below isolates
-  // that win). Per-query results must be bit-identical to serial.
+  // solver) at the default 30 seeds, swept over 1/2/4/8 solver threads
+  // (each solver reuses one scratch; serial vs serial+scratch below
+  // isolates that win). Per-query results must be bit-identical to serial.
   std::printf("\n=== Batched query engine: serial vs BatchEngine "
               "(1/2/4/8 threads) ===\n");
   std::vector<core::BatchQuery> batch_queries;

@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   serve::ServeEngineOptions serve_options;
   serve_options.num_threads = static_cast<int>(threads);
   serve_options.cache.max_bytes = static_cast<size_t>(cache_mb) << 20;
-  serve_options.batcher.max_queue_depth = static_cast<size_t>(queue_depth);
+  serve_options.pool.max_queue_depth = static_cast<size_t>(queue_depth);
   serve::ServeEngine engine(epoch, serve_options);
 
   ui::RePagerService service(&engine);

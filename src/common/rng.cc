@@ -77,25 +77,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * u * scale;
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  if (n <= 1) return 1;
-  // Inverse-CDF on the continuous approximation of the Zipf CDF
-  // (integral of x^-s), then clamp; accurate enough for workload shaping.
-  double u = UniformDouble();
-  if (s == 1.0) {
-    double h = std::log(static_cast<double>(n) + 1.0);
-    double x = std::exp(u * h);
-    uint64_t r = static_cast<uint64_t>(x);
-    return r < 1 ? 1 : (r > n ? n : r);
-  }
-  double one_minus_s = 1.0 - s;
-  double hmax = (std::pow(static_cast<double>(n) + 1.0, one_minus_s) - 1.0) /
-                one_minus_s;
-  double x = std::pow(u * hmax * one_minus_s + 1.0, 1.0 / one_minus_s);
-  uint64_t r = static_cast<uint64_t>(x);
-  return r < 1 ? 1 : (r > n ? n : r);
-}
-
 uint64_t Rng::Geometric(double p) {
   if (p >= 1.0) return 0;
   if (p <= 0.0) return 0;

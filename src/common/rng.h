@@ -38,10 +38,6 @@ class Rng {
   /// Standard normal via Box-Muller (deterministic, caches the spare).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Zipf-distributed rank in [1, n] with exponent s > 0 (rejection-free
-  /// inverse-CDF over a precomputation-free harmonic approximation).
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Geometric number of failures before first success, p in (0, 1].
   uint64_t Geometric(double p);
 

@@ -1,50 +1,16 @@
 #include "core/batch_engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <future>
+#include <condition_variable>
+#include <mutex>
+#include <utility>
 
-#include "common/logging.h"
 #include "common/timer.h"
 
 namespace rpg::core {
 
-Result<RePagerResult> SolveQuery(const BatchQuery& query,
-                                 const RePaGer* fallback,
-                                 QueryScratch* scratch) {
-  // Request trace: the calling thread is the only one touching the
-  // query's context during the solve (the query was handed over through
-  // a mutex-guarded queue, which orders the submitter's earlier span
-  // writes before ours).
-  obs::TraceContext* trace = query.trace.get();
-  uint64_t solve_start = trace ? trace->NowNs() : 0;
-  // Epoch pinning: a query-carried handle wins over the fallback, and
-  // holding `query.repager` keeps that epoch's whole substrate alive for
-  // the duration of the solve.
-  const RePaGer* repager = query.repager ? query.repager.get() : fallback;
-  Result<RePagerResult> r =
-      repager == nullptr
-          ? Result<RePagerResult>(Status::FailedPrecondition(
-                "no RePaGer: the engine default is null and the query "
-                "carries no substrate handle"))
-          : repager->Generate(query.query, query.options, scratch);
-  if (trace) {
-    trace->AddSpan(obs::Stage::kSolve, solve_start,
-                   trace->NowNs() - solve_start, r.ok() ? 1 : 0);
-    if (r.ok()) {
-      // The pipeline spans are clocked from Generate's own start;
-      // rebasing them onto the solve span's start lines the whole
-      // request trace up on one axis.
-      trace->AppendRebased(r->stages, solve_start);
-      trace->AttachSteinerStats(r->steiner_stats);
-    }
-  }
-  return r;
-}
-
 BatchEngine::BatchEngine(const RePaGer* repager, BatchEngineOptions options)
-    : repager_(repager), pool_(ResolveThreadCount(options.num_threads)) {}
+    : pool_(ResolveThreadCount(options.num_threads), repager,
+            {.max_queue_depth = 0}) {}
 
 BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   Timer wall;
@@ -52,35 +18,23 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   batch.results.assign(queries.size(),
                        Status::Internal("query not executed"));
 
-  // Dynamic scheduling: workers pull the next unclaimed query index.
-  // Queries vary a lot in sub-graph size, so static striping would leave
-  // workers idle at the tail.
-  std::atomic<size_t> next{0};
-  const size_t workers = std::min(pool_.num_threads(), queries.size());
-  std::vector<std::future<void>> done;
-  done.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    done.push_back(pool_.Submit([this, &queries, &batch, &next] {
-      QueryScratch scratch;
-      for (size_t i = next.fetch_add(1); i < queries.size();
-           i = next.fetch_add(1)) {
-        // Distinct slots: no synchronization needed on the writes.
-        batch.results[i] = SolveQuery(queries[i], repager_, &scratch);
-      }
-    }));
+  // Countdown over the batch. Each callback writes its own slot, then
+  // decrements under mu; the last one notifies while still holding mu,
+  // so this frame (and cv) outlives every callback's use of it.
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t remaining = queries.size();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    pool_.SubmitAsync(queries[i], [&, i](Result<RePagerResult> r) {
+      batch.results[i] = std::move(r);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) cv.notify_one();
+    });
   }
-  // Wait for every worker before (re)throwing: an early rethrow would
-  // unwind and destroy `batch`/`next` while other workers still write
-  // through them.
-  std::exception_ptr first_error;
-  for (std::future<void>& f : done) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return remaining == 0; });
   }
-  if (first_error) std::rethrow_exception(first_error);
 
   for (const Result<RePagerResult>& r : batch.results) {
     if (!r.ok()) continue;

@@ -1,24 +1,67 @@
-#include "serve/micro_batcher.h"
+#include "core/solver_pool.h"
 
 #include <algorithm>
 #include <cmath>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/timer.h"
 
-namespace rpg::serve {
+namespace rpg::core {
 
 namespace {
 /// EWMA smoothing for per-solve service time: ~0.2 weights the last
 /// dozen-ish solves, enough to track load shifts without flapping the
 /// Retry-After hint on every outlier query.
 constexpr double kEwmaAlpha = 0.2;
+
+/// Solves one query on the calling solver thread with its scratch: the
+/// query's own substrate handle if it has one, else `fallback`; neither
+/// gives FailedPrecondition. With a trace attached, records the `solve`
+/// span, splices the pipeline's stage spans onto it and attaches the
+/// NEWST counters.
+Result<RePagerResult> SolveQuery(const BatchQuery& query,
+                                 const RePaGer* fallback,
+                                 QueryScratch* scratch) {
+  // The solver is the only thread touching the query's trace during the
+  // solve: the query was handed over through the pool's mutex, which
+  // orders the submitter's earlier span writes before ours.
+  obs::TraceContext* trace = query.trace.get();
+  uint64_t solve_start = trace ? trace->NowNs() : 0;
+  // Epoch pinning: a query-carried handle wins over the fallback, and
+  // holding `query.repager` keeps that epoch's whole substrate alive for
+  // the duration of the solve.
+  const RePaGer* repager = query.repager ? query.repager.get() : fallback;
+  Result<RePagerResult> r =
+      repager == nullptr
+          ? Result<RePagerResult>(Status::FailedPrecondition(
+                "no RePaGer: the pool has no fallback and the query "
+                "carries no substrate handle"))
+          : repager->Generate(query.query, query.options, scratch);
+  if (trace) {
+    trace->AddSpan(obs::Stage::kSolve, solve_start,
+                   trace->NowNs() - solve_start, r.ok() ? 1 : 0);
+    if (r.ok()) {
+      // The pipeline spans are clocked from Generate's own start;
+      // rebasing them onto the solve span's start lines the whole
+      // request trace up on one axis.
+      trace->AppendRebased(r->stages, solve_start);
+      trace->AttachSteinerStats(r->steiner_stats);
+    }
+  }
+  return r;
+}
 }  // namespace
 
-MicroBatcher::MicroBatcher(size_t num_solvers, MicroBatcherOptions options,
-                           std::function<void(double)> on_solve)
-    : options_(options), on_solve_(std::move(on_solve)) {
+size_t ResolveThreadCount(int requested) {
+  if (requested > 0) return static_cast<size_t>(requested);
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+SolverPool::SolverPool(size_t num_solvers, const RePaGer* fallback,
+                       SolverPoolOptions options,
+                       std::function<void(double)> on_solve)
+    : fallback_(fallback), options_(options), on_solve_(std::move(on_solve)) {
   num_solvers = std::max<size_t>(num_solvers, 1);
   solvers_.reserve(num_solvers);
   for (size_t i = 0; i < num_solvers; ++i) {
@@ -26,9 +69,9 @@ MicroBatcher::MicroBatcher(size_t num_solvers, MicroBatcherOptions options,
   }
 }
 
-MicroBatcher::~MicroBatcher() { Shutdown(); }
+SolverPool::~SolverPool() { Shutdown(); }
 
-void MicroBatcher::SubmitAsync(core::BatchQuery query, Callback callback) {
+void SolverPool::SubmitAsync(BatchQuery query, Callback callback) {
   Pending p;
   p.query = std::move(query);
   p.callback = std::move(callback);
@@ -37,7 +80,7 @@ void MicroBatcher::SubmitAsync(core::BatchQuery query, Callback callback) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
-      rejected = Status::FailedPrecondition("MicroBatcher is shut down");
+      rejected = Status::FailedPrecondition("SolverPool is shut down");
     } else if (options_.max_queue_depth > 0 &&
                pending_.size() >= options_.max_queue_depth) {
       // Overload shed: beyond this point queueing only grows latency
@@ -61,7 +104,7 @@ void MicroBatcher::SubmitAsync(core::BatchQuery query, Callback callback) {
   p.callback(std::move(rejected));
 }
 
-void MicroBatcher::Shutdown() {
+void SolverPool::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
@@ -72,23 +115,23 @@ void MicroBatcher::Shutdown() {
   }
 }
 
-MicroBatcherStats MicroBatcher::Stats() const {
+SolverPoolStats SolverPool::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  MicroBatcherStats stats = stats_;
+  SolverPoolStats stats = stats_;
   stats.queue_depth = pending_.size();
   stats.ewma_item_seconds = ewma_item_seconds_;
   return stats;
 }
 
-int MicroBatcher::RetryAfterSecondsLocked() const {
+int SolverPool::RetryAfterSecondsLocked() const {
   const double drain = ewma_item_seconds_ *
                        static_cast<double>(pending_.size()) /
                        static_cast<double>(solvers_.size());
   return static_cast<int>(std::clamp(std::ceil(drain), 1.0, 30.0));
 }
 
-void MicroBatcher::SolverLoop() {
-  core::QueryScratch scratch;
+void SolverPool::SolverLoop() {
+  QueryScratch scratch;
   for (;;) {
     Pending next;
     bool have_next = false;
@@ -137,8 +180,7 @@ void MicroBatcher::SolverLoop() {
                                        std::chrono::steady_clock::now());
     }
     Timer solve;
-    Result<core::RePagerResult> result =
-        core::SolveQuery(next.query, /*fallback=*/nullptr, &scratch);
+    Result<RePagerResult> result = SolveQuery(next.query, fallback_, &scratch);
     const double seconds = solve.ElapsedSeconds();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -152,4 +194,4 @@ void MicroBatcher::SolverLoop() {
   }
 }
 
-}  // namespace rpg::serve
+}  // namespace rpg::core

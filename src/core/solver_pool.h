@@ -1,19 +1,24 @@
-#ifndef RPG_SERVE_MICRO_BATCHER_H_
-#define RPG_SERVE_MICRO_BATCHER_H_
+#ifndef RPG_CORE_SOLVER_POOL_H_
+#define RPG_CORE_SOLVER_POOL_H_
 
 /// \file
-/// Work-conserving admission queue for cache-miss solves. Each
-/// reading-path query is an independent solve over one immutable graph,
-/// so there is nothing to gain from grouping them: the batcher runs N
+/// The one executor for RePaGer queries. The paper's serving scenario is
+/// many independent survey queries against one immutable citation graph,
+/// so there is nothing to gain from grouping them: the pool runs N
 /// long-lived solver threads, and each pops the oldest queued query the
-/// moment it is free and solves it inline (core::SolveQuery). No solver
-/// idles while work is queued, and no query waits for another query's
-/// solve to finish.
+/// moment it is free and solves it inline. No solver idles while work is
+/// queued, and no query waits for another query's solve to finish.
 ///
-/// Each solver thread owns one core::QueryScratch for its whole life, so
+/// Two callers share it:
+///  - serve::ServeEngine submits each cache miss (bounded queue, queue
+///    deadline, no fallback RePaGer: every query carries its epoch);
+///  - core::BatchEngine submits an offline batch and blocks until every
+///    slot is filled (unbounded queue, its RePaGer as fallback).
+///
+/// Each solver thread owns one QueryScratch for its whole life, so
 /// per-query working memory is allocation-free after warm-up. A scratch
 /// refers to no graph between solves, so solvers move across epoch flips
-/// freely: every query carries its own epoch-pinned substrate handle.
+/// freely: a query's own substrate handle keeps that substrate alive.
 ///
 /// Ownership / thread-safety model:
 ///  - SubmitAsync() is safe from any thread; its callback runs on the
@@ -23,23 +28,49 @@
 ///  - Shutdown() (or the destructor) drains everything already queued
 ///    before joining; no submitted request is dropped. Submitting after
 ///    Shutdown() returns a FailedPrecondition result.
-///  - A query with no substrate handle completes with FailedPrecondition
-///    (the batcher has no default RePaGer).
+///  - A query with neither a substrate handle nor a pool fallback
+///    completes with FailedPrecondition.
+///  - Per-query results are bit-identical to RePaGer::Generate.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "core/batch_engine.h"
+#include "core/repager.h"
 
-namespace rpg::serve {
+namespace rpg::core {
 
-struct MicroBatcherOptions {
+/// Resolves a thread-count knob where `<= 0` means "one per hardware
+/// thread": `requested` if positive, else
+/// std::thread::hardware_concurrency() (1 when unknown).
+size_t ResolveThreadCount(int requested);
+
+/// One query: the free-text query plus its pipeline options.
+struct BatchQuery {
+  std::string query;
+  RePagerOptions options;
+  /// Optional request trace (shared with the serving layer). The solver
+  /// records a `solve` span and splices the pipeline's stage spans into
+  /// it. The shared_ptr keeps the context alive even if the originating
+  /// request was already answered (e.g. a reactor-side deadline 503).
+  std::shared_ptr<obs::TraceContext> trace;
+  /// Optional owning substrate handle, overriding the pool's fallback
+  /// RePaGer for this one query. This is how epoch-based serving works
+  /// (serve::Epoch): the serving layer pins the request's epoch with an
+  /// aliasing shared_ptr, so the substrate the solver reads stays alive
+  /// until this query's result is delivered even if the serving tier
+  /// swapped to a newer epoch while it was queued.
+  std::shared_ptr<const RePaGer> repager;
+};
+
+struct SolverPoolOptions {
   /// Overload bound: a submission arriving when this many requests are
   /// already waiting is rejected inline with Status::Unavailable (load
   /// shedding — the serving edge maps it to 429). The total backlog is
@@ -56,7 +87,7 @@ struct MicroBatcherOptions {
 };
 
 /// Point-in-time dispatch counters.
-struct MicroBatcherStats {
+struct SolverPoolStats {
   uint64_t requests = 0;
   /// Dispatches to a solver; each dispatch is one query, so this counts
   /// the queries that reached a solver (requests minus expired/queued).
@@ -75,24 +106,26 @@ struct MicroBatcherStats {
   double ewma_item_seconds = 0;
 };
 
-class MicroBatcher {
+class SolverPool {
  public:
-  /// Starts `num_solvers` solver threads (at least one). `on_solve`, if
-  /// set, is called on the solver thread after every solve with that
-  /// solve's wall seconds, before the query's callback — the
-  /// ServeEngine's metrics tap.
-  explicit MicroBatcher(size_t num_solvers, MicroBatcherOptions options = {},
-                        std::function<void(double)> on_solve = {});
-  ~MicroBatcher();
+  /// Starts `num_solvers` solver threads (at least one). `fallback`
+  /// solves queries that carry no substrate handle; it may be null, and
+  /// otherwise must outlive the pool. `on_solve`, if set, is called on
+  /// the solver thread after every solve with that solve's wall seconds,
+  /// before the query's callback — the ServeEngine's metrics tap.
+  SolverPool(size_t num_solvers, const RePaGer* fallback,
+             SolverPoolOptions options = {},
+             std::function<void(double)> on_solve = {});
+  ~SolverPool();
 
-  MicroBatcher(const MicroBatcher&) = delete;
-  MicroBatcher& operator=(const MicroBatcher&) = delete;
+  SolverPool(const SolverPool&) = delete;
+  SolverPool& operator=(const SolverPool&) = delete;
 
   /// Completion callback for SubmitAsync: invoked exactly once, on the
   /// solver thread after the query's solve (or expiry), or inline with
   /// Unavailable / FailedPrecondition when shed or after Shutdown().
   /// Keep it cheap — the solver takes no new query until it returns.
-  using Callback = std::function<void(Result<core::RePagerResult>)>;
+  using Callback = std::function<void(Result<RePagerResult>)>;
 
   /// Enqueues one query; `callback` receives its result (errors land in
   /// the Result, not as exceptions). No submitting thread blocks on the
@@ -100,18 +133,18 @@ class MicroBatcher {
   /// without pinning themselves (docs/serving.md). When the queue is at
   /// max_queue_depth the callback fires inline with Status::Unavailable
   /// instead of queueing (overload shed).
-  void SubmitAsync(core::BatchQuery query, Callback callback);
+  void SubmitAsync(BatchQuery query, Callback callback);
 
   /// Drains queued requests, then stops the solvers. Idempotent.
   void Shutdown();
 
-  MicroBatcherStats Stats() const;
+  SolverPoolStats Stats() const;
 
   size_t num_solvers() const { return solvers_.size(); }
 
  private:
   struct Pending {
-    core::BatchQuery query;
+    BatchQuery query;
     Callback callback;
     std::chrono::steady_clock::time_point enqueued;
   };
@@ -123,14 +156,15 @@ class MicroBatcher {
   /// seconds, clamped to [1, 30]. Requires mu_.
   int RetryAfterSecondsLocked() const;
 
-  MicroBatcherOptions options_;
+  const RePaGer* fallback_;
+  SolverPoolOptions options_;
   std::function<void(double)> on_solve_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Pending> pending_;
   bool shutdown_ = false;
-  MicroBatcherStats stats_;
+  SolverPoolStats stats_;
   /// EWMA of per-solve wall time (seconds); 0 until the first solve
   /// completes. Guarded by mu_.
   double ewma_item_seconds_ = 0;
@@ -138,6 +172,6 @@ class MicroBatcher {
   std::vector<std::thread> solvers_;
 };
 
-}  // namespace rpg::serve
+}  // namespace rpg::core
 
-#endif  // RPG_SERVE_MICRO_BATCHER_H_
+#endif  // RPG_CORE_SOLVER_POOL_H_

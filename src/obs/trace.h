@@ -13,19 +13,19 @@
 ///    the `stages` block of /api/path?debug=1.
 ///  - A request trace (TraceContext) is created per request by the
 ///    ui::HttpServer reactor and carried by shared_ptr through
-///    RePagerService -> ServeEngine -> MicroBatcher -> solver thread,
+///    RePagerService -> ServeEngine -> core::SolverPool -> solver thread,
 ///    each recording its serving-side span (cache lookup, single-flight
-///    wait, batch queue, solve). The solver (core::SolveQuery) splices
-///    the pipeline spans into the request trace (rebased onto the solve
-///    span), so a slow-query log line shows the full life of the request.
+///    wait, batch queue, solve). The solver thread splices the pipeline
+///    spans into the request trace (rebased onto the solve span), so a
+///    slow-query log line shows the full life of the request.
 ///
 /// Thread-safety model: a TraceContext is NOT internally synchronized.
 /// It is touched strictly along the request's causal chain — poller
 /// thread at dispatch, solver thread from dequeue through the solve,
 /// completion-delivering thread at the end — and every handoff on that
-/// chain already carries a happens-before edge (batcher mutex, flight
-/// mutex, completion queue). Never share
-/// one context between concurrent requests.
+/// chain already carries a happens-before edge (solver pool mutex, flight
+/// mutex, completion queue). Never share one context between concurrent
+/// requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded
 /// array write; the per-request TraceContext is one allocation. The whole
@@ -161,7 +161,7 @@ class TraceContext {
   }
 
   /// Records a span from two absolute steady-clock points (used by the
-  /// micro-batcher, whose queue timestamps predate its access to the
+  /// solver pool, whose queue timestamps predate its access to the
   /// context). Points before the origin clamp to 0.
   void AddSpanBetween(Stage stage, Clock::time_point start,
                       Clock::time_point end, uint64_t value = 0);

@@ -6,7 +6,6 @@
 
 #include "common/json_writer.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace rpg::serve {
 
@@ -40,11 +39,12 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
       cache_(options.cache),
       // Solver queries carry their own epoch-pinned substrate handle;
-      // the batcher has no default RePaGer.
-      batcher_(ResolveThreadCount(options.num_threads), options.batcher,
-               [solve_ms = metrics_.GetHistogram("solve_ms",
-                                                 LatencyBucketEdgesMs())](
-                   double seconds) { solve_ms->Observe(seconds * 1e3); }),
+      // the pool has no fallback RePaGer.
+      pool_(core::ResolveThreadCount(options.num_threads),
+            /*fallback=*/nullptr, options.pool,
+            [solve_ms = metrics_.GetHistogram("solve_ms",
+                                              LatencyBucketEdgesMs())](
+                double seconds) { solve_ms->Observe(seconds * 1e3); }),
       epoch_(std::move(epoch)),
       requests_total_(metrics_.GetCounter("requests_total")),
       cache_hits_(metrics_.GetCounter("cache_hits")),
@@ -72,7 +72,7 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
   }
 }
 
-ServeEngine::~ServeEngine() { batcher_.Shutdown(); }
+ServeEngine::~ServeEngine() { pool_.Shutdown(); }
 
 Result<ServeResponse> ServeEngine::Generate(const std::string& query,
                                             int num_seeds, int year_cutoff) {
@@ -200,7 +200,7 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   bq.repager = Epoch::RepagerHandle(epoch);
   // No thread blocks here: the continuation runs on the solver thread
   // right after this query's solve.
-  batcher_.SubmitAsync(
+  pool_.SubmitAsync(
       std::move(bq),
       [this, key, flight_key, eid, epoch = std::move(epoch), flight,
        callback = std::move(callback),
@@ -327,7 +327,7 @@ size_t ServeEngine::ClearCache() {
 
 std::string ServeEngine::StatsJson() const {
   QueryCacheStats cs = cache_.Stats();
-  MicroBatcherStats bs = batcher_.Stats();
+  core::SolverPoolStats bs = pool_.Stats();
   EpochHandle epoch;
   uint64_t flips = 0;
   int64_t last_reload_ms = 0;
@@ -375,20 +375,22 @@ std::string ServeEngine::StatsJson() const {
   }
   w.EndArray();
   w.EndObject();
+  // The solver pool's section keeps its pre-SolverPool name, "batcher",
+  // and every key in it: dashboards and perfbench read them.
   w.Key("batcher").BeginObject();
   w.Key("requests").UInt(bs.requests);
   w.Key("batches").UInt(bs.batches);
   w.Key("queue_depth").UInt(bs.queue_depth);
-  w.Key("max_queue_depth").UInt(options_.batcher.max_queue_depth);
+  w.Key("max_queue_depth").UInt(options_.pool.max_queue_depth);
   w.Key("rejected_overload").UInt(bs.rejected_overload);
   w.Key("deadline_expired").UInt(bs.deadline_expired);
   w.Key("queue_deadline_ms")
       .UInt(static_cast<uint64_t>(
-          options_.batcher.queue_deadline.count() < 0
+          options_.pool.queue_deadline.count() < 0
               ? 0
-              : options_.batcher.queue_deadline.count()));
+              : options_.pool.queue_deadline.count()));
   w.Key("ewma_item_seconds").Double(bs.ewma_item_seconds);
-  w.Key("threads").UInt(batcher_.num_solvers());
+  w.Key("threads").UInt(pool_.num_solvers());
   w.EndObject();
   // Per-stage latency attribution over computed (non-cached) results.
   // attributed_fraction = stage-span time / pipeline wall time: how much

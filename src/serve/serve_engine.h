@@ -22,7 +22,7 @@
 ///   3. in-flight table (keyed by epoch id + canonical key) — an
 ///      identical same-epoch query already being computed is joined,
 ///      not recomputed (single-flight)
-///   4. MicroBatcher::SubmitAsync — queued FIFO and solved by the next
+///   4. core::SolverPool::SubmitAsync — queued FIFO and solved by the next
 ///      free solver thread, one query per dispatch; the BatchQuery
 ///      carries the epoch's substrate handle, so the solver works on
 ///      the request's epoch even if a flip happened meanwhile
@@ -58,20 +58,20 @@
 
 #include "common/timer.h"
 #include "core/repager.h"
+#include "core/solver_pool.h"
 #include "serve/epoch.h"
 #include "serve/metrics.h"
-#include "serve/micro_batcher.h"
 #include "serve/query_cache.h"
 
 namespace rpg::serve {
 
 struct ServeEngineOptions {
-  /// Solver threads (MicroBatcher); <= 0 means hardware_concurrency.
+  /// Solver threads (core::SolverPool); <= 0 means hardware_concurrency.
   int num_threads = 0;
   /// `cache.max_bytes = 0` turns the result cache off: nothing fits, so
   /// every request computes.
   QueryCacheOptions cache;
-  MicroBatcherOptions batcher;
+  core::SolverPoolOptions pool;
 };
 
 /// One served response. `result` is immutable and shared with the cache.
@@ -152,7 +152,7 @@ class ServeEngine {
 
   const QueryCache& cache() const { return cache_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  size_t num_threads() const { return batcher_.num_solvers(); }
+  size_t num_threads() const { return pool_.num_solvers(); }
 
  private:
   struct Flight;
@@ -181,11 +181,11 @@ class ServeEngine {
 
   ServeEngineOptions options_;
   QueryCache cache_;
-  // Declared before batcher_: the batcher's on_solve closure holds
-  // pointers into the registry, so the registry must be built first (and
-  // torn down last).
+  // Declared before pool_: the pool's on_solve closure holds pointers
+  // into the registry, so the registry must be built first (and torn
+  // down last).
   MetricsRegistry metrics_;
-  MicroBatcher batcher_;
+  core::SolverPool pool_;
 
   /// The serving epoch. Requests copy the handle once under the mutex
   /// (an uncontended lock + shared_ptr copy, nanoseconds) and never
@@ -209,18 +209,18 @@ class ServeEngine {
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
   // Hot-path instruments, resolved once. (solve_ms is observed by the
-  // batcher's on_solve closure, not through a member.)
+  // pool's on_solve closure, not through a member.)
   Counter* requests_total_;
   Counter* cache_hits_;
   Counter* cache_misses_;
   Counter* negative_hits_;
   Counter* coalesced_hits_;
   Counter* errors_total_;
-  /// Requests shed by the batcher's queue bound (Status::Unavailable →
+  /// Requests shed by the solver pool's queue bound (Status::Unavailable →
   /// HTTP 429 at the edge). Counted once per shed computation, not per
   /// coalesced waiter.
   Counter* shed_total_;
-  /// Requests expired by the batcher's queue deadline
+  /// Requests expired by the solver pool's queue deadline
   /// (Status::DeadlineExceeded → HTTP 503 at the edge). Counted once per
   /// expired computation, like shed_total_.
   Counter* deadline_exceeded_total_;

@@ -151,8 +151,8 @@ HttpResponse RePagerService::ErrorResponse(const Status& status) {
   w.BeginObject();
   w.Key("error").String(status.ToString());
   w.EndObject();
-  // Overload shed (batcher queue full) is the retryable case: 429 with
-  // the batcher's measured drain time as the Retry-After hint (1 when
+  // Overload shed (solver queue full) is the retryable case: 429 with
+  // the solver pool's measured drain time as the Retry-After hint (1 when
   // the status carries none). A request expired by the queue deadline
   // is 503 — the work was abandoned, not refused — with the same hint.
   if (status.IsUnavailable() || status.IsDeadlineExceeded()) {

@@ -103,27 +103,6 @@ TEST(RngTest, NormalMomentsRoughlyCorrect) {
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
 }
 
-TEST(RngTest, ZipfStaysInRangeAndSkewsLow) {
-  Rng r(13);
-  uint64_t below_ten = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    uint64_t v = r.Zipf(1000, 1.2);
-    EXPECT_GE(v, 1u);
-    EXPECT_LE(v, 1000u);
-    if (v <= 10) ++below_ten;
-  }
-  // A Zipf(1.2) over 1000 puts roughly 43% of its mass on the first 10
-  // ranks; the inverse-CDF approximation should land in that ballpark.
-  EXPECT_GT(below_ten, static_cast<uint64_t>(n * 0.35));
-}
-
-TEST(RngTest, ZipfDegenerateN) {
-  Rng r(13);
-  EXPECT_EQ(r.Zipf(1, 1.5), 1u);
-  EXPECT_EQ(r.Zipf(0, 1.5), 1u);
-}
-
 TEST(RngTest, GeometricMeanMatches) {
   Rng r(17);
   double sum = 0.0;

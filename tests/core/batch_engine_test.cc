@@ -1,5 +1,5 @@
-// BatchEngine correctness: batched parallel execution (with and without
-// per-worker scratch reuse) must be bit-identical to serial
+// BatchEngine correctness: batched parallel execution on the solver
+// pool (each solver reusing one scratch) must be bit-identical to serial
 // RePaGer::Generate, per query, over a small but fully wired workbench.
 
 #include "core/batch_engine.h"
@@ -154,6 +154,32 @@ TEST_F(BatchEngineFixture, SingleThreadAndRepeatedRunsWork) {
   ASSERT_EQ(second.num_ok, batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectSameResult(first.results[i].value(), second.results[i].value());
+  }
+}
+
+TEST_F(BatchEngineFixture, LargeBatchIsNeverShed) {
+  // More queries than a default SolverPoolOptions::max_queue_depth (256)
+  // behind a single solver: the engine's pool queue is unbounded, so
+  // every slot carries its own query's status and none is Unavailable.
+  // Empty queries fail fast with InvalidArgument; every 50th is real.
+  constexpr size_t kQueries = 300;
+  static_assert(kQueries > SolverPoolOptions{}.max_queue_depth);
+  auto real = MakeBatch(kQueries / 50);
+  std::vector<BatchQuery> batch(kQueries);
+  for (size_t i = 0; i < kQueries; i += 50) batch[i] = real[i / 50];
+
+  BatchEngine engine(&wb_->repager(), {.num_threads = 1});
+  BatchResult result = engine.Run(batch);
+
+  ASSERT_EQ(result.results.size(), kQueries);
+  EXPECT_EQ(result.num_ok, real.size());
+  for (size_t i = 0; i < kQueries; ++i) {
+    if (i % 50 == 0) {
+      EXPECT_TRUE(result.results[i].ok()) << "query " << i;
+    } else {
+      EXPECT_TRUE(result.results[i].status().IsInvalidArgument())
+          << "query " << i << ": " << result.results[i].status().ToString();
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-#include "serve/micro_batcher.h"
+#include "core/solver_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -10,21 +10,39 @@
 #include <thread>
 #include <vector>
 
-#include "serve_test_util.h"
+#include "eval/workbench.h"
 
-namespace rpg::serve {
+namespace rpg::core {
 namespace {
 
-/// The shared workbench's substrate as a query handle: the batcher has
-/// no default RePaGer, every query carries its own.
-std::shared_ptr<const core::RePaGer> WorkbenchHandle() {
-  static const EpochHandle epoch = TestEpoch(SharedWorkbench());
-  return Epoch::RepagerHandle(epoch);
+/// A small workbench shared by every case (built once, intentionally
+/// leaked — the corpus build dominates test time).
+const eval::Workbench& SharedWorkbench() {
+  static const eval::Workbench* wb = [] {
+    eval::WorkbenchOptions options;
+    options.corpus.hierarchy.areas_per_domain = 2;
+    options.corpus.hierarchy.topics_per_area = 2;
+    options.corpus.papers_per_topic = 50;
+    options.corpus.papers_per_area = 15;
+    options.corpus.papers_per_domain = 10;
+    options.corpus.num_surveys = 40;
+    options.corpus.seed = 55;
+    return eval::Workbench::Create(options).value().release();
+  }();
+  return *wb;
 }
 
-core::BatchQuery MakeQuery(size_t bank_index) {
+/// The shared workbench's substrate as a query handle: these pools have
+/// no fallback RePaGer, so every query carries its own (the serving
+/// configuration). The workbench is never freed, so the handle owns
+/// nothing.
+std::shared_ptr<const RePaGer> WorkbenchHandle() {
+  return {&SharedWorkbench().repager(), [](const RePaGer*) {}};
+}
+
+BatchQuery MakeQuery(size_t bank_index) {
   const auto& entry = SharedWorkbench().bank().Get(bank_index);
-  core::BatchQuery q;
+  BatchQuery q;
   q.query = entry.query;
   q.options.year_cutoff = entry.year;
   q.repager = WorkbenchHandle();
@@ -52,30 +70,29 @@ class Latch {
 
 /// SubmitAsync with the completion delivered through a future, for tests
 /// that block on their results.
-std::future<Result<core::RePagerResult>> SubmitForFuture(
-    MicroBatcher& batcher, core::BatchQuery query) {
-  auto promise = std::make_shared<std::promise<Result<core::RePagerResult>>>();
-  std::future<Result<core::RePagerResult>> future = promise->get_future();
-  batcher.SubmitAsync(std::move(query),
-                      [promise](Result<core::RePagerResult> result) {
-                        promise->set_value(std::move(result));
-                      });
+std::future<Result<RePagerResult>> SubmitForFuture(SolverPool& pool,
+                                                   BatchQuery query) {
+  auto promise = std::make_shared<std::promise<Result<RePagerResult>>>();
+  std::future<Result<RePagerResult>> future = promise->get_future();
+  pool.SubmitAsync(std::move(query), [promise](Result<RePagerResult> result) {
+    promise->set_value(std::move(result));
+  });
   return future;
 }
 
-TEST(MicroBatcherTest, SingleRequestDispatchesImmediately) {
-  MicroBatcher batcher(2);
-  auto future = SubmitForFuture(batcher, MakeQuery(0));
-  Result<core::RePagerResult> result = future.get();
+TEST(SolverPoolTest, SingleRequestDispatchesImmediately) {
+  SolverPool pool(2, nullptr);
+  auto future = SubmitForFuture(pool, MakeQuery(0));
+  Result<RePagerResult> result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->ranked.empty());
-  MicroBatcherStats stats = batcher.Stats();
+  SolverPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.batches, 1u);  // one dispatch, one query
-  EXPECT_EQ(batcher.num_solvers(), 2u);
+  EXPECT_EQ(pool.num_solvers(), 2u);
 }
 
-TEST(MicroBatcherTest, SlowQueryDoesNotBlockOthers) {
+TEST(SolverPoolTest, SlowQueryDoesNotBlockOthers) {
   // The first query's callback holds its solver until the second
   // query's callback opens the latch. With work-conserving dispatch the
   // other solver takes the second query while the first is still held;
@@ -83,39 +100,39 @@ TEST(MicroBatcherTest, SlowQueryDoesNotBlockOthers) {
   // first would time out.
   Latch second_done;
   std::promise<bool> first_released;
-  MicroBatcher batcher(2);  // joins its solvers before the latch goes
-  batcher.SubmitAsync(MakeQuery(0), [&](Result<core::RePagerResult> r) {
+  SolverPool pool(2, nullptr);  // joins its solvers before the latch goes
+  pool.SubmitAsync(MakeQuery(0), [&](Result<RePagerResult> r) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     first_released.set_value(second_done.Wait(std::chrono::seconds(30)));
   });
-  batcher.SubmitAsync(MakeQuery(1), [&](Result<core::RePagerResult> r) {
+  pool.SubmitAsync(MakeQuery(1), [&](Result<RePagerResult> r) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     second_done.Open();
   });
   EXPECT_TRUE(first_released.get_future().get());
 }
 
-TEST(MicroBatcherTest, QueryWithoutSubstrateFailsPrecondition) {
-  MicroBatcher batcher(1);
-  core::BatchQuery q = MakeQuery(0);
+TEST(SolverPoolTest, QueryWithoutSubstrateFailsPrecondition) {
+  SolverPool pool(1, nullptr);
+  BatchQuery q = MakeQuery(0);
   q.repager = nullptr;
-  Result<core::RePagerResult> r = SubmitForFuture(batcher, q).get();
+  Result<RePagerResult> r = SubmitForFuture(pool, q).get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
       << r.status().ToString();
 }
 
-TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
+TEST(SolverPoolTest, ResultsMatchSerialGenerateBitForBit) {
   const eval::Workbench& wb = SharedWorkbench();
-  MicroBatcher batcher(2);
-  std::vector<core::BatchQuery> queries;
+  SolverPool pool(2, nullptr);
+  std::vector<BatchQuery> queries;
   for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (const auto& q : queries) {
-    futures.push_back(SubmitForFuture(batcher, q));
+    futures.push_back(SubmitForFuture(pool, q));
   }
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<core::RePagerResult> batched = futures[i].get();
+    Result<RePagerResult> batched = futures[i].get();
     auto serial = wb.repager().Generate(queries[i].query, queries[i].options);
     ASSERT_EQ(batched.ok(), serial.ok());
     if (!batched.ok()) continue;
@@ -127,31 +144,32 @@ TEST(MicroBatcherTest, ResultsMatchSerialGenerateBitForBit) {
   }
 }
 
-TEST(MicroBatcherTest, PerQueryErrorsLandInTheirSlot) {
-  MicroBatcher batcher(2);
-  auto bad = SubmitForFuture(batcher, {.query = "zzzz qqqq wwww",
-                                       .options = {},
-                                       .repager = WorkbenchHandle()});
-  auto good = SubmitForFuture(batcher, MakeQuery(0));
+TEST(SolverPoolTest, PerQueryErrorsLandInTheirSlot) {
+  SolverPool pool(2, nullptr);
+  auto bad = SubmitForFuture(pool, {.query = "zzzz qqqq wwww",
+                                    .options = {},
+                                    .repager = WorkbenchHandle()});
+  auto good = SubmitForFuture(pool, MakeQuery(0));
   EXPECT_FALSE(bad.get().ok());
   EXPECT_TRUE(good.get().ok());
 }
 
-TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
-  MicroBatcherOptions options;
+TEST(SolverPoolTest, QueueBoundShedsWithUnavailable) {
+  SolverPoolOptions options;
   options.max_queue_depth = 1;
-  MicroBatcher batcher(1, options);  // one solve at a time -> backlog builds
+  // One solve at a time -> backlog builds.
+  SolverPool pool(1, nullptr, options);
   // A burst far past the bound: the solver absorbs at most one
   // executing + one queued; the rest must shed inline with Unavailable,
   // not queue without limit.
   constexpr int kBurst = 6;
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
   }
   int ok = 0, shed = 0;
   for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
+    Result<RePagerResult> r = f.get();
     if (r.ok()) {
       ++ok;
     } else {
@@ -162,41 +180,41 @@ TEST(MicroBatcherTest, QueueBoundShedsWithUnavailable) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GE(ok, 1);    // at least the first submission computes
   EXPECT_GE(shed, 1);  // and the burst's tail was shed
-  MicroBatcherStats stats = batcher.Stats();
+  SolverPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.rejected_overload, static_cast<uint64_t>(shed));
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(ok));
   EXPECT_EQ(stats.queue_depth, 0u);  // everything drained or shed
 }
 
-TEST(MicroBatcherTest, UnboundedQueueNeverSheds) {
-  MicroBatcherOptions options;
+TEST(SolverPoolTest, UnboundedQueueNeverSheds) {
+  SolverPoolOptions options;
   options.max_queue_depth = 0;  // explicit opt-out
-  MicroBatcher batcher(1, options);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  SolverPool pool(1, nullptr, options);
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(batcher.Stats().rejected_overload, 0u);
+  EXPECT_EQ(pool.Stats().rejected_overload, 0u);
 }
 
-TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
-  MicroBatcherOptions options;
+TEST(SolverPoolTest, QueueDeadlineExpiresStaleEntries) {
+  SolverPoolOptions options;
   options.queue_deadline = std::chrono::milliseconds(50);
   // The on_solve tap runs on the (only) solver thread: sleeping in it
   // wedges dispatch long enough for everything still queued to age past
   // the deadline — deterministic, no timing races against solve speed.
-  MicroBatcher batcher(1, options, [](double) {
+  SolverPool pool(1, nullptr, options, [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
   });
   constexpr int kBurst = 4;
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
   }
   int ok = 0, expired = 0;
   for (auto& f : futures) {
-    Result<core::RePagerResult> r = f.get();
+    Result<RePagerResult> r = f.get();
     if (r.ok()) {
       ++ok;
     } else {
@@ -212,77 +230,77 @@ TEST(MicroBatcherTest, QueueDeadlineExpiresStaleEntries) {
   EXPECT_GE(ok, 1);
   EXPECT_GE(expired, 1);
   EXPECT_EQ(ok + expired, kBurst);
-  MicroBatcherStats stats = batcher.Stats();
+  SolverPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.deadline_expired, static_cast<uint64_t>(expired));
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
-TEST(MicroBatcherTest, QueueDeadlineDisabledByDefault) {
+TEST(SolverPoolTest, QueueDeadlineDisabledByDefault) {
   // Same wedge as above, but with queue_deadline at its 0 default every
   // entry waits out the stall and still computes.
-  MicroBatcher batcher(1, MicroBatcherOptions{}, [](double) {
+  SolverPool pool(1, nullptr, SolverPoolOptions{}, [](double) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   });
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
-    futures.push_back(SubmitForFuture(batcher, MakeQuery(0)));
+    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(batcher.Stats().deadline_expired, 0u);
+  EXPECT_EQ(pool.Stats().deadline_expired, 0u);
 }
 
-TEST(MicroBatcherTest, ServiceTimeEwmaTracksSolves) {
-  MicroBatcher batcher(2);
-  EXPECT_EQ(batcher.Stats().ewma_item_seconds, 0.0);  // no samples yet
-  auto r = SubmitForFuture(batcher, MakeQuery(0)).get();
+TEST(SolverPoolTest, ServiceTimeEwmaTracksSolves) {
+  SolverPool pool(2, nullptr);
+  EXPECT_EQ(pool.Stats().ewma_item_seconds, 0.0);  // no samples yet
+  auto r = SubmitForFuture(pool, MakeQuery(0)).get();
   ASSERT_TRUE(r.ok());
   // One real solve has been measured; the EWMA is seeded with it.
-  EXPECT_GT(batcher.Stats().ewma_item_seconds, 0.0);
-  EXPECT_LT(batcher.Stats().ewma_item_seconds, 60.0);  // sanity
+  EXPECT_GT(pool.Stats().ewma_item_seconds, 0.0);
+  EXPECT_LT(pool.Stats().ewma_item_seconds, 60.0);  // sanity
 }
 
-TEST(MicroBatcherTest, ShutdownDrainsQueuedRequests) {
-  auto batcher = std::make_unique<MicroBatcher>(2);
-  std::vector<std::future<Result<core::RePagerResult>>> futures;
+TEST(SolverPoolTest, ShutdownDrainsQueuedRequests) {
+  auto pool = std::make_unique<SolverPool>(2, nullptr);
+  std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
-    futures.push_back(SubmitForFuture(*batcher, MakeQuery(0)));
+    futures.push_back(SubmitForFuture(*pool, MakeQuery(0)));
   }
-  batcher->Shutdown();  // must not drop the queued work
+  pool->Shutdown();  // must not drop the queued work
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // Submitting after shutdown fails cleanly instead of hanging.
-  auto late = SubmitForFuture(*batcher, MakeQuery(0));
+  auto late = SubmitForFuture(*pool, MakeQuery(0));
   EXPECT_FALSE(late.get().ok());
 }
 
-TEST(MicroBatcherTest, ShutdownDrainsEverySolver) {
+TEST(SolverPoolTest, ShutdownDrainsEverySolver) {
   // A backlog deeper than the solver count, cut off by Shutdown while
   // every solver is busy: each queued callback fires exactly once, and
   // none with the after-shutdown FailedPrecondition.
   constexpr size_t kSolvers = 3;
   constexpr int kQueries = 12;
-  auto batcher = std::make_unique<MicroBatcher>(kSolvers);
+  auto pool = std::make_unique<SolverPool>(kSolvers, nullptr);
   std::mutex mu;
   std::vector<int> fired(kQueries, 0);
   int failed_precondition = 0;
   for (int i = 0; i < kQueries; ++i) {
-    batcher->SubmitAsync(MakeQuery(static_cast<size_t>(i) % 4),
-                         [&, i](Result<core::RePagerResult> r) {
-                           std::lock_guard<std::mutex> lock(mu);
-                           ++fired[i];
-                           if (!r.ok() && r.status().code() ==
-                                              StatusCode::kFailedPrecondition) {
-                             ++failed_precondition;
-                           }
-                         });
+    pool->SubmitAsync(MakeQuery(static_cast<size_t>(i) % 4),
+                      [&, i](Result<RePagerResult> r) {
+                        std::lock_guard<std::mutex> lock(mu);
+                        ++fired[i];
+                        if (!r.ok() && r.status().code() ==
+                                           StatusCode::kFailedPrecondition) {
+                          ++failed_precondition;
+                        }
+                      });
   }
-  batcher->Shutdown();
+  pool->Shutdown();
   std::lock_guard<std::mutex> lock(mu);
   for (int i = 0; i < kQueries; ++i) EXPECT_EQ(fired[i], 1) << i;
   EXPECT_EQ(failed_precondition, 0);
-  MicroBatcherStats stats = batcher->Stats();
+  SolverPoolStats stats = pool->Stats();
   EXPECT_EQ(stats.batches, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(stats.queue_depth, 0u);
 }
 
 }  // namespace
-}  // namespace rpg::serve
+}  // namespace rpg::core

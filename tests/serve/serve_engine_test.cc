@@ -196,13 +196,13 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
   // waiter; the rest of a burst must shed.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_queue_depth = 1;
+  options.pool.max_queue_depth = 1;
   ServeEngine engine(TestEpoch(wb), options);
   ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
 
   // Distinct `seeds` values make distinct canonical keys, so nothing
-  // coalesces or caches: every request really reaches the batcher.
+  // coalesces or caches: every request really reaches the solver pool.
   constexpr int kBurst = 8;
   std::mutex mu;
   std::vector<ui::HttpResponse> responses;
@@ -234,7 +234,7 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
       continue;
     }
     // The shed path end to end: typed Unavailable -> 429 + Retry-After.
-    // The hint is the batcher's measured drain time, clamped to [1, 30];
+    // The hint is the solver pool's measured drain time, clamped to [1, 30];
     // with a single-entry queue on a fast corpus it resolves to 1, but
     // the contract is the clamp, not the constant.
     EXPECT_EQ(response.status, 429) << response.body;
@@ -267,7 +267,7 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   // DeadlineExceeded -> 503 instead of being solved for nobody.
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.queue_deadline = std::chrono::milliseconds(5);
+  options.pool.queue_deadline = std::chrono::milliseconds(5);
   ServeEngine engine(TestEpoch(wb), options);
   ui::RePagerService service(&engine);
   const auto& entry = wb.bank().Get(0);
@@ -355,7 +355,7 @@ TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
   options.num_threads = 1;
-  options.batcher.max_queue_depth = 1;
+  options.pool.max_queue_depth = 1;
   ServeEngine engine(TestEpoch(wb), options);
   const auto& entry = wb.bank().Get(1);
   // Overload the queue, remembering which seed counts were shed.
