@@ -57,7 +57,7 @@ int main() {
     auto kmb = SolveNewst(g, terminals, classic_options);
     double kmb_ms = kmb_timer.ElapsedMillis();
     Timer fast_timer;
-    auto fast = SolveNewstFast(g, terminals);
+    auto fast = SolveNewst(g, terminals);
     double fast_ms = fast_timer.ElapsedMillis();
     Timer tm_timer;
     auto tm = SolveTakahashiMatsuyama(g, terminals);

@@ -22,11 +22,18 @@ fails (exit 1) when one references:
     prefixes and a trailing argument list allowed), where Type is a
     struct or class defined under src/, the member must be declared in
     that definition or one of its bases — so docs cannot go on naming a
-    deleted option field.
+    deleted option field,
+  - a name that is not declared: in an `ns::Name` token whose leading
+    components are namespaces declared under src/ (`rpg::`, `graph::`,
+    `rpg::text::`, ...), Name must be declared under src/ as a class,
+    struct, enum, alias, function or namespace — so docs cannot go on
+    naming a deleted class.
 
 Before scanning, built-in fixtures check that the bound check catches a
-doc quoting 1.02 against a 1.05 tracing limit, and that the member check
-catches a made-up field of a fixture struct.
+doc quoting 1.02 against a 1.05 tracing limit, that the member check
+catches a made-up field of a fixture struct, and that the name check
+catches `text::TfIdf` against a fixture that declares only
+`text::TfIdfModel`.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -159,10 +166,91 @@ def member_check_self_test():
     return problems
 
 
-SRC_TYPES = declared_members(
-    path.read_text(encoding="utf-8", errors="replace")
-    for path in sorted((ROOT / "src").rglob("*"))
-    if path.suffix in (".h", ".cc"))
+# `namespace rpg::text {`, `namespace internal {`.
+NAMESPACE_RE = re.compile(r"\bnamespace\s+(?P<names>\w+(?:::\w+)*)\s*\{")
+# `class Name`, `struct Name`, `enum class Name`, `using Name =`.
+TYPE_NAME_RE = re.compile(
+    r"\b(?:(?:class|struct|enum(?:\s+class)?)\s+(?:\w+::)*|using\s+)"
+    r"(?P<name>\w+)")
+# A function declaration or definition: a name and its parameter list
+# right after a return type (`Status Foo(`, `std::vector<T> Foo(`,
+# `const T& Foo(`) — not after `.`, `->`, `::` or an operator, as a call
+# would be.
+FUNCTION_RE = re.compile(
+    r"(?:\b(?P<before>\w+)\s+|[>*&]\s*)(?P<name>\w+)\s*\(")
+NOT_RETURN_TYPES = {"return", "new", "delete", "throw", "else", "case",
+                    "co_return", "sizeof", "typename", "operator"}
+
+
+def declared_names(sources):
+    """(namespaces, names) over `sources` (C++ texts): every namespace,
+    and every class, struct, enum, alias and function name declared."""
+    namespaces, names = set(), set()
+    for text in sources:
+        text = CPP_NOISE_RE.sub(" ", DIGIT_SEP_RE.sub("", text))
+        for m in NAMESPACE_RE.finditer(text):
+            namespaces.update(m.group("names").split("::"))
+        names.update(m.group("name") for m in TYPE_NAME_RE.finditer(text))
+        names.update(m.group("name") for m in FUNCTION_RE.finditer(text)
+                     if m.group("before") not in NOT_RETURN_TYPES)
+    return namespaces, names | namespaces
+
+
+def check_name(token, declared):
+    """Problems for an `ns::Name` token whose namespace prefix is declared
+    under src/ but whose Name is not."""
+    namespaces, names = declared
+    m = re.fullmatch(r"(?P<path>\w+(?:::~?\w+)+)(?:\(.*\))?", token)
+    if not m:
+        return []
+    parts = m.group("path").split("::")
+    i = 0
+    while i < len(parts) - 1 and parts[i] in namespaces:
+        i += 1
+    if i == 0 or parts[i] in names:
+        return []
+    return [f"`{token}`: no class, struct, enum, alias or function "
+            f"{parts[i]} is declared under src/"]
+
+
+NAME_FIXTURE = """
+namespace rpg::text {
+using TermId = uint32_t;
+enum class Mode : uint8_t { kA, kB };
+class TfIdfModel {
+ public:
+  SparseVector Vectorize(const std::vector<TermId>& ids) const;
+};
+std::vector<std::string> Tokenize(std::string_view text);
+// class TfIdf was renamed TfIdfModel
+}  // namespace rpg::text
+"""
+
+
+def name_check_self_test():
+    """The name check must flag a doc naming a type that src/ does not
+    declare (a comment mentioning it does not count) and pass real
+    names. Returns problems."""
+    declared = declared_names([NAME_FIXTURE])
+    problems = []
+    for token in ["text::TfIdf", "rpg::text::TfIdf", "text::Tokenizer",
+                  "text::TfIdf::Vectorize()"]:
+        if not check_name(token, declared):
+            problems.append(
+                f"name self-check: undeclared name not caught: `{token}`")
+    for token in ["text::TfIdfModel", "rpg::text::TermId", "text::Mode",
+                  "text::Tokenize()", "text::TfIdfModel::Vectorize",
+                  "rpg::text", "std::vector", "TfIdfModel::Vectorize"]:
+        for problem in check_name(token, declared):
+            problems.append(f"name self-check: false alarm: {problem}")
+    return problems
+
+
+SRC_TEXTS = [path.read_text(encoding="utf-8", errors="replace")
+             for path in sorted((ROOT / "src").rglob("*"))
+             if path.suffix in (".h", ".cc")]
+SRC_TYPES = declared_members(SRC_TEXTS)
+SRC_NAMES = declared_names(SRC_TEXTS)
 
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
@@ -297,12 +385,14 @@ def check_token(token: str):
         if m and m.group(1) not in TARGETS:
             problems.append(
                 f"`{token}` names unknown CMake target {m.group(1)}")
+        problems += check_name(token, SRC_NAMES)
         problems += check_member(token, SRC_TYPES)
     return problems
 
 
 def main() -> int:
-    failures = bound_check_self_test() + member_check_self_test()
+    failures = (bound_check_self_test() + member_check_self_test() +
+                name_check_self_test())
     gate = load_bench_gate()
     bounds = gated_bounds(gate)
     for line_no, problem in check_bounds(gate.__doc__, bounds):

@@ -77,14 +77,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * u * scale;
 }
 
-uint64_t Rng::Geometric(double p) {
-  if (p >= 1.0) return 0;
-  if (p <= 0.0) return 0;
-  double u = UniformDouble();
-  if (u == 0.0) u = 0x1.0p-53;
-  return static_cast<uint64_t>(std::log(u) / std::log(1.0 - p));
-}
-
 uint64_t Rng::Poisson(double mean) {
   if (mean <= 0.0) return 0;
   if (mean > 64.0) {
@@ -99,42 +91,6 @@ uint64_t Rng::Poisson(double mean) {
     ++k;
   }
   return k;
-}
-
-std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
-  if (k > n) k = n;
-  std::vector<uint64_t> out;
-  out.reserve(k);
-  if (k == 0) return out;
-  if (k * 8 >= n) {
-    // Dense case: partial Fisher-Yates over the full index range.
-    std::vector<uint64_t> idx(n);
-    for (uint64_t i = 0; i < n; ++i) idx[i] = i;
-    for (uint64_t i = 0; i < k; ++i) {
-      uint64_t j = i + NextBounded(n - i);
-      std::swap(idx[i], idx[j]);
-      out.push_back(idx[i]);
-    }
-    return out;
-  }
-  // Sparse case: rejection sampling into a sorted probe vector.
-  std::vector<uint64_t> seen;
-  seen.reserve(k);
-  while (out.size() < k) {
-    uint64_t c = NextBounded(n);
-    bool dup = false;
-    for (uint64_t s : seen) {
-      if (s == c) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      seen.push_back(c);
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {

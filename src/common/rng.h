@@ -38,16 +38,9 @@ class Rng {
   /// Standard normal via Box-Muller (deterministic, caches the spare).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Geometric number of failures before first success, p in (0, 1].
-  uint64_t Geometric(double p);
-
   /// Poisson-distributed count with the given mean (Knuth for small means,
   /// normal approximation above 64).
   uint64_t Poisson(double mean);
-
-  /// Samples k distinct indices from [0, n) via partial Fisher-Yates.
-  /// Returns fewer than k when k > n.
-  std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k);
 
   /// Fisher-Yates shuffle.
   template <typename T>

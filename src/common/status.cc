@@ -10,18 +10,12 @@ const char* StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kIoError:
       return "IoError";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kUnavailable:
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:

@@ -13,12 +13,9 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kOutOfRange,
-  kAlreadyExists,
   kFailedPrecondition,
   kIoError,
   kInternal,
-  kUnimplemented,
   /// Transient overload: the serving layer shed this request (queue
   /// bound, connection cap). Safe to retry after backing off; never
   /// cached as a negative result.
@@ -52,12 +49,6 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
@@ -66,9 +57,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
@@ -85,7 +73,6 @@ class Status {
     return code_ == StatusCode::kInvalidArgument;
   }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsIoError() const { return code_ == StatusCode::kIoError; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsDeadlineExceeded() const {

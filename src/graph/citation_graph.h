@@ -46,9 +46,6 @@ class CitationGraph {
     return in_offsets_[v + 1] - in_offsets_[v];
   }
 
-  /// True when u cites v (binary search over u's references).
-  bool HasEdge(PaperId u, PaperId v) const;
-
   /// In-degree == number of citations received.
   size_t CitationCount(PaperId v) const { return InDegree(v); }
 

@@ -1,9 +1,5 @@
 #include "graph/graph_io.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <istream>
 #include <limits>
 #include <unordered_set>
 
@@ -14,68 +10,50 @@ namespace rpg::graph {
 
 namespace {
 
-constexpr uint64_t kMagic = 0x5250475f47524146ULL;  // "RPG_GRAF"
-constexpr uint32_t kVersion = 1;
-
-template <typename T>
-void WriteVec(std::ofstream& os, const std::vector<T>& v) {
-  uint64_t n = v.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(n * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVec(std::istream& is, std::vector<T>* v) {
-  uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!is) return false;
-  if (n > std::numeric_limits<uint64_t>::max() / sizeof(T)) return false;
-  // The length prefix is attacker-controlled: growing in bounded chunks
-  // instead of resize(n) means a lying header fails at its first short
-  // read, not with a multi-GB allocation (the old resize-bomb).
-  constexpr uint64_t kChunkElems = 1u << 16;
-  v->clear();
-  uint64_t remaining = n;
-  while (remaining > 0) {
-    const uint64_t take = std::min(remaining, kChunkElems);
-    const size_t old_size = v->size();
-    v->resize(old_size + static_cast<size_t>(take));
-    is.read(reinterpret_cast<char*>(v->data() + old_size),
-            static_cast<std::streamsize>(take * sizeof(T)));
-    if (!is) return false;
-    remaining -= take;
-  }
-  return true;
-}
-
-/// One direction's CSR arrays must describe `num_nodes` valid spans:
-/// anything less and OutNeighbors/InNeighbors index out of bounds.
+/// The out-CSR arrays must describe `offsets.size() - 1` valid spans:
+/// anything less and OutNeighbors/InNeighbors index out of bounds, and
+/// a span that is not strictly ascending breaks the sorted,
+/// duplicate-free rule the intersection kernels rely on
+/// (common/intersect.h).
 Status ValidateCsr(const std::vector<uint64_t>& offsets,
-                   const std::vector<PaperId>& targets, size_t num_nodes,
-                   const char* which, const std::string& context) {
-  if (offsets.size() != num_nodes + 1) {
-    return Status::InvalidArgument(
-        StrFormat("%s offsets size mismatch: %s", which, context.c_str()));
+                   const std::vector<PaperId>& targets) {
+  if (offsets.empty()) {
+    return Status::InvalidArgument("FromOutCsr: empty offsets");
+  }
+  // Node count must fit PaperId: a graph bigger than that cannot be
+  // addressed by the 32-bit ids the rest of the pipeline uses.
+  const size_t num_nodes = offsets.size() - 1;
+  if (num_nodes > std::numeric_limits<PaperId>::max()) {
+    return Status::InvalidArgument("FromOutCsr: graph too large for PaperId");
   }
   if (offsets.front() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("%s offsets do not start at 0: %s", which, context.c_str()));
+    return Status::InvalidArgument("FromOutCsr: offsets do not start at 0");
   }
-  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+  for (size_t i = 0; i < num_nodes; ++i) {
     if (offsets[i] > offsets[i + 1]) {
-      return Status::InvalidArgument(StrFormat(
-          "%s offsets not monotonic at %zu: %s", which, i, context.c_str()));
+      return Status::InvalidArgument(
+          StrFormat("FromOutCsr: offsets not monotonic at %zu", i));
     }
   }
   if (offsets.back() != targets.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "%s offsets/targets length mismatch: %s", which, context.c_str()));
+    return Status::InvalidArgument(
+        "FromOutCsr: offsets/targets length mismatch");
   }
-  for (size_t i = 0; i < targets.size(); ++i) {
-    if (targets[i] >= num_nodes) {
-      return Status::InvalidArgument(StrFormat(
-          "%s target out of range at %zu: %s", which, i, context.c_str()));
+  for (size_t u = 0; u < num_nodes; ++u) {
+    const uint64_t begin = offsets[u], end = offsets[u + 1];
+    if (begin == end) continue;
+    for (uint64_t i = begin + 1; i < end; ++i) {
+      if (targets[i] <= targets[i - 1]) {
+        return Status::InvalidArgument(StrFormat(
+            "FromOutCsr: span of node %zu not strictly ascending at %zu", u,
+            static_cast<size_t>(i)));
+      }
+    }
+    // The span ascends, so its last target is its largest.
+    if (targets[end - 1] >= num_nodes) {
+      return Status::InvalidArgument(
+          StrFormat("FromOutCsr: target out of range at %zu",
+                    static_cast<size_t>(end - 1)));
     }
   }
   return Status::OK();
@@ -83,71 +61,10 @@ Status ValidateCsr(const std::vector<uint64_t>& offsets,
 
 }  // namespace
 
-Status GraphIo::WriteBinary(const CitationGraph& g, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return Status::IoError("cannot open for write: " + path);
-  os.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-  os.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  WriteVec(os, g.out_offsets_);
-  WriteVec(os, g.out_targets_);
-  WriteVec(os, g.in_offsets_);
-  WriteVec(os, g.in_targets_);
-  if (!os) return Status::IoError("short write: " + path);
-  return Status::OK();
-}
-
-Result<CitationGraph> GraphIo::ReadBinary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for read: " + path);
-  return ReadBinaryFromStream(is, path);
-}
-
-Result<CitationGraph> GraphIo::ReadBinaryFromStream(
-    std::istream& is, const std::string& context) {
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  is.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!is || magic != kMagic) {
-    return Status::InvalidArgument("bad graph file header: " + context);
-  }
-  if (version != kVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported graph version %u", version));
-  }
-  CitationGraph g;
-  if (!ReadVec(is, &g.out_offsets_) || !ReadVec(is, &g.out_targets_) ||
-      !ReadVec(is, &g.in_offsets_) || !ReadVec(is, &g.in_targets_)) {
-    return Status::InvalidArgument("truncated graph file: " + context);
-  }
-  if (g.out_offsets_.empty() ||
-      g.in_offsets_.size() != g.out_offsets_.size()) {
-    return Status::InvalidArgument("inconsistent graph file: " + context);
-  }
-  // Node count must fit PaperId: a graph bigger than that cannot be
-  // addressed by the 32-bit ids the rest of the pipeline uses.
-  const size_t num_nodes = g.out_offsets_.size() - 1;
-  if (num_nodes > std::numeric_limits<PaperId>::max()) {
-    return Status::InvalidArgument("graph too large for PaperId: " + context);
-  }
-  RPG_RETURN_NOT_OK(
-      ValidateCsr(g.out_offsets_, g.out_targets_, num_nodes, "out", context));
-  RPG_RETURN_NOT_OK(
-      ValidateCsr(g.in_offsets_, g.in_targets_, num_nodes, "in", context));
-  return g;
-}
-
 Result<CitationGraph> GraphIo::FromOutCsr(std::vector<uint64_t> out_offsets,
                                           std::vector<PaperId> out_targets) {
-  if (out_offsets.empty()) {
-    return Status::InvalidArgument("FromOutCsr: empty offsets");
-  }
+  RPG_RETURN_NOT_OK(ValidateCsr(out_offsets, out_targets));
   const size_t num_nodes = out_offsets.size() - 1;
-  if (num_nodes > std::numeric_limits<PaperId>::max()) {
-    return Status::InvalidArgument("FromOutCsr: graph too large for PaperId");
-  }
-  RPG_RETURN_NOT_OK(ValidateCsr(out_offsets, out_targets, num_nodes, "out",
-                                "FromOutCsr"));
   CitationGraph g;
   g.out_offsets_ = std::move(out_offsets);
   g.out_targets_ = std::move(out_targets);

@@ -1,7 +1,6 @@
 #ifndef RPG_GRAPH_GRAPH_IO_H_
 #define RPG_GRAPH_GRAPH_IO_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -10,29 +9,9 @@
 
 namespace rpg::graph {
 
-/// Binary (de)serialization and DOT export for citation graphs.
+/// CSR access for the snapshot format and DOT export for citation graphs.
 class GraphIo {
  public:
-  /// Writes the CSR arrays with a magic header + version.
-  static Status WriteBinary(const CitationGraph& g, const std::string& path);
-
-  /// Reads a graph written by WriteBinary. Fails with IoError on missing
-  /// files and InvalidArgument on corrupt/mismatched headers.
-  static Result<CitationGraph> ReadBinary(const std::string& path);
-
-  /// Reads a graph from an already-open binary stream; `context` names
-  /// the source in error messages. The seam ReadBinary delegates to,
-  /// exposed so the fuzz harness and tests can feed arbitrary bytes
-  /// without touching the filesystem. Length prefixes are never trusted
-  /// to size an allocation (a lying header fails on its first short
-  /// read instead of OOMing), and the CSR structure is validated —
-  /// monotonic offsets starting at 0, offsets.back() == target count,
-  /// every target < num_nodes — so a corrupt or hostile file fails with
-  /// InvalidArgument instead of producing a graph whose accessors read
-  /// out of bounds.
-  static Result<CitationGraph> ReadBinaryFromStream(std::istream& is,
-                                                    const std::string& context);
-
   /// Snapshot support — read access to the out-direction CSR arrays.
   static const std::vector<uint64_t>& OutOffsets(const CitationGraph& g) {
     return g.out_offsets_;
@@ -42,10 +21,15 @@ class GraphIo {
   }
 
   /// Snapshot support — builds a graph from out-direction CSR arrays
-  /// alone. The out CSR is validated exactly like ReadBinary's; the
-  /// in-direction is rebuilt as the transpose (counting sort over
-  /// sources, which leaves every in-span sorted ascending), so the two
-  /// directions cannot disagree no matter what the file claimed.
+  /// alone. The arrays come from disk, so they are validated before use:
+  /// offsets start at 0, never decrease and end at the target count,
+  /// every target is < num_nodes, and every span is strictly ascending
+  /// (the sorted, duplicate-free rule of common/intersect.h). A corrupt
+  /// or hostile file fails with InvalidArgument instead of producing a
+  /// graph whose accessors read out of bounds. The in-direction is
+  /// rebuilt as the transpose (counting sort over sources, which leaves
+  /// every in-span sorted ascending), so the two directions cannot
+  /// disagree no matter what the file claimed.
   static Result<CitationGraph> FromOutCsr(std::vector<uint64_t> out_offsets,
                                           std::vector<PaperId> out_targets);
 

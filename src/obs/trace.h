@@ -192,30 +192,6 @@ class TraceContext {
   bool has_steiner_ = false;
 };
 
-/// RAII span: records [construction, destruction) into `ctx`. A null
-/// context makes it a no-op (and skips the clock reads entirely).
-class ScopedSpan {
- public:
-  ScopedSpan(TraceContext* ctx, Stage stage) : ctx_(ctx), stage_(stage) {
-    if (ctx_ != nullptr) start_ = ctx_->NowNs();
-  }
-  ~ScopedSpan() {
-    if (ctx_ != nullptr) {
-      ctx_->AddSpan(stage_, start_, ctx_->NowNs() - start_, value_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void set_value(uint64_t value) { value_ = value; }
-
- private:
-  TraceContext* ctx_;
-  Stage stage_;
-  uint64_t start_ = 0;
-  uint64_t value_ = 0;
-};
-
 /// Emits the spans of `set` as a JSON array value
 /// ([{"stage","start_ms","dur_ms","value"},...]) into `w`, which must be
 /// in value position.

@@ -5,32 +5,26 @@
 
 namespace rpg::rank {
 
-namespace {
-
-/// Shared power iteration. `out_degree(u)` and `in_neighbors(v, fn)` are
-/// provided by the caller so the same loop serves full graphs and
-/// subgraphs.
-template <typename OutDegreeFn, typename ForEachInNeighborFn>
-std::vector<double> PowerIterate(size_t n, OutDegreeFn out_degree,
-                                 ForEachInNeighborFn for_each_in_neighbor,
-                                 const PageRankOptions& options) {
+std::vector<double> PageRank(const graph::CitationGraph& g,
+                             const PageRankOptions& options) {
+  const size_t n = g.num_nodes();
   if (n == 0) return {};
   std::vector<double> rank(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n, 0.0);
   const double base = (1.0 - options.damping) / static_cast<double>(n);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     double dangling = 0.0;
-    for (size_t u = 0; u < n; ++u) {
-      if (out_degree(u) == 0) dangling += rank[u];
+    for (graph::PaperId u = 0; u < n; ++u) {
+      if (g.OutDegree(u) == 0) dangling += rank[u];
     }
     double dangling_share =
         options.damping * dangling / static_cast<double>(n);
     double delta = 0.0;
-    for (size_t v = 0; v < n; ++v) {
+    for (graph::PaperId v = 0; v < n; ++v) {
       double sum = 0.0;
-      for_each_in_neighbor(v, [&](size_t u) {
-        sum += rank[u] / static_cast<double>(out_degree(u));
-      });
+      for (graph::PaperId u : g.InNeighbors(v)) {
+        sum += rank[u] / static_cast<double>(g.OutDegree(u));
+      }
       next[v] = base + dangling_share + options.damping * sum;
       delta += std::abs(next[v] - rank[v]);
     }
@@ -38,33 +32,6 @@ std::vector<double> PowerIterate(size_t n, OutDegreeFn out_degree,
     if (delta < options.tolerance) break;
   }
   return rank;
-}
-
-}  // namespace
-
-std::vector<double> PageRank(const graph::CitationGraph& g,
-                             const PageRankOptions& options) {
-  return PowerIterate(
-      g.num_nodes(),
-      [&](size_t u) { return g.OutDegree(static_cast<graph::PaperId>(u)); },
-      [&](size_t v, auto&& fn) {
-        for (graph::PaperId u : g.InNeighbors(static_cast<graph::PaperId>(v)))
-          fn(u);
-      },
-      options);
-}
-
-std::vector<double> PageRankOnSubgraph(const graph::Subgraph& sg,
-                                       const PageRankOptions& options) {
-  return PowerIterate(
-      sg.num_nodes(),
-      [&](size_t u) {
-        return sg.OutNeighbors(static_cast<uint32_t>(u)).size();
-      },
-      [&](size_t v, auto&& fn) {
-        for (uint32_t u : sg.InNeighbors(static_cast<uint32_t>(v))) fn(u);
-      },
-      options);
 }
 
 std::vector<double> NormalizeByMax(std::vector<double> scores) {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/citation_graph.h"
-#include "graph/subgraph.h"
 
 namespace rpg::rank {
 
@@ -21,10 +20,6 @@ struct PageRankOptions {
 /// to 1.
 std::vector<double> PageRank(const graph::CitationGraph& g,
                              const PageRankOptions& options = {});
-
-/// PageRank restricted to a subgraph (local ids).
-std::vector<double> PageRankOnSubgraph(const graph::Subgraph& sg,
-                                       const PageRankOptions& options = {});
 
 /// Divides by the max so the top paper scores 1 (used by the node-weight
 /// formula so pgscore and venue score share a scale). No-op on empty

@@ -260,12 +260,4 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
   return result;
 }
 
-Result<SteinerResult> SolveNewstFast(const WeightedGraph& g,
-                                     const std::vector<uint32_t>& terminals,
-                                     const NewstOptions& options) {
-  NewstOptions fast = options;
-  fast.closure_mode = ClosureMode::kMehlhorn;
-  return SolveNewst(g, terminals, fast);
-}
-
 }  // namespace rpg::steiner

@@ -84,13 +84,6 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
                                  const std::vector<uint32_t>& terminals,
                                  const NewstOptions& options = {});
 
-/// SolveNewst with options.closure_mode forced to kMehlhorn — the
-/// single-pass fast path, exposed by name for benches and call sites that
-/// want the speedup regardless of ambient options.
-Result<SteinerResult> SolveNewstFast(const WeightedGraph& g,
-                                     const std::vector<uint32_t>& terminals,
-                                     const NewstOptions& options = {});
-
 }  // namespace rpg::steiner
 
 #endif  // RPG_STEINER_NEWST_H_

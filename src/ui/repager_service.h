@@ -32,7 +32,7 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///                               (docs/observability.md)
 ///   GET  /api/stats             live serving metrics (http reactor
 ///                               gauges, cache hit/miss incl. negative
-///                               entries, batch sizes, latency
+///                               entries, solver-pool queue, latency
 ///                               percentiles, per-stage attribution) as
 ///                               JSON
 ///   GET  /metrics               the same instruments in Prometheus text
@@ -102,8 +102,11 @@ class RePagerService {
 
   /// POST /api/admin/reload: body is a snapshot path. Loads and fully
   /// verifies it, then SwapEpoch. Runs inline on the calling (poller)
-  /// thread — the load is milliseconds for mmap snapshots; other
-  /// pollers keep serving meanwhile.
+  /// thread, so every connection on that poller waits for the whole
+  /// load and checksum audit: about 175 ms for perfbench's 64.7 MB
+  /// snapshot on a 4-vCPU VM. Other pollers keep serving. Moving the
+  /// load off the poller is ROADMAP.md open item 3 ("Reload without
+  /// stalling a poller").
   HttpResponse HandleReload(const HttpRequest& request) const;
 
   /// The /api/stats document: engine stats + the reactor's http section.

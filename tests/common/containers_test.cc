@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "common/csv_writer.h"
 #include "common/histogram.h"
 #include "common/json_writer.h"
 #include "common/table_printer.h"
@@ -83,38 +80,6 @@ TEST(TablePrinterTest, DoubleRowFormatsDecimals) {
   t.AddRow("x", {0.12345, 0.5}, 4);
   EXPECT_NE(t.ToString().find("0.1235"), std::string::npos);
   EXPECT_NE(t.ToString().find("0.5000"), std::string::npos);
-}
-
-// -------------------------------------------------------------- CsvWriter
-
-TEST(CsvTest, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::EscapeField("plain"), "plain");
-  EXPECT_EQ(CsvWriter::EscapeField("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::EscapeField("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::EscapeField("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvTest, WriteRowRoundTripsThroughParse) {
-  std::ostringstream os;
-  CsvWriter w(&os);
-  std::vector<std::string> row = {"a", "b,c", "d\"e", ""};
-  w.WriteRow(row);
-  std::string line = os.str();
-  ASSERT_FALSE(line.empty());
-  line.pop_back();  // strip trailing newline
-  auto parsed = ParseCsvLine(line);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value(), row);
-}
-
-TEST(CsvTest, ParseRejectsUnterminatedQuote) {
-  EXPECT_TRUE(ParseCsvLine("\"open").status().IsInvalidArgument());
-}
-
-TEST(CsvTest, ParseEmptyLineYieldsOneEmptyField) {
-  auto parsed = ParseCsvLine("");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value(), std::vector<std::string>{""});
 }
 
 // -------------------------------------------------------------- JsonWriter

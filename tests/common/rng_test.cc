@@ -103,15 +103,6 @@ TEST(RngTest, NormalMomentsRoughlyCorrect) {
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
 }
 
-TEST(RngTest, GeometricMeanMatches) {
-  Rng r(17);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(r.Geometric(0.5));
-  // Mean of failures-before-success at p = 0.5 is 1.
-  EXPECT_NEAR(sum / n, 1.0, 0.1);
-}
-
 TEST(RngTest, PoissonSmallAndLargeMeans) {
   Rng r(19);
   double sum = 0.0;
@@ -122,25 +113,6 @@ TEST(RngTest, PoissonSmallAndLargeMeans) {
   for (int i = 0; i < n; ++i) sum += static_cast<double>(r.Poisson(100.0));
   EXPECT_NEAR(sum / n, 100.0, 1.5);
   EXPECT_EQ(r.Poisson(0.0), 0u);
-}
-
-TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {
-  Rng r(23);
-  for (uint64_t n : {uint64_t{10}, uint64_t{100}, uint64_t{5000}}) {
-    for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{5}, n / 2, n}) {
-      auto sample = r.SampleWithoutReplacement(n, k);
-      EXPECT_EQ(sample.size(), k);
-      std::set<uint64_t> distinct(sample.begin(), sample.end());
-      EXPECT_EQ(distinct.size(), k);
-      for (uint64_t v : sample) EXPECT_LT(v, n);
-    }
-  }
-}
-
-TEST(RngTest, SampleMoreThanPopulationClamps) {
-  Rng r(29);
-  auto sample = r.SampleWithoutReplacement(5, 50);
-  EXPECT_EQ(sample.size(), 5u);
 }
 
 TEST(RngTest, ShufflePreservesElements) {

@@ -107,18 +107,6 @@ TEST(TraceContextTest, AppendRebasedShiftsOntoRequestAxis) {
   EXPECT_EQ(ctx.spans().spans[1].dur_ns, 2000u);
 }
 
-TEST(ScopedSpanTest, RecordsOnDestructionAndIgnoresNullContext) {
-  TraceContext ctx;
-  {
-    ScopedSpan span(&ctx, Stage::kSubgraph);
-    span.set_value(9);
-  }
-  ASSERT_EQ(ctx.spans().count, 1u);
-  EXPECT_EQ(ctx.spans().spans[0].stage, Stage::kSubgraph);
-  EXPECT_EQ(ctx.spans().spans[0].value, 9u);
-  { ScopedSpan noop(nullptr, Stage::kRank); }  // must not crash
-}
-
 TEST(SlowQueryLogLineTest, RendersRequestKeySpansAndSteiner) {
   TraceContext ctx;
   ctx.set_request_id(7);

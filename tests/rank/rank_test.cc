@@ -74,17 +74,6 @@ TEST(PageRankTest, ChainAccumulatesDownstream) {
   EXPECT_GT(pr[1], pr[2]);
 }
 
-TEST(PageRankTest, SubgraphVariantAgreesOnWholeGraph) {
-  auto g = Star();
-  std::vector<graph::PaperId> all = {0, 1, 2, 3, 4};
-  graph::Subgraph sg(g, all);
-  auto whole = PageRank(g);
-  auto sub = PageRankOnSubgraph(sg);
-  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
-    EXPECT_NEAR(sub[local], whole[sg.ToGlobal(local)], 1e-9);
-  }
-}
-
 TEST(NormalizeByMaxTest, TopBecomesOne) {
   auto norm = NormalizeByMax({0.1, 0.4, 0.2});
   EXPECT_DOUBLE_EQ(norm[1], 1.0);

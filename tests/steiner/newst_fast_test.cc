@@ -35,14 +35,14 @@ NewstOptions Mode(ClosureMode m) {
 }
 
 TEST(NewstFastTest, WithinKmbBoundOfExactOptimum) {
-  // SolveNewstFast vs the Dreyfus-Wagner optimum on randomized graphs:
+  // Mehlhorn-mode SolveNewst vs the Dreyfus-Wagner optimum on randomized graphs:
   // the Mehlhorn construction must keep the 2(1 - 1/l) <= 2x guarantee.
   Rng rng(2024);
   for (int trial = 0; trial < 30; ++trial) {
     WeightedGraph g = RandomConnected(&rng, 14, 12);
     auto terminals = RandomTerminals(&rng, 14, 5);
     auto exact = SolveExactSteiner(g, terminals);
-    auto fast = SolveNewstFast(g, terminals);
+    auto fast = SolveNewst(g, terminals, Mode(ClosureMode::kMehlhorn));
     ASSERT_TRUE(exact.ok() && fast.ok());
     EXPECT_GE(fast->total_cost, exact->total_cost - 1e-9) << "trial " << trial;
     EXPECT_LE(fast->total_cost, 2.0 * exact->total_cost + 1e-9)
@@ -166,7 +166,7 @@ TEST(NewstFastTest, TotalCostMatchesTreeCostInFastMode) {
   for (int trial = 0; trial < 10; ++trial) {
     WeightedGraph g = RandomConnected(&rng, 30, 40);
     auto terminals = RandomTerminals(&rng, 30, 8);
-    auto fast = SolveNewstFast(g, terminals);
+    auto fast = SolveNewst(g, terminals, Mode(ClosureMode::kMehlhorn));
     ASSERT_TRUE(fast.ok());
     EXPECT_NEAR(fast->total_cost, g.TreeCost(fast->edges), 1e-9);
     EXPECT_TRUE(fast->unreachable_terminals.empty());

@@ -10,6 +10,7 @@
 #include "steiner/mst.h"
 #include "steiner/newst.h"
 #include "steiner/weighted_graph.h"
+#include "test_graphs.h"
 
 namespace rpg::steiner {
 namespace {
@@ -618,10 +619,7 @@ TEST_P(NewstTest, WithinKmbBoundOfOptimumOnRandomGraphs) {
       if (u != v) b.AddEdge(u, v, rng.UniformDouble(0.2, 3.0));
     }
     WeightedGraph g = b.Build();
-    std::vector<uint32_t> terminals;
-    for (uint64_t t : rng.SampleWithoutReplacement(n, 3)) {
-      terminals.push_back(static_cast<uint32_t>(t));
-    }
+    std::vector<uint32_t> terminals = RandomTerminals(&rng, n, 3);
     auto r = SolveNewst(g, terminals, Options());
     ASSERT_TRUE(r.ok());
     CheckTreeInvariants(g, r.value(), terminals);

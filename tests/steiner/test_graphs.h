@@ -1,7 +1,9 @@
 #ifndef RPG_TESTS_STEINER_TEST_GRAPHS_H_
 #define RPG_TESTS_STEINER_TEST_GRAPHS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,12 +30,26 @@ inline WeightedGraph RandomConnected(Rng* rng, uint32_t n, int extra_edges) {
   return b.Build();
 }
 
-/// k distinct random terminals in [0, n).
+/// k distinct random terminals in [0, n) (fewer when k > n): partial
+/// Fisher-Yates when k >= n / 8, rejection sampling below that.
 inline std::vector<uint32_t> RandomTerminals(Rng* rng, uint32_t n,
                                              uint32_t k) {
+  k = std::min(k, n);
   std::vector<uint32_t> terminals;
-  for (uint64_t t : rng->SampleWithoutReplacement(n, k)) {
-    terminals.push_back(static_cast<uint32_t>(t));
+  if (uint64_t{k} * 8 >= n) {
+    std::vector<uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    for (uint32_t i = 0; i < k; ++i) {
+      std::swap(idx[i], idx[i + rng->NextBounded(n - i)]);
+      terminals.push_back(idx[i]);
+    }
+    return terminals;
+  }
+  while (terminals.size() < k) {
+    const auto t = static_cast<uint32_t>(rng->NextBounded(n));
+    if (std::find(terminals.begin(), terminals.end(), t) == terminals.end()) {
+      terminals.push_back(t);
+    }
   }
   return terminals;
 }
