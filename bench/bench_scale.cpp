@@ -168,7 +168,6 @@ int main() {
     input.pagerank = &wb.pagerank();
     input.venue_scores = &wb.venue_scores();
     input.engine = &wb.google();
-    input.matcher = &wb.matcher();
     input.corpus_seed = options.corpus.seed;
 
     const std::string path =

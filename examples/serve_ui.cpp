@@ -197,19 +197,17 @@ int main(int argc, char** argv) {
         if (mtime == 0 || mtime == serving_mtime || mtime == rejected_mtime) {
           continue;
         }
-        uint64_t next_id = engine.CurrentEpoch()->id() + 1;
-        auto epoch_or = serve::LoadEpochFromSnapshot(snapshot_path, next_id);
+        auto epoch_or = engine.ReloadFromSnapshot(snapshot_path);
         if (!epoch_or.ok()) {
           std::fprintf(stderr, "watch-snapshot: reload rejected: %s\n",
                        epoch_or.status().ToString().c_str());
           rejected_mtime = mtime;
           continue;
         }
-        engine.SwapEpoch(epoch_or.value());
         serving_mtime = mtime;
         rejected_mtime = 0;
         std::printf("watch-snapshot: flipped to epoch %llu\n",
-                    static_cast<unsigned long long>(next_id));
+                    static_cast<unsigned long long>(epoch_or.value()->id()));
       }
     });
   }

@@ -1,8 +1,9 @@
 // Offline snapshot builder: generates the synthetic corpus at a chosen
-// scale, builds the full serving substrate (engines, PageRank, weight
-// model, embeddings), and serializes it into one mmap-loadable snapshot
-// file (docs/snapshot.md). Pay the multi-second build cost once here;
-// `serve_ui --snapshot=FILE` then boots in milliseconds.
+// scale, builds the serving substrate (graph, search index, PageRank,
+// weight-model inputs), and serializes it into one mmap-loadable
+// snapshot file (docs/snapshot.md). The §VI-A baseline's embeddings are
+// not written: no serving stage reads them. Pay the multi-second build
+// cost once here; `serve_ui --snapshot=FILE` then boots in milliseconds.
 //
 // Usage: snapshot_build [--out=FILE] [--papers=N] [--seed=S] [--relabel]
 //   --out=FILE   output path (default corpus.snap)
@@ -81,7 +82,6 @@ int main(int argc, char** argv) {
   input.pagerank = &wb.pagerank();
   input.venue_scores = &wb.venue_scores();
   input.engine = &wb.google();
-  input.matcher = &wb.matcher();
   input.params = options.params;
   input.corpus_seed = options.corpus.seed;
 

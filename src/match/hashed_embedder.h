@@ -49,9 +49,8 @@ class HashedEmbedder {
 };
 
 /// Cosine similarity of two embeddings (0 when either is all-zero or
-/// dimensions mismatch). The span overload scores against rows of a
-/// flat (possibly mmap-backed) embedding matrix with the exact same
-/// arithmetic, so snapshot-loaded scores are bit-identical.
+/// dimensions mismatch). Spans let it score against rows of the
+/// matcher's flat embedding matrix without a copy.
 double CosineSimilarity(std::span<const float> a, std::span<const float> b);
 
 }  // namespace rpg::match

@@ -13,24 +13,11 @@ SemanticMatcher::SemanticMatcher(const std::vector<std::string>& titles,
   RPG_CHECK(titles.size() == abstracts.size());
   num_docs_ = titles.size();
   const size_t dim = static_cast<size_t>(embedder_.dim());
-  owned_.reserve(num_docs_ * dim);
+  embeddings_.reserve(num_docs_ * dim);
   for (size_t i = 0; i < num_docs_; ++i) {
     Embedding e = embedder_.EmbedDocument(titles[i], abstracts[i]);
-    owned_.insert(owned_.end(), e.begin(), e.end());
+    embeddings_.insert(embeddings_.end(), e.begin(), e.end());
   }
-  view_ = owned_;
-}
-
-std::unique_ptr<SemanticMatcher> SemanticMatcher::FromPrecomputed(
-    std::span<const float> embeddings, size_t num_docs,
-    const HashedEmbedderOptions& options) {
-  auto matcher =
-      std::unique_ptr<SemanticMatcher>(new SemanticMatcher(options));
-  RPG_CHECK(embeddings.size() ==
-            num_docs * static_cast<size_t>(matcher->embedder_.dim()));
-  matcher->view_ = embeddings;
-  matcher->num_docs_ = num_docs;
-  return matcher;
 }
 
 std::vector<Match> SemanticMatcher::Rerank(

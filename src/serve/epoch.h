@@ -25,9 +25,8 @@
 ///
 /// Construction paths:
 ///  - LoadEpochFromSnapshot(): the production reload path — mmaps the
-///    file, runs the FULL checksum audit (including the lazily-verified
-///    embeddings section) and fails closed, leaving the serving epoch
-///    untouched on any error.
+///    file, checksums every section once, decodes, and fails closed,
+///    leaving the serving epoch untouched on any error.
 ///  - Create(): wraps an in-process-built substrate (eval::Workbench or
 ///    anything else) with a type-erased owner keeping it alive.
 ///
@@ -114,13 +113,14 @@ class Epoch {
   Info info_;
 };
 
-/// The production reload path: mmap + decode the snapshot, then run the
-/// FULL checksum audit (SnapshotReader::VerifyAllChecksums — including
-/// the embeddings section that open-time validation defers) before the
-/// epoch becomes visible to anyone. Fail-closed: any error (missing
-/// file, corrupt section, failed wiring) returns a typed Status naming
-/// the offending layer and constructs nothing — the caller's serving
-/// epoch is untouched.
+/// The production reload path: mmap the snapshot, checksum every section
+/// (SnapshotReader::Open hashes each byte exactly once, retired and
+/// unknown sections included), then decode — all before the epoch
+/// becomes visible to anyone. Fail-closed: any error (missing file,
+/// corrupt section, failed wiring) returns a typed Status naming the
+/// offending layer and constructs nothing — the caller's serving epoch
+/// is untouched. Serving code reloads through
+/// ServeEngine::ReloadFromSnapshot, which also picks the id.
 Result<EpochHandle> LoadEpochFromSnapshot(const std::string& path,
                                           uint64_t id);
 

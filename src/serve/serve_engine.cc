@@ -319,6 +319,17 @@ void ServeEngine::SwapEpoch(EpochHandle next) {
   // response destroys it. Either way: never under epoch_mu_.
 }
 
+Result<EpochHandle> ServeEngine::ReloadFromSnapshot(const std::string& path) {
+  // Held across choosing the id, the load and the swap: two overlapping
+  // reloads would otherwise both publish CurrentEpoch()->id() + 1, and
+  // the cache and single-flight keys would take one epoch for the other.
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  RPG_ASSIGN_OR_RETURN(EpochHandle next,
+                       LoadEpochFromSnapshot(path, CurrentEpoch()->id() + 1));
+  SwapEpoch(next);
+  return next;
+}
+
 size_t ServeEngine::ClearCache() {
   size_t entries = cache_.Stats().entries;
   cache_.Clear();

@@ -132,6 +132,14 @@ class ServeEngine {
   /// any thread, including concurrently with serving traffic.
   void SwapEpoch(EpochHandle next);
 
+  /// Loads the snapshot at `path` (LoadEpochFromSnapshot) as the epoch
+  /// after the current one and installs it with SwapEpoch. Reloads
+  /// queue: each holds one mutex from choosing its id to its swap, so
+  /// concurrent reloads publish distinct, increasing ids in the order
+  /// they acquire it. Fail-closed: on error nothing is swapped. Blocks
+  /// for the whole load.
+  Result<EpochHandle> ReloadFromSnapshot(const std::string& path);
+
   /// The epoch new requests would be served on right now (one
   /// shared_ptr copy; never null).
   EpochHandle CurrentEpoch() const;
@@ -199,6 +207,8 @@ class ServeEngine {
   /// last SwapEpoch, rendered in /api/stats.
   uint64_t epoch_flips_ = 0;
   int64_t last_reload_unix_ms_ = 0;
+  /// Serializes ReloadFromSnapshot (never held by request paths).
+  std::mutex reload_mu_;
 
   /// Single-flight table: epoch id + canonical key -> the flight every
   /// duplicate concurrent request registers a waiter on. The epoch

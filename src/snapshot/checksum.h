@@ -7,9 +7,8 @@
 namespace rpg::snapshot {
 
 /// FNV-1a 64-bit over a byte range — the same stable, dependency-free
-/// hash the embedder uses for feature hashing. Fast enough to checksum
-/// every decoded snapshot section at load time; the multi-hundred-MB
-/// embedding section is only verified on demand (see SnapshotReader).
+/// hash the embedder uses for feature hashing. SnapshotReader runs it
+/// over every snapshot section at open.
 inline uint64_t Fnv1a64(const void* data, size_t size,
                         uint64_t seed = 0xcbf29ce484222325ULL) {
   const unsigned char* p = static_cast<const unsigned char*>(data);

@@ -10,14 +10,16 @@
 /// The fixed-size little-endian header names a section table (TOC) at
 /// the end of the file; each 32-byte TOC entry carries a section id, its
 /// absolute offset (8-byte aligned), size, and FNV-1a checksum. Readers
-/// validate header magic/version/checksum, then the TOC checksum and
-/// every entry's bounds, before touching any section — a truncated or
-/// bit-flipped file fails closed with a typed InvalidArgument.
+/// validate header magic/version/checksum, the TOC checksum, every
+/// entry's bounds and every section's checksum before touching any
+/// section — a truncated or bit-flipped file fails closed with a typed
+/// InvalidArgument.
 ///
 /// Versioning rules: readers accept exactly kVersion. Any layout change
 /// (new required section, changed encoding) bumps kVersion; adding an
-/// OPTIONAL section id does not, because unknown ids are ignored by
-/// readers (forward-compatible for additive features).
+/// OPTIONAL section id does not, and neither does retiring one, because
+/// readers skip ids they do not decode (forward-compatible for additive
+/// features, backward-compatible for retired ones).
 
 #include <cstdint>
 
@@ -51,7 +53,8 @@ static_assert(sizeof(SnapshotHeader) == 80);
 inline constexpr uint64_t kHeaderSize = sizeof(SnapshotHeader);
 
 /// Section identifiers. Required sections must all be present; optional
-/// ones depend on header flags. Unknown ids are skipped by readers.
+/// ones depend on header flags. Unknown and retired ids are skipped by
+/// readers (checksummed, never decoded).
 enum class SectionId : uint32_t {
   /// Varint/delta-encoded out-adjacency (codec.h). In-edges are the
   /// exact transpose, rebuilt at load via a counting sort — storing one
@@ -74,12 +77,13 @@ enum class SectionId : uint32_t {
   /// profile name. Per-doc years come from kYears; per-doc citation
   /// counts are the graph's in-degrees.
   kEngineMeta = 10,
-  /// u32 dim, u32 use_bigrams, f64 title_weight (embedder options).
-  kEmbedMeta = 11,
-  /// Raw f32[n * dim] row-major document embeddings. 8-byte aligned and
-  /// served zero-copy straight out of the mapping (lazy page-in); its
-  /// checksum is verified only by VerifyAllChecksums(), not at load.
-  kEmbeddings = 12,
+  /// Retired ids, reserved so they are never reused: older files carry
+  /// the baseline matcher's embedder options (11) and its raw
+  /// f32[n * dim] embedding matrix (12), which nothing on the serving
+  /// path reads. Writers no longer emit them; readers checksum and skip
+  /// them like any unknown id.
+  kRetiredEmbedMeta = 11,
+  kRetiredEmbeddings = 12,
   kParams = 13,      ///< f64[5] NEWST {alpha, beta, gamma, a, b}
   /// u32[n] new-id -> original-id map; present iff kFlagRelabeled.
   kIdMap = 14,

@@ -209,30 +209,6 @@ Status ServingState::Build() {
     }
   }
 
-  // Embeddings: options + the zero-copy matrix view.
-  match::HashedEmbedderOptions embed_options;
-  std::span<const float> embeddings;
-  {
-    RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
-                         reader.Section(SectionId::kEmbedMeta));
-    ByteReader r(bytes);
-    uint32_t dim = 0, use_bigrams = 0;
-    if (!r.Get(&dim) || !r.Get(&use_bigrams) ||
-        !r.Get(&embed_options.title_weight) || !r.AtEnd()) {
-      return Malformed("embed_meta");
-    }
-    if (dim == 0 || dim > (1u << 20)) return Malformed("embed_meta");
-    embed_options.dim = static_cast<int>(dim);
-    embed_options.use_bigrams = use_bigrams != 0;
-    RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> matrix,
-                         reader.Section(SectionId::kEmbeddings));
-    if (matrix.size() != n * static_cast<size_t>(dim) * sizeof(float)) {
-      return Malformed("embeddings");
-    }
-    embeddings = {reinterpret_cast<const float*>(matrix.data()),
-                  matrix.size() / sizeof(float)};
-  }
-
   {
     RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
                          reader.Section(SectionId::kParams));
@@ -274,8 +250,6 @@ Status ServingState::Build() {
       engine_, search::SearchEngine::Restore(std::move(docs), profile,
                                              std::move(index), max_citations,
                                              min_year, max_year));
-  matcher_ = match::SemanticMatcher::FromPrecomputed(embeddings, n,
-                                                     embed_options);
   weights_ = std::make_unique<rank::WeightModel>(&graph_, pagerank_,
                                                  venue_scores_, params_);
   repager_ = std::make_unique<core::RePaGer>(&graph_, engine_.get(),

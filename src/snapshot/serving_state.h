@@ -4,12 +4,12 @@
 /// \file
 /// Boots the complete serving substrate out of a snapshot file: the CSR
 /// citation graph (out-edges decoded, in-edges rebuilt as the exact
-/// transpose), the restored BM25 engine, the weight model, a
-/// zero-copy-backed semantic matcher, and a RePaGer wired over all of
-/// them — the snapshot-side twin of eval::Workbench, minus the synthetic
-/// corpus and survey bank. Everything decoded is validated; the
-/// embeddings matrix is the one section served straight out of the
-/// mapping (lazy page-in), which the owned SnapshotReader keeps alive.
+/// transpose), the restored BM25 engine, the weight model, and a RePaGer
+/// wired over all of them — the snapshot-side twin of eval::Workbench,
+/// minus the synthetic corpus, the survey bank and the §VI-A baseline
+/// matcher. Every section is checksummed at open and everything decoded
+/// is validated; sections the pipeline does not read (retired or
+/// unknown ids) are never decoded.
 
 #include <memory>
 #include <string>
@@ -18,7 +18,6 @@
 #include "common/result.h"
 #include "core/repager.h"
 #include "graph/citation_graph.h"
-#include "match/semantic_matcher.h"
 #include "rank/weight_model.h"
 #include "search/search_engine.h"
 #include "snapshot/snapshot_reader.h"
@@ -43,7 +42,6 @@ class ServingState {
   const std::vector<double>& pagerank() const { return pagerank_; }
   const std::vector<double>& venue_scores() const { return venue_scores_; }
   const search::SearchEngine& engine() const { return *engine_; }
-  const match::SemanticMatcher& matcher() const { return *matcher_; }
   const rank::WeightModel& weights() const { return *weights_; }
   const core::RePaGer& repager() const { return *repager_; }
   const rank::NewstParams& params() const { return params_; }
@@ -70,7 +68,6 @@ class ServingState {
   rank::NewstParams params_;
   std::vector<graph::PaperId> new_to_old_;
   std::unique_ptr<search::SearchEngine> engine_;
-  std::unique_ptr<match::SemanticMatcher> matcher_;
   std::unique_ptr<rank::WeightModel> weights_;
   std::unique_ptr<core::RePaGer> repager_;
 };

@@ -27,8 +27,8 @@ const char* SectionName(uint32_t id) {
     case SectionId::kDocLengths: return "doc_lengths";
     case SectionId::kIndexMeta: return "index_meta";
     case SectionId::kEngineMeta: return "engine_meta";
-    case SectionId::kEmbedMeta: return "embed_meta";
-    case SectionId::kEmbeddings: return "embeddings";
+    case SectionId::kRetiredEmbedMeta: return "embed_meta (retired)";
+    case SectionId::kRetiredEmbeddings: return "embeddings (retired)";
     case SectionId::kParams: return "params";
     case SectionId::kIdMap: return "id_map";
   }
@@ -147,11 +147,10 @@ Status SnapshotReader::Validate(const SnapshotReaderOptions& options,
 
   // 4. Required sections present (kIdMap required iff relabeled).
   static constexpr SectionId kRequired[] = {
-      SectionId::kGraphOut,   SectionId::kTitles,     SectionId::kYears,
-      SectionId::kVenueScores, SectionId::kPagerank,  SectionId::kVocab,
-      SectionId::kPostings,   SectionId::kDocLengths, SectionId::kIndexMeta,
-      SectionId::kEngineMeta, SectionId::kEmbedMeta,  SectionId::kEmbeddings,
-      SectionId::kParams,
+      SectionId::kGraphOut,    SectionId::kTitles,     SectionId::kYears,
+      SectionId::kVenueScores, SectionId::kPagerank,   SectionId::kVocab,
+      SectionId::kPostings,    SectionId::kDocLengths, SectionId::kIndexMeta,
+      SectionId::kEngineMeta,  SectionId::kParams,
   };
   for (SectionId id : kRequired) {
     if (!HasSection(id)) {
@@ -165,17 +164,12 @@ Status SnapshotReader::Validate(const SnapshotReaderOptions& options,
         "snapshot: relabeled flag set but id_map missing: " + context);
   }
 
-  // 5. Section checksums — everything except the embeddings matrix,
-  // which stays lazy (VerifyAllChecksums covers it).
-  if (options.verify_checksums) {
-    for (const SectionEntry& e : sections_) {
-      if (e.id == static_cast<uint32_t>(SectionId::kEmbeddings)) continue;
-      if (Fnv1a64(data_.data() + e.offset, e.size) != e.checksum) {
-        return Status::InvalidArgument(
-            StrFormat("snapshot: section %s checksum mismatch: %s",
-                      SectionName(e.id), context.c_str()));
-      }
-    }
+  // 5. Every section's checksum, whether its id is known, unknown or
+  // retired: no byte of an opened snapshot goes unverified.
+  if (!options.verify_checksums) return Status::OK();
+  Status status = VerifyAllChecksums();
+  if (!status.ok()) {
+    return Status::InvalidArgument(status.message() + ": " + context);
   }
   return Status::OK();
 }

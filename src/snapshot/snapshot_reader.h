@@ -4,10 +4,9 @@
 /// \file
 /// mmap-based zero-copy snapshot reader. Open() maps the file read-only
 /// and validates header magic/version/checksum, the TOC, every entry's
-/// bounds, and (by default) every section checksum except the large
-/// embeddings matrix — that one stays lazy so opening a multi-GB
-/// snapshot does not fault every page in; VerifyAllChecksums() does the
-/// full pass on demand. Any inconsistency fails closed with a typed
+/// bounds, and (by default) every section checksum — known, unknown and
+/// retired ids alike, so each byte is hashed exactly once before a
+/// caller sees it. Any inconsistency fails closed with a typed
 /// InvalidArgument before a single section byte is interpreted.
 
 #include <cstdint>
@@ -22,10 +21,9 @@
 namespace rpg::snapshot {
 
 struct SnapshotReaderOptions {
-  /// Verify per-section checksums at open (all sections except
-  /// kEmbeddings, which is always deferred to VerifyAllChecksums so
-  /// lazy page-in survives). Header and TOC checksums are always
-  /// verified regardless.
+  /// Verify every section checksum at open. Only the fuzz harness turns
+  /// this off, so mutated bytes reach the section decoders; header and
+  /// TOC checksums are verified regardless.
   bool verify_checksums = true;
 };
 
@@ -57,8 +55,9 @@ class SnapshotReader {
   /// The section's bytes, or InvalidArgument when absent.
   Result<std::span<const uint8_t>> Section(SectionId id) const;
 
-  /// Verifies every section checksum, including kEmbeddings (faults in
-  /// the whole file). InvalidArgument names the first bad section.
+  /// Re-verifies every section checksum (Open already did, unless
+  /// `verify_checksums` was off). InvalidArgument names the first bad
+  /// section.
   Status VerifyAllChecksums() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <fstream>
 #include <numeric>
 
@@ -197,19 +196,15 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
                      const SnapshotWriterOptions& options) {
   if (input.graph == nullptr || input.titles == nullptr ||
       input.years == nullptr || input.pagerank == nullptr ||
-      input.venue_scores == nullptr || input.engine == nullptr ||
-      input.matcher == nullptr) {
+      input.venue_scores == nullptr || input.engine == nullptr) {
     return Status::InvalidArgument("snapshot: null input substrate");
   }
   const size_t n = input.graph->num_nodes();
   const search::InvertedIndex& index = input.engine->index();
-  const size_t dim = static_cast<size_t>(input.matcher->embedder().dim());
   if (input.titles->size() != n || input.years->size() != n ||
       input.pagerank->size() != n || input.venue_scores->size() != n ||
       input.engine->num_documents() != n ||
-      input.matcher->num_docs() != n ||
-      index.doc_lengths().size() != n ||
-      input.matcher->embeddings().size() != n * dim) {
+      index.doc_lengths().size() != n) {
     return Status::InvalidArgument(
         StrFormat("snapshot: substrate sizes disagree (graph has %zu "
                   "papers)",
@@ -299,33 +294,6 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
     w.Put<double>(profile.recency_boost);
     w.PutString(profile.name);
     file.AddSection(SectionId::kEngineMeta, buf);
-  }
-
-  // Embeddings: the dominant section, written raw so the reader can
-  // serve it zero-copy out of the mapping.
-  {
-    const match::HashedEmbedderOptions& eo =
-        input.matcher->embedder().options();
-    std::vector<uint8_t> buf;
-    ByteWriter w(&buf);
-    w.Put<uint32_t>(static_cast<uint32_t>(eo.dim));
-    w.Put<uint32_t>(eo.use_bigrams ? 1 : 0);
-    w.Put<double>(eo.title_weight);
-    file.AddSection(SectionId::kEmbedMeta, buf);
-
-    const std::span<const float> flat = input.matcher->embeddings();
-    if (options.relabel) {
-      std::vector<float> permuted(flat.size());
-      for (size_t u = 0; u < n; ++u) {
-        std::memcpy(permuted.data() + u * dim, flat.data() + perm[u] * dim,
-                    dim * sizeof(float));
-      }
-      file.AddSection(SectionId::kEmbeddings, permuted.data(),
-                      permuted.size() * sizeof(float));
-    } else {
-      file.AddSection(SectionId::kEmbeddings, flat.data(),
-                      flat.size() * sizeof(float));
-    }
   }
 
   {

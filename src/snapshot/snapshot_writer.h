@@ -3,8 +3,8 @@
 
 /// \file
 /// Offline snapshot writer: serializes the complete immutable serving
-/// state (CSR citation graph, inverted index, embeddings, per-paper
-/// metadata, NEWST params) into one section-table file (format.h) that
+/// state (CSR citation graph, inverted index, per-paper metadata, NEWST
+/// params) into one section-table file (format.h) that
 /// SnapshotReader/ServingState can boot from via mmap. "Write once
 /// offline, read many at serve time": build-side cost (varint/delta
 /// compression, optional BFS relabeling for cache-friendly node order)
@@ -32,6 +32,9 @@ struct SnapshotInput {
   const std::vector<double>* pagerank = nullptr;
   const std::vector<double>* venue_scores = nullptr;
   const search::SearchEngine* engine = nullptr;
+  /// Ignored: serving never reads embeddings, so snapshots no longer
+  /// carry the baseline matcher's matrix. Kept while callers still set
+  /// it.
   const match::SemanticMatcher* matcher = nullptr;
   rank::NewstParams params;
   /// Provenance recorded in the header (0 = unknown).

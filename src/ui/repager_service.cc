@@ -173,8 +173,7 @@ HttpResponse RePagerService::HandleReload(const HttpRequest& request) const {
     return {400, "application/json",
             "{\"error\":\"reload body must be a snapshot path\"}"};
   }
-  const uint64_t next_id = engine_->CurrentEpoch()->id() + 1;
-  auto epoch_or = serve::LoadEpochFromSnapshot(path, next_id);
+  auto epoch_or = engine_->ReloadFromSnapshot(path);
   if (!epoch_or.ok()) {
     // Fail-closed: nothing was swapped; the serving epoch is untouched.
     // Corrupt sections surface as InvalidArgument naming the layer
@@ -192,7 +191,6 @@ HttpResponse RePagerService::HandleReload(const HttpRequest& request) const {
     return {code, "application/json", w.str()};
   }
   serve::EpochHandle epoch = std::move(epoch_or).value();
-  engine_->SwapEpoch(epoch);
   JsonWriter w;
   w.BeginObject();
   w.Key("reloaded").Bool(true);

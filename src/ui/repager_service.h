@@ -43,9 +43,10 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 ///   POST /api/cache/clear       drops the query cache; returns the
 ///                               number of entries dropped
 ///   POST /api/admin/reload      body: a snapshot path. Loads + fully
-///                               checksum-audits the snapshot, then
-///                               flips the serving epoch
-///                               (ServeEngine::SwapEpoch). Fail-closed:
+///                               checksums the snapshot, then flips the
+///                               serving epoch
+///                               (ServeEngine::ReloadFromSnapshot;
+///                               concurrent reloads queue). Fail-closed:
 ///                               any load/verify error returns 400/404
 ///                               naming the offending layer and leaves
 ///                               the serving epoch untouched. In-flight
@@ -100,11 +101,12 @@ class RePagerService {
   /// Maps a pipeline error to the /api/path error response.
   static HttpResponse ErrorResponse(const Status& status);
 
-  /// POST /api/admin/reload: body is a snapshot path. Loads and fully
-  /// verifies it, then SwapEpoch. Runs inline on the calling (poller)
-  /// thread, so every connection on that poller waits for the whole
-  /// load and checksum audit: about 175 ms for perfbench's 64.7 MB
-  /// snapshot on a 4-vCPU VM. Other pollers keep serving. Moving the
+  /// POST /api/admin/reload: body is a snapshot path.
+  /// ServeEngine::ReloadFromSnapshot loads and checksums it, then swaps;
+  /// concurrent reloads queue on its mutex and get distinct ids. Runs
+  /// inline on the calling (poller) thread, so every connection on that
+  /// poller waits for the whole load and checksum pass (and for any
+  /// reload queued ahead of it). Other pollers keep serving. Moving the
   /// load off the poller is ROADMAP.md open item 3 ("Reload without
   /// stalling a poller").
   HttpResponse HandleReload(const HttpRequest& request) const;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -294,6 +295,78 @@ TEST(EpochTest, ReloadEndpointFlipsAndRejectsCorrupt) {
   EXPECT_EQ(engine.CurrentEpoch()->id(), 2u);
 
   std::filesystem::remove(corrupt_path);
+}
+
+TEST(EpochTest, ByteFlipInAnySectionRejectsReload) {
+  // Every byte is checksummed once before an epoch is published: a flip
+  // anywhere in the section payloads fails the load, including in the
+  // retired sections older files still carry and nothing decodes.
+  const std::vector<uint8_t> image =
+      snapshot::WithRetiredSections(EpochSnapshotImage(false));
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "rpg_epoch_test_section_flip.snap")
+                        .string();
+  for (const snapshot::SectionEntry& e : snapshot::TocOf(image)) {
+    ASSERT_GT(e.size, 0u);
+    std::vector<uint8_t> bad = image;
+    bad[e.offset + e.size / 2] ^= 0x10;
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(reinterpret_cast<const char*>(bad.data()),
+               static_cast<std::streamsize>(bad.size()));
+    }
+    auto state_or = snapshot::ServingState::Load(path);
+    ASSERT_FALSE(state_or.ok()) << "section " << e.id;
+    EXPECT_TRUE(state_or.status().IsInvalidArgument())
+        << state_or.status().ToString();
+    auto epoch_or = LoadEpochFromSnapshot(path, 2);
+    ASSERT_FALSE(epoch_or.ok()) << "section " << e.id;
+    EXPECT_TRUE(epoch_or.status().IsInvalidArgument())
+        << epoch_or.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(EpochTest, ConcurrentReloadsQueueWithDistinctIds) {
+  // Reloads racing on several pollers: each POST holds the engine's
+  // reload mutex from choosing its id to its swap, so no two publish the
+  // same id (the cache and single-flight keys would confuse them) and
+  // the last one lands on 1 + N.
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(LoadTestEpoch(false, 1), options);
+  ui::RePagerService service(&engine);
+
+  constexpr int kReloads = 6;
+  std::atomic<int> ready{0};
+  std::vector<ui::HttpResponse> responses(kReloads);
+  std::vector<std::thread> pollers;
+  for (int i = 0; i < kReloads; ++i) {
+    pollers.emplace_back([&, i] {
+      ui::HttpRequest reload;
+      reload.method = "POST";
+      reload.path = "/api/admin/reload";
+      reload.body = EpochSnapshotPath(/*relabel=*/i % 2 == 0);
+      ++ready;
+      while (ready.load() < kReloads) std::this_thread::yield();
+      responses[i] = service.Handle(reload);
+    });
+  }
+  for (std::thread& t : pollers) t.join();
+
+  std::vector<uint64_t> ids;
+  for (const ui::HttpResponse& r : responses) {
+    ASSERT_EQ(r.status, 200) << r.body;
+    const size_t at = r.body.find("\"epoch\":");
+    ASSERT_NE(at, std::string::npos) << r.body;
+    ids.push_back(std::stoull(r.body.substr(at + 8)));
+  }
+  std::sort(ids.begin(), ids.end());
+  for (int i = 0; i < kReloads; ++i) {
+    EXPECT_EQ(ids[i], static_cast<uint64_t>(i + 2));
+  }
+  EXPECT_EQ(engine.CurrentEpoch()->id(), 1u + kReloads);
+  EXPECT_EQ(engine.epoch_flips(), static_cast<uint64_t>(kReloads));
 }
 
 TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {

@@ -278,28 +278,59 @@ TEST(SnapshotReaderTest, SectionChecksumFlipFailsClosedUnlessDisabled) {
   FAIL() << "graph section not found";
 }
 
-TEST(SnapshotReaderTest, EmbeddingsCorruptionCaughtOnlyByFullVerify) {
-  auto image = TestSnapshotImage(/*relabel=*/false);
-  SnapshotHeader header;
-  std::memcpy(&header, image.data(), sizeof(header));
-  std::vector<SectionEntry> entries(header.section_count);
-  std::memcpy(entries.data(), image.data() + header.toc_offset,
-              header.toc_size);
-  for (const SectionEntry& e : entries) {
-    if (e.id != static_cast<uint32_t>(SectionId::kEmbeddings)) continue;
+/// Files from older writers carry the retired embedding sections. They
+/// still open, and the pipeline they serve never reads those bytes: its
+/// answers equal the current layout's bit for bit.
+TEST(SnapshotReaderTest, OldLayoutImageServesIdentically) {
+  const std::vector<uint8_t> current = TestSnapshotImage(/*relabel=*/false);
+  std::vector<uint8_t> old_layout = WithRetiredSections(current);
+  ASSERT_GT(old_layout.size(), current.size());
+  auto reader_or = SnapshotReader::FromBuffer(old_layout);
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  EXPECT_TRUE(reader_or.value()->HasSection(SectionId::kRetiredEmbeddings));
+
+  auto old_or = ServingState::LoadFromBuffer(std::move(old_layout));
+  auto new_or = ServingState::LoadFromBuffer(current);
+  ASSERT_TRUE(old_or.ok()) << old_or.status().ToString();
+  ASSERT_TRUE(new_or.ok()) << new_or.status().ToString();
+  const auto& bank = TestWorkbench().bank();
+  for (size_t i = 0; i < bank.size(); ++i) {
+    const std::string& query = bank.Get(i).query;
+    auto a = old_or.value()->repager().Generate(query);
+    auto b = new_or.value()->repager().Generate(query);
+    ASSERT_EQ(a.ok(), b.ok()) << query;
+    if (!a.ok()) continue;
+    EXPECT_EQ(a->path.nodes(), b->path.nodes()) << query;
+    EXPECT_EQ(a->path.edges(), b->path.edges()) << query;
+    EXPECT_EQ(a->ranked, b->ranked) << query;
+    EXPECT_EQ(a->initial_seeds, b->initial_seeds) << query;
+    EXPECT_EQ(a->terminals, b->terminals) << query;
+    EXPECT_EQ(a->subgraph_nodes, b->subgraph_nodes) << query;
+    EXPECT_EQ(a->subgraph_edges, b->subgraph_edges) << query;
+  }
+}
+
+/// Retired sections are never decoded, but their bytes are still
+/// checksummed at open like every other section's.
+TEST(SnapshotReaderTest, RetiredSectionByteFlipFailsClosed) {
+  const std::vector<uint8_t> image =
+      WithRetiredSections(TestSnapshotImage(/*relabel=*/false));
+  int flipped = 0;
+  for (const SectionEntry& e : TocOf(image)) {
+    if (e.id != static_cast<uint32_t>(SectionId::kRetiredEmbedMeta) &&
+        e.id != static_cast<uint32_t>(SectionId::kRetiredEmbeddings)) {
+      continue;
+    }
     ASSERT_GT(e.size, 0u);
     auto bad = image;
-    bad[e.offset] ^= 0x01;
-    // Lazy by design: open succeeds (embeddings are not hashed at load,
-    // preserving page-in laziness) ...
-    auto reader_or = SnapshotReader::FromBuffer(std::move(bad));
-    ASSERT_TRUE(reader_or.ok());
-    // ... but the explicit full verification catches it.
-    Status status = reader_or.value()->VerifyAllChecksums();
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    return;
+    bad[e.offset + e.size / 2] ^= 0x01;
+    EXPECT_EQ(OpenCode(bad), StatusCode::kInvalidArgument) << e.id;
+    auto state_or = ServingState::LoadFromBuffer(std::move(bad));
+    ASSERT_FALSE(state_or.ok()) << e.id;
+    EXPECT_EQ(state_or.status().code(), StatusCode::kInvalidArgument);
+    ++flipped;
   }
-  FAIL() << "embeddings section not found";
+  EXPECT_EQ(flipped, 2);
 }
 
 TEST(SnapshotReaderTest, TocLiesFailClosed) {

@@ -132,12 +132,6 @@ TEST(SnapshotDifferentialTest, LoadedSubstrateFieldsMatch) {
   EXPECT_FALSE(state.relabeled());
   EXPECT_TRUE(state.new_to_old().empty());
 
-  // Embeddings: the mmap-backed matrix equals the built one bit for bit.
-  auto a = state.matcher().embeddings();
-  auto b = wb.matcher().embeddings();
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-
   // Graph: full adjacency identity.
   const auto& ga = state.graph();
   const auto& gb = wb.corpus().citations;
@@ -162,7 +156,6 @@ TEST(SnapshotDifferentialTest, RewriteFromLoadedStateIsByteIdentical) {
   input.pagerank = &state.pagerank();
   input.venue_scores = &state.venue_scores();
   input.engine = &state.engine();
-  input.matcher = &state.matcher();
   input.params = state.params();
   input.corpus_seed = state.corpus_seed();
 
@@ -214,17 +207,12 @@ TEST(SnapshotRelabelTest, SubstrateMapsBackExactly) {
   const auto& map = state.new_to_old();
   ASSERT_EQ(map.size(), wb.titles().size());
 
-  const size_t dim =
-      static_cast<size_t>(state.matcher().embedder().dim());
   for (size_t new_id = 0; new_id < map.size(); ++new_id) {
     const graph::PaperId old_id = map[new_id];
     EXPECT_EQ(state.titles()[new_id], wb.titles()[old_id]);
     EXPECT_EQ(state.years()[new_id], wb.years()[old_id]);
     EXPECT_EQ(state.pagerank()[new_id], wb.pagerank()[old_id]);
     EXPECT_EQ(state.venue_scores()[new_id], wb.venue_scores()[old_id]);
-    auto row = state.matcher().doc_embedding(static_cast<uint32_t>(new_id));
-    auto orig = wb.matcher().embeddings().subspan(old_id * dim, dim);
-    ASSERT_TRUE(std::equal(row.begin(), row.end(), orig.begin())) << new_id;
   }
 }
 
