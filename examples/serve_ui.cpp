@@ -37,6 +37,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/timer.h"
 #include "eval/workbench.h"
@@ -235,8 +236,11 @@ int main(int argc, char** argv) {
   }
 
   // Smoke test: one cold request, then the same query again — the second
-  // must come back from the cache.
+  // must come back from the cache, and its path bytes (everything from
+  // "nodes": on) must equal the cold reply's: a hit splices the bytes the
+  // miss rendered.
   int exit_code = 0;
+  std::string cold_path;
   for (int round = 0; round < 2; ++round) {
     auto json_or = service.PathJson(self_test_query, 30, self_test_year);
     if (!json_or.ok()) {
@@ -252,6 +256,22 @@ int main(int argc, char** argv) {
                 json_or.value().size(), cached ? " (cache hit)" : "");
     if ((round == 1) != cached && cache_mb > 0) {
       std::fprintf(stderr, "self-test cache behaviour unexpected\n");
+      exit_code = 1;
+      break;
+    }
+    const size_t nodes_at = json_or.value().find("\"nodes\":");
+    if (nodes_at == std::string::npos) {
+      std::fprintf(stderr, "self-test reply has no \"nodes\" field\n");
+      exit_code = 1;
+      break;
+    }
+    std::string path = json_or.value().substr(nodes_at);
+    if (round == 0) {
+      cold_path = std::move(path);
+    } else if (path != cold_path) {
+      std::fprintf(stderr,
+                   "self-test warm reply differs from the cold reply from "
+                   "\"nodes\": on\n");
       exit_code = 1;
       break;
     }

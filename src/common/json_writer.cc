@@ -133,4 +133,12 @@ JsonWriter& JsonWriter::Raw(const std::string& json) {
   return *this;
 }
 
+JsonWriter& JsonWriter::RawMembers(const std::string& members) {
+  if (members.empty()) return *this;
+  if (need_comma_.back()) out_.push_back(',');
+  need_comma_.back() = true;
+  out_ += members;
+  return *this;
+}
+
 }  // namespace rpg

@@ -34,6 +34,12 @@ class JsonWriter {
   /// embedding serve::MetricsRegistry::ToJson().
   JsonWriter& Raw(const std::string& json);
 
+  /// Splices pre-serialized object members (`"k":v,...`, no braces)
+  /// into the current object (comma handling applies; the caller
+  /// guarantees the members are valid). Lets a reply embed members that
+  /// were rendered once and stored — serve/path_json.h.
+  JsonWriter& RawMembers(const std::string& members);
+
   const std::string& str() const { return out_; }
 
   /// JSON string escaping (quotes, backslash, control characters).

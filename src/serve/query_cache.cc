@@ -44,8 +44,8 @@ std::string CanonicalQueryKey(const std::string& query, int num_seeds,
          std::to_string(year_cutoff);
 }
 
-size_t EstimateResultBytes(const core::RePagerResult& result) {
-  size_t bytes = sizeof(core::RePagerResult);
+size_t EstimateResultBytes(const RenderedResult& result) {
+  size_t bytes = sizeof(RenderedResult) + result.path_json.capacity();
   bytes += result.ranked.capacity() * sizeof(graph::PaperId);
   bytes += result.initial_seeds.capacity() * sizeof(graph::PaperId);
   bytes += result.terminals.capacity() * sizeof(graph::PaperId);

@@ -27,9 +27,10 @@
 /// let /api/stats show a flip's cache cost directly.
 ///
 /// Ownership / thread-safety model:
-///  - Entries are std::shared_ptr<const core::RePagerResult>: the cache
-///    and any number of in-flight responses share one immutable result;
-///    eviction only drops the cache's reference.
+///  - Entries are std::shared_ptr<const RenderedResult>: the cache and
+///    any number of in-flight responses share one immutable result and
+///    its pre-rendered reply bytes; eviction only drops the cache's
+///    reference.
 ///  - The key space is split across N shards (a power of two), each with
 ///    its own mutex + LRU list, so concurrent lookups on different keys
 ///    rarely contend. All public methods are safe from any thread.
@@ -44,14 +45,28 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/repager.h"
 
 namespace rpg::serve {
 
+/// A pipeline result plus the path part of its /api/path reply
+/// (serve/path_json.h), rendered once on the solver thread that computed
+/// it. The bytes depend only on the result and the epoch that computed
+/// it, so they share the result's lifetime, epoch stamp and byte budget.
+struct RenderedResult : core::RePagerResult {
+  RenderedResult() = default;
+  RenderedResult(core::RePagerResult result, std::string path_json)
+      : core::RePagerResult(std::move(result)),
+        path_json(std::move(path_json)) {}
+
+  std::string path_json;
+};
+
 /// A cached, immutable, shareable pipeline result.
-using CachedResult = std::shared_ptr<const core::RePagerResult>;
+using CachedResult = std::shared_ptr<const RenderedResult>;
 
 /// One cached outcome: a shared result (positive entry) or the error
 /// Status the same query produced last time (negative entry).
@@ -71,9 +86,10 @@ struct CachedValue {
 std::string CanonicalQueryKey(const std::string& query, int num_seeds,
                               int year_cutoff);
 
-/// Estimated heap footprint of one result (vectors + path), used for the
-/// cache's byte accounting. An estimate, not an exact malloc census.
-size_t EstimateResultBytes(const core::RePagerResult& result);
+/// Estimated heap footprint of one result (vectors + path + rendered
+/// reply bytes), used for the cache's byte accounting. An estimate, not
+/// an exact malloc census.
+size_t EstimateResultBytes(const RenderedResult& result);
 
 struct QueryCacheOptions {
   /// Total byte budget across all shards. 0 caches nothing.

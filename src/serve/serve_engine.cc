@@ -6,6 +6,7 @@
 
 #include "common/json_writer.h"
 #include "common/logging.h"
+#include "serve/path_json.h"
 
 namespace rpg::serve {
 
@@ -212,11 +213,13 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
           deadline_exceeded_total_->Increment();
         }
         if (computed.ok()) ObserveStages(*computed);
+        // Render the reply's path bytes here, once per computed result:
+        // the cache entry, this requester and every coalesced waiter
+        // then share them, and each reply only splices them in.
         Result<CachedResult> outcome =
             computed.ok()
                 ? Result<CachedResult>(
-                      std::make_shared<const core::RePagerResult>(
-                          std::move(computed).value()))
+                      RenderResult(std::move(computed).value(), *epoch))
                 : Result<CachedResult>(computed.status());
         PublishOutcome(key, flight_key, eid, flight, outcome);
         FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,

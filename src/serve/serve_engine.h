@@ -26,9 +26,11 @@
 ///      free solver thread, one query per dispatch; the BatchQuery
 ///      carries the epoch's substrate handle, so the solver works on
 ///      the request's epoch even if a flip happened meanwhile
-///   5. completed results are inserted into the cache stamped with the
-///      request's epoch (deterministic errors as negative entries);
-///      every stage increments MetricsRegistry counters/histograms
+///   5. a completed result gets its reply path bytes rendered once, on
+///      the solver thread (RenderResult, serve/path_json.h), and is
+///      inserted into the cache stamped with the request's epoch
+///      (deterministic errors as negative entries); every stage
+///      increments MetricsRegistry counters/histograms
 ///
 /// Results are bit-identical to serial RePaGer::Generate on the same
 /// epoch in every path (cache hit, coalesced, solved) — asserted by

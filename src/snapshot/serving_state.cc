@@ -107,6 +107,9 @@ Result<std::unique_ptr<ServingState>> ServingState::Load(
   auto state = std::unique_ptr<ServingState>(new ServingState());
   RPG_ASSIGN_OR_RETURN(state->reader_, SnapshotReader::Open(path, options));
   RPG_RETURN_NOT_OK(state->Build());
+  // Build copied every section it reads into owned memory, and serving
+  // never reads the mapping again: release the pages open hashed.
+  state->reader_->ReleaseResidentPages();
   return state;
 }
 

@@ -59,7 +59,11 @@ class ServingState {
   /// Decodes every section and wires the substrate together.
   Status Build();
 
-  std::unique_ptr<SnapshotReader> reader_;  ///< keeps the mapping alive
+  /// Keeps the mapping alive for reader() (header fields, checksums).
+  /// Load releases its resident pages once Build has decoded every
+  /// section into the owned members below; pages fault back in from the
+  /// file on demand.
+  std::unique_ptr<SnapshotReader> reader_;
   graph::CitationGraph graph_;
   std::vector<std::string> titles_;
   std::vector<uint16_t> years_;

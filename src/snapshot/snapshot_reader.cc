@@ -202,4 +202,9 @@ Status SnapshotReader::VerifyAllChecksums() const {
   return Status::OK();
 }
 
+void SnapshotReader::ReleaseResidentPages() const {
+  // Advisory: on failure the pages simply stay resident.
+  if (mmap_base_ != nullptr) ::madvise(mmap_base_, mmap_size_, MADV_DONTNEED);
+}
+
 }  // namespace rpg::snapshot

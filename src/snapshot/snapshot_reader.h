@@ -60,6 +60,14 @@ class SnapshotReader {
   /// section.
   Status VerifyAllChecksums() const;
 
+  /// Drops this process's resident pages of the mapping
+  /// (madvise(MADV_DONTNEED)); a no-op for buffer-backed readers. The
+  /// mapping stays valid: a later read faults its pages back in from
+  /// the file. ServingState calls it once everything is decoded into
+  /// owned memory, so a live epoch does not also hold the whole file
+  /// in its RSS.
+  void ReleaseResidentPages() const;
+
  private:
   SnapshotReader() = default;
 

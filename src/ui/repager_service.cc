@@ -2,14 +2,13 @@
 
 #include <cstdlib>
 #include <future>
-#include <unordered_set>
 
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/prometheus.h"
-#include "obs/trace.h"
 #include "serve/epoch.h"
+#include "serve/path_json.h"
 
 namespace rpg::ui {
 
@@ -52,98 +51,13 @@ RePagerService::RePagerService(serve::ServeEngine* engine)
   RPG_CHECK(engine_ != nullptr);
 }
 
-std::string RePagerService::RenderPathJson(const std::string& query,
-                                           const serve::ServeResponse& response,
-                                           bool debug,
-                                           const obs::TraceContext* trace) {
-  // Render from the epoch this response was served on: the response's
-  // handle keeps it alive through rendering, and after a flip an
-  // in-flight old-epoch response must render with ITS titles / years /
-  // importances, not the new epoch's.
-  const serve::Epoch& epoch = *response.epoch;
-  const core::RePaGer& repager = epoch.repager();
-  const std::vector<std::string>& titles = *epoch.titles();
-  const std::vector<uint16_t>& years = *epoch.years();
-  const core::RePagerResult& result = *response.result;
-  std::unordered_set<graph::PaperId> seeds(result.initial_seeds.begin(),
-                                           result.initial_seeds.end());
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("query").String(query);
-  w.Key("subgraph_nodes").UInt(result.subgraph_nodes);
-  w.Key("subgraph_edges").UInt(result.subgraph_edges);
-  // Original pipeline compute time (a property of the cached result) vs
-  // what this request actually waited inside the serving layer.
-  w.Key("seconds").Double(result.total_seconds);
-  w.Key("serve_seconds").Double(response.e2e_seconds);
-  w.Key("cache_hit").Bool(response.cache_hit);
-  w.Key("nodes").BeginArray();
-  for (graph::PaperId p : result.path.nodes()) {
-    w.BeginObject();
-    w.Key("id").UInt(p);
-    w.Key("title").String(titles[p]);
-    w.Key("year").Int(years[p]);
-    // Node-weight legend: a * pgscore + b * venue, higher = more
-    // important in the whole reading path (§V panel e).
-    w.Key("importance").Double(repager.Importance(p));
-    // Green vs gray marking of Fig. 9: was the paper in the engine's
-    // initial top-K, or surfaced by citation analysis?
-    w.Key("from_engine").Bool(seeds.contains(p));
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("edges").BeginArray();
-  for (const auto& [first, next] : result.path.edges()) {
-    w.BeginObject();
-    w.Key("read_first").UInt(first);
-    w.Key("read_next").UInt(next);
-    w.EndObject();
-  }
-  w.EndArray();
-  // Navigation bar (§V panel b): the flattened reading order.
-  w.Key("reading_order").BeginArray();
-  for (graph::PaperId p : result.path.FlattenedOrder(years)) w.UInt(p);
-  w.EndArray();
-  if (debug) {
-    // Stage breakdown of the result's own solve (cached results keep the
-    // attribution of their original computation) plus, when this request
-    // carried a trace, the raw request-scoped spans.
-    w.Key("debug").BeginObject();
-    w.Key("stages").BeginObject();
-    for (obs::Stage stage : obs::kPipelineStages) {
-      w.Key(obs::StageName(stage)).Double(result.stages.StageMs(stage));
-    }
-    w.EndObject();
-    w.Key("stage_total_ms").Double(result.stages.TotalMs());
-    w.Key("pipeline_total_ms").Double(result.total_seconds * 1e3);
-    w.Key("steiner").BeginObject();
-    w.Key("nodes_settled").UInt(result.steiner_stats.nodes_settled);
-    w.Key("heap_pushes").UInt(result.steiner_stats.heap_pushes);
-    w.Key("closure_edges").UInt(result.steiner_stats.closure_edges);
-    w.Key("dijkstra_runs").UInt(result.steiner_stats.dijkstra_runs);
-    w.Key("closure_seconds").Double(result.steiner_stats.closure_seconds);
-    w.EndObject();
-    if (trace != nullptr) {
-      w.Key("trace").BeginObject();
-      w.Key("request_id").UInt(trace->request_id());
-      w.Key("query_key").String(trace->query_key());
-      w.Key("spans");
-      obs::AppendSpansJson(trace->spans(), &w);
-      w.EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndObject();
-  return w.str();
-}
-
 Result<std::string> RePagerService::PathJson(const std::string& query,
                                              int num_seeds,
                                              int year_cutoff) const {
   RPG_ASSIGN_OR_RETURN(serve::ServeResponse response,
                        engine_->Generate(query, num_seeds, year_cutoff));
-  return RenderPathJson(query, response, /*debug=*/false,
-                        /*trace=*/nullptr);
+  return serve::RenderPathJson(query, response, /*debug=*/false,
+                               /*trace=*/nullptr);
 }
 
 HttpResponse RePagerService::ErrorResponse(const Status& status) {
@@ -338,8 +252,8 @@ void RePagerService::HandleAsync(const HttpRequest& request,
             return;
           }
           done({200, "application/json",
-                RenderPathJson(query, response.value(), debug,
-                               trace.get())});
+                serve::RenderPathJson(query, response.value(), debug,
+                                      trace.get())});
         });
     return;
   }

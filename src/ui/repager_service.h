@@ -59,10 +59,10 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 /// blocking wrapper kept for tests and the serve_ui self-test.
 class RePagerService {
  public:
-  /// Every response renders from its own epoch's substrate
-  /// (titles/years/repager ride on the ServeResponse's epoch handle), so
-  /// the service needs nothing beyond the engine and reloads require no
-  /// re-wiring here. The engine must outlive the service.
+  /// Replies splice the path bytes the engine rendered from the
+  /// computing epoch's substrate (serve/path_json.h), so the service
+  /// needs nothing beyond the engine and reloads require no re-wiring
+  /// here. The engine must outlive the service.
   explicit RePagerService(serve::ServeEngine* engine);
 
   /// Optional: lets /api/stats report the HTTP reactor's own gauges
@@ -84,20 +84,6 @@ class RePagerService {
                                int year_cutoff) const;
 
  private:
-  /// Renders one served response as the /api/path JSON document. Static
-  /// on purpose: the GenerateAsync continuation must not capture the
-  /// service (`this`) — a compute finishing after the service was
-  /// destroyed (server stopped mid-flight) may still run this. The
-  /// response's own epoch handle supplies (and keeps alive) the
-  /// substrate it renders from.
-  /// `debug` appends the "debug" object (stage breakdown + trace spans);
-  /// `trace` may be null even in debug mode (tracing disabled) — the
-  /// result-attached stage spans still render.
-  static std::string RenderPathJson(const std::string& query,
-                                    const serve::ServeResponse& response,
-                                    bool debug,
-                                    const obs::TraceContext* trace);
-
   /// Maps a pipeline error to the /api/path error response.
   static HttpResponse ErrorResponse(const Status& status);
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -134,6 +135,26 @@ TEST(EpochTest, SnapshotEpochCarriesMetadata) {
   EXPECT_GT(epoch->info().num_edges, 0u);
   EXPECT_EQ(epoch->info().source, EpochSnapshotPath(false));
   EXPECT_GT(epoch->info().loaded_unix_ms, 0);
+}
+
+/// The reply from `"nodes":` on: the path fragment rendered once per
+/// computed result and spliced into every reply of it.
+std::string PathPart(const std::string& body) {
+  size_t at = body.find("\"nodes\":");
+  return at == std::string::npos ? body : body.substr(at);
+}
+
+/// `query`'s path part as a fresh, uncached engine on `epoch` renders
+/// it.
+std::string ReferencePathPart(EpochHandle epoch, const std::string& query) {
+  ServeEngineOptions options;
+  options.num_threads = 1;
+  options.cache.max_bytes = 0;
+  ServeEngine engine(std::move(epoch), options);
+  ui::RePagerService service(&engine);
+  auto body = service.PathJson(query, 0, 0);
+  EXPECT_TRUE(body.ok()) << body.status().ToString();
+  return body.ok() ? PathPart(body.value()) : std::string();
 }
 
 TEST(EpochTest, FlipInvalidatesLazilyWithoutGlobalClear) {
@@ -394,6 +415,74 @@ TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
               ReferenceFingerprint(*fresh, q, 0))
         << "post-flip result diverges from fresh boot for query: " << q;
   }
+}
+
+TEST(EpochTest, RepliesAfterFlipCarryNewEpochIdsAndTitles) {
+  // The stored reply bytes share the entry's epoch stamp: after a flip,
+  // a key's first reply (a recompute) and the hit that follows both
+  // carry the new epoch's relabeled ids and their titles.
+  const std::string query = TestQueries(2).back();
+  const std::string ref_a = ReferencePathPart(LoadTestEpoch(false, 1), query);
+  const std::string ref_b = ReferencePathPart(LoadTestEpoch(true, 2), query);
+  ASSERT_NE(ref_a, ref_b);  // the relabeled ids tell the epochs apart
+
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(LoadTestEpoch(false, 1), options);
+  ui::RePagerService service(&engine);
+  const ui::HttpRequest request{"GET", "/api/path", {{"q", query}}};
+  ui::HttpResponse before = service.Handle(request);
+  ASSERT_EQ(before.status, 200) << before.body;
+  EXPECT_EQ(PathPart(before.body), ref_a);
+
+  engine.SwapEpoch(LoadTestEpoch(true, 2));
+  ui::HttpResponse first = service.Handle(request);
+  ui::HttpResponse hit = service.Handle(request);
+  ASSERT_EQ(first.status, 200) << first.body;
+  ASSERT_EQ(hit.status, 200) << hit.body;
+  EXPECT_NE(first.body.find("\"cache_hit\":false"), std::string::npos);
+  EXPECT_NE(hit.body.find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_EQ(PathPart(first.body), ref_b);
+  EXPECT_EQ(PathPart(hit.body), ref_b);
+}
+
+TEST(EpochTest, InFlightOldEpochReplyRendersOldEpochBytes) {
+  // A request admitted on epoch A renders A's bytes even when it
+  // completes after the flip to B, and the entry it leaves (stamped A)
+  // never answers a request on B.
+  std::vector<std::string> queries = TestQueries(2);
+  const std::string& query = queries[1];
+  const std::string ref_a = ReferencePathPart(LoadTestEpoch(false, 1), query);
+  const std::string ref_b = ReferencePathPart(LoadTestEpoch(true, 2), query);
+  ASSERT_NE(ref_a, ref_b);
+
+  ServeEngineOptions options;
+  options.num_threads = 1;  // one solver, so a blocker can hold it
+  ServeEngine engine(LoadTestEpoch(false, 1), options);
+  ui::RePagerService service(&engine);
+  EpochHandle b = LoadTestEpoch(true, 2);  // loaded before the race starts
+  // The blocker occupies the solver, so the request below is still
+  // queued on epoch A when the flip lands.
+  std::promise<ui::HttpResponse> blocker, reply;
+  service.HandleAsync({"GET", "/api/path", {{"q", queries[0]}, {"seeds", "50"}}},
+                      [&blocker](ui::HttpResponse r) {
+                        blocker.set_value(std::move(r));
+                      });
+  service.HandleAsync({"GET", "/api/path", {{"q", query}}},
+                      [&reply](ui::HttpResponse r) {
+                        reply.set_value(std::move(r));
+                      });
+  engine.SwapEpoch(b);
+  ui::HttpResponse in_flight = reply.get_future().get();
+  blocker.get_future().get();
+  ASSERT_EQ(in_flight.status, 200) << in_flight.body;
+  EXPECT_EQ(PathPart(in_flight.body), ref_a);
+
+  ui::HttpResponse after =
+      service.Handle({"GET", "/api/path", {{"q", query}}});
+  ASSERT_EQ(after.status, 200) << after.body;
+  EXPECT_NE(after.body.find("\"cache_hit\":false"), std::string::npos);
+  EXPECT_EQ(PathPart(after.body), ref_b);
 }
 
 TEST(EpochTest, SolverScratchOutlivesFreedEpoch) {

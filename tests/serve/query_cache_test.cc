@@ -10,7 +10,7 @@ namespace rpg::serve {
 namespace {
 
 CachedResult MakeResult(size_t ranked_size) {
-  auto result = std::make_shared<core::RePagerResult>();
+  auto result = std::make_shared<RenderedResult>();
   result->ranked.resize(ranked_size, 7);
   result->subgraph_nodes = ranked_size;
   return result;
@@ -186,6 +186,39 @@ TEST(QueryCacheTest, ByteCapacityAccountingAndEviction) {
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.bytes, options.max_bytes);
   EXPECT_FALSE(cache.Lookup("a").has_value());
+}
+
+TEST(QueryCacheTest, EntryBytesIncludeRenderedReply) {
+  // The stored reply fragment is most of a real entry's footprint (about
+  // 8 KB against a few hundred bytes of ids), so the byte budget must
+  // see it.
+  auto bare = std::make_shared<RenderedResult>();
+  bare->ranked.resize(16, 7);
+  auto rendered = std::make_shared<RenderedResult>(*bare);
+  rendered->path_json.assign(8192, 'x');
+  const size_t result_bytes = EstimateResultBytes(*bare);
+  const size_t entry_bytes = EstimateResultBytes(*rendered);
+  // The only difference between the two is the fragment's storage.
+  EXPECT_EQ(entry_bytes - result_bytes,
+            rendered->path_json.capacity() - bare->path_json.capacity());
+  EXPECT_GE(entry_bytes, 8192u + sizeof(RenderedResult));
+
+  QueryCacheOptions options;
+  options.num_shards = 1;
+  QueryCache cache(options);
+  cache.Insert("k", rendered);
+  EXPECT_EQ(cache.Stats().bytes, entry_bytes);
+
+  // A shard budget that fits the result alone, but not the result plus
+  // its fragment, refuses the rendered entry.
+  options.max_bytes = result_bytes + 4096;
+  QueryCache tight(options);
+  tight.Insert("bare", bare);
+  tight.Insert("k", rendered);
+  EXPECT_TRUE(tight.Lookup("bare").has_value());
+  EXPECT_FALSE(tight.Lookup("k").has_value());
+  EXPECT_EQ(tight.Stats().entries, 1u);
+  EXPECT_EQ(tight.Stats().bytes, result_bytes);
 }
 
 TEST(QueryCacheTest, OversizedEntryNotCached) {

@@ -11,9 +11,12 @@
 #include <cctype>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <regex>
 #include <thread>
 #include <vector>
 
+#include "serve/path_json.h"
 #include "serve_test_util.h"
 #include "ui/http_client.h"
 #include "ui/http_server.h"
@@ -431,6 +434,144 @@ TEST(ServeEngineTest, StopDrainsInFlightSolveEndToEnd) {
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("reading_order"), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
+}
+
+// ------------------------------------------------ reply byte splicing
+
+/// Masks the two fields that differ between replies of one shared
+/// result: this request's serving time and whether it hit the cache.
+std::string MaskServingFields(const std::string& body) {
+  static const std::regex serving(
+      "\"serve_seconds\":[-+0-9.eE]+|\"cache_hit\":(true|false)");
+  return std::regex_replace(body, serving, "\"masked\":0");
+}
+
+/// The reply from `"nodes":` on: the part a cache hit splices in.
+std::string PathPart(const std::string& body) {
+  size_t at = body.find("\"nodes\":");
+  return at == std::string::npos ? body : body.substr(at);
+}
+
+TEST(ServeEngineTest, MissCoalescedAndHitRepliesByteIdentical) {
+  const eval::Workbench& wb = SharedWorkbench();
+  ServeEngineOptions options;
+  options.num_threads = 1;  // one solver, so a blocker can hold it
+  ServeEngine engine(TestEpoch(wb), options);
+  // An independent, uncached engine: every reference reply is a fresh
+  // render of a fresh computation.
+  ServeEngineOptions ref_options;
+  ref_options.num_threads = 1;
+  ref_options.cache.max_bytes = 0;
+  ServeEngine ref_engine(TestEpoch(wb), ref_options);
+  ui::RePagerService ref_service(&ref_engine);
+
+  auto submit = [&engine](const std::string& query, int seeds, int year) {
+    auto promise = std::make_shared<std::promise<Result<ServeResponse>>>();
+    auto future = promise->get_future();
+    engine.GenerateAsync(query, seeds, year, nullptr,
+                         [promise](Result<ServeResponse> r) {
+                           promise->set_value(std::move(r));
+                         });
+    return future;
+  };
+  size_t checked = 0;
+  for (size_t i = 0; i < wb.bank().size(); ++i) {
+    const auto& entry = wb.bank().Get(i);
+    // The blocker (a distinct key per iteration) occupies the solver,
+    // so the owner's solve is still queued when its duplicate arrives:
+    // the duplicate joins the flight instead of hitting the cache.
+    auto blocker = submit(entry.query, 100 + static_cast<int>(i), entry.year);
+    auto owner = submit(entry.query, 0, entry.year);
+    auto joined = submit(entry.query, 0, entry.year);
+    blocker.get();
+    Result<ServeResponse> miss = owner.get();
+    Result<ServeResponse> coalesced = joined.get();
+    ASSERT_EQ(miss.ok(), coalesced.ok()) << entry.query;
+    // Skip failing queries and bank entries repeating an earlier key.
+    if (!miss.ok() || miss->cache_hit) continue;
+    EXPECT_TRUE(coalesced->coalesced) << entry.query;
+    Result<ServeResponse> hit = engine.Generate(entry.query, 0, entry.year);
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit->cache_hit);
+
+    const std::string miss_body =
+        RenderPathJson(entry.query, *miss, /*debug=*/false, nullptr);
+    const std::string masked = MaskServingFields(miss_body);
+    EXPECT_EQ(MaskServingFields(RenderPathJson(entry.query, *coalesced,
+                                               /*debug=*/false, nullptr)),
+              masked)
+        << entry.query;
+    EXPECT_EQ(MaskServingFields(
+                  RenderPathJson(entry.query, *hit, /*debug=*/false, nullptr)),
+              masked)
+        << entry.query;
+    auto reference = ref_service.PathJson(entry.query, 0, entry.year);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(PathPart(miss_body), PathPart(reference.value()))
+        << entry.query;
+    ++checked;
+  }
+  EXPECT_GT(checked, wb.bank().size() / 2);
+}
+
+TEST(ServeEngineTest, EquivalentQueriesShareEntryAndEchoOwnText) {
+  const eval::Workbench& wb = SharedWorkbench();
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
+  const auto& entry = wb.bank().Get(0);
+  std::string shouted = entry.query;
+  for (char& c : shouted) c = static_cast<char>(std::toupper(c));
+  shouted = "  " + shouted + "  ";
+
+  auto fetch = [&](const std::string& q) {
+    return service.Handle({"GET",
+                           "/api/path",
+                           {{"q", q}, {"year", std::to_string(entry.year)}}});
+  };
+  ui::HttpResponse plain = fetch(entry.query);
+  ui::HttpResponse loud = fetch(shouted);
+  ASSERT_EQ(plain.status, 200) << plain.body;
+  ASSERT_EQ(loud.status, 200) << loud.body;
+  EXPECT_NE(loud.body.find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_EQ(engine.cache().Stats().insertions, 1u);
+  // One stored fragment, but each reply echoes its own raw query text.
+  EXPECT_EQ(plain.body.rfind("{\"query\":\"" + entry.query + "\",", 0), 0u)
+      << plain.body.substr(0, 80);
+  EXPECT_EQ(loud.body.rfind("{\"query\":\"" + shouted + "\",", 0), 0u)
+      << loud.body.substr(0, 80);
+  EXPECT_EQ(PathPart(plain.body), PathPart(loud.body));
+}
+
+TEST(ServeEngineTest, DebugHitSplicesSamePathBytesThenDebug) {
+  const eval::Workbench& wb = SharedWorkbench();
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  ServeEngine engine(TestEpoch(wb), options);
+  ui::RePagerService service(&engine);
+  const auto& entry = wb.bank().Get(3);
+  ui::HttpRequest request{
+      "GET",
+      "/api/path",
+      {{"q", entry.query}, {"year", std::to_string(entry.year)}}};
+  ui::HttpResponse cold = service.Handle(request);
+  request.query["debug"] = "1";
+  ui::HttpResponse debug_hit = service.Handle(request);
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  ASSERT_EQ(debug_hit.status, 200) << debug_hit.body;
+  EXPECT_NE(debug_hit.body.find("\"cache_hit\":true"), std::string::npos);
+
+  // cold:      {head,<path>}
+  // debug hit: {head,<path>,"debug":{...}}
+  const std::string cold_path = PathPart(cold.body);
+  const std::string path = cold_path.substr(0, cold_path.size() - 1);
+  const std::string hit_tail = PathPart(debug_hit.body);
+  ASSERT_EQ(hit_tail.compare(0, path.size(), path), 0);
+  EXPECT_EQ(hit_tail.compare(path.size(), 10, ",\"debug\":{"), 0)
+      << hit_tail.substr(path.size(), 40);
+  EXPECT_NE(hit_tail.find("\"stages\":{", path.size()), std::string::npos);
+  EXPECT_EQ(hit_tail.substr(hit_tail.size() - 2), "}}");
 }
 
 // ------------------------------------------- end-to-end over HTTP sockets

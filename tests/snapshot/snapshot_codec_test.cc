@@ -278,6 +278,25 @@ TEST(SnapshotReaderTest, SectionChecksumFlipFailsClosedUnlessDisabled) {
   FAIL() << "graph section not found";
 }
 
+/// Every bank query answers bit-identically on `a` and `b`.
+void ExpectSameAnswers(const ServingState& a, const ServingState& b) {
+  const auto& bank = TestWorkbench().bank();
+  for (size_t i = 0; i < bank.size(); ++i) {
+    const std::string& query = bank.Get(i).query;
+    auto ra = a.repager().Generate(query);
+    auto rb = b.repager().Generate(query);
+    ASSERT_EQ(ra.ok(), rb.ok()) << query;
+    if (!ra.ok()) continue;
+    EXPECT_EQ(ra->path.nodes(), rb->path.nodes()) << query;
+    EXPECT_EQ(ra->path.edges(), rb->path.edges()) << query;
+    EXPECT_EQ(ra->ranked, rb->ranked) << query;
+    EXPECT_EQ(ra->initial_seeds, rb->initial_seeds) << query;
+    EXPECT_EQ(ra->terminals, rb->terminals) << query;
+    EXPECT_EQ(ra->subgraph_nodes, rb->subgraph_nodes) << query;
+    EXPECT_EQ(ra->subgraph_edges, rb->subgraph_edges) << query;
+  }
+}
+
 /// Files from older writers carry the retired embedding sections. They
 /// still open, and the pipeline they serve never reads those bytes: its
 /// answers equal the current layout's bit for bit.
@@ -293,21 +312,21 @@ TEST(SnapshotReaderTest, OldLayoutImageServesIdentically) {
   auto new_or = ServingState::LoadFromBuffer(current);
   ASSERT_TRUE(old_or.ok()) << old_or.status().ToString();
   ASSERT_TRUE(new_or.ok()) << new_or.status().ToString();
-  const auto& bank = TestWorkbench().bank();
-  for (size_t i = 0; i < bank.size(); ++i) {
-    const std::string& query = bank.Get(i).query;
-    auto a = old_or.value()->repager().Generate(query);
-    auto b = new_or.value()->repager().Generate(query);
-    ASSERT_EQ(a.ok(), b.ok()) << query;
-    if (!a.ok()) continue;
-    EXPECT_EQ(a->path.nodes(), b->path.nodes()) << query;
-    EXPECT_EQ(a->path.edges(), b->path.edges()) << query;
-    EXPECT_EQ(a->ranked, b->ranked) << query;
-    EXPECT_EQ(a->initial_seeds, b->initial_seeds) << query;
-    EXPECT_EQ(a->terminals, b->terminals) << query;
-    EXPECT_EQ(a->subgraph_nodes, b->subgraph_nodes) << query;
-    EXPECT_EQ(a->subgraph_edges, b->subgraph_edges) << query;
-  }
+  ExpectSameAnswers(*old_or.value(), *new_or.value());
+}
+
+/// Load releases the mapping's resident pages once Build has decoded
+/// every section. The mapping stays usable — the full checksum pass
+/// faults its pages back in from the file — and the state answers
+/// exactly like one decoded from the same bytes in memory.
+TEST(SnapshotReaderTest, LoadReleasesPagesAndServesLikeBuffer) {
+  auto file_or = ServingState::Load(TestSnapshotPath(/*relabel=*/false));
+  auto buffer_or =
+      ServingState::LoadFromBuffer(TestSnapshotImage(/*relabel=*/false));
+  ASSERT_TRUE(file_or.ok()) << file_or.status().ToString();
+  ASSERT_TRUE(buffer_or.ok()) << buffer_or.status().ToString();
+  EXPECT_TRUE(file_or.value()->reader().VerifyAllChecksums().ok());
+  ExpectSameAnswers(*file_or.value(), *buffer_or.value());
 }
 
 /// Retired sections are never decoded, but their bytes are still
