@@ -1,7 +1,7 @@
-// Design-choice ablation (DESIGN.md §6): compares the KMB construction
-// the paper adopts (Algorithm 1) against the Takahashi-Matsuyama
-// shortest-path heuristic and, on small instances, the exact
-// Dreyfus-Wagner optimum — on real RePaGer sub-graphs. Reports tree cost
+// Design-choice ablation (src/steiner/README.md): compares the KMB
+// construction the paper adopts (Algorithm 1) against the
+// Takahashi-Matsuyama shortest-path heuristic and, on small instances,
+// the exact Dreyfus-Wagner optimum — on real RePaGer sub-graphs. Reports tree cost
 // ratios and wall-clock time. Not a table in the paper; it substantiates
 // §IV-B's claim that the heuristic's quality/latency trade-off is sound.
 

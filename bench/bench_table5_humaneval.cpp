@@ -1,7 +1,7 @@
 // Reproduces Table V: the preference study between Google Scholar (A)
 // and NEWST/RePaGer (B) on the Prerequisite / Relevance / Completeness
 // questionnaire axes, over the AI and DM domains (20 queries x 8 raters
-// each; raters are simulated — see DESIGN.md §2).
+// each; raters are simulated — see README.md, Reproduction).
 //
 // Expected shape (paper): B strongly preferred on Prerequisite (76-93%),
 // roughly tied on Relevance, B ahead on Completeness.

@@ -7,9 +7,10 @@
 /// section decoders and their structural validation (varint bounds,
 /// CSR monotonicity, postings doc-id range, permutation checks) has to
 /// hold on its own. When an input is accepted, every substrate the
-/// loader wired up is walked — adjacency spans, title/year/pagerank
-/// arrays, one BM25 query — so any lie the validators missed becomes an
-/// out-of-bounds read under ASan.
+/// loader wired up is walked — adjacency spans, every edge's cost read
+/// through the con table, title/year/pagerank arrays, one BM25 query —
+/// so any lie the validators missed becomes an out-of-bounds read under
+/// ASan.
 ///
 /// Build: -DRPG_BUILD_FUZZERS=ON with clang (libFuzzer); the same body
 /// also runs libFuzzer-free inside fuzz_smoke.cc (tier-1 ctest).
@@ -36,10 +37,16 @@ inline void WalkState(const snapshot::ServingState& state) {
   RPG_CHECK(state.years().size() == n);
   RPG_CHECK(state.pagerank().size() == n);
   RPG_CHECK(state.venue_scores().size() == n);
+  RPG_CHECK(state.weights().edge_con().size() == g.num_edges());
   size_t title_bytes = 0;
+  volatile double cost_sum = 0.0;
   for (graph::PaperId u = 0; u < n; ++u) {
     title_bytes += state.titles()[u].size();
-    for (graph::PaperId v : g.OutNeighbors(u)) RPG_CHECK(v < n);
+    for (graph::PaperId v : g.OutNeighbors(u)) {
+      RPG_CHECK(v < n);
+      // An unvalidated con byte would index past the cost table here.
+      cost_sum = cost_sum + state.weights().LookupEdgeCost(u, v);
+    }
     for (graph::PaperId v : g.InNeighbors(u)) RPG_CHECK(v < n);
   }
   RPG_CHECK(title_bytes < (1u << 30));

@@ -61,7 +61,7 @@ TABLE4_METRICS = [
 # post-rewrite level: the capped common-neighbor counting that used to
 # take ~13.4ms of the 20-query sample now measures ~4.3-5.7ms; 6.7 (2x
 # the old baseline's headroom, ~17% above the worst observed run) fails
-# the gate if the kernels or the ConScratch bitmap path fall off.
+# the gate if the edge-cost stage falls off.
 TABLE4_LIMITS = [
     ("tracing.overhead_ratio", "max", 1.05, "tracing.compiled_in"),
     ("stages.attributed_fraction", "min", 0.90, "tracing.compiled_in"),

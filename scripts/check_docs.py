@@ -29,11 +29,17 @@ fails (exit 1) when one references:
     struct, enum, alias, function or namespace — so docs cannot go on
     naming a deleted class.
 
+It also fails when a comment in a src/ .h or .cc file names a *.md
+file that exists neither relative to the repository root nor relative
+to that source file's directory — so code cannot go on citing a
+design document that is not in the tree.
+
 Before scanning, built-in fixtures check that the bound check catches a
 doc quoting 1.02 against a 1.05 tracing limit, that the member check
-catches a made-up field of a fixture struct, and that the name check
+catches a made-up field of a fixture struct, that the name check
 catches `text::TfIdf` against a fixture that declares only
-`text::TfIdfModel`.
+`text::TfIdfModel`, and that the comment check catches a header citing
+DESIGN.md.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -246,11 +252,53 @@ def name_check_self_test():
     return problems
 
 
-SRC_TEXTS = [path.read_text(encoding="utf-8", errors="replace")
-             for path in sorted((ROOT / "src").rglob("*"))
+SRC_FILES = [path for path in sorted((ROOT / "src").rglob("*"))
              if path.suffix in (".h", ".cc")]
+SRC_TEXTS = [path.read_text(encoding="utf-8", errors="replace")
+             for path in SRC_FILES]
 SRC_TYPES = declared_members(SRC_TEXTS)
 SRC_NAMES = declared_names(SRC_TEXTS)
+
+# A Markdown file named in a comment: `README.md`, `docs/snapshot.md`.
+MD_REF_RE = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
+
+
+def missing_md_refs(path, text):
+    """Problems for every *.md file named in a comment of the C++ source
+    `text` (at `path`) that exists neither under the repository root
+    nor next to `path`. String literals do not count."""
+    problems = []
+    text = DIGIT_SEP_RE.sub("", text)
+    for m in CPP_NOISE_RE.finditer(text):
+        if not m.group(0).startswith(("//", "/*")):
+            continue
+        for ref in MD_REF_RE.findall(m.group(0)):
+            if not ((ROOT / ref).exists() or (path.parent / ref).exists()):
+                line_no = text.count("\n", 0, m.start()) + 1
+                problems.append(f"{path.relative_to(ROOT)}:{line_no}: "
+                                f"comment names missing {ref}")
+    return problems
+
+
+MD_REF_FIXTURE = """
+/// Structural con stands in for mention counts (see DESIGN.md §2);
+/// docs/snapshot.md has the layout and README.md the rationale.
+const char* kNote = "a string, not a comment: GHOST.md";
+"""
+
+
+def md_ref_check_self_test():
+    """The comment check must flag a header citing the missing DESIGN.md
+    and nothing else in the fixture. Returns problems."""
+    found = missing_md_refs(ROOT / "src" / "fixture.h", MD_REF_FIXTURE)
+    problems = []
+    if not any(p.endswith("missing DESIGN.md") for p in found):
+        problems.append("md-ref self-check: DESIGN.md not caught")
+    for p in found:
+        if not p.endswith("missing DESIGN.md"):
+            problems.append(f"md-ref self-check: false alarm: {p}")
+    return problems
+
 
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
@@ -392,7 +440,9 @@ def check_token(token: str):
 
 def main() -> int:
     failures = (bound_check_self_test() + member_check_self_test() +
-                name_check_self_test())
+                name_check_self_test() + md_ref_check_self_test())
+    for path, text in zip(SRC_FILES, SRC_TEXTS):
+        failures += missing_md_refs(path, text)
     gate = load_bench_gate()
     bounds = gated_bounds(gate)
     for line_no, problem in check_bounds(gate.__doc__, bounds):
@@ -420,7 +470,8 @@ def main() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"docs_check OK ({', '.join(DOC_FILES)})")
+    print(f"docs_check OK ({', '.join(DOC_FILES)}; comments in "
+          f"{len(SRC_FILES)} src/ files)")
     return 0
 
 

@@ -37,24 +37,20 @@ void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
                            steiner::WeightedGraphBuilder* builder,
                            steiner::WeightedGraph* out,
-                           rank::ConScratch* con_scratch) {
+                           rank::ConScratch* /*unused*/) {
   builder->Reset(sg.num_nodes());
   builder->ReserveEdges(sg.num_edges());
   for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
     PaperId gu = sg.ToGlobal(local);
     builder->SetNodeWeight(local, weights.NodeWeight(gu));
     // Out-edges only, so each undirected edge is added exactly once.
-    // Row-major order is what makes the ConScratch bitmap pay: gu is
-    // stamped once and probed for the whole row.
+    // Every subgraph edge is a citation gu -> gv of the full graph, so
+    // its cost is in the con table.
     for (uint32_t cited : sg.OutNeighbors(local)) {
-      PaperId gv = sg.ToGlobal(cited);
-      builder->AddEdge(local, cited, weights.EdgeCost(gu, gv, con_scratch));
+      builder->AddEdge(local, cited,
+                       weights.LookupEdgeCost(gu, sg.ToGlobal(cited)));
     }
   }
-  // Drop the last stamp while its graph is certainly alive: a scratch
-  // that outlives this graph (a solver thread's scratch across an epoch
-  // flip) must never unstamp through it later.
-  if (con_scratch != nullptr) con_scratch->Release();
   builder->BuildInto(out);
 }
 
@@ -185,8 +181,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     // ---- Step 5: NEWST over the weighted sub-citation graph ----------
     Timer steiner_timer;
     if (trace) t0 = trace->NowNs();
-    BuildWeightedSubgraph(sg, *weights_, &scratch->builder_, &scratch->wg_,
-                          &scratch->con_scratch_);
+    BuildWeightedSubgraph(sg, *weights_, &scratch->builder_, &scratch->wg_);
     const steiner::WeightedGraph& wg = scratch->wg_;
     if (trace) {
       trace->AddSpan(obs::Stage::kEdgeCost, t0, trace->NowNs() - t0,

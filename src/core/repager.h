@@ -120,10 +120,6 @@ class QueryScratch {
   graph::Subgraph sg_;
   steiner::WeightedGraphBuilder builder_{0};
   steiner::WeightedGraph wg_;
-  /// Dense-bitmap scratch for the Eq. (2) Con() counts — stamped once
-  /// per high-degree subgraph row in BuildWeightedSubgraph, the single
-  /// hottest stage of the pipeline (BENCH_table4 `stages.edge_cost_ms`).
-  rank::ConScratch con_scratch_;
   std::vector<graph::PaperId> candidates_;
   std::vector<uint32_t> local_terminals_;
   FlatSet<graph::PaperId> excluded_;
@@ -178,14 +174,13 @@ steiner::WeightedGraph BuildWeightedSubgraph(const graph::Subgraph& sg,
 
 /// Scratch-reusing variant: accumulates into the caller's builder and
 /// writes the CSR result into `*out`, reusing both objects' capacity.
-/// `con_scratch` (optional) routes every Eq. (2) count through the
-/// per-source dense-bitmap fast path; results are identical with or
-/// without it (rank::ConScratch contract).
+/// Edge costs are read from the weight model's con table. The last
+/// parameter is ignored (see rank::ConScratch).
 void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
                            steiner::WeightedGraphBuilder* builder,
                            steiner::WeightedGraph* out,
-                           rank::ConScratch* con_scratch = nullptr);
+                           rank::ConScratch* /*unused*/ = nullptr);
 
 }  // namespace rpg::core
 

@@ -15,7 +15,7 @@ enum class Method {
   kMicrosoft,
   kAminer,
   kPageRank,
-  kSciBert,  ///< the semantic-matcher substitute (DESIGN.md §2)
+  kSciBert,  ///< the semantic-matcher substitute (README.md, Reproduction)
   kNewst,
 };
 

@@ -12,7 +12,8 @@ namespace rpg::eval {
 /// (Table V). Each virtual participant scores the two systems' results on
 /// the questionnaire's three axes and votes Prefer-A / Same / Prefer-B;
 /// per-participant Gaussian noise models rater disagreement. See
-/// DESIGN.md §2 for why this substitution preserves the study's shape.
+/// README.md (Reproduction) for why this substitution preserves the
+/// study's shape.
 struct PreferenceOptions {
   size_t queries_per_domain = 20;  ///< paper: 20 queries per domain
   int participants = 8;           ///< paper: 8 raters per domain

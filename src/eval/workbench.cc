@@ -46,7 +46,7 @@ Result<std::unique_ptr<Workbench>> Workbench::Create(
                                         std::move(docs),
                                         search::AMinerProfile()));
 
-  // Global PageRank + weight model.
+  // Global PageRank + weight model (which counts the Eq. (2) con table).
   wb->pagerank_norm_ =
       rank::NormalizeByMax(rank::PageRank(corpus.citations));
   wb->weights_ = std::make_unique<rank::WeightModel>(

@@ -20,9 +20,9 @@ struct HashedEmbedderOptions {
   double title_weight = 2.0;
 };
 
-/// Text embedder standing in for SciBERT (see DESIGN.md §2): stemmed
-/// unigrams + bigrams are signed-hashed into a fixed-dimension vector
-/// (the "hashing trick"), which is then L2-normalized. Like a frozen
+/// Text embedder standing in for SciBERT (see README.md, Reproduction):
+/// stemmed unigrams + bigrams are signed-hashed into a fixed-dimension
+/// vector (the "hashing trick"), which is then L2-normalized. Like a frozen
 /// sentence encoder, it maps any text to a dense vector whose cosine
 /// similarity reflects lexical-semantic overlap — with zero knowledge of
 /// the citation graph.

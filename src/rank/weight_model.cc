@@ -3,105 +3,89 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/intersect.h"
 #include "common/logging.h"
+#include "graph/graph_io.h"
 
 namespace rpg::rank {
 
 namespace {
 
-/// Stamp-worthiness threshold: below this combined degree the O(degree)
-/// stamp/unstamp churn costs more than the adaptive kernels save. 64 ids
-/// is one bitmap word's worth per list on average and matches the
-/// kernels' block size; bench/bench_intersect.cpp covers both regimes.
-constexpr size_t kBitmapMinDegree = 64;
+/// Con of every out-CSR edge of `g`, in CSR order.
+std::vector<uint8_t> CountEdgeCon(const graph::CitationGraph& g) {
+  std::vector<uint8_t> con;
+  con.reserve(g.num_edges());
+  for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
+    for (graph::PaperId v : g.OutNeighbors(u)) {
+      con.push_back(static_cast<uint8_t>(CountCon(g, u, v)));
+    }
+  }
+  return con;
+}
 
 }  // namespace
 
-void ConScratch::SetSource(const graph::CitationGraph& g, graph::PaperId i) {
-  if (g_ == &g && source_ == i) return;
-  Release();
-  g_ = &g;
-  source_ = i;
-  auto out = g.OutNeighbors(i);
-  auto in = g.InNeighbors(i);
-  if (out.size() + in.size() >= kBitmapMinDegree) {
-    out_bits_.EnsureUniverse(g.num_nodes());
-    in_bits_.EnsureUniverse(g.num_nodes());
-    out_bits_.Stamp(out);
-    in_bits_.Stamp(in);
-    stamped_ = true;
+int CountCon(const graph::CitationGraph& g, graph::PaperId i,
+             graph::PaperId j) {
+  constexpr int kCap = WeightModel::kConCap;
+  // 1 for the citation relation itself + bibliographic coupling (shared
+  // references) + co-citation (shared citers); see WeightModel::Con for
+  // the exact two-phase cap contract.
+  int common = static_cast<int>(intersect::CountCommon(
+      g.OutNeighbors(i), g.OutNeighbors(j), static_cast<size_t>(kCap)));
+  if (common < kCap) {
+    common += static_cast<int>(intersect::CountCommon(
+        g.InNeighbors(i), g.InNeighbors(j),
+        static_cast<size_t>(kCap - common)));
   }
-}
-
-void ConScratch::Release() {
-  if (stamped_) {
-    // O(degree) unstamp of the current source — never a full clear.
-    out_bits_.Unstamp(g_->OutNeighbors(source_));
-    in_bits_.Unstamp(g_->InNeighbors(source_));
-    stamped_ = false;
-  }
-  g_ = nullptr;
-  source_ = kNoSource;
+  return 1 + std::min(common, kCap - 1);
 }
 
 WeightModel::WeightModel(const graph::CitationGraph* g,
-                         std::vector<double> pagerank_norm,
-                         std::vector<double> venue_scores,
+                         const std::vector<double>& pagerank_norm,
+                         const std::vector<double>& venue_scores,
                          const NewstParams& params)
-    : g_(g),
-      pagerank_norm_(std::move(pagerank_norm)),
-      venue_scores_(std::move(venue_scores)),
-      params_(params) {
+    : WeightModel(g, pagerank_norm, venue_scores,
+                  CountEdgeCon(*g), params) {}
+
+WeightModel::WeightModel(const graph::CitationGraph* g,
+                         const std::vector<double>& pagerank_norm,
+                         const std::vector<double>& venue_scores,
+                         std::vector<uint8_t> edge_con,
+                         const NewstParams& params)
+    : g_(g), params_(params), edge_con_(std::move(edge_con)) {
   RPG_CHECK(g_ != nullptr);
-  RPG_CHECK(pagerank_norm_.size() == g_->num_nodes());
-  RPG_CHECK(venue_scores_.size() == g_->num_nodes());
+  RPG_CHECK(pagerank_norm.size() == g_->num_nodes());
+  RPG_CHECK(venue_scores.size() == g_->num_nodes());
+  RPG_CHECK(edge_con_.size() == g_->num_edges());
+  node_weights_.reserve(g_->num_nodes());
+  for (size_t i = 0; i < g_->num_nodes(); ++i) {
+    const double denom =
+        params_.a * pagerank_norm[i] + params_.b * venue_scores[i];
+    node_weights_.push_back(params_.gamma / std::max(denom, kDenomFloor));
+  }
+  cost_of_con_.resize(kConCap + 1);
+  for (int con = 1; con <= kConCap; ++con) {
+    cost_of_con_[con] =
+        params_.alpha / std::pow(static_cast<double>(con), params_.beta);
+  }
 }
 
-double WeightModel::NodeWeight(graph::PaperId i) const {
-  double denom =
-      params_.a * pagerank_norm_[i] + params_.b * venue_scores_[i];
-  denom = std::max(denom, kDenomFloor);
-  return params_.gamma / denom;
+double WeightModel::LookupEdgeCost(graph::PaperId i, graph::PaperId j) const {
+  const std::span<const graph::PaperId> row = g_->OutNeighbors(i);
+  const auto it = std::lower_bound(row.begin(), row.end(), j);
+  RPG_CHECK(it != row.end() && *it == j);
+  const uint64_t edge = graph::GraphIo::OutOffsets(*g_)[i] +
+                        static_cast<uint64_t>(it - row.begin());
+  return cost_of_con_[edge_con_[edge]];
 }
 
 int WeightModel::Con(graph::PaperId i, graph::PaperId j) const {
-  // 1 for the citation relation itself + bibliographic coupling (shared
-  // references) + co-citation (shared citers); see the header for the
-  // exact two-phase cap contract.
-  int common = static_cast<int>(intersect::CountCommon(
-      g_->OutNeighbors(i), g_->OutNeighbors(j),
-      static_cast<size_t>(kConCap)));
-  if (common < kConCap) {
-    common += static_cast<int>(intersect::CountCommon(
-        g_->InNeighbors(i), g_->InNeighbors(j),
-        static_cast<size_t>(kConCap - common)));
-  }
-  return 1 + std::min(common, kConCap - 1);
-}
-
-int WeightModel::Con(graph::PaperId i, graph::PaperId j,
-                     ConScratch* scratch) const {
-  if (scratch == nullptr) return Con(i, j);
-  scratch->SetSource(*g_, i);
-  if (!scratch->stamped_) return Con(i, j);
-  int common = static_cast<int>(scratch->out_bits_.CountCommon(
-      g_->OutNeighbors(j), static_cast<size_t>(kConCap)));
-  if (common < kConCap) {
-    common += static_cast<int>(scratch->in_bits_.CountCommon(
-        g_->InNeighbors(j), static_cast<size_t>(kConCap - common)));
-  }
-  return 1 + std::min(common, kConCap - 1);
+  return CountCon(*g_, i, j);
 }
 
 double WeightModel::EdgeCost(graph::PaperId i, graph::PaperId j) const {
-  double con = static_cast<double>(Con(i, j));
-  return params_.alpha / std::pow(con, params_.beta);
-}
-
-double WeightModel::EdgeCost(graph::PaperId i, graph::PaperId j,
-                             ConScratch* scratch) const {
-  double con = static_cast<double>(Con(i, j, scratch));
-  return params_.alpha / std::pow(con, params_.beta);
+  return cost_of_con_[Con(i, j)];
 }
 
 double WeightModel::MaxNodeWeight() const { return params_.gamma / kDenomFloor; }

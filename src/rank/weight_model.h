@@ -1,9 +1,9 @@
 #ifndef RPG_RANK_WEIGHT_MODEL_H_
 #define RPG_RANK_WEIGHT_MODEL_H_
 
+#include <cstdint>
 #include <vector>
 
-#include "common/intersect.h"
 #include "graph/citation_graph.h"
 
 namespace rpg::rank {
@@ -18,60 +18,10 @@ struct NewstParams {
   double b = 0.3;
 };
 
-class WeightModel;
-
-/// Reusable per-query scratch for the dense-bitmap Con() path.
-///
-/// Edge-cost assignment evaluates Con(i, j) for every neighbor j of one
-/// source row i before moving to the next row (core::BuildWeightedSubgraph).
-/// When row i is high-degree, re-merging i's adjacency for every j is the
-/// dominant cost of the whole pipeline; the scratch instead stamps i's
-/// out- and in-lists into two dense bitmaps ONCE per source and answers
-/// each Con(i, j) by probing j's (typically short) lists in O(|adj(j)|).
-/// Switching sources unstamps the previous lists (O(degree), not
-/// O(universe)), so a long-lived scratch — one per core::QueryScratch —
-/// never pays a full clear and is allocation-free after warm-up.
-///
-/// Lifetime: while a source is stamped the scratch refers to its graph
-/// (the unstamp reads that graph's adjacency). Call Release() before the
-/// graph can go away; core::BuildWeightedSubgraph does so at the end of
-/// every call, so a scratch that outlives a serving epoch never touches
-/// the freed graph.
-///
-/// Low-degree sources skip the stamping and fall through to the adaptive
-/// merge/gallop kernels, so Con(i, j, &scratch) is never slower than
-/// Con(i, j) — and, by the shared min(|a ∩ b|, cap) kernel contract,
-/// always returns the identical count (pinned edge-for-edge by
-/// tests/core/golden_fingerprint_test.cc).
-class ConScratch {
- public:
-  ConScratch() = default;
-  ConScratch(const ConScratch&) = delete;
-  ConScratch& operator=(const ConScratch&) = delete;
-
-  /// Unstamps the current source (O(degree)) and forgets its graph. The
-  /// graph must still be alive; afterwards the scratch refers to no
-  /// graph and may be reused on any other.
-  void Release();
-
- private:
-  friend class WeightModel;
-
-  static constexpr graph::PaperId kNoSource = 0xFFFFFFFFu;
-
-  /// Stamp source i's adjacency if it is dense enough to pay off;
-  /// no-op when (graph, i) is already the current source. Releases the
-  /// previous source, whose graph must still be alive.
-  void SetSource(const graph::CitationGraph& g, graph::PaperId i);
-
-  /// Both bitmaps are all-zero whenever !stamped_.
-  intersect::NeighborBitmap out_bits_;
-  intersect::NeighborBitmap in_bits_;
-  /// Graph of the current source; null after Release().
-  const graph::CitationGraph* g_ = nullptr;
-  graph::PaperId source_ = kNoSource;
-  bool stamped_ = false;
-};
+/// Empty and unused. Edge costs are a table lookup, so there is no
+/// per-query Con state; the type stays only so callers that still pass
+/// one to core::BuildWeightedSubgraph compile.
+struct ConScratch {};
 
 /// Node and edge weights for the weighted citation graph (§IV-A step 2).
 ///
@@ -84,23 +34,53 @@ class ConScratch {
 /// full text (or inversely); full text is not modeled here, so con is
 /// derived from the citation structure: 1 for the citation itself plus
 /// the number of common graph neighbors (a standard co-citation /
-/// bibliographic-coupling relatedness proxy — see DESIGN.md §2).
+/// bibliographic-coupling relatedness proxy — see README.md,
+/// Reproduction).
+///
+/// Either way con is a property of the corpus, not of the query, so it
+/// is counted once per citation edge (at snapshot build, or when an
+/// in-process model is constructed) and kept as one byte per out-CSR
+/// edge. Serving reads costs from that table; node weights are likewise
+/// computed once per node.
 class WeightModel {
  public:
+  /// Con is always in [1, kConCap].
+  static constexpr int kConCap = 7;
+
   /// `pagerank_norm` and `venue_scores` are per-paper arrays (same size
-  /// as g.num_nodes()), both on a [0, 1] scale. The graph must outlive
-  /// the model.
-  WeightModel(const graph::CitationGraph* g, std::vector<double> pagerank_norm,
-              std::vector<double> venue_scores, const NewstParams& params = {});
+  /// as g.num_nodes()), both on a [0, 1] scale; only the Eq. (3) weights
+  /// derived from them are kept. Counts the con table from `g`. The
+  /// graph must outlive the model.
+  WeightModel(const graph::CitationGraph* g,
+              const std::vector<double>& pagerank_norm,
+              const std::vector<double>& venue_scores,
+              const NewstParams& params = {});
+
+  /// Same, adopting a con table already counted for `g` (a snapshot's
+  /// kEdgeCon section): one value in [1, kConCap] per out-CSR edge, in
+  /// CSR order.
+  WeightModel(const graph::CitationGraph* g,
+              const std::vector<double>& pagerank_norm,
+              const std::vector<double>& venue_scores,
+              std::vector<uint8_t> edge_con, const NewstParams& params);
 
   /// Eq. (3). The denominator is floored so papers with no venue and
   /// negligible PageRank keep a finite weight.
-  double NodeWeight(graph::PaperId i) const;
+  double NodeWeight(graph::PaperId i) const { return node_weights_[i]; }
 
-  /// Relatedness count used by Eq. (2): 1 + common neighbors, capped.
+  /// Eq. (2) cost of the citation edge i -> j, read from the con table
+  /// (a binary search in i's out-span). i must cite j.
+  double LookupEdgeCost(graph::PaperId i, graph::PaperId j) const;
+
+  /// The con table: one count per out-CSR edge, in CSR order.
+  const std::vector<uint8_t>& edge_con() const { return edge_con_; }
+
+  /// Relatedness count used by Eq. (2): 1 + common neighbors, capped,
+  /// counted by the intersection kernels. This builds the table and is
+  /// the oracle tests hold it to; serving never calls it.
   ///
-  /// Cap semantics, spelled out because every intersection kernel and
-  /// both call paths must honor them identically:
+  /// Cap semantics, spelled out because every intersection kernel must
+  /// honor them identically:
   ///  1. shared references (out ∩ out) are counted first, clamped to
   ///     kConCap — i.e. exactly min(|out_i ∩ out_j|, kConCap);
   ///  2. shared citers (in ∩ in) are counted only if budget remains,
@@ -114,17 +94,8 @@ class WeightModel {
   /// both intersections (regression-tested in tests/rank/rank_test.cc).
   int Con(graph::PaperId i, graph::PaperId j) const;
 
-  /// Same count via `scratch`'s dense-bitmap fast path (stamped once per
-  /// source i); identical result by construction, cheaper when many j
-  /// are evaluated against one high-degree i.
-  int Con(graph::PaperId i, graph::PaperId j, ConScratch* scratch) const;
-
-  /// Eq. (2).
+  /// Eq. (2) over Con(i, j); i and j need not be adjacent.
   double EdgeCost(graph::PaperId i, graph::PaperId j) const;
-
-  /// Eq. (2) through the scratch fast path; same value, same clamp.
-  double EdgeCost(graph::PaperId i, graph::PaperId j,
-                  ConScratch* scratch) const;
 
   const NewstParams& params() const { return params_; }
 
@@ -133,13 +104,19 @@ class WeightModel {
 
  private:
   const graph::CitationGraph* g_;
-  std::vector<double> pagerank_norm_;
-  std::vector<double> venue_scores_;
   NewstParams params_;
+  std::vector<double> node_weights_;
+  std::vector<uint8_t> edge_con_;
+  /// α / con^β, indexed by con in [1, kConCap].
+  std::vector<double> cost_of_con_;
 
   static constexpr double kDenomFloor = 0.02;
-  static constexpr int kConCap = 7;
 };
+
+/// Con(i, j) of WeightModel, over any graph: what the snapshot writer
+/// stores per edge.
+int CountCon(const graph::CitationGraph& g, graph::PaperId i,
+             graph::PaperId j);
 
 }  // namespace rpg::rank
 

@@ -15,11 +15,13 @@
 /// section — a truncated or bit-flipped file fails closed with a typed
 /// InvalidArgument.
 ///
-/// Versioning rules: readers accept exactly kVersion. Any layout change
-/// (new required section, changed encoding) bumps kVersion; adding an
-/// OPTIONAL section id does not, and neither does retiring one, because
-/// readers skip ids they do not decode (forward-compatible for additive
-/// features, backward-compatible for retired ones).
+/// Versioning rules: readers accept exactly kVersion, and a changed
+/// encoding of an existing section bumps it. Adding a section id does
+/// not, and neither does retiring one, because readers checksum and skip
+/// ids they do not decode. A new REQUIRED section (kEdgeCon) is such an
+/// addition: older readers skip it, while new readers reject a file that
+/// lacks it with a typed "missing section" error, so files written
+/// before it must be written again.
 
 #include <cstdint>
 
@@ -87,6 +89,10 @@ enum class SectionId : uint32_t {
   kParams = 13,      ///< f64[5] NEWST {alpha, beta, gamma, a, b}
   /// u32[n] new-id -> original-id map; present iff kFlagRelabeled.
   kIdMap = 14,
+  /// u8[num_edges] Eq. (2) con per out-CSR edge, in kGraphOut's edge
+  /// order, each in [1, rank::WeightModel::kConCap]. Counted by the
+  /// writer, so serving never intersects adjacency lists.
+  kEdgeCon = 15,
 };
 
 /// One TOC entry. `offset` is absolute from file start, 8-byte aligned;

@@ -142,6 +142,18 @@ Status ServingState::Build() {
         graph_, graph::GraphIo::FromOutCsr(std::move(offsets),
                                            std::move(targets)));
   }
+  std::vector<uint8_t> edge_con;
+  {
+    RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
+                         reader.Section(SectionId::kEdgeCon));
+    RPG_ASSIGN_OR_RETURN(
+        edge_con, DecodeArray<uint8_t>(bytes, graph_.num_edges(), "edge_con"));
+    for (uint8_t con : edge_con) {
+      if (con < 1 || con > rank::WeightModel::kConCap) {
+        return Malformed("edge_con");
+      }
+    }
+  }
 
   // Per-paper arrays.
   {
@@ -253,8 +265,8 @@ Status ServingState::Build() {
       engine_, search::SearchEngine::Restore(std::move(docs), profile,
                                              std::move(index), max_citations,
                                              min_year, max_year));
-  weights_ = std::make_unique<rank::WeightModel>(&graph_, pagerank_,
-                                                 venue_scores_, params_);
+  weights_ = std::make_unique<rank::WeightModel>(
+      &graph_, pagerank_, venue_scores_, std::move(edge_con), params_);
   repager_ = std::make_unique<core::RePaGer>(&graph_, engine_.get(),
                                              weights_.get(), &years_);
   return Status::OK();

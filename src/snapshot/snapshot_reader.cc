@@ -31,6 +31,7 @@ const char* SectionName(uint32_t id) {
     case SectionId::kRetiredEmbeddings: return "embeddings (retired)";
     case SectionId::kParams: return "params";
     case SectionId::kIdMap: return "id_map";
+    case SectionId::kEdgeCon: return "edge_con";
   }
   return "unknown";
 }
@@ -150,7 +151,7 @@ Status SnapshotReader::Validate(const SnapshotReaderOptions& options,
       SectionId::kGraphOut,    SectionId::kTitles,     SectionId::kYears,
       SectionId::kVenueScores, SectionId::kPagerank,   SectionId::kVocab,
       SectionId::kPostings,    SectionId::kDocLengths, SectionId::kIndexMeta,
-      SectionId::kEngineMeta,  SectionId::kParams,
+      SectionId::kEngineMeta,  SectionId::kParams,     SectionId::kEdgeCon,
   };
   for (SectionId id : kRequired) {
     if (!HasSection(id)) {

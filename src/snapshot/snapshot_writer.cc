@@ -225,15 +225,15 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
   SnapshotFile file(path);
   if (!file.ok()) return Status::IoError("snapshot: cannot open " + path);
 
-  // Graph (out-direction only; the reader rebuilds the transpose).
+  // Graph (out-direction only; the reader rebuilds the transpose), then
+  // the Eq. (2) con of every edge in the order the spans are written.
   {
-    std::vector<uint8_t> buf;
+    std::vector<uint64_t> relabeled_offsets;
+    std::vector<PaperId> relabeled_targets;
     if (options.relabel) {
-      std::vector<uint64_t> offsets;
-      std::vector<PaperId> targets;
-      offsets.reserve(n + 1);
-      targets.reserve(input.graph->num_edges());
-      offsets.push_back(0);
+      relabeled_offsets.reserve(n + 1);
+      relabeled_targets.reserve(input.graph->num_edges());
+      relabeled_offsets.push_back(0);
       std::vector<PaperId> span;
       for (size_t u = 0; u < n; ++u) {
         span.clear();
@@ -241,15 +241,31 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
           span.push_back(inv[v]);
         }
         std::sort(span.begin(), span.end());
-        targets.insert(targets.end(), span.begin(), span.end());
-        offsets.push_back(targets.size());
+        relabeled_targets.insert(relabeled_targets.end(), span.begin(),
+                                 span.end());
+        relabeled_offsets.push_back(relabeled_targets.size());
       }
-      EncodeAdjacency(offsets, targets, &buf);
-    } else {
-      EncodeAdjacency(graph::GraphIo::OutOffsets(*input.graph),
-                      graph::GraphIo::OutTargets(*input.graph), &buf);
     }
+    const std::vector<uint64_t>& offsets =
+        options.relabel ? relabeled_offsets
+                        : graph::GraphIo::OutOffsets(*input.graph);
+    const std::vector<PaperId>& targets =
+        options.relabel ? relabeled_targets
+                        : graph::GraphIo::OutTargets(*input.graph);
+    std::vector<uint8_t> buf;
+    EncodeAdjacency(offsets, targets, &buf);
     file.AddSection(SectionId::kGraphOut, buf);
+
+    // Con counts common neighbours, which relabeling renames but does
+    // not change, so it is counted on the input graph's ids.
+    std::vector<uint8_t> con(targets.size());
+    for (size_t u = 0; u < n; ++u) {
+      for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        con[e] = static_cast<uint8_t>(
+            rank::CountCon(*input.graph, perm[u], perm[targets[e]]));
+      }
+    }
+    file.AddSection(SectionId::kEdgeCon, con.data(), con.size());
   }
 
   file.AddSection(SectionId::kTitles, EncodeTitles(*input.titles, perm));

@@ -3,12 +3,13 @@
 
 /// \file
 /// Offline snapshot writer: serializes the complete immutable serving
-/// state (CSR citation graph, inverted index, per-paper metadata, NEWST
-/// params) into one section-table file (format.h) that
-/// SnapshotReader/ServingState can boot from via mmap. "Write once
-/// offline, read many at serve time": build-side cost (varint/delta
-/// compression, optional BFS relabeling for cache-friendly node order)
-/// is spent to make the read side cheap.
+/// state (CSR citation graph, the Eq. (2) con of every edge, inverted
+/// index, per-paper metadata, NEWST params) into one section-table file
+/// (format.h) that SnapshotReader/ServingState can boot from via mmap.
+/// "Write once offline, read many at serve time": build-side cost
+/// (varint/delta compression, counting con per edge, optional BFS
+/// relabeling for cache-friendly node order) is spent to make the read
+/// side cheap.
 
 #include <string>
 #include <vector>

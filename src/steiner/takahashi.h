@@ -14,7 +14,7 @@ namespace rpg::steiner {
 /// the terminal closest to the current tree via its cheapest path. Same
 /// 2(1 - 1/l) guarantee as KMB but a different construction — implemented
 /// as the alternative the heuristic-ablation bench compares against
-/// (DESIGN.md §6). The tree grows incrementally: one persistent
+/// (src/steiner/README.md). The tree grows incrementally: one persistent
 /// distance-from-tree Dijkstra is re-seeded from the nodes that join the
 /// tree each round, rather than recomputed per terminal. Interface
 /// matches SolveNewst; terminals disconnected from the first terminal are

@@ -11,7 +11,7 @@ namespace rpg::synth {
 /// Knobs for the corpus generator. Defaults produce ~27k papers and ~300
 /// surveys in a couple of seconds — the same *structure* as the paper's
 /// 6M-node S2ORC graph at laptop scale (every experiment's workload shape
-/// is preserved; see DESIGN.md §2).
+/// is preserved; see README.md, Reproduction).
 struct CorpusOptions {
   TopicHierarchyOptions hierarchy;
   VenueTableOptions venue;

@@ -6,7 +6,7 @@
 // terminals, seeds, subgraph shape, quantized tree cost) and the raw
 // Eq. (2) Con() counts over every citation edge into FNV-1a-64
 // fingerprints and compares them against constants captured BEFORE the
-// galloping/bitmap common-neighbor kernels, the d-ary Dijkstra heap and
+// galloping common-neighbor kernels, the d-ary Dijkstra heap and
 // the flat-hash sweep landed. A kernel bug that perturbs any count,
 // cost, tree or rank order anywhere in the sample trips this even if
 // every differential suite still self-agrees.
@@ -121,22 +121,22 @@ TEST_F(GoldenFingerprintFixture, PipelineResultsMatchGolden) {
 }
 
 TEST_F(GoldenFingerprintFixture, ConCountsOverEveryEdgeMatchGolden) {
-  // The Eq. (2) relatedness count for every citation edge, both
-  // orientations: this is the exact integer surface the intersection
-  // kernels compute, so a galloping/bitmap bug cannot hide behind
-  // downstream cost smoothing.
+  // The Eq. (2) relatedness count for every citation edge: this is the
+  // exact integer surface the intersection kernels compute, so a
+  // galloping bug cannot hide behind downstream cost smoothing.
   const auto& g = wb_->corpus().citations;
   const auto& weights = wb_->weights();
+  ASSERT_EQ(weights.edge_con().size(), g.num_edges());
   Fnv64 fp;
-  rank::ConScratch con_scratch;
+  size_t edge = 0;
   for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
     for (graph::PaperId v : g.OutNeighbors(u)) {
       int c = weights.Con(u, v);
       fp.Add(static_cast<uint64_t>(c));
-      // The scratch/bitmap path must agree count-for-count with the
-      // scratch-free kernels, and the capped two-phase count must be
-      // order-independent.
-      EXPECT_EQ(c, weights.Con(u, v, &con_scratch));
+      // The con table serving reads must hold the kernels' count for
+      // this edge, and the cost looked up through it must be Eq. (2).
+      EXPECT_EQ(weights.edge_con()[edge++], c) << u << "->" << v;
+      EXPECT_EQ(weights.LookupEdgeCost(u, v), weights.EdgeCost(u, v));
       fp.AddCost(weights.EdgeCost(u, v));
     }
   }

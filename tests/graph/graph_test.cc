@@ -317,8 +317,8 @@ TEST(GraphIoTest, OffsetsTargetsLengthMismatchRejected) {
 }
 
 TEST(GraphIoTest, NonAscendingSpanRejected) {
-  // A duplicate target: the bitmap Con() would count it twice, the merge
-  // kernels once.
+  // A duplicate target: the intersection kernels behind Con() assume
+  // duplicate-free spans.
   auto dup = GraphIo::FromOutCsr({0, 2, 2, 2}, {1, 1});
   ASSERT_TRUE(dup.status().IsInvalidArgument());
   EXPECT_NE(dup.status().ToString().find("ascending"), std::string::npos);

@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <numeric>
 
-#include "core/repager.h"
 #include "graph/graph_builder.h"
-#include "graph/subgraph.h"
 #include "rank/pagerank.h"
 #include "rank/weight_model.h"
 
@@ -167,8 +164,7 @@ TEST_F(WeightModelFixture, ConAndEdgeCostAreSymmetricOnRandomGraph) {
   // symmetric intersections and each phase's clamp is a semantic min, so
   // Con(i, j) == Con(j, i) and EdgeCost(i, j) == EdgeCost(j, i) must
   // hold for every pair — including pairs that saturate the cap, where a
-  // scan-cutoff bug would break order independence. Also pins the
-  // scratch/bitmap path to the scratch-free path on every pair.
+  // scan-cutoff bug would break order independence.
   const uint32_t n = 100;
   graph::GraphBuilder b(n);
   uint64_t state = 12345;
@@ -180,13 +176,11 @@ TEST_F(WeightModelFixture, ConAndEdgeCostAreSymmetricOnRandomGraph) {
     uint32_t u = next() % n, v = next() % n;
     if (u != v) b.AddCitation(u, v);
   }
-  // Hub citing everything: combined degree far above the bitmap
-  // stamping threshold, so the scratch path below runs dense too.
+  // Hub citing everything, so pairs with the hub saturate the cap.
   for (uint32_t v = 1; v < n; ++v) b.AddCitation(0, v);
   auto g = b.Build().value();
   std::vector<double> zero(n, 0.0);
   WeightModel model(&g, zero, zero);
-  ConScratch scratch;
   for (graph::PaperId i = 0; i < n; ++i) {
     for (graph::PaperId j = i + 1; j < n; ++j) {
       const int forward = model.Con(i, j);
@@ -194,66 +188,6 @@ TEST_F(WeightModelFixture, ConAndEdgeCostAreSymmetricOnRandomGraph) {
       EXPECT_DOUBLE_EQ(model.EdgeCost(i, j), model.EdgeCost(j, i));
       EXPECT_GE(forward, 1);
       EXPECT_LE(forward, 7);  // 1 + min(common, kConCap - 1)
-      EXPECT_EQ(forward, model.Con(i, j, &scratch));
-      EXPECT_EQ(forward, model.Con(j, i, &scratch));
-      EXPECT_DOUBLE_EQ(model.EdgeCost(i, j),
-                       model.EdgeCost(i, j, &scratch));
-    }
-  }
-}
-
-/// Random citations plus a hub: the LAST paper cites every other one,
-/// so its combined degree is far above the bitmap stamping threshold
-/// and it is the final row BuildWeightedSubgraph stamps.
-std::unique_ptr<graph::CitationGraph> HubLastGraph(uint32_t n, uint64_t seed) {
-  graph::GraphBuilder b(n);
-  uint64_t state = seed;
-  auto next = [&state]() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<uint32_t>(state >> 33);
-  };
-  for (uint32_t e = 0; e < 8 * n; ++e) {
-    uint32_t u = next() % (n - 1), v = next() % (n - 1);
-    if (u != v) b.AddCitation(u, v);
-  }
-  for (uint32_t v = 0; v + 1 < n; ++v) b.AddCitation(n - 1, v);
-  return std::make_unique<graph::CitationGraph>(b.Build().value());
-}
-
-steiner::WeightedGraph WeightedOver(const graph::CitationGraph& g,
-                                    ConScratch* scratch) {
-  std::vector<double> zero(g.num_nodes(), 0.0);
-  WeightModel model(&g, zero, zero);
-  std::vector<graph::PaperId> all(g.num_nodes());
-  std::iota(all.begin(), all.end(), 0);
-  graph::Subgraph sg(g, all);
-  steiner::WeightedGraphBuilder builder(0);
-  steiner::WeightedGraph out;
-  core::BuildWeightedSubgraph(sg, model, &builder, &out, scratch);
-  return out;
-}
-
-TEST(ConScratchTest, ReuseAfterGraphFreedMatchesFreshScratch) {
-  // A long-lived scratch (one per serving solver thread) stamps a
-  // high-degree source on a graph that is then freed, as an epoch's
-  // graph is after a flip. Reusing the scratch on another graph must
-  // not read the freed one (ASan), and must give exactly the costs a
-  // fresh scratch gives.
-  ConScratch reused;
-  auto first = HubLastGraph(100, 7);
-  WeightedOver(*first, &reused);
-  first.reset();
-
-  auto second = HubLastGraph(120, 99);
-  const steiner::WeightedGraph got = WeightedOver(*second, &reused);
-  ConScratch fresh;
-  const steiner::WeightedGraph want = WeightedOver(*second, &fresh);
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  ASSERT_EQ(got.num_edges(), want.num_edges());
-  for (uint32_t v = 0; v < want.num_nodes(); ++v) {
-    ASSERT_EQ(got.Degree(v), want.Degree(v)) << v;
-    for (size_t k = 0; k < want.Degree(v); ++k) {
-      EXPECT_EQ(got.Neighbors(v)[k], want.Neighbors(v)[k]) << v << "," << k;
     }
   }
 }

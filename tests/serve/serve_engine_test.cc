@@ -264,10 +264,12 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
 
 TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   const eval::Workbench& wb = SharedWorkbench();
-  // One solve at a time with a 1 ms queue deadline: the tail of a burst
-  // has aged out by the time the solver reaches it (each predecessor
-  // costs a full pipeline solve), and must be answered with a typed
-  // DeadlineExceeded -> 503 instead of being solved for nobody.
+  // One solve at a time with a 5 ms queue deadline: the tail of a burst
+  // has aged out by the time the solver reaches it, and must be answered
+  // with a typed DeadlineExceeded -> 503 instead of being solved for
+  // nobody. The head's reply holds the only solver thread until the
+  // whole tail is queued and past the deadline, so the tail ages out
+  // however fast a solve is.
   ServeEngineOptions options;
   options.num_threads = 1;
   options.pool.queue_deadline = std::chrono::milliseconds(5);
@@ -278,15 +280,23 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   constexpr int kBurst = 10;
   std::mutex mu;
   std::vector<ui::HttpResponse> responses;
+  std::atomic<bool> tail_queued{false};
   for (int i = 0; i < kBurst; ++i) {
     ui::HttpRequest request{"GET",
                             "/api/path",
                             {{"q", entry.query},
                              {"seeds", std::to_string(5 + i)},
                              {"year", std::to_string(entry.year)}}};
-    service.HandleAsync(request, [&](ui::HttpResponse response) {
-      std::lock_guard<std::mutex> lock(mu);
-      responses.push_back(std::move(response));
+    service.HandleAsync(request, [&, i](ui::HttpResponse response) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        responses.push_back(std::move(response));
+      }
+      if (i != 0) return;
+      while (!tail_queued.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(2 * options.pool.queue_deadline);
     });
     if (i == 0) {
       // Let the head of the burst finish before queueing the tail: the
@@ -302,6 +312,7 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
       }
     }
   }
+  tail_queued = true;
   for (int i = 0; i < 1000; ++i) {
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -394,10 +405,21 @@ TEST(ServeEngineTest, StopDrainsInFlightSolveEndToEnd) {
   options.num_threads = 2;
   ServeEngine engine(TestEpoch(wb), options);
   ui::RePagerService service(&engine);
+  // A solve can finish within one poll of the wait below, so its reply
+  // is held until Stop() has begun: the request is then still in flight
+  // when the drain starts, however fast the solve is.
+  const ui::HttpServer* stopping = nullptr;
   ui::HttpServer server(
       [&](const ui::HttpRequest& request, ui::HttpServer::Done done) {
-        service.HandleAsync(request, std::move(done));
+        service.HandleAsync(
+            request, [&, done = std::move(done)](ui::HttpResponse response) {
+              while (stopping->running()) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              }
+              done(std::move(response));
+            });
       });
+  stopping = &server;
   int port = server.Start(0).value();
   const auto& entry = wb.bank().Get(2);
   std::string q;

@@ -352,6 +352,67 @@ TEST(SnapshotReaderTest, RetiredSectionByteFlipFailsClosed) {
   EXPECT_EQ(flipped, 2);
 }
 
+/// The Eq. (2) con table is a required section, validated at load: it
+/// is never recounted, so a file without a usable table must not serve.
+/// Each case fails with InvalidArgument naming the section.
+void ExpectEdgeConRejected(std::vector<uint8_t> image,
+                           const SnapshotReaderOptions& options) {
+  auto state_or = ServingState::LoadFromBuffer(std::move(image), options);
+  ASSERT_FALSE(state_or.ok());
+  EXPECT_EQ(state_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(state_or.status().ToString().find("edge_con"), std::string::npos)
+      << state_or.status().ToString();
+}
+
+/// Where the current test image keeps its con table.
+SectionEntry EdgeConEntry(const std::vector<uint8_t>& image) {
+  for (const SectionEntry& e : TocOf(image)) {
+    if (e.id == static_cast<uint32_t>(SectionId::kEdgeCon)) return e;
+  }
+  ADD_FAILURE() << "edge_con section not found";
+  return {};
+}
+
+/// A file from a writer that predates the section (its TOC entry
+/// dropped, everything resealed) is rejected, not recounted.
+TEST(SnapshotReaderTest, EdgeConMissingFailsClosed) {
+  const std::vector<uint8_t> image = TestSnapshotImage(/*relabel=*/false);
+  std::vector<SectionEntry> toc = TocOf(image);
+  std::erase_if(toc, [](const SectionEntry& e) {
+    return e.id == static_cast<uint32_t>(SectionId::kEdgeCon);
+  });
+  ASSERT_EQ(toc.size() + 1, TocOf(image).size());
+  ExpectEdgeConRejected(WithToc(image, toc), {});
+}
+
+/// One byte short of num_edges, with a valid checksum over what is left.
+TEST(SnapshotReaderTest, EdgeConWrongSizeFailsClosed) {
+  const std::vector<uint8_t> image = TestSnapshotImage(/*relabel=*/false);
+  std::vector<SectionEntry> toc = TocOf(image);
+  for (SectionEntry& e : toc) {
+    if (e.id != static_cast<uint32_t>(SectionId::kEdgeCon)) continue;
+    ASSERT_GT(e.size, 0u);
+    e.size -= 1;
+    e.checksum = Fnv1a64(image.data() + e.offset, e.size);
+  }
+  ExpectEdgeConRejected(WithToc(image, toc), {});
+}
+
+/// A count outside [1, kConCap] would index past the cost table; with
+/// checksums off it reaches the decoder, which must refuse it.
+TEST(SnapshotReaderTest, EdgeConOutOfRangeFailsClosed) {
+  const std::vector<uint8_t> image = TestSnapshotImage(/*relabel=*/false);
+  const SectionEntry con = EdgeConEntry(image);
+  ASSERT_GT(con.size, 0u);
+  SnapshotReaderOptions lax;
+  lax.verify_checksums = false;
+  for (uint8_t bad : {uint8_t{0}, uint8_t{rank::WeightModel::kConCap + 1}}) {
+    auto bytes = image;
+    bytes[con.offset + con.size / 2] = bad;
+    ExpectEdgeConRejected(std::move(bytes), lax);
+  }
+}
+
 TEST(SnapshotReaderTest, TocLiesFailClosed) {
   auto image = TestSnapshotImage(/*relabel=*/false);
   SnapshotHeader header;

@@ -234,6 +234,25 @@ TEST(SnapshotRelabelTest, GraphEdgesMapBackExactly) {
   }
 }
 
+/// The writer counts con on the input graph's ids and stores it in the
+/// relabeled edge order; the loaded table must hold, edge for edge, what
+/// the kernels count on the loaded (relabeled) graph itself.
+TEST(SnapshotRelabelTest, EdgeConTableMatchesKernelsOnLoadedGraph) {
+  for (const ServingState* state : {&LoadedState(), &RelabeledState()}) {
+    const graph::CitationGraph& g = state->graph();
+    const rank::WeightModel& weights = state->weights();
+    ASSERT_EQ(weights.edge_con().size(), g.num_edges());
+    size_t edge = 0;
+    for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
+      for (graph::PaperId v : g.OutNeighbors(u)) {
+        ASSERT_EQ(weights.edge_con()[edge++], weights.Con(u, v))
+            << state->relabeled() << " " << u << "->" << v;
+        ASSERT_EQ(weights.LookupEdgeCost(u, v), weights.EdgeCost(u, v));
+      }
+    }
+  }
+}
+
 /// BM25 is permutation-invariant per document, so the FULL result set
 /// (top_k = n: no tie-dependent truncation) maps back with exactly equal
 /// scores.

@@ -85,6 +85,25 @@ inline std::vector<SectionEntry> TocOf(const std::vector<uint8_t>& image) {
   return entries;
 }
 
+/// `image` with its section table replaced by `toc`, written where the
+/// old table began, and the header resealed. Section bytes are kept, so
+/// `toc` may drop, resize or add entries over them.
+inline std::vector<uint8_t> WithToc(std::vector<uint8_t> image,
+                                    const std::vector<SectionEntry>& toc) {
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  image.resize(header.toc_offset);
+  header.section_count = static_cast<uint32_t>(toc.size());
+  header.toc_size = toc.size() * sizeof(SectionEntry);
+  header.toc_checksum = Fnv1a64(toc.data(), header.toc_size);
+  header.header_checksum =
+      Fnv1a64(&header, offsetof(SnapshotHeader, header_checksum));
+  const auto* toc_bytes = reinterpret_cast<const uint8_t*>(toc.data());
+  image.insert(image.end(), toc_bytes, toc_bytes + header.toc_size);
+  std::memcpy(image.data(), &header, sizeof(header));
+  return image;
+}
+
 /// A current-layout image of TestWorkbench() rewritten in the layout
 /// older writers produced: the retired embedder-options (11) and
 /// embedding-matrix (12) sections appended after the last section, each
@@ -123,16 +142,9 @@ inline std::vector<uint8_t> WithRetiredSections(std::vector<uint8_t> image) {
   append(SectionId::kRetiredEmbeddings, matrix);
   image.resize((image.size() + 7) / 8 * 8, 0);
 
-  header.section_count = static_cast<uint32_t>(toc.size());
   header.toc_offset = image.size();
-  header.toc_size = toc.size() * sizeof(SectionEntry);
-  header.toc_checksum = Fnv1a64(toc.data(), header.toc_size);
-  header.header_checksum =
-      Fnv1a64(&header, offsetof(SnapshotHeader, header_checksum));
-  const auto* toc_bytes = reinterpret_cast<const uint8_t*>(toc.data());
-  image.insert(image.end(), toc_bytes, toc_bytes + header.toc_size);
   std::memcpy(image.data(), &header, sizeof(header));
-  return image;
+  return WithToc(std::move(image), toc);
 }
 
 }  // namespace rpg::snapshot
