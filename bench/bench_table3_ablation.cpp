@@ -110,9 +110,9 @@ int main() {
     table.Print(std::cout);
   }
 
-  // Closure-mode ablation (ROADMAP follow-up to PR 1): the Mehlhorn
-  // single-pass closure is the production default; this row pair shows
-  // its end-task quality matches the classic per-terminal closure
+  // Closure-mode ablation: the Mehlhorn single-pass closure replaced
+  // the paper's per-terminal closure as the production default, so this
+  // row pair shows its end-task quality matches the classic closure
   // (trees can differ node-by-node, so F1/precision may differ in the
   // last decimals — the shape to check is parity, not identity).
   {

@@ -32,14 +32,18 @@ fails (exit 1) when one references:
 It also fails when a comment in a src/ .h or .cc file names a *.md
 file that exists neither relative to the repository root nor relative
 to that source file's directory — so code cannot go on citing a
-design document that is not in the tree.
+design document that is not in the tree — and when a comment in a
+src/, bench/ or tests/ C++ file mentions ROADMAP: the roadmap is
+rewritten as work lands, so its sections and item numbers do not stay
+put, and a comment must carry its own reason.
 
 Before scanning, built-in fixtures check that the bound check catches a
 doc quoting 1.02 against a 1.05 tracing limit, that the member check
 catches a made-up field of a fixture struct, that the name check
 catches `text::TfIdf` against a fixture that declares only
-`text::TfIdfModel`, and that the comment check catches a header citing
-DESIGN.md.
+`text::TfIdfModel`, that the comment check catches a header citing
+DESIGN.md, and that the roadmap check catches a comment citing a
+ROADMAP item.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -300,6 +304,39 @@ def md_ref_check_self_test():
     return problems
 
 
+CODE_FILES = [path for top in ("src", "bench", "tests")
+              for path in sorted((ROOT / top).rglob("*"))
+              if path.suffix in (".h", ".cc", ".cpp")]
+
+
+def roadmap_refs(path, text):
+    """Problems for every comment of the C++ source `text` (at `path`)
+    that mentions ROADMAP. String literals do not count."""
+    problems = []
+    text = DIGIT_SEP_RE.sub("", text)
+    for m in CPP_NOISE_RE.finditer(text):
+        if m.group(0).startswith(("//", "/*")) and "ROADMAP" in m.group(0):
+            line_no = text.count("\n", 0, m.start()) + 1
+            problems.append(f"{path.relative_to(ROOT)}:{line_no}: "
+                            f"comment points into ROADMAP")
+    return problems
+
+
+ROADMAP_FIXTURE = """
+/// Open-addressing containers for the hot path (ROADMAP item 4).
+const char* kNote = "a string, not a comment: ROADMAP";
+"""
+
+
+def roadmap_check_self_test():
+    """The roadmap check must flag the fixture's comment and not its
+    string literal. Returns problems."""
+    found = roadmap_refs(ROOT / "src" / "fixture.h", ROADMAP_FIXTURE)
+    if [p.rsplit(":", 2)[-2] for p in found] != ["2"]:
+        return [f"roadmap self-check: expected one hit on line 2, got {found}"]
+    return []
+
+
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
 # ("gated ≥ 0.9"), which refers to the closest metric named before it
@@ -440,9 +477,13 @@ def check_token(token: str):
 
 def main() -> int:
     failures = (bound_check_self_test() + member_check_self_test() +
-                name_check_self_test() + md_ref_check_self_test())
+                name_check_self_test() + md_ref_check_self_test() +
+                roadmap_check_self_test())
     for path, text in zip(SRC_FILES, SRC_TEXTS):
         failures += missing_md_refs(path, text)
+    for path in CODE_FILES:
+        failures += roadmap_refs(
+            path, path.read_text(encoding="utf-8", errors="replace"))
     gate = load_bench_gate()
     bounds = gated_bounds(gate)
     for line_no, problem in check_bounds(gate.__doc__, bounds):
@@ -471,7 +512,7 @@ def main() -> int:
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"docs_check OK ({', '.join(DOC_FILES)}; comments in "
-          f"{len(SRC_FILES)} src/ files)")
+          f"{len(CODE_FILES)} src/, bench/ and tests/ files)")
     return 0
 
 

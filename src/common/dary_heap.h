@@ -3,7 +3,8 @@
 
 /// \file
 /// Cache-friendly d-ary min-heap (default d = 4) for the Dijkstra /
-/// Prim / Takahashi–Matsuyama inner loops (ROADMAP item 4).
+/// Prim / Takahashi–Matsuyama inner loops, where heap operations are
+/// most of the per-query Steiner time.
 ///
 /// Versus the binary std::priority_queue the solvers used before:
 /// a 4-ary layout halves the tree depth, so the push path (sift-up)

@@ -3,7 +3,8 @@
 
 /// \file
 /// Insert-only open-addressing hash containers for the per-query hot
-/// path (ROADMAP item 4). The std::unordered_* containers the pipeline
+/// path, where allocation per insert would dominate the small sets a
+/// query builds. The std::unordered_* containers the pipeline
 /// scratch used before are node-based: every insert allocates, every
 /// probe chases a pointer, and clear() frees the nodes — exactly the
 /// behavior a reusable QueryScratch exists to avoid.

@@ -1,6 +1,7 @@
 #include "core/repager.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -27,31 +28,54 @@ double RePaGer::Importance(PaperId p) const {
 
 steiner::WeightedGraph BuildWeightedSubgraph(const graph::Subgraph& sg,
                                              const rank::WeightModel& weights) {
-  steiner::WeightedGraphBuilder builder(sg.num_nodes());
   steiner::WeightedGraph out;
-  BuildWeightedSubgraph(sg, weights, &builder, &out);
+  BuildWeightedSubgraph(sg, weights, &out);
   return out;
 }
 
 void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
-                           steiner::WeightedGraphBuilder* builder,
+                           steiner::WeightedGraph* out) {
+  steiner::WeightedGraph::Writer writer(out, sg.num_nodes(),
+                                        2 * sg.num_edges());
+  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
+    // The undirected span is a merge of the two sorted directed spans.
+    // Equal targets mean a mutual citation; its cheaper direction goes
+    // first, so the span stays sorted by (target, cost).
+    const std::span<const uint32_t> out_t = sg.OutNeighbors(local);
+    const std::span<const uint64_t> out_e = sg.OutEdgeIds(local);
+    const std::span<const uint32_t> in_t = sg.InNeighbors(local);
+    const std::span<const uint64_t> in_e = sg.InEdgeIds(local);
+    size_t i = 0, j = 0;
+    while (i < out_t.size() && j < in_t.size()) {
+      const bool take_out =
+          out_t[i] != in_t[j]
+              ? out_t[i] < in_t[j]
+              : weights.EdgeCostAt(out_e[i]) <= weights.EdgeCostAt(in_e[j]);
+      if (take_out) {
+        writer.Add(out_t[i], weights.EdgeCostAt(out_e[i]));
+        ++i;
+      } else {
+        writer.Add(in_t[j], weights.EdgeCostAt(in_e[j]));
+        ++j;
+      }
+    }
+    for (; i < out_t.size(); ++i) {
+      writer.Add(out_t[i], weights.EdgeCostAt(out_e[i]));
+    }
+    for (; j < in_t.size(); ++j) {
+      writer.Add(in_t[j], weights.EdgeCostAt(in_e[j]));
+    }
+    writer.EndNode(weights.NodeWeight(sg.ToGlobal(local)));
+  }
+}
+
+void BuildWeightedSubgraph(const graph::Subgraph& sg,
+                           const rank::WeightModel& weights,
+                           steiner::WeightedGraphBuilder* /*unused*/,
                            steiner::WeightedGraph* out,
                            rank::ConScratch* /*unused*/) {
-  builder->Reset(sg.num_nodes());
-  builder->ReserveEdges(sg.num_edges());
-  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
-    PaperId gu = sg.ToGlobal(local);
-    builder->SetNodeWeight(local, weights.NodeWeight(gu));
-    // Out-edges only, so each undirected edge is added exactly once.
-    // Every subgraph edge is a citation gu -> gv of the full graph, so
-    // its cost is in the con table.
-    for (uint32_t cited : sg.OutNeighbors(local)) {
-      builder->AddEdge(local, cited,
-                       weights.LookupEdgeCost(gu, sg.ToGlobal(cited)));
-    }
-  }
-  builder->BuildInto(out);
+  BuildWeightedSubgraph(sg, weights, out);
 }
 
 Result<RePagerResult> RePaGer::Generate(const std::string& query,
@@ -181,7 +205,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     // ---- Step 5: NEWST over the weighted sub-citation graph ----------
     Timer steiner_timer;
     if (trace) t0 = trace->NowNs();
-    BuildWeightedSubgraph(sg, *weights_, &scratch->builder_, &scratch->wg_);
+    BuildWeightedSubgraph(sg, *weights_, &scratch->wg_);
     const steiner::WeightedGraph& wg = scratch->wg_;
     if (trace) {
       trace->AddSpan(obs::Stage::kEdgeCost, t0, trace->NowNs() - t0,

@@ -21,8 +21,8 @@
 ///    QueryScratch per call. Results are bit-identical either way; the
 ///    scratch exists purely so serving can amortize the per-query
 ///    allocations (KHop visit map, subgraph id map + CSR arrays,
-///    weighted-graph builder buffers) that dominate once the Steiner
-///    solver is fast (see ROADMAP "Perf — Steiner hot path").
+///    weighted-graph CSR arrays), which would otherwise cost as much as
+///    the Steiner solve itself.
 
 #include <memory>
 #include <string>
@@ -93,7 +93,7 @@ struct RePagerResult {
 
 /// Reusable per-query working memory for RePaGer::Generate: the KHop
 /// visit map and frontier levels, the subgraph id map and CSR arrays, the
-/// weighted-graph builder buffers, and the ranking hash sets. After the
+/// weighted graph's CSR arrays, and the ranking hash sets. After the
 /// first query everything here is warm, so subsequent Generate calls make
 /// almost no allocations outside the returned RePagerResult.
 ///
@@ -118,7 +118,6 @@ class QueryScratch {
   graph::KHopResult khop_;
   graph::SubgraphScratch sg_scratch_;
   graph::Subgraph sg_;
-  steiner::WeightedGraphBuilder builder_{0};
   steiner::WeightedGraph wg_;
   std::vector<graph::PaperId> candidates_;
   std::vector<uint32_t> local_terminals_;
@@ -172,13 +171,19 @@ class RePaGer {
 steiner::WeightedGraph BuildWeightedSubgraph(const graph::Subgraph& sg,
                                              const rank::WeightModel& weights);
 
-/// Scratch-reusing variant: accumulates into the caller's builder and
-/// writes the CSR result into `*out`, reusing both objects' capacity.
-/// Edge costs are read from the weight model's con table. The last
-/// parameter is ignored (see rank::ConScratch).
+/// Same, writing into `*out` and reusing its array capacity. Each node's
+/// span merges its sorted out- and in-spans; an edge's cost is one read
+/// of the weight model's con table, keyed by the subgraph's recorded
+/// edge id.
 void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
-                           steiner::WeightedGraphBuilder* builder,
+                           steiner::WeightedGraph* out);
+
+/// Forwards to the overload above; the builder and the last parameter
+/// are ignored. Kept only for callers that still pass them.
+void BuildWeightedSubgraph(const graph::Subgraph& sg,
+                           const rank::WeightModel& weights,
+                           steiner::WeightedGraphBuilder* /*unused*/,
                            steiner::WeightedGraph* out,
                            rank::ConScratch* /*unused*/ = nullptr);
 

@@ -1,7 +1,8 @@
 #include "graph/subgraph.h"
 
-#include <algorithm>
 #include <numeric>
+
+#include "graph/graph_io.h"
 
 namespace rpg::graph {
 
@@ -60,57 +61,52 @@ void Subgraph::Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
                    out_offsets_.begin());
   std::partial_sum(in_offsets_.begin(), in_offsets_.end(), in_offsets_.begin());
 
-  // Fill pass. In-spans come out sorted for free (the outer loop visits
-  // citing locals in ascending order); out-spans are ordered by the cited
-  // paper's *global* id and need a per-span sort to be ascending in local
-  // ids.
-  out_targets_.resize(num_edges_);
+  // In-spans, filled in citing order: the outer loop visits citing
+  // locals ascending, so each in-span comes out sorted. Each entry keeps
+  // the citation's index in g's out-CSR.
+  const std::vector<uint64_t>& g_offsets = GraphIo::OutOffsets(g);
+  std::vector<uint64_t>& cursor = scratch->cursor_;
   in_targets_.resize(num_edges_);
-  scratch->out_cursor_.assign(out_offsets_.begin(), out_offsets_.end() - 1);
-  scratch->in_cursor_.assign(in_offsets_.begin(), in_offsets_.end() - 1);
+  in_edges_.resize(num_edges_);
+  cursor.assign(in_offsets_.begin(), in_offsets_.end() - 1);
   for (uint32_t local = 0; local < k; ++local) {
-    for (PaperId cited : g.OutNeighbors(locals_to_global_[local])) {
-      uint32_t target = map[cited];
+    const PaperId gu = locals_to_global_[local];
+    const std::span<const PaperId> cited = g.OutNeighbors(gu);
+    for (size_t i = 0; i < cited.size(); ++i) {
+      uint32_t target = map[cited[i]];
       if (target == UINT32_MAX) continue;
-      out_targets_[scratch->out_cursor_[local]++] = target;
-      in_targets_[scratch->in_cursor_[target]++] = local;
+      const uint64_t at = cursor[target]++;
+      in_targets_[at] = local;
+      in_edges_[at] = g_offsets[gu] + i;
     }
   }
-  for (uint32_t local = 0; local < k; ++local) {
-    std::sort(out_targets_.begin() + out_offsets_[local],
-              out_targets_.begin() + out_offsets_[local + 1]);
+
+  // Out-spans as the transpose of the in-CSR: visiting cited locals
+  // ascending leaves each out-span sorted too.
+  out_targets_.resize(num_edges_);
+  out_edges_.resize(num_edges_);
+  cursor.assign(out_offsets_.begin(), out_offsets_.end() - 1);
+  for (uint32_t cited = 0; cited < k; ++cited) {
+    for (uint64_t at = in_offsets_[cited]; at < in_offsets_[cited + 1];
+         ++at) {
+      const uint64_t to = cursor[in_targets_[at]]++;
+      out_targets_[to] = cited;
+      out_edges_[to] = in_edges_[at];
+    }
   }
 
-  // Sorted index for ToLocal.
-  sorted_locals_.resize(k);
-  std::iota(sorted_locals_.begin(), sorted_locals_.end(), 0u);
-  std::sort(sorted_locals_.begin(), sorted_locals_.end(),
-            [&](uint32_t a, uint32_t b) {
-              return locals_to_global_[a] < locals_to_global_[b];
-            });
-  sorted_globals_.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    sorted_globals_[i] = locals_to_global_[sorted_locals_[i]];
+  // Hash index for ToLocal.
+  local_of_.clear();
+  local_of_.reserve(k);
+  for (uint32_t local = 0; local < k; ++local) {
+    local_of_[locals_to_global_[local]] = local;
   }
   // MapResetGuard leaves the scratch map clean for the next Assign.
 }
 
 uint32_t Subgraph::ToLocal(PaperId global) const {
-  auto it = std::lower_bound(sorted_globals_.begin(), sorted_globals_.end(),
-                             global);
-  if (it == sorted_globals_.end() || *it != global) return UINT32_MAX;
-  return sorted_locals_[static_cast<size_t>(it - sorted_globals_.begin())];
-}
-
-std::vector<uint32_t> Subgraph::UndirectedNeighbors(uint32_t local) const {
-  std::span<const uint32_t> out = OutNeighbors(local);
-  std::span<const uint32_t> in = InNeighbors(local);
-  std::vector<uint32_t> merged;
-  merged.reserve(out.size() + in.size());
-  std::merge(out.begin(), out.end(), in.begin(), in.end(),
-             std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  return merged;
+  const uint32_t* local = local_of_.Find(global);
+  return local == nullptr ? UINT32_MAX : *local;
 }
 
 }  // namespace rpg::graph

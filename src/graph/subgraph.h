@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "graph/citation_graph.h"
 
 namespace rpg::graph {
@@ -39,13 +40,15 @@ class SubgraphScratch {
  private:
   friend class Subgraph;
   std::vector<uint32_t> global_to_local_;  // UINT32_MAX = absent; lazily sized
-  std::vector<uint64_t> out_cursor_;
-  std::vector<uint64_t> in_cursor_;
+  std::vector<uint64_t> cursor_;
 };
 
 /// Compressed-sparse-row induced subgraph (same storage design as
 /// CitationGraph). Local ids are assigned in the order nodes first appear
-/// in `nodes`; neighbor spans are sorted ascending by local id.
+/// in `nodes`; neighbor spans are sorted ascending by local id. Every
+/// local edge also records its citation's index in the source graph's
+/// out-CSR (GraphIo::OutOffsets(g)[u] + k for u's k-th reference), the
+/// key of WeightModel's per-edge con table.
 class Subgraph {
  public:
   /// Empty subgraph; populate with Assign().
@@ -71,7 +74,7 @@ class Subgraph {
   PaperId ToGlobal(uint32_t local) const { return locals_to_global_[local]; }
 
   /// Local id for a global paper id, or UINT32_MAX if not in the
-  /// subgraph. O(log k) binary search over the sorted id index.
+  /// subgraph. One hash probe.
   uint32_t ToLocal(PaperId global) const;
 
   bool Contains(PaperId global) const {
@@ -89,20 +92,30 @@ class Subgraph {
             in_offsets_[local + 1] - in_offsets_[local]};
   }
 
-  /// Undirected adjacency (union of in and out), sorted.
-  std::vector<uint32_t> UndirectedNeighbors(uint32_t local) const;
+  /// Source-graph out-CSR index of each citation in OutNeighbors(local),
+  /// parallel to it.
+  std::span<const uint64_t> OutEdgeIds(uint32_t local) const {
+    return {out_edges_.data() + out_offsets_[local],
+            out_offsets_[local + 1] - out_offsets_[local]};
+  }
+  /// Source-graph out-CSR index of each citation in InNeighbors(local),
+  /// parallel to it.
+  std::span<const uint64_t> InEdgeIds(uint32_t local) const {
+    return {in_edges_.data() + in_offsets_[local],
+            in_offsets_[local + 1] - in_offsets_[local]};
+  }
 
  private:
   std::vector<PaperId> locals_to_global_;
-  // ToLocal index: globals sorted ascending + their local ids, parallel.
-  std::vector<PaperId> sorted_globals_;
-  std::vector<uint32_t> sorted_locals_;
+  FlatMap<PaperId, uint32_t> local_of_;  // ToLocal index
   // Offsets hold num_nodes + 1 entries ({0} when empty) from default
   // construction on, so accessors stay in bounds for every valid local.
   std::vector<uint64_t> out_offsets_{0};
   std::vector<uint32_t> out_targets_;
+  std::vector<uint64_t> out_edges_;
   std::vector<uint64_t> in_offsets_{0};
   std::vector<uint32_t> in_targets_;
+  std::vector<uint64_t> in_edges_;
   size_t num_edges_ = 0;
 };
 

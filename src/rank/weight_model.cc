@@ -5,7 +5,6 @@
 
 #include "common/intersect.h"
 #include "common/logging.h"
-#include "graph/graph_io.h"
 
 namespace rpg::rank {
 
@@ -69,15 +68,6 @@ WeightModel::WeightModel(const graph::CitationGraph* g,
     cost_of_con_[con] =
         params_.alpha / std::pow(static_cast<double>(con), params_.beta);
   }
-}
-
-double WeightModel::LookupEdgeCost(graph::PaperId i, graph::PaperId j) const {
-  const std::span<const graph::PaperId> row = g_->OutNeighbors(i);
-  const auto it = std::lower_bound(row.begin(), row.end(), j);
-  RPG_CHECK(it != row.end() && *it == j);
-  const uint64_t edge = graph::GraphIo::OutOffsets(*g_)[i] +
-                        static_cast<uint64_t>(it - row.begin());
-  return cost_of_con_[edge_con_[edge]];
 }
 
 int WeightModel::Con(graph::PaperId i, graph::PaperId j) const {

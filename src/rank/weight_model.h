@@ -68,9 +68,11 @@ class WeightModel {
   /// negligible PageRank keep a finite weight.
   double NodeWeight(graph::PaperId i) const { return node_weights_[i]; }
 
-  /// Eq. (2) cost of the citation edge i -> j, read from the con table
-  /// (a binary search in i's out-span). i must cite j.
-  double LookupEdgeCost(graph::PaperId i, graph::PaperId j) const;
+  /// Eq. (2) cost of the graph's out-CSR edge `edge` (i's k-th reference
+  /// is GraphIo::OutOffsets(g)[i] + k), read from the con table.
+  double EdgeCostAt(uint64_t edge) const {
+    return cost_of_con_[edge_con_[edge]];
+  }
 
   /// The con table: one count per out-CSR edge, in CSR order.
   const std::vector<uint8_t>& edge_con() const { return edge_con_; }

@@ -3,7 +3,8 @@
 
 /// \file
 /// One immutable generation of the serving substrate, the unit of
-/// RCU-style state swap (ROADMAP "The graph is no longer immutable").
+/// RCU-style state swap: the corpus can be replaced while serving, so
+/// each request pins the generation it started on.
 ///
 /// An Epoch bundles everything a query needs — the RePaGer (and, through
 /// it, graph / engine / weights), the rendering metadata (titles, years)

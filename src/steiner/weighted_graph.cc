@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -37,77 +37,45 @@ double WeightedGraph::EdgeCost(uint32_t u, uint32_t v) const {
   return Costs(u)[static_cast<size_t>(it - targets.begin())];
 }
 
+WeightedGraph::Writer::Writer(WeightedGraph* out, size_t num_nodes,
+                              size_t num_half_edges)
+    : out_(out) {
+  out_->offsets_.assign(1, 0);
+  out_->offsets_.reserve(num_nodes + 1);
+  out_->targets_.clear();
+  out_->targets_.reserve(num_half_edges);
+  out_->costs_.clear();
+  out_->costs_.reserve(num_half_edges);
+  out_->node_weight_.clear();
+  out_->node_weight_.reserve(num_nodes);
+}
+
 void WeightedGraphBuilder::AddEdge(uint32_t u, uint32_t v, double cost) {
-  RPG_CHECK(u < num_nodes_ && v < num_nodes_) << "edge endpoint out of range";
+  RPG_CHECK(u < num_nodes() && v < num_nodes())
+      << "edge endpoint out of range";
   RPG_CHECK(u != v) << "self loops are not allowed";
   RPG_CHECK(cost > 0.0) << "edge costs must be positive";
-  edges_.push_back({u, v, cost});
+  half_edges_.push_back({u, v, cost});
+  half_edges_.push_back({v, u, cost});
 }
 
-void WeightedGraphBuilder::Reset(size_t num_nodes) {
-  num_nodes_ = num_nodes;
-  node_weight_.assign(num_nodes, 0.0);
-  edges_.clear();
-}
-
-WeightedGraph WeightedGraphBuilder::Build() {
+WeightedGraph WeightedGraphBuilder::Build() const {
+  std::vector<HalfEdge> sorted = half_edges_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const HalfEdge& a, const HalfEdge& b) {
+              return std::tie(a.from, a.to, a.cost) <
+                     std::tie(b.from, b.to, b.cost);
+            });
   WeightedGraph g;
-  BuildInto(&g);
-  return g;
-}
-
-void WeightedGraphBuilder::BuildInto(WeightedGraph* out) {
-  WeightedGraph& g = *out;
-  const size_t n = num_nodes_;
-  const size_t m = edges_.size();
-  g.num_edges_ = m;
-  // Copy (not move) so the builder's capacity survives for the next
-  // Reset/Build cycle; assign reuses g's capacity likewise.
-  g.node_weight_.assign(node_weight_.begin(), node_weight_.end());
-  node_weight_.assign(n, 0.0);
-
-  // Counting sort into CSR: each undirected edge lands in both endpoints'
-  // spans.
-  g.offsets_.assign(n + 1, 0);
-  for (const PendingEdge& e : edges_) {
-    ++g.offsets_[e.u + 1];
-    ++g.offsets_[e.v + 1];
-  }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
-  g.targets_.resize(2 * m);
-  g.costs_.resize(2 * m);
-  cursor_.assign(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const PendingEdge& e : edges_) {
-    uint64_t pu = cursor_[e.u]++;
-    g.targets_[pu] = e.v;
-    g.costs_[pu] = e.cost;
-    uint64_t pv = cursor_[e.v]++;
-    g.targets_[pv] = e.u;
-    g.costs_[pv] = e.cost;
-  }
-  edges_.clear();
-
-  // Sort each span by (target, cost) so membership is a binary search and
-  // the cheapest parallel edge comes first.
-  for (size_t v = 0; v < n; ++v) {
-    size_t b = g.offsets_[v], e = g.offsets_[v + 1];
-    size_t d = e - b;
-    if (d < 2) continue;
-    perm_.resize(d);
-    std::iota(perm_.begin(), perm_.end(), 0u);
-    uint32_t* t = g.targets_.data() + b;
-    double* c = g.costs_.data() + b;
-    std::sort(perm_.begin(), perm_.end(), [&](uint32_t a, uint32_t o) {
-      if (t[a] != t[o]) return t[a] < t[o];
-      return c[a] < c[o];
-    });
-    tmp_targets_.assign(t, t + d);
-    tmp_costs_.assign(c, c + d);
-    for (size_t i = 0; i < d; ++i) {
-      t[i] = tmp_targets_[perm_[i]];
-      c[i] = tmp_costs_[perm_[i]];
+  WeightedGraph::Writer writer(&g, num_nodes(), sorted.size());
+  size_t i = 0;
+  for (uint32_t v = 0; v < num_nodes(); ++v) {
+    for (; i < sorted.size() && sorted[i].from == v; ++i) {
+      writer.Add(sorted[i].to, sorted[i].cost);
     }
+    writer.EndNode(node_weight_[v]);
   }
+  return g;
 }
 
 WeightedGraph UnitCostCopy(const WeightedGraph& g) {
@@ -116,7 +84,6 @@ WeightedGraph UnitCostCopy(const WeightedGraph& g) {
   unit.targets_ = g.targets_;
   unit.costs_.assign(g.costs_.size(), 1.0);
   unit.node_weight_ = g.node_weight_;
-  unit.num_edges_ = g.num_edges_;
   return unit;
 }
 

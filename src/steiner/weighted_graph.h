@@ -16,7 +16,8 @@ namespace rpg::steiner {
 ///
 /// Immutable compressed-sparse-row storage (same design as
 /// graph::CitationGraph): flat offsets/targets/costs arrays, each node's
-/// neighbor span sorted ascending by (target, cost). Construct via
+/// neighbor span sorted ascending by (target, cost). Written only by
+/// Writer, either directly (core::BuildWeightedSubgraph) or through
 /// WeightedGraphBuilder. Sorted spans give O(log d) EdgeCost via binary
 /// search and cache-friendly sequential scans in the solver hot loops.
 class WeightedGraph {
@@ -62,10 +63,35 @@ class WeightedGraph {
     size_t size_;
   };
 
+  /// The one CSR writer. Rewrites `*out` node by node in id order,
+  /// reusing its array capacity: Add node 0's half-edges, EndNode(w(0)),
+  /// then node 1's, and so on. Each node's half-edges must come in
+  /// ascending (target, cost) order, and every undirected edge is added
+  /// from both endpoints.
+  class Writer {
+   public:
+    /// `num_nodes` and `num_half_edges` only size the reservation.
+    Writer(WeightedGraph* out, size_t num_nodes, size_t num_half_edges);
+
+    void Add(uint32_t target, double cost) {
+      out_->targets_.push_back(target);
+      out_->costs_.push_back(cost);
+    }
+
+    void EndNode(double weight) {
+      out_->node_weight_.push_back(weight);
+      out_->offsets_.push_back(out_->targets_.size());
+    }
+
+   private:
+    WeightedGraph* out_;
+  };
+
   WeightedGraph() = default;
 
   size_t num_nodes() const { return node_weight_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  /// Undirected edges: every edge is stored from both endpoints.
+  size_t num_edges() const { return targets_.size() / 2; }
 
   double NodeWeight(uint32_t v) const { return node_weight_[v]; }
 
@@ -95,65 +121,42 @@ class WeightedGraph {
   double EdgeCost(uint32_t u, uint32_t v) const;
 
  private:
-  friend class WeightedGraphBuilder;
   friend WeightedGraph UnitCostCopy(const WeightedGraph& g);
 
   std::vector<uint64_t> offsets_;  // size num_nodes + 1 (empty graph: {0})
   std::vector<uint32_t> targets_;
   std::vector<double> costs_;
   std::vector<double> node_weight_;
-  size_t num_edges_ = 0;
 };
 
 /// Accumulates edges and node weights, then freezes them into the CSR
 /// WeightedGraph. Parallel edges are allowed but the algorithms treat the
-/// cheapest as effective.
-///
-/// The builder is reusable: after Build()/BuildInto() it is left empty
-/// (zero weights, no edges) but keeps its array capacity, and Reset()
-/// re-targets it at a new node count. A long-lived builder per worker
-/// (see core::QueryScratch) makes repeated weighted-subgraph builds
-/// allocation-free after warm-up.
+/// cheapest as effective. For tests, benches and baselines; the serving
+/// pipeline writes its graph with WeightedGraph::Writer directly.
 class WeightedGraphBuilder {
  public:
   explicit WeightedGraphBuilder(size_t num_nodes)
-      : num_nodes_(num_nodes), node_weight_(num_nodes, 0.0) {}
-
-  /// Clears all pending state and re-targets the builder at `num_nodes`
-  /// nodes, keeping allocated capacity.
-  void Reset(size_t num_nodes);
+      : node_weight_(num_nodes, 0.0) {}
 
   /// Adds an undirected edge with a positive cost.
   void AddEdge(uint32_t u, uint32_t v, double cost);
 
   void SetNodeWeight(uint32_t v, double w) { node_weight_[v] = w; }
 
-  size_t num_nodes() const { return num_nodes_; }
-  size_t num_edges() const { return edges_.size(); }
+  size_t num_nodes() const { return node_weight_.size(); }
+  size_t num_edges() const { return half_edges_.size() / 2; }
 
-  void ReserveEdges(size_t n) { edges_.reserve(n); }
-
-  /// Freezes into the immutable CSR form. The builder is left empty.
-  WeightedGraph Build();
-
-  /// Build() variant that reuses `out`'s array capacity — the scratch
-  /// path for callers that keep a WeightedGraph object alive across
-  /// queries. The builder is left empty, as with Build().
-  void BuildInto(WeightedGraph* out);
+  /// Freezes into the immutable CSR form: sorts the half-edges by
+  /// (node, target, cost) and feeds them to WeightedGraph::Writer.
+  WeightedGraph Build() const;
 
  private:
-  struct PendingEdge {
-    uint32_t u, v;
+  struct HalfEdge {
+    uint32_t from, to;
     double cost;
   };
-  size_t num_nodes_;
-  std::vector<PendingEdge> edges_;
+  std::vector<HalfEdge> half_edges_;
   std::vector<double> node_weight_;
-  // Reusable per-span sort temporaries for BuildInto.
-  std::vector<uint64_t> cursor_;
-  std::vector<uint32_t> perm_;
-  std::vector<uint32_t> tmp_targets_;
-  std::vector<double> tmp_costs_;
 };
 
 /// Copy of g with every edge cost replaced by 1 (the NEWST-E ablation).

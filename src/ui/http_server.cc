@@ -282,30 +282,6 @@ struct HttpServer::SharedState {
   std::atomic<uint64_t> idle_closes{0};
   std::atomic<uint64_t> timeout_closes{0};
   std::atomic<uint64_t> deadline_closes{0};
-  std::atomic<uint64_t> per_ip_shed{0};
-
-  /// Per-IP open-connection counts (host byte order), shared across
-  /// pollers because one IP's connections land on all of them. Touched
-  /// only at accept and close, and only when max_connections_per_ip is
-  /// on, so the lock is far off the request path.
-  std::mutex per_ip_mu;
-  std::unordered_map<uint32_t, size_t> per_ip_open;
-
-  /// Reserves a slot for `ip`; false when the cap is already met.
-  bool TryAcquireIp(uint32_t ip, size_t cap) {
-    std::lock_guard<std::mutex> lock(per_ip_mu);
-    size_t& count = per_ip_open[ip];
-    if (count >= cap) return false;
-    ++count;
-    return true;
-  }
-
-  void ReleaseIp(uint32_t ip) {
-    std::lock_guard<std::mutex> lock(per_ip_mu);
-    auto it = per_ip_open.find(ip);
-    if (it == per_ip_open.end()) return;
-    if (--it->second == 0) per_ip_open.erase(it);
-  }
 };
 
 /// One reactor thread: an epoll instance multiplexing the listen socket
@@ -414,9 +390,6 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     /// advancing in the outer loop instead of recursing once per
     /// buffered request (attacker-controlled depth otherwise).
     bool pumping = false;
-    /// Peer IPv4 (host order) holding a per-IP slot, released at close;
-    /// 0 when the connection holds none (per-IP cap off at accept time).
-    uint32_t peer_ip = 0;
     size_t drained = 0;
     uint64_t request_seq = 0;  ///< guards stale/duplicate completions
     uint32_t interest = EPOLLIN;
@@ -609,10 +582,8 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   void AcceptAll() {
     if (draining_) return;  // listen fd deregistered; stale event
     for (;;) {
-      sockaddr_in peer{};
-      socklen_t peer_len = sizeof(peer);
-      int fd = ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer),
-                         &peer_len, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
         if ((errno == EMFILE || errno == ENFILE) && spare_fd_ >= 0) {
@@ -643,25 +614,11 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
         ShedAccepted(fd);
         continue;
       }
-      // Per-IP cap: same inline shed, but charged to the one source
-      // that exhausted its own budget rather than to global overload.
-      uint32_t peer_ip = 0;
-      if (options_->max_connections_per_ip > 0 &&
-          peer.sin_family == AF_INET) {
-        peer_ip = ntohl(peer.sin_addr.s_addr);
-        if (!shared_->TryAcquireIp(peer_ip,
-                                   options_->max_connections_per_ip)) {
-          shared_->per_ip_shed.fetch_add(1);
-          ShedAccepted(fd);
-          continue;
-        }
-      }
       const uint64_t id = next_conn_id_++;
       Conn* conn = conns_.emplace(id, std::make_unique<Conn>())
                        .first->second.get();
       conn->fd = fd;
       conn->id = id;
-      conn->peer_ip = peer_ip;
       // Counted before registering, so CloseConn also undoes a failed
       // registration.
       shared_->open_connections.fetch_add(1);
@@ -992,7 +949,6 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   void CloseConn(Conn* conn) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
-    if (conn->peer_ip != 0) shared_->ReleaseIp(conn->peer_ip);
     shared_->open_connections.fetch_sub(1);
     conns_.erase(conn->id);  // destroys *conn
   }
@@ -1105,7 +1061,6 @@ HttpServerStats HttpServer::Stats() const {
   stats.idle_closes = shared_->idle_closes.load();
   stats.timeout_closes = shared_->timeout_closes.load();
   stats.deadline_closes = shared_->deadline_closes.load();
-  stats.per_ip_shed = shared_->per_ip_shed.load();
   return stats;
 }
 

@@ -153,12 +153,6 @@ struct HttpServerOptions {
   /// relaxed read, so a burst across pollers can briefly overshoot by
   /// num_pollers - 1. 0 = unlimited.
   size_t max_connections = 1024;
-  /// Open-connection cap per client IP, so one hostile source cannot
-  /// starve the global `max_connections` budget once serving leaves
-  /// loopback. Enforced at accept with the same inline 503 shed as the
-  /// global cap. 0 = disabled (the default: everything is one IP on
-  /// loopback).
-  size_t max_connections_per_ip = 0;
   /// Requests whose handler completion takes at least this long get one
   /// structured slow-query log line (JSON: request id, canonical query
   /// key, total ms, per-span breakdown — see docs/observability.md).
@@ -188,9 +182,6 @@ struct HttpServerStats {
   /// Requests answered 503 by the handler deadline (kHandling exceeded
   /// `handler_timeout`; the connection closes behind the 503).
   uint64_t deadline_closes = 0;
-  /// Connections refused at accept because their IP hit
-  /// `max_connections_per_ip`.
-  uint64_t per_ip_shed = 0;
 };
 
 /// Epoll-based HTTP/1.1 server for the RePaGer serving layer (§V +

@@ -134,7 +134,6 @@ std::string RePagerService::StatsJson() const {
   w.Key("idle_closes").UInt(http.idle_closes);
   w.Key("timeout_closes").UInt(http.timeout_closes);
   w.Key("deadline_closes").UInt(http.deadline_closes);
-  w.Key("per_ip_shed").UInt(http.per_ip_shed);
   w.EndObject();
   w.EndObject();
   // Splice the engine's own {"cache":...,"batcher":...,"metrics":...}
@@ -166,7 +165,6 @@ std::string RePagerService::MetricsText() const {
   obs::AppendCounter("rpg_http_idle_closes", http.idle_closes, &out);
   obs::AppendCounter("rpg_http_timeout_closes", http.timeout_closes, &out);
   obs::AppendCounter("rpg_http_deadline_closes", http.deadline_closes, &out);
-  obs::AppendCounter("rpg_http_per_ip_shed", http.per_ip_shed, &out);
   return out;
 }
 

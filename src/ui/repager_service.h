@@ -92,9 +92,9 @@ class RePagerService {
   /// concurrent reloads queue on its mutex and get distinct ids. Runs
   /// inline on the calling (poller) thread, so every connection on that
   /// poller waits for the whole load and checksum pass (and for any
-  /// reload queued ahead of it). Other pollers keep serving. Moving the
-  /// load off the poller is ROADMAP.md open item 3 ("Reload without
-  /// stalling a poller").
+  /// reload queued ahead of it). Other pollers keep serving. A reload
+  /// is a rare operator action, so that stall is accepted rather than
+  /// giving admin requests a completion path of their own.
   HttpResponse HandleReload(const HttpRequest& request) const;
 
   /// The /api/stats document: engine stats + the reactor's http section.

@@ -135,8 +135,9 @@ TEST_F(GoldenFingerprintFixture, ConCountsOverEveryEdgeMatchGolden) {
       fp.Add(static_cast<uint64_t>(c));
       // The con table serving reads must hold the kernels' count for
       // this edge, and the cost looked up through it must be Eq. (2).
-      EXPECT_EQ(weights.edge_con()[edge++], c) << u << "->" << v;
-      EXPECT_EQ(weights.LookupEdgeCost(u, v), weights.EdgeCost(u, v));
+      EXPECT_EQ(weights.edge_con()[edge], c) << u << "->" << v;
+      EXPECT_EQ(weights.EdgeCostAt(edge), weights.EdgeCost(u, v));
+      ++edge;
       fp.AddCost(weights.EdgeCost(u, v));
     }
   }

@@ -213,12 +213,20 @@ TEST(SubgraphTest, DuplicatesAndInvalidIdsIgnored) {
   EXPECT_EQ(sg.num_nodes(), 2u);
 }
 
-TEST(SubgraphTest, UndirectedNeighborsMergesBothDirections) {
+TEST(SubgraphTest, EdgeIdsIndexTheSourceOutCsr) {
+  // Diamond out-CSR: 0->1 is edge 0, 0->2 edge 1, 1->3 edge 2, 2->3
+  // edge 3. Locals: 0 -> 0, 1 -> 1, 3 -> 2.
   CitationGraph g = BuildDiamond();
   Subgraph sg(g, {0, 1, 3});
-  uint32_t l1 = sg.ToLocal(1);
-  auto undirected = sg.UndirectedNeighbors(l1);
-  EXPECT_EQ(undirected.size(), 2u);  // 0 (citer) and 3 (cited)
+  auto ids = [](std::span<const uint64_t> s) {
+    return std::vector<uint64_t>(s.begin(), s.end());
+  };
+  EXPECT_EQ(ids(sg.OutEdgeIds(0)), (std::vector<uint64_t>{0}));
+  EXPECT_EQ(ids(sg.OutEdgeIds(1)), (std::vector<uint64_t>{2}));
+  EXPECT_TRUE(sg.OutEdgeIds(2).empty());
+  EXPECT_TRUE(sg.InEdgeIds(0).empty());
+  EXPECT_EQ(ids(sg.InEdgeIds(1)), (std::vector<uint64_t>{0}));
+  EXPECT_EQ(ids(sg.InEdgeIds(2)), (std::vector<uint64_t>{2}));
 }
 
 TEST(SubgraphTest, AssignWithSharedScratchMatchesFreshBuilds) {

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "../serve/serve_test_util.h"
 #include "core/batch_engine.h"
+#include "graph/graph_io.h"
+#include "graph/subgraph.h"
 #include "serve/serve_engine.h"
 #include "snapshot/serving_state.h"
 #include "ui/repager_service.h"
@@ -245,10 +248,58 @@ TEST(SnapshotRelabelTest, EdgeConTableMatchesKernelsOnLoadedGraph) {
     size_t edge = 0;
     for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
       for (graph::PaperId v : g.OutNeighbors(u)) {
-        ASSERT_EQ(weights.edge_con()[edge++], weights.Con(u, v))
+        ASSERT_EQ(weights.edge_con()[edge], weights.Con(u, v))
             << state->relabeled() << " " << u << "->" << v;
-        ASSERT_EQ(weights.LookupEdgeCost(u, v), weights.EdgeCost(u, v));
+        ASSERT_EQ(weights.EdgeCostAt(edge), weights.EdgeCost(u, v));
+        ++edge;
       }
+    }
+  }
+}
+
+/// Every local edge of a subgraph records its citation's index in the
+/// loaded graph's out-CSR, the key of the con table. Node sets are given
+/// out of id order so local ids differ from global ones.
+TEST(SubgraphTest, EdgeIdsNameTheCitationOnLoadedGraphs) {
+  for (const ServingState* state : {&LoadedState(), &RelabeledState()}) {
+    const graph::CitationGraph& g = state->graph();
+    const auto& offsets = graph::GraphIo::OutOffsets(g);
+    const auto& targets = graph::GraphIo::OutTargets(g);
+    std::vector<graph::PaperId> all(g.num_nodes());
+    std::iota(all.rbegin(), all.rend(), 0u);
+    std::vector<graph::PaperId> every_third;
+    for (graph::PaperId p = 0; p < g.num_nodes(); p += 3) {
+      every_third.push_back(p);
+    }
+    std::reverse(every_third.begin(), every_third.end());
+    for (const auto& nodes : {all, every_third}) {
+      graph::Subgraph sg(g, nodes);
+      // `id` must be citer -> cited in g's out-CSR.
+      auto names = [&](uint64_t id, uint32_t citer, uint32_t cited) {
+        const graph::PaperId u = sg.ToGlobal(citer);
+        return offsets[u] <= id && id < offsets[u + 1] &&
+               targets[id] == sg.ToGlobal(cited);
+      };
+      size_t checked = 0;
+      for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
+        const auto out = sg.OutNeighbors(local);
+        const auto out_ids = sg.OutEdgeIds(local);
+        ASSERT_EQ(out.size(), out_ids.size());
+        for (size_t i = 0; i < out.size(); ++i) {
+          ASSERT_TRUE(names(out_ids[i], local, out[i]))
+              << state->relabeled() << " " << local << "->" << out[i];
+          ++checked;
+        }
+        const auto in = sg.InNeighbors(local);
+        const auto in_ids = sg.InEdgeIds(local);
+        ASSERT_EQ(in.size(), in_ids.size());
+        for (size_t i = 0; i < in.size(); ++i) {
+          ASSERT_TRUE(names(in_ids[i], in[i], local))
+              << state->relabeled() << " " << in[i] << "->" << local;
+          ++checked;
+        }
+      }
+      EXPECT_EQ(checked, 2 * sg.num_edges());
     }
   }
 }

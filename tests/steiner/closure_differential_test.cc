@@ -1,12 +1,13 @@
-// Differential harness for the two metric-closure constructions
-// (ROADMAP item 5 follow-up): sweep randomized graphs x terminal-set
-// sizes well past the exact-solver range and hold the Mehlhorn
-// single-pass closure and the classic per-terminal closure to each
-// other — per-instance cross bounds from the shared 2(1 - 1/l)
-// guarantee, an aggregate tree-cost delta bound (the fast path was
-// adopted on a measured <1% mean delta; this gate keeps it from
-// silently regressing), identical unreachable-terminal behavior, and
-// TreeCost-recompute consistency for every tree either mode emits.
+// Differential harness for the two metric-closure constructions. The
+// exact solver stops at 12 terminals, so past that range the two
+// closures can only be held to each other: sweep randomized graphs x
+// terminal-set sizes and hold the Mehlhorn single-pass closure and the
+// classic per-terminal closure to each other — per-instance cross
+// bounds from the shared 2(1 - 1/l) guarantee, an aggregate tree-cost
+// delta bound (the fast path was adopted on a measured <1% mean delta;
+// this gate keeps it from silently regressing), identical
+// unreachable-terminal behavior, and TreeCost-recompute consistency for
+// every tree either mode emits.
 
 #include <gtest/gtest.h>
 

@@ -1265,65 +1265,6 @@ TEST(HttpServerTest, SynchronousHandlersUnaffectedByHandlerTimeout) {
   server.Stop();
 }
 
-// ------------------------------------------------------- per-IP capping
-
-TEST(HttpServerTest, PerIpCapShedsExcessConnections) {
-  HttpServerOptions options;
-  options.max_connections_per_ip = 2;
-  HttpServer server([](const HttpRequest& request) {
-    return HttpResponse{200, "text/plain", "echo:" + request.path};
-  }, options);
-  int port = server.Start(0).value();
-  // Two loopback connections fill this IP's allowance...
-  HttpClient a, b;
-  ASSERT_TRUE(a.Connect(port).ok());
-  ASSERT_TRUE(b.Connect(port).ok());
-  ASSERT_TRUE(a.Fetch("GET", "/a").ok());
-  ASSERT_TRUE(b.Fetch("GET", "/b").ok());
-  // ...so the third from the same IP is shed at accept with a 503.
-  int fd = ConnectRaw(port);
-  ASSERT_GE(fd, 0);
-  std::string response = ReadToEof(fd);
-  ::close(fd);
-  EXPECT_NE(response.find("503"), std::string::npos);
-  EXPECT_NE(response.find("Connection: close"), std::string::npos);
-  EXPECT_EQ(server.Stats().per_ip_shed, 1u);
-  EXPECT_EQ(server.Stats().open_connections, 2u);
-  // Existing connections are unaffected by the shed.
-  auto again = a.Fetch("GET", "/again");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->body, "echo:/again");
-  // Closing one frees the slot for the same IP.
-  a.Close();
-  EXPECT_TRUE(PollUntil([&] { return server.Stats().open_connections == 1; }));
-  HttpClient c;
-  ASSERT_TRUE(c.Connect(port).ok());
-  auto ok = c.Fetch("GET", "/c");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->status, 200);
-  b.Close();
-  c.Close();
-  server.Stop();
-}
-
-TEST(HttpServerTest, PerIpCapOffByDefault) {
-  HttpServer server([](const HttpRequest& request) {
-    return HttpResponse{200, "text/plain", "echo:" + request.path};
-  });
-  int port = server.Start(0).value();
-  // Well more same-IP connections than any sane per-IP cap would allow.
-  std::vector<std::unique_ptr<HttpClient>> clients;
-  for (int i = 0; i < 6; ++i) {
-    clients.push_back(std::make_unique<HttpClient>());
-    ASSERT_TRUE(clients.back()->Connect(port).ok());
-    ASSERT_TRUE(clients.back()->Fetch("GET", "/x").ok());
-  }
-  EXPECT_EQ(server.Stats().per_ip_shed, 0u);
-  EXPECT_EQ(server.Stats().open_connections, 6u);
-  for (auto& client : clients) client->Close();
-  server.Stop();
-}
-
 // --------------------------------------------------------- RePagerService
 
 class ServiceFixture : public ::testing::Test {
@@ -1518,7 +1459,6 @@ TEST_F(ServiceFixture, EndToEndOverSocket) {
   EXPECT_NE(stats->body.find("\"idle_closes\":"), std::string::npos);
   EXPECT_NE(stats->body.find("\"timeout_closes\":"), std::string::npos);
   EXPECT_NE(stats->body.find("\"deadline_closes\":"), std::string::npos);
-  EXPECT_NE(stats->body.find("\"per_ip_shed\":"), std::string::npos);
   auto clear = client.Fetch("POST", "/api/cache/clear");
   ASSERT_TRUE(clear.ok());
   EXPECT_EQ(clear->status, 200);
