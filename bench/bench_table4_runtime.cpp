@@ -230,7 +230,6 @@ int main(int argc, char** argv) {
   // (docs/observability.md). attributed_fraction is the share of the
   // wall-clock total the spans explain; the perf gate asserts it stays
   // >= 0.9 so a stage can never silently fall out of the instrumentation.
-  // With RPG_TRACING=OFF the section still prints, but all zeros.
   std::printf("\n=== Per-stage latency attribution (avg over sample) ===\n");
   TablePrinter stage_table({"stage", "avg ms", "share of total"});
   const double runs_d = static_cast<double>(runs);
@@ -257,7 +256,7 @@ int main(int argc, char** argv) {
 
   // --- Tracing overhead: same sample, spans on vs off ------------------
   // Interleaved best-of-reps so both modes see the same cache/thermal
-  // state; the perf gate holds overhead_ratio under 1.02 (< 2%).
+  // state; the perf gate holds overhead_ratio at or under 1.05 (5%).
   const int kTraceReps = 3;
   double traced_best = 1e30, untraced_best = 1e30;
   for (int r = 0; r < kTraceReps; ++r) {
@@ -277,7 +276,6 @@ int main(int argc, char** argv) {
               "(ratio %.4f)\n",
               traced_best, untraced_best, overhead_ratio);
   json.Key("tracing").BeginObject();
-  json.Key("compiled_in").Bool(obs::kTracingCompiledIn);
   json.Key("traced_seconds").Double(traced_best);
   json.Key("untraced_seconds").Double(untraced_best);
   json.Key("overhead_ratio").Double(overhead_ratio);

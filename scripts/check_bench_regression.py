@@ -43,13 +43,12 @@ TABLE4_METRICS = [
     ("closure_comparison[0].total_speedup", "higher"),
 ]
 # Absolute limits on the fresh run, judged without a baseline ratio:
-# (json_path, kind, bound[, guard_path]). "max" fails when current >
-# bound, "min" when current < bound; a falsy guard_path value skips the
-# check. These gate invariants rather than trajectories: tracing must
-# stay cheap relative to the untraced pipeline, and the stage spans must
-# explain >= 90% of the wall-clock solve time (docs/observability.md).
-# Both are meaningless when the tracing layer is compiled out, hence the
-# guard.
+# (json_path, kind, bound). "max" fails when current > bound, "min" when
+# current < bound. These gate invariants rather than trajectories:
+# tracing must stay cheap relative to the untraced pipeline, and the
+# stage spans must explain >= 90% of the wall-clock solve time
+# (docs/observability.md). Tracing is always compiled in, so every limit
+# applies to every run.
 #
 # The tracing bound moved 1.02 -> 1.05 when the intersection-kernel /
 # d-ary-heap rewrite made the pipeline ~2.3x faster: the tracing clock
@@ -63,9 +62,9 @@ TABLE4_METRICS = [
 # the old baseline's headroom, ~17% above the worst observed run) fails
 # the gate if the edge-cost stage falls off.
 TABLE4_LIMITS = [
-    ("tracing.overhead_ratio", "max", 1.05, "tracing.compiled_in"),
-    ("stages.attributed_fraction", "min", 0.90, "tracing.compiled_in"),
-    ("stages.edge_cost_ms", "max", 6.7, "tracing.compiled_in"),
+    ("tracing.overhead_ratio", "max", 1.05),
+    ("stages.attributed_fraction", "min", 0.90),
+    ("stages.edge_cost_ms", "max", 6.7),
 ]
 SCALE_METRICS = [
     ("sweep[-1].snapshot_load_seconds", "lower"),
@@ -135,12 +134,7 @@ def check_file(name, current_doc, baseline_doc, metrics, factor, report):
 def check_limits(name, current_doc, limits, report):
     """Absolute bounds on the fresh run; no baseline involved."""
     failures = 0
-    for entry in limits:
-        path, kind, bound = entry[:3]
-        guard = entry[3] if len(entry) > 3 else None
-        if guard is not None and not resolve(current_doc, guard):
-            report.append(f"  skip  {name}:{path} (guard {guard} is off)")
-            continue
+    for path, kind, bound in limits:
         cur = resolve(current_doc, path)
         if not isinstance(cur, (int, float)):
             report.append(f"  skip  {name}:{path} (missing in current)")
@@ -228,43 +222,36 @@ def self_test():
     if check_file("fixture", noisy, baseline, TABLE4_METRICS, 2.0, report) != 0:
         print("self-test FAILED: in-band noise flagged as regression")
         return 1
-    # Absolute limits: the tracing-overhead ceiling and the attribution
-    # floor must both trip, a healthy run must pass, and a compiled-out
-    # tracing build must be skipped rather than failed.
+    # Absolute limits: the tracing-overhead ceiling, the attribution
+    # floor and the edge-cost ceiling must each trip, and a healthy run
+    # must pass.
     healthy = {
-        "tracing": {"compiled_in": True, "overhead_ratio": 1.005},
+        "tracing": {"overhead_ratio": 1.005},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 4.5},
     }
     if check_limits("fixture", healthy, TABLE4_LIMITS, report) != 0:
         print("self-test FAILED: in-bound limits flagged")
         return 1
     over_budget = {
-        "tracing": {"compiled_in": True, "overhead_ratio": 1.10},
+        "tracing": {"overhead_ratio": 1.10},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 4.5},
     }
     if check_limits("fixture", over_budget, TABLE4_LIMITS, report) != 1:
         print("self-test FAILED: 10% tracing overhead not flagged")
         return 1
     unattributed = {
-        "tracing": {"compiled_in": True, "overhead_ratio": 1.0},
+        "tracing": {"overhead_ratio": 1.0},
         "stages": {"attributed_fraction": 0.5, "edge_cost_ms": 4.5},
     }
     if check_limits("fixture", unattributed, TABLE4_LIMITS, report) != 1:
         print("self-test FAILED: 50% stage attribution not flagged")
         return 1
     slow_edge_cost = {
-        "tracing": {"compiled_in": True, "overhead_ratio": 1.0},
+        "tracing": {"overhead_ratio": 1.0},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 13.4},
     }
     if check_limits("fixture", slow_edge_cost, TABLE4_LIMITS, report) != 1:
         print("self-test FAILED: pre-optimization edge_cost_ms not flagged")
-        return 1
-    compiled_out = {
-        "tracing": {"compiled_in": False, "overhead_ratio": 1.0},
-        "stages": {"attributed_fraction": 0.0, "edge_cost_ms": 99.0},
-    }
-    if check_limits("fixture", compiled_out, TABLE4_LIMITS, report) != 0:
-        print("self-test FAILED: compiled-out tracing should skip limits")
         return 1
     # Intersect-kernel gate: a dispatcher that loses 2x to the plain
     # merge somewhere on the grid must fail its dimensionless limit.

@@ -369,7 +369,7 @@ def gated_bounds(module):
         if not name.endswith("_LIMITS"):
             continue
         for entry in table:
-            path, kind, bound = entry[:3]
+            path, kind, bound = entry
             for key in {path, path.rsplit(".", 1)[-1]}:
                 bounds.setdefault(key, {}).setdefault(kind, set()).add(bound)
     return bounds
@@ -413,8 +413,8 @@ def bound_check_self_test():
 
     class Fixture:
         TABLE4_LIMITS = [
-            ("tracing.overhead_ratio", "max", 1.05, "tracing.compiled_in"),
-            ("stages.attributed_fraction", "min", 0.90, "tracing.compiled_in"),
+            ("tracing.overhead_ratio", "max", 1.05),
+            ("stages.attributed_fraction", "min", 0.90),
         ]
 
     bounds = gated_bounds(Fixture)

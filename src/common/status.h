@@ -80,8 +80,8 @@ class Status {
   }
 
   /// Overload-backoff hint: how long (whole seconds) the caller should
-  /// wait before retrying. Set by the serving layer on kUnavailable /
-  /// kDeadlineExceeded statuses so the HTTP edge can emit an honest
+  /// wait before retrying. Set by the serving layer on kUnavailable
+  /// (overload-shed) statuses so the HTTP edge can emit an honest
   /// `Retry-After` without reaching back into serving state. 0 = no hint.
   Status&& WithRetryAfter(int seconds) && {
     retry_after_seconds_ = seconds;

@@ -9,8 +9,8 @@
 namespace rpg::core {
 
 BatchEngine::BatchEngine(const RePaGer* repager, BatchEngineOptions options)
-    : pool_(ResolveThreadCount(options.num_threads), repager,
-            {.max_queue_depth = 0}) {}
+    : repager_(repager, [](const RePaGer*) {}),
+      pool_(ResolveThreadCount(options.num_threads), {.max_queue_depth = 0}) {}
 
 BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   Timer wall;
@@ -25,7 +25,9 @@ BatchResult BatchEngine::Run(const std::vector<BatchQuery>& queries) {
   std::condition_variable cv;
   size_t remaining = queries.size();
   for (size_t i = 0; i < queries.size(); ++i) {
-    pool_.SubmitAsync(queries[i], [&, i](Result<RePagerResult> r) {
+    BatchQuery query = queries[i];
+    if (query.repager == nullptr) query.repager = repager_;
+    pool_.SubmitAsync(std::move(query), [&, i](Result<RePagerResult> r) {
       batch.results[i] = std::move(r);
       std::lock_guard<std::mutex> lock(mu);
       if (--remaining == 0) cv.notify_one();

@@ -11,9 +11,11 @@
 /// Ownership / thread-safety model:
 ///  - The RePaGer (and, through it, the CitationGraph, SearchEngine and
 ///    WeightModel) is shared, immutable, and read concurrently by all
-///    solvers. The engine-level default must outlive the BatchEngine;
-///    a per-query BatchQuery::repager is an owning shared_ptr (an epoch
-///    handle alias) and keeps its substrate alive by itself.
+///    solvers. The engine's own RePaGer must outlive the BatchEngine;
+///    Run gives every query without a BatchQuery::repager a
+///    non-owning handle to it. A per-query handle is an owning
+///    shared_ptr (an epoch handle alias) and keeps its substrate alive
+///    by itself.
 ///  - The pool's queue is unbounded, so Run never sheds a query.
 ///  - Run() may be called repeatedly and from several threads; each call
 ///    waits only for its own queries.
@@ -21,6 +23,7 @@
 ///    RePaGer::Generate() serially — verified by
 ///    tests/core/batch_engine_test.cc.
 
+#include <memory>
 #include <vector>
 
 #include "core/solver_pool.h"
@@ -52,11 +55,11 @@ struct BatchEngineOptions {
 /// Runs batches of independent RePaGer queries on a SolverPool.
 class BatchEngine {
  public:
-  /// `repager` is the default substrate for queries that carry no
-  /// per-query handle; it must outlive the engine. It may be null when
-  /// every BatchQuery supplies its own `repager` — a query with neither
-  /// fails with FailedPrecondition instead of crashing. Starts the
-  /// pool's solver threads immediately.
+  /// `repager` is the substrate for queries that carry no per-query
+  /// handle; it must outlive the engine. It may be null when every
+  /// BatchQuery supplies its own `repager` — a query with neither fails
+  /// with FailedPrecondition instead of crashing. Starts the pool's
+  /// solver threads immediately.
   explicit BatchEngine(const RePaGer* repager, BatchEngineOptions options = {});
 
   /// Executes all queries and blocks until the batch is complete.
@@ -67,6 +70,8 @@ class BatchEngine {
   size_t num_threads() const { return pool_.num_solvers(); }
 
  private:
+  /// Non-owning handle to the constructor's `repager` (null when it is).
+  std::shared_ptr<const RePaGer> repager_;
   SolverPool pool_;
 };
 

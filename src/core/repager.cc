@@ -95,9 +95,9 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   RePagerResult result;
   // Pipeline trace: spans land in the scratch's preallocated SpanSet and
   // are copied onto the result at the end. A null trace (tracing
-  // compiled out or runtime-disabled) skips every clock read.
+  // switched off at runtime) skips every clock read.
   obs::TraceContext* trace = nullptr;
-  if (obs::kTracingCompiledIn && obs::TracingEnabled()) {
+  if (obs::TracingEnabled()) {
     scratch->trace_.Reset(0);
     trace = &scratch->trace_;
   }

@@ -85,8 +85,8 @@ struct RePagerResult {
   /// Work counters from the NEWST run (zeros when run_steiner is false).
   steiner::SteinerStats steiner_stats;
   /// Per-stage spans of this Generate run (obs::kPipelineStages order,
-  /// clocked from the call's start). Empty when tracing is compiled out
-  /// or runtime-disabled. Cached with the result, so cache hits still
+  /// clocked from the call's start). Empty when tracing is switched off
+  /// at runtime. Cached with the result, so cache hits still
   /// attribute their original compute time.
   obs::SpanSet stages;
 };

@@ -14,29 +14,21 @@ namespace {
 /// Retry-After hint on every outlier query.
 constexpr double kEwmaAlpha = 0.2;
 
-/// Solves one query on the calling solver thread with its scratch: the
-/// query's own substrate handle if it has one, else `fallback`; neither
-/// gives FailedPrecondition. With a trace attached, records the `solve`
+/// Solves one query on its own substrate handle, on the calling solver
+/// thread with its scratch. With a trace attached, records the `solve`
 /// span, splices the pipeline's stage spans onto it and attaches the
 /// NEWST counters.
 Result<RePagerResult> SolveQuery(const BatchQuery& query,
-                                 const RePaGer* fallback,
                                  QueryScratch* scratch) {
   // The solver is the only thread touching the query's trace during the
   // solve: the query was handed over through the pool's mutex, which
   // orders the submitter's earlier span writes before ours.
   obs::TraceContext* trace = query.trace.get();
   uint64_t solve_start = trace ? trace->NowNs() : 0;
-  // Epoch pinning: a query-carried handle wins over the fallback, and
-  // holding `query.repager` keeps that epoch's whole substrate alive for
-  // the duration of the solve.
-  const RePaGer* repager = query.repager ? query.repager.get() : fallback;
+  // Epoch pinning: holding `query.repager` keeps that epoch's whole
+  // substrate alive for the duration of the solve.
   Result<RePagerResult> r =
-      repager == nullptr
-          ? Result<RePagerResult>(Status::FailedPrecondition(
-                "no RePaGer: the pool has no fallback and the query "
-                "carries no substrate handle"))
-          : repager->Generate(query.query, query.options, scratch);
+      query.repager->Generate(query.query, query.options, scratch);
   if (trace) {
     trace->AddSpan(obs::Stage::kSolve, solve_start,
                    trace->NowNs() - solve_start, r.ok() ? 1 : 0);
@@ -58,10 +50,9 @@ size_t ResolveThreadCount(int requested) {
   return hw == 0 ? 1 : hw;
 }
 
-SolverPool::SolverPool(size_t num_solvers, const RePaGer* fallback,
-                       SolverPoolOptions options,
+SolverPool::SolverPool(size_t num_solvers, SolverPoolOptions options,
                        std::function<void(double)> on_solve)
-    : fallback_(fallback), options_(options), on_solve_(std::move(on_solve)) {
+    : options_(options), on_solve_(std::move(on_solve)) {
   num_solvers = std::max<size_t>(num_solvers, 1);
   solvers_.reserve(num_solvers);
   for (size_t i = 0; i < num_solvers; ++i) {
@@ -72,6 +63,11 @@ SolverPool::SolverPool(size_t num_solvers, const RePaGer* fallback,
 SolverPool::~SolverPool() { Shutdown(); }
 
 void SolverPool::SubmitAsync(BatchQuery query, Callback callback) {
+  if (query.repager == nullptr) {
+    callback(Status::FailedPrecondition(
+        "no RePaGer: the query carries no substrate handle"));
+    return;
+  }
   Pending p;
   p.query = std::move(query);
   p.callback = std::move(callback);
@@ -134,43 +130,15 @@ void SolverPool::SolverLoop() {
   QueryScratch scratch;
   for (;;) {
     Pending next;
-    bool have_next = false;
-    std::vector<Callback> expired;
-    int expired_retry_after = 1;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return !pending_.empty() || shutdown_; });
       // Shutdown drains: solvers exit only once the queue is empty.
       if (pending_.empty()) return;
-      // Queue deadline: entries that waited past queue_deadline are
-      // expired, not solved — their callers have given up (or will, by
-      // the time the solve would finish). The deque is FIFO, so the
-      // expired prefix is exactly the over-age set.
-      if (options_.queue_deadline.count() > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        while (!pending_.empty() &&
-               now - pending_.front().enqueued > options_.queue_deadline) {
-          expired.push_back(std::move(pending_.front().callback));
-          pending_.pop_front();
-          ++stats_.deadline_expired;
-        }
-        if (!expired.empty()) {
-          expired_retry_after = RetryAfterSecondsLocked();
-        }
-      }
-      if (!pending_.empty()) {
-        next = std::move(pending_.front());
-        pending_.pop_front();
-        have_next = true;
-        ++stats_.batches;
-      }
+      next = std::move(pending_.front());
+      pending_.pop_front();
+      ++stats_.batches;
     }
-    // Expired completions fire outside mu_, like every other callback.
-    for (Callback& callback : expired) {
-      callback(Status::DeadlineExceeded("request expired in solver queue")
-                   .WithRetryAfter(expired_retry_after));
-    }
-    if (!have_next) continue;
 
     // Queue-time span: enqueue (any submitter thread) -> dispatch (this
     // solver); the handoff through mu_ orders the submitter's earlier
@@ -180,7 +148,7 @@ void SolverPool::SolverLoop() {
                                        std::chrono::steady_clock::now());
     }
     Timer solve;
-    Result<RePagerResult> result = SolveQuery(next.query, fallback_, &scratch);
+    Result<RePagerResult> result = SolveQuery(next.query, &scratch);
     const double seconds = solve.ElapsedSeconds();
     {
       std::lock_guard<std::mutex> lock(mu_);

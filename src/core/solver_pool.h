@@ -9,11 +9,13 @@
 /// moment it is free and solves it inline. No solver idles while work is
 /// queued, and no query waits for another query's solve to finish.
 ///
-/// Two callers share it:
-///  - serve::ServeEngine submits each cache miss (bounded queue, queue
-///    deadline, no fallback RePaGer: every query carries its epoch);
-///  - core::BatchEngine submits an offline batch and blocks until every
-///    slot is filled (unbounded queue, its RePaGer as fallback).
+/// Every query names its substrate: BatchQuery::repager is the RePaGer
+/// it is solved on. Two callers share the pool:
+///  - serve::ServeEngine submits each cache miss with its epoch's handle
+///    (bounded queue);
+///  - core::BatchEngine submits an offline batch, giving each query
+///    without a handle one to the engine's own RePaGer, and blocks until
+///    every slot is filled (unbounded queue).
 ///
 /// Each solver thread owns one QueryScratch for its whole life, so
 /// per-query working memory is allocation-free after warm-up. A scratch
@@ -28,8 +30,8 @@
 ///  - Shutdown() (or the destructor) drains everything already queued
 ///    before joining; no submitted request is dropped. Submitting after
 ///    Shutdown() returns a FailedPrecondition result.
-///  - A query with neither a substrate handle nor a pool fallback
-///    completes with FailedPrecondition.
+///  - A query without a substrate handle is rejected inline with
+///    FailedPrecondition.
 ///  - Per-query results are bit-identical to RePaGer::Generate.
 
 #include <chrono>
@@ -61,9 +63,9 @@ struct BatchQuery {
   /// it. The shared_ptr keeps the context alive even if the originating
   /// request was already answered (e.g. a reactor-side deadline 503).
   std::shared_ptr<obs::TraceContext> trace;
-  /// Optional owning substrate handle, overriding the pool's fallback
-  /// RePaGer for this one query. This is how epoch-based serving works
-  /// (serve::Epoch): the serving layer pins the request's epoch with an
+  /// The substrate this query is solved on; SolverPool rejects a query
+  /// without one. Owning, so epoch-based serving works (serve::Epoch):
+  /// the serving layer pins the request's epoch with an
   /// aliasing shared_ptr, so the substrate the solver reads stays alive
   /// until this query's result is delivered even if the serving tier
   /// swapped to a newer epoch while it was queued.
@@ -77,53 +79,42 @@ struct SolverPoolOptions {
   /// bounded by max_queue_depth + the queries currently being solved.
   /// 0 = unbounded.
   size_t max_queue_depth = 256;
-  /// Per-request queue deadline: an entry that has already waited
-  /// longer than this when a solver reaches it is completed with
-  /// Status::DeadlineExceeded instead of being solved — under sustained
-  /// overload, work nobody is waiting for anymore is dropped before it
-  /// wastes solver time. The status carries a Retry-After hint from the
-  /// measured drain time (see Stats().ewma_item_seconds). 0 = disabled.
-  std::chrono::milliseconds queue_deadline{0};
 };
 
 /// Point-in-time dispatch counters.
 struct SolverPoolStats {
   uint64_t requests = 0;
   /// Dispatches to a solver; each dispatch is one query, so this counts
-  /// the queries that reached a solver (requests minus expired/queued).
+  /// the queries that reached a solver (requests minus queued).
   uint64_t batches = 0;
   /// Submissions shed with Unavailable because the queue was full.
   uint64_t rejected_overload = 0;
-  /// Queued requests expired with DeadlineExceeded (waited past
-  /// queue_deadline before a solver got to them).
-  uint64_t deadline_expired = 0;
   /// Requests waiting right now (the overload gauge; excludes the
   /// queries currently being solved).
   size_t queue_depth = 0;
   /// EWMA of one solve's wall time on one solver (seconds).
   /// ceil(this × queue_depth / solvers), clamped to [1, 30] s, is the
-  /// Retry-After hint attached to shed/expired statuses.
+  /// Retry-After hint attached to shed statuses.
   double ewma_item_seconds = 0;
 };
 
 class SolverPool {
  public:
-  /// Starts `num_solvers` solver threads (at least one). `fallback`
-  /// solves queries that carry no substrate handle; it may be null, and
-  /// otherwise must outlive the pool. `on_solve`, if set, is called on
-  /// the solver thread after every solve with that solve's wall seconds,
-  /// before the query's callback — the ServeEngine's metrics tap.
-  SolverPool(size_t num_solvers, const RePaGer* fallback,
-             SolverPoolOptions options = {},
-             std::function<void(double)> on_solve = {});
+  /// Starts `num_solvers` solver threads (at least one). `on_solve`, if
+  /// set, is called on the solver thread after every solve with that
+  /// solve's wall seconds, before the query's callback — the
+  /// ServeEngine's metrics tap.
+  explicit SolverPool(size_t num_solvers, SolverPoolOptions options = {},
+                      std::function<void(double)> on_solve = {});
   ~SolverPool();
 
   SolverPool(const SolverPool&) = delete;
   SolverPool& operator=(const SolverPool&) = delete;
 
   /// Completion callback for SubmitAsync: invoked exactly once, on the
-  /// solver thread after the query's solve (or expiry), or inline with
-  /// Unavailable / FailedPrecondition when shed or after Shutdown().
+  /// solver thread after the query's solve, or inline with Unavailable
+  /// when shed and with FailedPrecondition for a query without a
+  /// substrate handle or after Shutdown().
   /// Keep it cheap — the solver takes no new query until it returns.
   using Callback = std::function<void(Result<RePagerResult>)>;
 
@@ -156,7 +147,6 @@ class SolverPool {
   /// seconds, clamped to [1, 30]. Requires mu_.
   int RetryAfterSecondsLocked() const;
 
-  const RePaGer* fallback_;
   SolverPoolOptions options_;
   std::function<void(double)> on_solve_;
 

@@ -64,6 +64,16 @@ void Subgraph::Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
   // In-spans, filled in citing order: the outer loop visits citing
   // locals ascending, so each in-span comes out sorted. Each entry keeps
   // the citation's index in g's out-CSR.
+  //
+  // This walks the members' global out-spans a second time on purpose.
+  // A one-pass variant (buffer the surviving (source, target, edge id)
+  // triples in the counting pass, counting-sort them into the in-spans)
+  // built identical arrays but was slower: 258-300 us per call against
+  // 214-278 us here, over 711 calls (every SurveyBank query x seeds
+  // {10, 30, 50}, default 53,800-paper corpus; four passes with each
+  // variant run first; GCC 12.2 -O2, 4-vCPU Xeon VM). The second walk
+  // re-reads spans and map entries the first one just brought into
+  // cache; the buffer writes and re-reads 16 bytes per surviving edge.
   const std::vector<uint64_t>& g_offsets = GraphIo::OutOffsets(g);
   std::vector<uint64_t>& cursor = scratch->cursor_;
   in_targets_.resize(num_edges_);

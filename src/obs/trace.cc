@@ -39,7 +39,6 @@ const char* StageName(Stage stage) {
   return "unknown";
 }
 
-#if !defined(RPG_TRACING_DISABLED)
 namespace {
 
 bool InitialTracingEnabled() {
@@ -64,7 +63,6 @@ bool TracingEnabled() {
 void SetTracingEnabled(bool enabled) {
   TracingFlag().store(enabled, std::memory_order_relaxed);
 }
-#endif  // !RPG_TRACING_DISABLED
 
 double SpanSet::StageMs(Stage stage) const {
   uint64_t ns = 0;

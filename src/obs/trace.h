@@ -28,9 +28,8 @@
 /// requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded
-/// array write; the per-request TraceContext is one allocation. The whole
-/// layer compiles out with -DRPG_TRACING_DISABLED (CMake -DRPG_TRACING=OFF)
-/// and can be switched off at runtime with SetTracingEnabled(false) or
+/// array write; the per-request TraceContext is one allocation. Tracing
+/// is switched off at runtime with SetTracingEnabled(false) or
 /// RPG_TRACING=0 in the environment; measured overhead on the cache-miss
 /// path is gated <= 5% by scripts/check_bench_regression.py.
 
@@ -79,18 +78,17 @@ inline constexpr Stage kPipelineStages[kNumPipelineStages] = {
     Stage::kReadingPath, Stage::kRank,
 };
 
-#if defined(RPG_TRACING_DISABLED)
-inline constexpr bool kTracingCompiledIn = false;
-inline bool TracingEnabled() { return false; }
-inline void SetTracingEnabled(bool) {}
-#else
+/// Always true: tracing is always compiled in. The constant stays only
+/// so that perfbench (perfbench/src/main.cc and layers.cc), which records
+/// it in its provenance and tests it before reading spans, compiles; new
+/// code calls TracingEnabled() alone.
 inline constexpr bool kTracingCompiledIn = true;
+
 /// Runtime kill switch, default on. First read honors the RPG_TRACING
 /// environment variable ("0"/"off"/"false" disable). With tracing off no
 /// contexts are created and no spans are recorded anywhere.
 bool TracingEnabled();
 void SetTracingEnabled(bool enabled);
-#endif
 
 /// One timed span. Times are nanoseconds relative to the owning
 /// context's origin (steady clock), so records stay meaningful when a

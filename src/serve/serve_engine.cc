@@ -39,10 +39,8 @@ bool IsCacheableError(const Status& status) {
 ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
       cache_(options.cache),
-      // Solver queries carry their own epoch-pinned substrate handle;
-      // the pool has no fallback RePaGer.
-      pool_(core::ResolveThreadCount(options.num_threads),
-            /*fallback=*/nullptr, options.pool,
+      // Solver queries carry their own epoch-pinned substrate handle.
+      pool_(core::ResolveThreadCount(options.num_threads), options.pool,
             [solve_ms = metrics_.GetHistogram("solve_ms",
                                               LatencyBucketEdgesMs())](
                 double seconds) { solve_ms->Observe(seconds * 1e3); }),
@@ -54,7 +52,6 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
       coalesced_hits_(metrics_.GetCounter("coalesced_hits")),
       errors_total_(metrics_.GetCounter("errors_total")),
       shed_total_(metrics_.GetCounter("shed_total")),
-      deadline_exceeded_total_(metrics_.GetCounter("deadline_exceeded_total")),
       inflight_requests_(metrics_.GetGauge("inflight_requests")),
       epoch_id_gauge_(metrics_.GetGauge("epoch_id")),
       epoch_flips_total_(metrics_.GetCounter("epoch_flips_total")),
@@ -208,9 +205,6 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
        e2e](Result<core::RePagerResult> computed) {
         if (!computed.ok() && computed.status().IsUnavailable()) {
           shed_total_->Increment();
-        }
-        if (!computed.ok() && computed.status().IsDeadlineExceeded()) {
-          deadline_exceeded_total_->Increment();
         }
         if (computed.ok()) ObserveStages(*computed);
         // Render the reply's path bytes here, once per computed result:
@@ -389,20 +383,14 @@ std::string ServeEngine::StatsJson() const {
   }
   w.EndArray();
   w.EndObject();
-  // The solver pool's section keeps its pre-SolverPool name, "batcher",
-  // and every key in it: dashboards and perfbench read them.
+  // The solver pool's section keeps its pre-SolverPool name, "batcher":
+  // perfbench reads requests, batches and rejected_overload from it.
   w.Key("batcher").BeginObject();
   w.Key("requests").UInt(bs.requests);
   w.Key("batches").UInt(bs.batches);
   w.Key("queue_depth").UInt(bs.queue_depth);
   w.Key("max_queue_depth").UInt(options_.pool.max_queue_depth);
   w.Key("rejected_overload").UInt(bs.rejected_overload);
-  w.Key("deadline_expired").UInt(bs.deadline_expired);
-  w.Key("queue_deadline_ms")
-      .UInt(static_cast<uint64_t>(
-          options_.pool.queue_deadline.count() < 0
-              ? 0
-              : options_.pool.queue_deadline.count()));
   w.Key("ewma_item_seconds").Double(bs.ewma_item_seconds);
   w.Key("threads").UInt(pool_.num_solvers());
   w.EndObject();

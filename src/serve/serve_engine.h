@@ -186,7 +186,7 @@ class ServeEngine {
 
   /// Feeds a freshly computed result's stage spans into the per-stage
   /// latency histograms. No-op when the result carries no spans (tracing
-  /// compiled out or disabled).
+  /// switched off).
   void ObserveStages(const core::RePagerResult& result);
 
   ServeEngineOptions options_;
@@ -232,10 +232,6 @@ class ServeEngine {
   /// HTTP 429 at the edge). Counted once per shed computation, not per
   /// coalesced waiter.
   Counter* shed_total_;
-  /// Requests expired by the solver pool's queue deadline
-  /// (Status::DeadlineExceeded → HTTP 503 at the edge). Counted once per
-  /// expired computation, like shed_total_.
-  Counter* deadline_exceeded_total_;
   Gauge* inflight_requests_;
   /// Epoch instruments (also scraped via GET /metrics): the current
   /// epoch id, total SwapEpoch flips, and the Unix time of the last

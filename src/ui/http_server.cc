@@ -794,7 +794,7 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     // the completion — the tail of the request's causal chain, after
     // every span write.
     std::shared_ptr<obs::TraceContext> trace;
-    if (obs::kTracingCompiledIn && obs::TracingEnabled()) {
+    if (obs::TracingEnabled()) {
       trace = std::make_shared<obs::TraceContext>();
       trace->set_request_id(obs::TraceContext::NextRequestId());
       request.trace = trace;

@@ -143,9 +143,11 @@ struct HttpServerOptions {
   /// Deadline for a request in kHandling: if the handler (or the compute
   /// it dispatched) has not completed within this budget, the server
   /// answers `503` + `Connection: close` itself and the late completion
-  /// is dropped by the (conn id, seq) guard. This is the reactor's
-  /// backstop against a wedged solve pinning its connection forever; the
-  /// serve layer's own queue deadline should fire first. <= 0 disables.
+  /// is dropped by the (conn id, seq) guard. This is the serving stack's
+  /// one request deadline, the backstop against a wedged solve pinning
+  /// its connection forever. The solver pool's queue bound already limits
+  /// a request's queue wait to about max_queue_depth × solve time /
+  /// solvers. <= 0 disables.
   std::chrono::milliseconds handler_timeout{30'000};
   /// Open-connection cap across all pollers. A connection accepted at
   /// the cap is shed with an inline `503 Connection: close` (plus

@@ -67,11 +67,9 @@ HttpResponse RePagerService::ErrorResponse(const Status& status) {
   w.EndObject();
   // Overload shed (solver queue full) is the retryable case: 429 with
   // the solver pool's measured drain time as the Retry-After hint (1 when
-  // the status carries none). A request expired by the queue deadline
-  // is 503 — the work was abandoned, not refused — with the same hint.
-  if (status.IsUnavailable() || status.IsDeadlineExceeded()) {
-    HttpResponse response{status.IsUnavailable() ? 429 : 503,
-                          "application/json", w.str()};
+  // the status carries none).
+  if (status.IsUnavailable()) {
+    HttpResponse response{429, "application/json", w.str()};
     int retry_after = status.retry_after_seconds();
     response.headers["Retry-After"] =
         std::to_string(retry_after > 0 ? retry_after : 1);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "eval/workbench.h"
+#include "rank/weight_model.h"
 
 namespace rpg::core {
 namespace {
@@ -155,6 +156,50 @@ TEST_F(BatchEngineFixture, SingleThreadAndRepeatedRunsWork) {
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectSameResult(first.results[i].value(), second.results[i].value());
   }
+}
+
+TEST_F(BatchEngineFixture, PerQueryHandleOverridesTheEnginesRePaGer) {
+  // A second substrate over the same graph and engine whose Eq. (3)
+  // weights lean on venue instead of PageRank, so the same query ranks
+  // differently on it.
+  rank::NewstParams params;
+  params.a = 0.1;
+  params.b = 0.9;
+  const rank::WeightModel venue_weights(&wb_->corpus().citations,
+                                        wb_->pagerank(), wb_->venue_scores(),
+                                        params);
+  const RePaGer venue_repager(&wb_->corpus().citations, &wb_->google(),
+                              &venue_weights, &wb_->years());
+
+  // The same query twice in one batch: once with a non-owning handle to
+  // the second substrate, once without a handle.
+  std::vector<BatchQuery> batch = MakeBatch(1);
+  ASSERT_EQ(batch.size(), 1u);
+  batch.push_back(batch[0]);
+  batch[0].repager = {&venue_repager, [](const RePaGer*) {}};
+
+  BatchEngine engine(&wb_->repager(), {.num_threads = 2});
+  BatchResult result = engine.Run(batch);
+  ASSERT_EQ(result.num_ok, 2u);
+
+  auto on_handle =
+      venue_repager.Generate(batch[1].query, batch[1].options).value();
+  auto on_engine =
+      wb_->repager().Generate(batch[1].query, batch[1].options).value();
+  // The two substrates must disagree, or the checks below could not tell
+  // which one solved each query.
+  ASSERT_NE(on_handle.ranked, on_engine.ranked);
+  ExpectSameResult(result.results[0].value(), on_handle);
+  ExpectSameResult(result.results[1].value(), on_engine);
+}
+
+TEST_F(BatchEngineFixture, QueryWithoutAnySubstrateFailsPrecondition) {
+  BatchEngine engine(nullptr, {.num_threads = 1});
+  BatchResult result = engine.Run(MakeBatch(1));
+  ASSERT_EQ(result.results.size(), 1u);
+  EXPECT_EQ(result.results[0].status().code(),
+            StatusCode::kFailedPrecondition)
+      << result.results[0].status().ToString();
 }
 
 TEST_F(BatchEngineFixture, LargeBatchIsNeverShed) {

@@ -7,7 +7,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "eval/workbench.h"
@@ -32,10 +31,9 @@ const eval::Workbench& SharedWorkbench() {
   return *wb;
 }
 
-/// The shared workbench's substrate as a query handle: these pools have
-/// no fallback RePaGer, so every query carries its own (the serving
-/// configuration). The workbench is never freed, so the handle owns
-/// nothing.
+/// The shared workbench's substrate as a query handle: every query
+/// carries its own, as in serving. The workbench is never freed, so the
+/// handle owns nothing.
 std::shared_ptr<const RePaGer> WorkbenchHandle() {
   return {&SharedWorkbench().repager(), [](const RePaGer*) {}};
 }
@@ -81,7 +79,7 @@ std::future<Result<RePagerResult>> SubmitForFuture(SolverPool& pool,
 }
 
 TEST(SolverPoolTest, SingleRequestDispatchesImmediately) {
-  SolverPool pool(2, nullptr);
+  SolverPool pool(2);
   auto future = SubmitForFuture(pool, MakeQuery(0));
   Result<RePagerResult> result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -100,7 +98,7 @@ TEST(SolverPoolTest, SlowQueryDoesNotBlockOthers) {
   // first would time out.
   Latch second_done;
   std::promise<bool> first_released;
-  SolverPool pool(2, nullptr);  // joins its solvers before the latch goes
+  SolverPool pool(2);  // joins its solvers before the latch goes
   pool.SubmitAsync(MakeQuery(0), [&](Result<RePagerResult> r) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     first_released.set_value(second_done.Wait(std::chrono::seconds(30)));
@@ -113,7 +111,7 @@ TEST(SolverPoolTest, SlowQueryDoesNotBlockOthers) {
 }
 
 TEST(SolverPoolTest, QueryWithoutSubstrateFailsPrecondition) {
-  SolverPool pool(1, nullptr);
+  SolverPool pool(1);
   BatchQuery q = MakeQuery(0);
   q.repager = nullptr;
   Result<RePagerResult> r = SubmitForFuture(pool, q).get();
@@ -124,7 +122,7 @@ TEST(SolverPoolTest, QueryWithoutSubstrateFailsPrecondition) {
 
 TEST(SolverPoolTest, ResultsMatchSerialGenerateBitForBit) {
   const eval::Workbench& wb = SharedWorkbench();
-  SolverPool pool(2, nullptr);
+  SolverPool pool(2);
   std::vector<BatchQuery> queries;
   for (size_t i = 0; i < 4; ++i) queries.push_back(MakeQuery(i));
   std::vector<std::future<Result<RePagerResult>>> futures;
@@ -145,7 +143,7 @@ TEST(SolverPoolTest, ResultsMatchSerialGenerateBitForBit) {
 }
 
 TEST(SolverPoolTest, PerQueryErrorsLandInTheirSlot) {
-  SolverPool pool(2, nullptr);
+  SolverPool pool(2);
   auto bad = SubmitForFuture(pool, {.query = "zzzz qqqq wwww",
                                     .options = {},
                                     .repager = WorkbenchHandle()});
@@ -158,7 +156,7 @@ TEST(SolverPoolTest, QueueBoundShedsWithUnavailable) {
   SolverPoolOptions options;
   options.max_queue_depth = 1;
   // One solve at a time -> backlog builds.
-  SolverPool pool(1, nullptr, options);
+  SolverPool pool(1, options);
   // A burst far past the bound: the solver absorbs at most one
   // executing + one queued; the rest must shed inline with Unavailable,
   // not queue without limit.
@@ -189,7 +187,7 @@ TEST(SolverPoolTest, QueueBoundShedsWithUnavailable) {
 TEST(SolverPoolTest, UnboundedQueueNeverSheds) {
   SolverPoolOptions options;
   options.max_queue_depth = 0;  // explicit opt-out
-  SolverPool pool(1, nullptr, options);
+  SolverPool pool(1, options);
   std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
@@ -198,59 +196,8 @@ TEST(SolverPoolTest, UnboundedQueueNeverSheds) {
   EXPECT_EQ(pool.Stats().rejected_overload, 0u);
 }
 
-TEST(SolverPoolTest, QueueDeadlineExpiresStaleEntries) {
-  SolverPoolOptions options;
-  options.queue_deadline = std::chrono::milliseconds(50);
-  // The on_solve tap runs on the (only) solver thread: sleeping in it
-  // wedges dispatch long enough for everything still queued to age past
-  // the deadline — deterministic, no timing races against solve speed.
-  SolverPool pool(1, nullptr, options, [](double) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  });
-  constexpr int kBurst = 4;
-  std::vector<std::future<Result<RePagerResult>>> futures;
-  for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
-  }
-  int ok = 0, expired = 0;
-  for (auto& f : futures) {
-    Result<RePagerResult> r = f.get();
-    if (r.ok()) {
-      ++ok;
-    } else {
-      EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-      // The expiry carries a measured Retry-After hint in its clamp.
-      EXPECT_GE(r.status().retry_after_seconds(), 1);
-      EXPECT_LE(r.status().retry_after_seconds(), 30);
-      ++expired;
-    }
-  }
-  // The first query (picked up before the wedge) computes; everything
-  // that sat out the 250 ms sleep is past the 50 ms deadline.
-  EXPECT_GE(ok, 1);
-  EXPECT_GE(expired, 1);
-  EXPECT_EQ(ok + expired, kBurst);
-  SolverPoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.deadline_expired, static_cast<uint64_t>(expired));
-  EXPECT_EQ(stats.queue_depth, 0u);
-}
-
-TEST(SolverPoolTest, QueueDeadlineDisabledByDefault) {
-  // Same wedge as above, but with queue_deadline at its 0 default every
-  // entry waits out the stall and still computes.
-  SolverPool pool(1, nullptr, SolverPoolOptions{}, [](double) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  });
-  std::vector<std::future<Result<RePagerResult>>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(SubmitForFuture(pool, MakeQuery(0)));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(pool.Stats().deadline_expired, 0u);
-}
-
 TEST(SolverPoolTest, ServiceTimeEwmaTracksSolves) {
-  SolverPool pool(2, nullptr);
+  SolverPool pool(2);
   EXPECT_EQ(pool.Stats().ewma_item_seconds, 0.0);  // no samples yet
   auto r = SubmitForFuture(pool, MakeQuery(0)).get();
   ASSERT_TRUE(r.ok());
@@ -260,7 +207,7 @@ TEST(SolverPoolTest, ServiceTimeEwmaTracksSolves) {
 }
 
 TEST(SolverPoolTest, ShutdownDrainsQueuedRequests) {
-  auto pool = std::make_unique<SolverPool>(2, nullptr);
+  auto pool = std::make_unique<SolverPool>(2);
   std::vector<std::future<Result<RePagerResult>>> futures;
   for (int i = 0; i < 3; ++i) {
     futures.push_back(SubmitForFuture(*pool, MakeQuery(0)));
@@ -278,7 +225,7 @@ TEST(SolverPoolTest, ShutdownDrainsEverySolver) {
   // none with the after-shutdown FailedPrecondition.
   constexpr size_t kSolvers = 3;
   constexpr int kQueries = 12;
-  auto pool = std::make_unique<SolverPool>(kSolvers, nullptr);
+  auto pool = std::make_unique<SolverPool>(kSolvers);
   std::mutex mu;
   std::vector<int> fired(kQueries, 0);
   int failed_precondition = 0;

@@ -245,17 +245,15 @@ TEST(LiveTracingTest, DebugPathCoversEveryPipelineStage) {
   }
   double stage_total = JsonNumber(r.body, "stage_total_ms");
   double pipeline_total = JsonNumber(r.body, "pipeline_total_ms");
-  if (kTracingCompiledIn) {
-    // Spans must attribute real time and never exceed the pipeline wall
-    // clock (small slack: the two totals come from two clock reads).
-    EXPECT_GT(stage_total, 0.0);
-    EXPECT_LE(stage_total, pipeline_total * 1.10 + 0.5);
-    // The request-scoped trace rode along: serving-side spans + id.
-    EXPECT_NE(r.body.find("\"trace\":{"), std::string::npos) << r.body;
-    EXPECT_NE(r.body.find("\"cache_lookup\""), std::string::npos) << r.body;
-    EXPECT_NE(r.body.find("\"solve\""), std::string::npos) << r.body;
-    EXPECT_GT(JsonNumber(r.body, "request_id"), 0.0);
-  }
+  // Spans must attribute real time and never exceed the pipeline wall
+  // clock (small slack: the two totals come from two clock reads).
+  EXPECT_GT(stage_total, 0.0);
+  EXPECT_LE(stage_total, pipeline_total * 1.10 + 0.5);
+  // The request-scoped trace rode along: serving-side spans + id.
+  EXPECT_NE(r.body.find("\"trace\":{"), std::string::npos) << r.body;
+  EXPECT_NE(r.body.find("\"cache_lookup\""), std::string::npos) << r.body;
+  EXPECT_NE(r.body.find("\"solve\""), std::string::npos) << r.body;
+  EXPECT_GT(JsonNumber(r.body, "request_id"), 0.0);
 
   // A cache hit keeps the original solve's attribution (stages are
   // cached with the result), and still carries this request's own trace.
@@ -263,10 +261,7 @@ TEST(LiveTracingTest, DebugPathCoversEveryPipelineStage) {
   ASSERT_EQ(cached.status, 200);
   EXPECT_NE(cached.body.find("\"cache_hit\":true"), std::string::npos)
       << cached.body;
-  if (kTracingCompiledIn) {
-    EXPECT_NEAR(JsonNumber(cached.body, "stage_total_ms"), stage_total,
-                1e-9);
-  }
+  EXPECT_NEAR(JsonNumber(cached.body, "stage_total_ms"), stage_total, 1e-9);
 
   // Without debug=1 there is no debug block.
   ui::ClientResponse plain =
@@ -287,14 +282,12 @@ TEST(LiveTracingTest, StatsStagesSectionAttributesSolveTime) {
   ASSERT_NE(r.body.find("\"stages\":{"), std::string::npos) << r.body;
   EXPECT_NE(r.body.find("\"pipeline\":{"), std::string::npos);
   EXPECT_NE(r.body.find("\"attributed_fraction\":"), std::string::npos);
-  if (kTracingCompiledIn) {
-    // One computed request: every stage histogram saw one observation.
-    EXPECT_NE(r.body.find("\"steiner\":{\"count\":1"), std::string::npos)
-        << r.body;
-    double fraction = JsonNumber(r.body, "attributed_fraction");
-    EXPECT_GT(fraction, 0.0);
-    EXPECT_LE(fraction, 1.1);
-  }
+  // One computed request: every stage histogram saw one observation.
+  EXPECT_NE(r.body.find("\"steiner\":{\"count\":1"), std::string::npos)
+      << r.body;
+  double fraction = JsonNumber(r.body, "attributed_fraction");
+  EXPECT_GT(fraction, 0.0);
+  EXPECT_LE(fraction, 1.1);
 }
 
 TEST(LiveTracingTest, MetricsEndpointIsWellFormedExposition) {
@@ -431,7 +424,6 @@ TEST(LiveTracingTest, ConcurrentScrapeWhileServingStaysConsistent) {
 }
 
 TEST(LiveTracingTest, SlowQueryThresholdEmitsOneStructuredLine) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   SetTracingEnabled(true);
   // A plain handler server with a deliberate 20 ms stall: deterministic
   // against the 1 ms threshold, no workbench timing dependence. The
@@ -493,7 +485,6 @@ TEST(LiveTracingTest, SlowQueryThresholdEmitsOneStructuredLine) {
   EXPECT_GE(total, 20.0);
 }
 
-#if !defined(RPG_TRACING_DISABLED)
 TEST(RuntimeToggleTest, DisabledTracingRecordsNoSpans) {
   SetTracingEnabled(false);
   const eval::Workbench& wb = serve::SharedWorkbench();
@@ -507,7 +498,6 @@ TEST(RuntimeToggleTest, DisabledTracingRecordsNoSpans) {
   ASSERT_TRUE(traced.ok());
   EXPECT_EQ(traced->stages.count, kNumPipelineStages);
 }
-#endif
 
 }  // namespace
 }  // namespace rpg::obs

@@ -262,109 +262,6 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
       << json;
 }
 
-TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
-  const eval::Workbench& wb = SharedWorkbench();
-  // One solve at a time with a 5 ms queue deadline: the tail of a burst
-  // has aged out by the time the solver reaches it, and must be answered
-  // with a typed DeadlineExceeded -> 503 instead of being solved for
-  // nobody. The head's reply holds the only solver thread until the
-  // whole tail is queued and past the deadline, so the tail ages out
-  // however fast a solve is.
-  ServeEngineOptions options;
-  options.num_threads = 1;
-  options.pool.queue_deadline = std::chrono::milliseconds(5);
-  ServeEngine engine(TestEpoch(wb), options);
-  ui::RePagerService service(&engine);
-  const auto& entry = wb.bank().Get(0);
-
-  constexpr int kBurst = 10;
-  std::mutex mu;
-  std::vector<ui::HttpResponse> responses;
-  std::atomic<bool> tail_queued{false};
-  for (int i = 0; i < kBurst; ++i) {
-    ui::HttpRequest request{"GET",
-                            "/api/path",
-                            {{"q", entry.query},
-                             {"seeds", std::to_string(5 + i)},
-                             {"year", std::to_string(entry.year)}}};
-    service.HandleAsync(request, [&, i](ui::HttpResponse response) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        responses.push_back(std::move(response));
-      }
-      if (i != 0) return;
-      while (!tail_queued.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      std::this_thread::sleep_for(2 * options.pool.queue_deadline);
-    });
-    if (i == 0) {
-      // Let the head of the burst finish before queueing the tail: the
-      // contract under test is "head solved, tail aged out", and on a
-      // loaded machine even the first dispatch can lose a race with a
-      // too-tight deadline if the whole burst is queued blind.
-      for (int spin = 0; spin < 1000; ++spin) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!responses.empty()) break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
-  }
-  tail_queued = true;
-  for (int i = 0; i < 1000; ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (responses.size() == kBurst) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  int ok = 0, expired = 0;
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(responses.size(), static_cast<size_t>(kBurst));
-  for (const ui::HttpResponse& response : responses) {
-    if (response.status == 200) {
-      ++ok;
-      continue;
-    }
-    // Expiry end to end: DeadlineExceeded -> 503 (not the 429 shed
-    // path: the work was accepted, then abandoned) + Retry-After from
-    // the measured drain time.
-    EXPECT_EQ(response.status, 503) << response.body;
-    EXPECT_NE(response.body.find("DeadlineExceeded"), std::string::npos);
-    ASSERT_TRUE(response.headers.count("Retry-After"));
-    const int retry_after = std::stoi(response.headers.at("Retry-After"));
-    EXPECT_GE(retry_after, 1);
-    EXPECT_LE(retry_after, 30);
-    ++expired;
-  }
-  EXPECT_GE(ok, 1);
-  EXPECT_GE(expired, 1);
-  // Stats snapshot before the retry below, whose own (transient) expiry
-  // under machine load would otherwise skew the exact counters.
-  std::string json = engine.StatsJson();
-  EXPECT_NE(json.find("\"deadline_expired\":" + std::to_string(expired)),
-            std::string::npos)
-      << json;
-  EXPECT_NE(
-      json.find("\"deadline_exceeded_total\":" + std::to_string(expired)),
-      std::string::npos)
-      << json;
-  // Expiries are transient overload, never negative-cached; retrying an
-  // expired query computes fine once the burst has passed. A retry can
-  // itself age out on a loaded machine — that too is transient, so the
-  // test retries the retry.
-  EXPECT_EQ(engine.cache().Stats().negative_entries, 0u);
-  auto retry = engine.Generate(entry.query, 5 + kBurst - 1, entry.year);
-  for (int attempt = 0; attempt < 50 && !retry.ok(); ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    retry = engine.Generate(entry.query, 5 + kBurst - 1, entry.year);
-  }
-  EXPECT_TRUE(retry.ok()) << retry.status().ToString();
-}
-
 TEST(ServeEngineTest, ShedQuerySucceedsOnRetry) {
   const eval::Workbench& wb = SharedWorkbench();
   ServeEngineOptions options;
