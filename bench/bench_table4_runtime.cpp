@@ -255,19 +255,32 @@ int main(int argc, char** argv) {
   stage_table.Print(std::cout);
 
   // --- Tracing overhead: same sample, spans on vs off ------------------
-  // Interleaved best-of-reps so both modes see the same cache/thermal
-  // state; the perf gate holds overhead_ratio at or under 1.05 (5%).
-  const int kTraceReps = 3;
-  double traced_best = 1e30, untraced_best = 1e30;
+  // Per query, the best of kTraceReps interleaved runs in each mode,
+  // summed over the sample; the perf gate holds overhead_ratio at or
+  // under 1.05 (5%). The two modes of a query run back to back, so they
+  // see the same host state, and they alternate which goes first, so
+  // neither always finds the query's data warm. Timing whole 20-query
+  // sweeps instead (~35 ms each) let host slowdowns lasting about a
+  // second decide the ratio: on a 4-vCPU VM best-of-15 sweeps read
+  // 0.81-1.12, per-query best-of-16 0.985-1.014.
+  const int kTraceReps = 16;
+  std::vector<double> traced_query_best(runs, 1e30);
+  std::vector<double> untraced_query_best(runs, 1e30);
   for (int r = 0; r < kTraceReps; ++r) {
-    obs::SetTracingEnabled(true);
-    Timer traced_timer;
-    for (size_t i = 0; i < runs; ++i) RunCase(i, 30);
-    traced_best = std::min(traced_best, traced_timer.ElapsedSeconds());
-    obs::SetTracingEnabled(false);
-    Timer untraced_timer;
-    for (size_t i = 0; i < runs; ++i) RunCase(i, 30);
-    untraced_best = std::min(untraced_best, untraced_timer.ElapsedSeconds());
+    for (size_t i = 0; i < runs; ++i) {
+      for (bool traced : {r % 2 == 0, r % 2 != 0}) {
+        obs::SetTracingEnabled(traced);
+        Timer timer;
+        RunCase(i, 30);
+        double& best = traced ? traced_query_best[i] : untraced_query_best[i];
+        best = std::min(best, timer.ElapsedSeconds());
+      }
+    }
+  }
+  double traced_best = 0.0, untraced_best = 0.0;
+  for (size_t i = 0; i < runs; ++i) {
+    traced_best += traced_query_best[i];
+    untraced_best += untraced_query_best[i];
   }
   obs::SetTracingEnabled(true);
   double overhead_ratio =

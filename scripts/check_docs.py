@@ -409,22 +409,26 @@ def check_bounds(text, bounds):
 
 def bound_check_self_test():
     """The bound check must flag the drift it exists for: a doc quoting
-    the old 1.02 tracing bound against a 1.05 table. Returns problems."""
+    the old 1.02 tracing bound against a 1.05 table, or a stage ceiling
+    from before it was tightened. Returns problems."""
 
     class Fixture:
         TABLE4_LIMITS = [
             ("tracing.overhead_ratio", "max", 1.05),
             ("stages.attributed_fraction", "min", 0.90),
+            ("stages.edge_cost_ms", "max", 0.4),
         ]
 
     bounds = gated_bounds(Fixture)
     stale = ["gated `overhead_ratio <= 1.02`",
              "`tracing.overhead_ratio`, gated ≤ 1.02 by the perf gate",
-             "`attributed_fraction` (the spans' share;\ngated ≥ 0.8)"]
+             "`attributed_fraction` (the spans' share;\ngated ≥ 0.8)",
+             "and `stages.edge_cost_ms ≤ 6.7` — the acceptance bound"]
     current = ["gated `overhead_ratio <= 1.05`",
                "`tracing.overhead_ratio`, gated ≤ 1.05 by the perf gate",
                "`attributed_fraction` (the spans' share;\ngated ≥ 0.9)",
-               "`overhead_ratio` was 1.02 before the kernel rewrite"]
+               "`overhead_ratio` was 1.02 before the kernel rewrite",
+               "`stages.edge_cost_ms ≤ 0.4` (0.12–0.19 ms, was 4.3–5.7)"]
     problems = []
     for doc in stale:
         if not check_bounds(doc, bounds):

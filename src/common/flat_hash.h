@@ -167,6 +167,9 @@ class FlatMap {
     if (slots_[s] == flat_internal::kEmptySlot) return nullptr;
     return &items_[slots_[s]].second;
   }
+  V* Find(K key) {
+    return const_cast<V*>(std::as_const(*this).Find(key));
+  }
 
   bool contains(K key) const { return Find(key) != nullptr; }
 

@@ -106,7 +106,8 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   // ---- Step 1: initial seeds from the engine -------------------------
   if (trace) t0 = trace->NowNs();
   auto hits = engine_->Search(query, options.num_initial_seeds,
-                              options.year_cutoff, options.exclude);
+                              options.year_cutoff, options.exclude,
+                              &scratch->search_);
   if (trace) {
     trace->AddSpan(obs::Stage::kSearch, t0, trace->NowNs() - t0,
                    hits.size());
@@ -253,14 +254,20 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   // ablations measure: a different terminal set / weight scheme yields a
   // different tree, and hence a different top of the list.
   if (trace) t0 = trace->NowNs();
+  std::vector<QueryScratch::RankKey>& keys = scratch->rank_keys_;
   auto rank_by_evidence = [&](std::vector<PaperId>* v) {
-    std::sort(v->begin(), v->end(), [&](PaperId a, PaperId b) {
-      double ca = evidence_of(a), cb = evidence_of(b);
-      if (ca != cb) return ca > cb;
-      double ia = Importance(a), ib = Importance(b);
-      if (ia != ib) return ia > ib;
-      return a < b;
-    });
+    keys.clear();
+    for (PaperId p : *v) keys.push_back({evidence_of(p), Importance(p), p});
+    std::sort(keys.begin(), keys.end(),
+              [](const QueryScratch::RankKey& a,
+                 const QueryScratch::RankKey& b) {
+                if (a.evidence != b.evidence) return a.evidence > b.evidence;
+                if (a.importance != b.importance) {
+                  return a.importance > b.importance;
+                }
+                return a.id < b.id;
+              });
+    for (size_t i = 0; i < keys.size(); ++i) (*v)[i] = keys[i].id;
   };
   rank_by_evidence(&tree_nodes);
   FlatSet<PaperId>& emitted = scratch->emitted_;

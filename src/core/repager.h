@@ -91,9 +91,10 @@ struct RePagerResult {
   obs::SpanSet stages;
 };
 
-/// Reusable per-query working memory for RePaGer::Generate: the KHop
-/// visit map and frontier levels, the subgraph id map and CSR arrays, the
-/// weighted graph's CSR arrays, and the ranking hash sets. After the
+/// Reusable per-query working memory for RePaGer::Generate: the engine's
+/// BM25 accumulator and hit list, the KHop visit map and frontier levels,
+/// the subgraph id map and CSR arrays, the weighted graph's CSR arrays,
+/// and the ranking hash sets and sort keys. After the
 /// first query everything here is warm, so subsequent Generate calls make
 /// almost no allocations outside the returned RePagerResult.
 ///
@@ -114,6 +115,7 @@ class QueryScratch {
   /// stage spans here (allocation-free after warm-up) and copies the
   /// SpanSet onto the result. Reset at the start of every traced call.
   obs::TraceContext trace_;
+  search::SearchScratch search_;
   graph::TraversalScratch khop_scratch_;
   graph::KHopResult khop_;
   graph::SubgraphScratch sg_scratch_;
@@ -127,6 +129,14 @@ class QueryScratch {
   FlatSet<graph::PaperId> emitted_;
   std::vector<graph::PaperId> seed_block_;
   std::vector<graph::PaperId> rest_;
+  /// One ranked node's sort keys, computed once per node rather than on
+  /// every comparison.
+  struct RankKey {
+    double evidence;
+    double importance;
+    graph::PaperId id;
+  };
+  std::vector<RankKey> rank_keys_;
 };
 
 /// The RePaGer system (§IV-A): seed retrieval -> weighted citation graph

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace rpg::search {
 
@@ -79,9 +77,19 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Restore(
 std::vector<SearchResult> SearchEngine::Search(
     const std::string& query, size_t top_k, int year_cutoff,
     const std::vector<DocId>& exclude) const {
+  SearchScratch scratch;
+  return Search(query, top_k, year_cutoff, exclude, &scratch);
+}
+
+std::vector<SearchResult> SearchEngine::Search(
+    const std::string& query, size_t top_k, int year_cutoff,
+    const std::vector<DocId>& exclude, SearchScratch* scratch) const {
   std::vector<std::string> terms = InvertedIndex::AnalyzeQuery(query);
-  std::unordered_map<DocId, double> scores;
+  FlatMap<DocId, double>& scores = scratch->scores_;
+  scores.clear();
   const size_t n = index_.num_documents();
+  // Each document's contributions sum in query-term order, so a score is
+  // the same double whichever container accumulates it.
   for (const auto& term : terms) {
     const auto& postings = index_.PostingsFor(term);
     if (postings.empty()) continue;
@@ -92,18 +100,20 @@ std::vector<SearchResult> SearchEngine::Search(
                                      profile_.bm25);
     }
   }
-  std::unordered_set<DocId> excluded(exclude.begin(), exclude.end());
+  // An excluded document's zeroed score fails the bm25 > 0 test below.
+  for (DocId doc : exclude) {
+    if (double* score = scores.Find(doc)) *score = 0.0;
+  }
   double log_max_citations =
       std::log1p(static_cast<double>(max_citations_));
   double year_span = static_cast<double>(max_year_ - min_year_);
 
-  std::vector<SearchResult> hits;
-  hits.reserve(scores.size());
+  std::vector<SearchResult>& hits = scratch->hits_;
+  hits.clear();
   for (const auto& [doc, bm25] : scores) {
     if (bm25 <= 0.0) continue;
     const EngineDocument& d = docs_[doc];
     if (d.year > year_cutoff) continue;
-    if (excluded.contains(doc)) continue;
     double score = bm25;
     if (profile_.citation_boost > 0.0 && log_max_citations > 0.0) {
       score *= 1.0 + profile_.citation_boost *
@@ -116,13 +126,15 @@ std::vector<SearchResult> SearchEngine::Search(
     }
     hits.push_back({doc, score});
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const SearchResult& a, const SearchResult& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.doc < b.doc;  // deterministic tiebreak
-            });
-  if (hits.size() > top_k) hits.resize(top_k);
-  return hits;
+  // A total order (doc id breaks score ties), so the top k are the same
+  // whatever order the hits were collected in.
+  const auto kept = hits.begin() + std::min(top_k, hits.size());
+  std::partial_sort(hits.begin(), kept, hits.end(),
+                    [](const SearchResult& a, const SearchResult& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.doc < b.doc;
+                    });
+  return std::vector<SearchResult>(hits.begin(), kept);
 }
 
 }  // namespace rpg::search

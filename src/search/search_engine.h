@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/result.h"
 #include "search/bm25.h"
 #include "search/inverted_index.h"
@@ -47,6 +48,24 @@ EngineProfile GoogleScholarProfile();
 EngineProfile MicrosoftAcademicProfile();
 EngineProfile AMinerProfile();
 
+/// Reusable working memory for SearchEngine::Search: the per-document
+/// BM25 accumulator and the scored-hit list. After the first query both
+/// are warm, so a search allocates only the returned top-k. Like
+/// core::QueryScratch it carries no state between calls and refers to no
+/// engine, so one scratch serves any engine, and results are
+/// bit-identical with a fresh or a reused scratch. One per thread.
+class SearchScratch {
+ public:
+  SearchScratch() = default;
+  SearchScratch(const SearchScratch&) = delete;
+  SearchScratch& operator=(const SearchScratch&) = delete;
+
+ private:
+  friend class SearchEngine;
+  FlatMap<DocId, double> scores_;
+  std::vector<SearchResult> hits_;
+};
+
 /// BM25 retrieval engine over a fixed document collection.
 class SearchEngine {
  public:
@@ -57,10 +76,19 @@ class SearchEngine {
   /// Returns the top-k documents for a free-text query, restricted to
   /// documents with year <= year_cutoff (pass INT32_MAX for no cutoff).
   /// `exclude` (may be empty) lists doc ids to drop from the ranking —
-  /// used to remove the queried survey itself.
+  /// used to remove the queried survey itself. Hits are ordered by score
+  /// descending, then doc id ascending. Builds a fresh SearchScratch.
   std::vector<SearchResult> Search(const std::string& query, size_t top_k,
                                    int year_cutoff,
                                    const std::vector<DocId>& exclude = {}) const;
+
+  /// Same results, with the working memory in `scratch`. The engine is
+  /// shared by every solver thread, so the scratch is per thread: never
+  /// pass one scratch to concurrent calls.
+  std::vector<SearchResult> Search(const std::string& query, size_t top_k,
+                                   int year_cutoff,
+                                   const std::vector<DocId>& exclude,
+                                   SearchScratch* scratch) const;
 
   const EngineProfile& profile() const { return profile_; }
   size_t num_documents() const { return docs_.size(); }

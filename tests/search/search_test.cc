@@ -166,6 +166,65 @@ TEST(SearchEngineTest, RecencyBoostPrefersNewer) {
   EXPECT_EQ(hits[0].doc, 1u);
 }
 
+TEST(SearchEngineTest, TiesAtTheTopKBoundaryKeepTheLowestDocIds) {
+  // Ten identical documents score identically; the doc-id tiebreak must
+  // pick ids 0..3 in ascending order, not any four of the ten.
+  std::vector<EngineDocument> docs(10, {"steiner tree", "same", 2000, 7});
+  auto engine = SearchEngine::Build(docs, GoogleScholarProfile()).value();
+  auto hits = engine->Search("steiner tree", 4, INT32_MAX);
+  ASSERT_EQ(hits.size(), 4u);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].doc, i);
+    EXPECT_EQ(hits[i].score, hits[0].score);
+  }
+  // With the lowest ids excluded the next-lowest take their place.
+  hits = engine->Search("steiner tree", 4, INT32_MAX, {0, 2});
+  std::vector<DocId> ids;
+  for (const auto& h : hits) ids.push_back(h.doc);
+  EXPECT_EQ(ids, (std::vector<DocId>{1, 3, 4, 5}));
+}
+
+TEST(SearchEngineTest, RepeatedQueryTermCountsTwice) {
+  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto once = engine->Search("reading", 10, INT32_MAX);
+  auto twice = engine->Search("reading reading", 10, INT32_MAX);
+  ASSERT_EQ(once.size(), 1u);
+  ASSERT_EQ(twice.size(), 1u);
+  EXPECT_EQ(twice[0].doc, once[0].doc);
+  // Doubling is exact in binary floating point, boost factor included.
+  EXPECT_EQ(twice[0].score, 2.0 * once[0].score);
+}
+
+TEST(SearchEngineTest, ReusedScratchMatchesFreshCalls) {
+  auto engine = SearchEngine::Build(TestDocs(), AMinerProfile()).value();
+  struct Call {
+    std::string query;
+    size_t top_k;
+    int year_cutoff;
+    std::vector<DocId> exclude;
+  };
+  const std::vector<Call> calls = {
+      {"steiner tree network reading", 10, INT32_MAX, {}},
+      {"steiner tree", 1, INT32_MAX, {0}},
+      {"genome reading paths", 10, 2015, {}},
+      {"quantum chromodynamics", 10, INT32_MAX, {}},
+      {"steiner steiner tree", 2, 2010, {1, 3}},
+      {"steiner tree network reading", 10, INT32_MAX, {}},
+  };
+  SearchScratch scratch;
+  for (const Call& c : calls) {
+    SCOPED_TRACE(c.query);
+    auto fresh = engine->Search(c.query, c.top_k, c.year_cutoff, c.exclude);
+    auto reused =
+        engine->Search(c.query, c.top_k, c.year_cutoff, c.exclude, &scratch);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(reused[i].doc, fresh[i].doc);
+      EXPECT_EQ(reused[i].score, fresh[i].score);
+    }
+  }
+}
+
 TEST(SearchEngineTest, ProfilesHaveDistinctNames) {
   EXPECT_EQ(GoogleScholarProfile().name, "Google");
   EXPECT_EQ(MicrosoftAcademicProfile().name, "Microsoft");
