@@ -29,8 +29,8 @@ Besides the baseline ratios, a few *absolute* limits gate invariants of
 the fresh run alone (no baseline needed): the request-tracing overhead
 must stay within 5% (tracing.overhead_ratio <= 1.05), the per-stage
 spans must attribute >= 90% of pipeline wall time
-(stages.attributed_fraction >= 0.9), and the edge-cost, search and rank
-stages must stay under their ceilings. See docs/observability.md and
+(stages.attributed_fraction >= 0.9), and the edge-cost, search, steiner
+and rank stages must stay under their ceilings. See docs/observability.md and
 docs/benchmarks.md.
 """
 
@@ -59,18 +59,25 @@ TABLE4_METRICS = [
 # denominator; measured ratios now jitter ~0.95-1.04 on an idle machine.
 #
 # The stage ceilings pin optimized stages at their current level, so the
-# gate fails if a stage falls back. Ranges are over 45 runs of the
-# current code and 10 of the code each stage replaced, on a 4-vCPU Xeon
-# VM (GCC 12.2, RelWithDebInfo):
+# gate fails if a stage falls back. Ranges are on a 4-vCPU Xeon VM (GCC
+# 12.2, RelWithDebInfo), over 45 runs of the code that set each ceiling
+# and 10 of the code it replaced, except where a line says otherwise:
 #  - stages.edge_cost_ms reads each edge's Eq. (2) cost from the
 #    snapshot's con table: 0.11-0.21 ms, so 0.4 is ~2x the worst run
 #    (13.4 ms when Con was counted per query, 4.3-5.7 with the
 #    intersection kernels).
-#  - stages.search_ms keeps a reusable BM25 accumulator and selects the
-#    top k: 0.33-0.60 ms, against 0.69-1.03 with a per-call hash map and
-#    a full sort of every scored document. 0.65 is the only room
-#    between the two: it sits 9% above the worst current run, so a slow
-#    host can trip it, but any higher bound passes the old code.
+#  - stages.search_ms reads each document's BM25 norm and boost factors,
+#    computed once at engine build, in a reusable accumulator and
+#    selects the top k: 0.26-0.39 ms over 25 runs, against 0.37-0.62
+#    over 25 alternating runs recomputing the norm per posting and
+#    log1p per hit (0.69-1.03 before that, with a per-call hash map and
+#    a full sort). The two ranges overlap; 0.45 is 15% above the worst
+#    current run and below 10 of the 25 runs of the code it replaced.
+#  - stages.steiner_ms: 0.52-0.82 ms over the same 25 runs, 0.57-1.04
+#    for the code before it. This bench solves with a fresh scratch per
+#    call, so the SteinerScratch reuse serving gets does not show here;
+#    1.2 is ~1.5x the worst run and catches a solve that falls back by
+#    half again.
 #  - stages.rank_ms sorts precomputed rank keys: 0.13-0.19 ms, so 0.35
 #    is ~2x the median (0.63-0.81 recomputing both keys in every
 #    comparison).
@@ -78,7 +85,8 @@ TABLE4_LIMITS = [
     ("tracing.overhead_ratio", "max", 1.05),
     ("stages.attributed_fraction", "min", 0.90),
     ("stages.edge_cost_ms", "max", 0.4),
-    ("stages.search_ms", "max", 0.65),
+    ("stages.search_ms", "max", 0.45),
+    ("stages.steiner_ms", "max", 1.2),
     ("stages.rank_ms", "max", 0.35),
 ]
 SCALE_METRICS = [
@@ -243,7 +251,7 @@ def self_test():
     healthy = {
         "tracing": {"overhead_ratio": 1.005},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 0.15,
-                   "search_ms": 0.4, "rank_ms": 0.16},
+                   "search_ms": 0.34, "steiner_ms": 0.66, "rank_ms": 0.16},
     }
     if check_limits("fixture", healthy, TABLE4_LIMITS, report) != 0:
         print("self-test FAILED: in-bound limits flagged")
@@ -253,6 +261,8 @@ def self_test():
         ("stages", "attributed_fraction", 0.5, "50% stage attribution"),
         ("stages", "edge_cost_ms", 4.5, "per-query Con counting"),
         ("stages", "search_ms", 0.9, "hash-map search with a full sort"),
+        ("stages", "search_ms", 0.55, "per-posting norms, per-hit log1p"),
+        ("stages", "steiner_ms", 1.5, "a solve twice as slow"),
         ("stages", "rank_ms", 0.7, "per-comparison rank keys"),
     ]
     for section, key, value, what in over_budget:

@@ -1,40 +1,54 @@
 #include "common/json_writer.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace rpg {
 
-std::string JsonWriter::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
+void JsonWriter::AppendEscaped(std::string_view s, std::string* out) {
+  // Bytes that need no escape are appended a run at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escaped = nullptr;
     switch (c) {
       case '"':
-        out += "\\\"";
+        escaped = "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        escaped = "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        escaped = "\\n";
         break;
       case '\r':
-        out += "\\r";
+        escaped = "\\r";
         break;
       case '\t':
-        out += "\\t";
+        escaped = "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    if (escaped != nullptr) {
+      out->append(escaped);
+    } else {
+      // Any other control character: \u00XX, lowercase hex.
+      constexpr char kHex[] = "0123456789abcdef";
+      const char code[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                           kHex[c & 0xf]};
+      out->append(code, sizeof(code));
     }
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+std::string JsonWriter::Escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -73,33 +87,35 @@ JsonWriter& JsonWriter::EndArray() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Key(const std::string& key) {
+JsonWriter& JsonWriter::Key(std::string_view key) {
   if (need_comma_.back()) out_.push_back(',');
   need_comma_.back() = true;
   out_.push_back('"');
-  out_ += Escape(key);
+  AppendEscaped(key, &out_);
   out_ += "\":";
   after_key_ = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::String(const std::string& value) {
+JsonWriter& JsonWriter::String(std::string_view value) {
   MaybeComma();
   out_.push_back('"');
-  out_ += Escape(value);
+  AppendEscaped(value, &out_);
   out_.push_back('"');
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   MaybeComma();
-  out_ += std::to_string(value);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t value) {
   MaybeComma();
-  out_ += std::to_string(value);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   return *this;
 }
 
@@ -109,9 +125,13 @@ JsonWriter& JsonWriter::Double(double value) {
     out_ += "null";
     return *this;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  out_ += buf;
+  // The standard defines to_chars with a format and a precision as
+  // printf's conversion: this is exactly %.10g, without the locale and
+  // varargs machinery.
+  char buf[32];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 10)
+                       .ptr);
   return *this;
 }
 
@@ -127,13 +147,13 @@ JsonWriter& JsonWriter::Null() {
   return *this;
 }
 
-JsonWriter& JsonWriter::Raw(const std::string& json) {
+JsonWriter& JsonWriter::Raw(std::string_view json) {
   MaybeComma();
   out_ += json;
   return *this;
 }
 
-JsonWriter& JsonWriter::RawMembers(const std::string& members) {
+JsonWriter& JsonWriter::RawMembers(std::string_view members) {
   if (members.empty()) return *this;
   if (need_comma_.back()) out_.push_back(',');
   need_comma_.back() = true;

@@ -14,6 +14,7 @@ using graph::PaperId;
 ReadingPath::ReadingPath(const steiner::SteinerResult& tree,
                          const std::vector<uint16_t>& years) {
   nodes_ = tree.nodes;
+  std::sort(nodes_.begin(), nodes_.end());
   edges_.reserve(tree.edges.size());
   for (const auto& [a, b] : tree.edges) {
     uint16_t ya = a < years.size() ? years[a] : 0;
@@ -41,21 +42,22 @@ std::vector<PaperId> ReadingPath::Roots() const {
 
 std::vector<PaperId> ReadingPath::FlattenedOrder(
     const std::vector<uint16_t>& years) const {
-  std::map<PaperId, int> indegree;
-  std::map<PaperId, std::vector<PaperId>> out;
-  for (PaperId v : nodes_) indegree[v] = 0;
-  for (const auto& [from, to] : edges_) {
-    ++indegree[to];
-    out[from].push_back(to);
-  }
+  // nodes_ is sorted and holds every edge endpoint, and edges_ is sorted
+  // by (from, to), so a node's out-edges are one contiguous run of it.
+  auto index_of = [&](PaperId v) {
+    return static_cast<size_t>(
+        std::lower_bound(nodes_.begin(), nodes_.end(), v) - nodes_.begin());
+  };
+  std::vector<int> indegree(nodes_.size(), 0);
+  for (const auto& [from, to] : edges_) ++indegree[index_of(to)];
   auto order_key = [&](PaperId v) {
     uint16_t y = v < years.size() ? years[v] : 0;
     return std::pair<uint16_t, PaperId>(y, v);
   };
   auto cmp = [&](PaperId a, PaperId b) { return order_key(a) > order_key(b); };
   std::priority_queue<PaperId, std::vector<PaperId>, decltype(cmp)> ready(cmp);
-  for (const auto& [v, d] : indegree) {
-    if (d == 0) ready.push(v);
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (indegree[i] == 0) ready.push(nodes_[i]);
   }
   std::vector<PaperId> order;
   order.reserve(nodes_.size());
@@ -63,8 +65,10 @@ std::vector<PaperId> ReadingPath::FlattenedOrder(
     PaperId v = ready.top();
     ready.pop();
     order.push_back(v);
-    for (PaperId w : out[v]) {
-      if (--indegree[w] == 0) ready.push(w);
+    for (auto e = std::lower_bound(edges_.begin(), edges_.end(),
+                                   std::pair<PaperId, PaperId>(v, 0));
+         e != edges_.end() && e->first == v; ++e) {
+      if (--indegree[index_of(e->second)] == 0) ready.push(e->second);
     }
   }
   return order;

@@ -26,8 +26,10 @@ class ReadingPath {
  public:
   ReadingPath() = default;
 
-  /// Builds from a NEWST result whose node ids are global paper ids.
-  /// Direction: older year first; ties broken by smaller id first.
+  /// Builds from a NEWST result whose node ids are global paper ids;
+  /// `tree.nodes` holds every endpoint of `tree.edges`, as a
+  /// SteinerResult's does. nodes() is sorted. Direction: older year
+  /// first; ties broken by smaller id first.
   ReadingPath(const steiner::SteinerResult& tree,
               const std::vector<uint16_t>& years);
 

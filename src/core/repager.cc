@@ -218,7 +218,8 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     local_terminals.reserve(terminals.size());
     for (PaperId t : terminals) local_terminals.push_back(sg.ToLocal(t));
     RPG_ASSIGN_OR_RETURN(steiner::SteinerResult local_tree,
-                         SolveNewst(wg, local_terminals, options.newst));
+                         SolveNewst(wg, local_terminals, options.newst,
+                                    &scratch->steiner_));
     result.steiner_seconds = steiner_timer.ElapsedSeconds();
     result.steiner_stats = local_tree.stats;
     if (trace) {

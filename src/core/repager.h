@@ -21,8 +21,8 @@
 ///    QueryScratch per call. Results are bit-identical either way; the
 ///    scratch exists purely so serving can amortize the per-query
 ///    allocations (KHop visit map, subgraph id map + CSR arrays,
-///    weighted-graph CSR arrays), which would otherwise cost as much as
-///    the Steiner solve itself.
+///    weighted-graph CSR arrays, the Steiner solve's arrays), which
+///    would otherwise cost as much as the Steiner solve itself.
 
 #include <memory>
 #include <string>
@@ -94,7 +94,8 @@ struct RePagerResult {
 /// Reusable per-query working memory for RePaGer::Generate: the engine's
 /// BM25 accumulator and hit list, the KHop visit map and frontier levels,
 /// the subgraph id map and CSR arrays, the weighted graph's CSR arrays,
-/// and the ranking hash sets and sort keys. After the
+/// the NEWST solve's arrays (steiner::SteinerScratch), and the ranking
+/// hash sets and sort keys. After the
 /// first query everything here is warm, so subsequent Generate calls make
 /// almost no allocations outside the returned RePagerResult.
 ///
@@ -121,6 +122,7 @@ class QueryScratch {
   graph::SubgraphScratch sg_scratch_;
   graph::Subgraph sg_;
   steiner::WeightedGraph wg_;
+  steiner::SteinerScratch steiner_;
   std::vector<graph::PaperId> candidates_;
   std::vector<uint32_t> local_terminals_;
   FlatSet<graph::PaperId> excluded_;

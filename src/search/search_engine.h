@@ -71,7 +71,7 @@ class SearchEngine {
  public:
   /// Builds the index. Document ids are their positions in `docs`.
   static Result<std::unique_ptr<SearchEngine>> Build(
-      std::vector<EngineDocument> docs, const EngineProfile& profile);
+      const std::vector<EngineDocument>& docs, const EngineProfile& profile);
 
   /// Returns the top-k documents for a free-text query, restricted to
   /// documents with year <= year_cutoff (pass INT32_MAX for no cutoff).
@@ -91,15 +91,17 @@ class SearchEngine {
                                    SearchScratch* scratch) const;
 
   const EngineProfile& profile() const { return profile_; }
-  size_t num_documents() const { return docs_.size(); }
+  size_t num_documents() const { return bm25_norm_.size(); }
 
   /// Snapshot support — rebuilds an engine from a restored index plus
   /// the per-document metadata Search() consults at query time (year and
   /// citation count; title/abstract text is only needed at index-build
-  /// time and is not kept). The max/min aggregates are stored rather
-  /// than recomputed so the restored engine scores bit-identically.
+  /// time and is ignored). The max/min aggregates are stored rather
+  /// than recomputed so the restored engine scores bit-identically. Any
+  /// aggregates are accepted: a boost whose range is empty (max_citations
+  /// 0, max_year <= min_year) is left out, as in a built engine.
   static Result<std::unique_ptr<SearchEngine>> Restore(
-      std::vector<EngineDocument> docs, const EngineProfile& profile,
+      const std::vector<EngineDocument>& docs, const EngineProfile& profile,
       InvertedIndex index, uint64_t max_citations, int min_year,
       int max_year);
 
@@ -110,10 +112,30 @@ class SearchEngine {
   int max_year() const { return max_year_; }
 
  private:
-  SearchEngine(std::vector<EngineDocument> docs, const EngineProfile& profile);
+  /// The query-independent part of a document's score, computed once
+  /// when the engine is built or restored.
+  struct DocFactors {
+    /// 1 + citation_boost * log1p(citations) / log1p(max_citations),
+    /// exactly 1.0 when the boost is off or no document is cited.
+    double citation = 1.0;
+    /// 1 + recency_boost * (year - min_year) / (max_year - min_year),
+    /// exactly 1.0 when the boost is off or the year span is empty.
+    double recency = 1.0;
+    int year = 0;
+  };
 
-  std::vector<EngineDocument> docs_;
+  explicit SearchEngine(const EngineProfile& profile) : profile_(profile) {}
+
+  /// Fills bm25_norm_ and factors_ from the finalized index, the
+  /// aggregates and each document's year and citation count.
+  void ComputeDocConstants(const std::vector<EngineDocument>& docs);
+
   EngineProfile profile_;
+  /// Per document: BM25's length norm k1 * (1 - b + b * len / avgdl)
+  /// (k1 alone when avgdl is 0), read once per posting.
+  std::vector<double> bm25_norm_;
+  /// Per document: the factors and year read once per scored hit.
+  std::vector<DocFactors> factors_;
   InvertedIndex index_;
   uint64_t max_citations_ = 0;
   int min_year_ = 0;

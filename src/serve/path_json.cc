@@ -1,6 +1,6 @@
 #include "serve/path_json.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -17,10 +17,9 @@ std::string RenderPathFragment(const core::RePagerResult& result,
   const core::RePaGer& repager = epoch.repager();
   const std::vector<std::string>& titles = *epoch.titles();
   const std::vector<uint16_t>& years = *epoch.years();
-  std::unordered_set<graph::PaperId> seeds(result.initial_seeds.begin(),
-                                           result.initial_seeds.end());
+  const std::vector<graph::PaperId>& seeds = result.initial_seeds;
+  // The members go at the writer's top level: the fragment has no braces.
   JsonWriter w;
-  w.BeginObject();
   w.Key("nodes").BeginArray();
   for (graph::PaperId p : result.path.nodes()) {
     w.BeginObject();
@@ -31,8 +30,9 @@ std::string RenderPathFragment(const core::RePagerResult& result,
     // important in the whole reading path (§V panel e).
     w.Key("importance").Double(repager.Importance(p));
     // Green vs gray marking of Fig. 9: was the paper in the engine's
-    // initial top-K, or surfaced by citation analysis?
-    w.Key("from_engine").Bool(seeds.contains(p));
+    // initial top-K (a few dozen ids), or surfaced by citation analysis?
+    w.Key("from_engine")
+        .Bool(std::find(seeds.begin(), seeds.end(), p) != seeds.end());
     w.EndObject();
   }
   w.EndArray();
@@ -48,9 +48,9 @@ std::string RenderPathFragment(const core::RePagerResult& result,
   w.Key("reading_order").BeginArray();
   for (graph::PaperId p : result.path.FlattenedOrder(years)) w.UInt(p);
   w.EndArray();
-  w.EndObject();
-  // The members without the enclosing braces, sized exactly.
-  return w.str().substr(1, w.str().size() - 2);
+  // Stored in the cache, whose byte budget charges capacity: copy the
+  // bytes out at their exact size rather than keep the grown buffer.
+  return std::string(w.str());
 }
 
 }  // namespace
@@ -106,7 +106,7 @@ std::string RenderPathJson(const std::string& query,
     w.EndObject();
   }
   w.EndObject();
-  return w.str();
+  return w.Release();
 }
 
 }  // namespace rpg::serve

@@ -262,9 +262,9 @@ Status ServingState::Build() {
                                      std::move(postings),
                                      std::move(doc_lengths), avg_doc_length));
   RPG_ASSIGN_OR_RETURN(
-      engine_, search::SearchEngine::Restore(std::move(docs), profile,
-                                             std::move(index), max_citations,
-                                             min_year, max_year));
+      engine_, search::SearchEngine::Restore(docs, profile, std::move(index),
+                                             max_citations, min_year,
+                                             max_year));
   weights_ = std::make_unique<rank::WeightModel>(
       &graph_, pagerank_, venue_scores_, std::move(edge_con), params_);
   repager_ = std::make_unique<core::RePaGer>(&graph_, engine_.get(),

@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/dary_heap.h"
-
 namespace rpg::steiner {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-using Entry = std::pair<double, uint32_t>;  // (dist, node)
-// 4-ary min-heap under lexicographic (dist, node) order: pops the exact
-// same entry sequence the binary std::priority_queue did (the order is
-// total), just with shallower sift-ups on the push-heavy lazy-deletion
-// workload. See common/dary_heap.h.
-using MinHeap = DaryHeap<Entry>;
 }  // namespace
 
 std::vector<uint32_t> ShortestPathTree::PathTo(uint32_t target) const {
@@ -39,7 +31,7 @@ ShortestPathTree Dijkstra(const WeightedGraph& g, uint32_t source,
   tree.parent.assign(n, UINT32_MAX);
   if (source >= n) return tree;
 
-  MinHeap pq;
+  DijkstraHeap pq;
   tree.dist[source] = 0.0;
   pq.emplace(0.0, source);
   uint64_t settled = 0, pushes = 1;
@@ -67,29 +59,28 @@ ShortestPathTree Dijkstra(const WeightedGraph& g, uint32_t source,
   return tree;
 }
 
-std::vector<uint32_t> VoronoiPartition::PathFromSource(uint32_t v) const {
-  if (v >= dist.size() || source[v] == UINT32_MAX) return {};
-  std::vector<uint32_t> path;
-  uint32_t cur = v;
-  while (cur != UINT32_MAX) {
-    path.push_back(cur);
-    cur = parent[cur];
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 VoronoiPartition MultiSourceDijkstra(const WeightedGraph& g,
                                      const std::vector<uint32_t>& sources,
                                      bool include_node_weights,
                                      SteinerStats* stats) {
-  const size_t n = g.num_nodes();
   VoronoiPartition vp;
+  DijkstraHeap heap;
+  MultiSourceDijkstra(g, sources, include_node_weights, stats, &heap, &vp);
+  return vp;
+}
+
+void MultiSourceDijkstra(const WeightedGraph& g,
+                         const std::vector<uint32_t>& sources,
+                         bool include_node_weights, SteinerStats* stats,
+                         DijkstraHeap* heap, VoronoiPartition* out) {
+  const size_t n = g.num_nodes();
+  VoronoiPartition& vp = *out;
   vp.dist.assign(n, kInf);
   vp.parent.assign(n, UINT32_MAX);
   vp.source.assign(n, UINT32_MAX);
 
-  MinHeap pq;
+  DijkstraHeap& pq = *heap;
+  pq.clear();
   uint64_t settled = 0, pushes = 0;
   for (uint32_t i = 0; i < sources.size(); ++i) {
     uint32_t s = sources[i];
@@ -122,7 +113,6 @@ VoronoiPartition MultiSourceDijkstra(const WeightedGraph& g,
     stats->heap_pushes += pushes;
     ++stats->dijkstra_runs;
   }
-  return vp;
 }
 
 }  // namespace rpg::steiner

@@ -2,12 +2,18 @@
 #define RPG_STEINER_DIJKSTRA_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/dary_heap.h"
 #include "steiner/stats.h"
 #include "steiner/weighted_graph.h"
 
 namespace rpg::steiner {
+
+/// The Dijkstra frontier: a 4-ary min-heap of (dist, node) entries under
+/// lexicographic order, a total order, so every pop sequence is fixed.
+using DijkstraHeap = DaryHeap<std::pair<double, uint32_t>>;
 
 /// Result of a single-source shortest-path computation. Unreachable
 /// nodes have dist == +inf and parent == UINT32_MAX.
@@ -51,16 +57,19 @@ struct VoronoiPartition {
   std::vector<double> dist;
   std::vector<uint32_t> parent;
   std::vector<uint32_t> source;
-
-  /// Walks v's parent chain back to its owning source (inclusive),
-  /// returning the path source -> ... -> v. Empty when unreachable.
-  std::vector<uint32_t> PathFromSource(uint32_t v) const;
 };
 
 VoronoiPartition MultiSourceDijkstra(const WeightedGraph& g,
                                      const std::vector<uint32_t>& sources,
                                      bool include_node_weights = true,
                                      SteinerStats* stats = nullptr);
+
+/// Same partition, written into `*out` with `*heap` as the frontier;
+/// both keep their capacity from earlier calls (SteinerScratch).
+void MultiSourceDijkstra(const WeightedGraph& g,
+                         const std::vector<uint32_t>& sources,
+                         bool include_node_weights, SteinerStats* stats,
+                         DijkstraHeap* heap, VoronoiPartition* out);
 
 }  // namespace rpg::steiner
 

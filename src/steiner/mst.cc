@@ -8,8 +8,12 @@
 
 namespace rpg::steiner {
 
-DisjointSets::DisjointSets(size_t n) : parent_(n), rank_(n, 0) {
+DisjointSets::DisjointSets(size_t n) { Reset(n); }
+
+void DisjointSets::Reset(size_t n) {
+  parent_.resize(n);
   for (size_t i = 0; i < n; ++i) parent_[i] = static_cast<uint32_t>(i);
+  rank_.assign(n, 0);
 }
 
 uint32_t DisjointSets::Find(uint32_t x) {
@@ -30,17 +34,24 @@ bool DisjointSets::Union(uint32_t x, uint32_t y) {
 }
 
 std::vector<Edge> KruskalMst(size_t n, std::vector<Edge> edges) {
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+  DisjointSets sets;
+  std::vector<Edge> tree;
+  KruskalMst(n, &edges, &sets, &tree);
+  return tree;
+}
+
+void KruskalMst(size_t n, std::vector<Edge>* edges, DisjointSets* sets,
+                std::vector<Edge>* tree) {
+  std::sort(edges->begin(), edges->end(), [](const Edge& a, const Edge& b) {
     if (a.cost != b.cost) return a.cost < b.cost;
     if (a.u != b.u) return a.u < b.u;
     return a.v < b.v;
   });
-  DisjointSets sets(n);
-  std::vector<Edge> tree;
-  for (const Edge& e : edges) {
-    if (sets.Union(e.u, e.v)) tree.push_back(e);
+  sets->Reset(n);
+  tree->clear();
+  for (const Edge& e : *edges) {
+    if (sets->Union(e.u, e.v)) tree->push_back(e);
   }
-  return tree;
 }
 
 std::vector<Edge> PrimMst(const WeightedGraph& g, uint32_t start) {

@@ -19,7 +19,10 @@ struct Edge {
 /// Union-find with path compression + union by rank.
 class DisjointSets {
  public:
+  DisjointSets() = default;
   explicit DisjointSets(size_t n);
+  /// Back to n singletons, keeping the arrays' capacity.
+  void Reset(size_t n);
   uint32_t Find(uint32_t x);
   /// Returns false when x and y were already in the same set.
   bool Union(uint32_t x, uint32_t y);
@@ -33,6 +36,11 @@ class DisjointSets {
 /// chosen edges; for a disconnected input this is a minimum spanning
 /// forest. Ties are broken deterministically by (cost, u, v).
 std::vector<Edge> KruskalMst(size_t n, std::vector<Edge> edges);
+
+/// Same forest, sorting `*edges` in place and writing it into `*tree`,
+/// with `*sets` as the union-find; all three keep their capacity.
+void KruskalMst(size_t n, std::vector<Edge>* edges, DisjointSets* sets,
+                std::vector<Edge>* tree);
 
 /// Prim MST of the connected component of `start` in g. Returns tree
 /// edges (u, v) with their costs.

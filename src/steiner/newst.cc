@@ -13,20 +13,7 @@
 namespace rpg::steiner {
 
 namespace {
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// A closure edge between terminal indices plus the information needed to
-/// expand it back into an underlying graph path. Classic mode stores the
-/// terminal whose shortest-path tree reaches the other; Mehlhorn mode
-/// stores the Voronoi-boundary graph edge (u, w) the path crosses.
-struct ClosureEdge {
-  uint32_t a = 0, b = 0;  // terminal indices, a < b
-  double cost = 0.0;
-  uint32_t boundary_u = UINT32_MAX;  // Mehlhorn: edge endpoint in cell of a
-  uint32_t boundary_w = UINT32_MAX;  // Mehlhorn: edge endpoint in cell of b
-};
-
 }  // namespace
 
 Result<std::vector<uint32_t>> CanonicalTerminals(
@@ -50,6 +37,14 @@ Result<std::vector<uint32_t>> CanonicalTerminals(
 Result<SteinerResult> SolveNewst(const WeightedGraph& g,
                                  const std::vector<uint32_t>& terminals,
                                  const NewstOptions& options) {
+  SteinerScratch scratch;
+  return SolveNewst(g, terminals, options, &scratch);
+}
+
+Result<SteinerResult> SolveNewst(const WeightedGraph& g,
+                                 const std::vector<uint32_t>& terminals,
+                                 const NewstOptions& options,
+                                 SteinerScratch* scratch) {
   RPG_ASSIGN_OR_RETURN(std::vector<uint32_t> terms,
                        CanonicalTerminals(g, terminals));
 
@@ -74,12 +69,12 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
   // and the cheapest candidate per terminal pair survives. The MST of
   // this (much sparser) closure graph yields the same KMB guarantee.
   Timer closure_timer;
-  std::vector<ClosureEdge> closure;
-  std::vector<ShortestPathTree> spt;        // classic only
-  std::optional<VoronoiPartition> voronoi;  // Mehlhorn only
-  // Mehlhorn only: terminal-pair key a * k + b -> index of the cheapest
-  // candidate in `closure`, reused later to expand closure-MST edges.
-  FlatMap<uint64_t, size_t> best_candidate;
+  std::vector<SteinerScratch::ClosureEdge>& closure = scratch->closure_;
+  closure.clear();
+  std::vector<ShortestPathTree> spt;  // classic only
+  const VoronoiPartition& vp = scratch->voronoi_;  // Mehlhorn only
+  FlatMap<uint64_t, size_t>& best_candidate = scratch->best_candidate_;
+  best_candidate.clear();
 
   if (options.closure_mode == ClosureMode::kClassic) {
     spt.reserve(k);
@@ -93,9 +88,8 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
       }
     }
   } else {
-    voronoi =
-        MultiSourceDijkstra(*eg, terms, options.use_node_weights, &stats);
-    const VoronoiPartition& vp = *voronoi;
+    MultiSourceDijkstra(*eg, terms, options.use_node_weights, &stats,
+                        &scratch->heap_, &scratch->voronoi_);
     best_candidate.reserve(4 * k);
     for (uint32_t u = 0; u < n; ++u) {
       uint32_t cell_u = vp.source[u];
@@ -134,17 +128,21 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
   stats.closure_seconds = closure_timer.ElapsedSeconds();
 
   // ---- Step 2: MST of the closure (forest when disconnected) --------
-  std::vector<Edge> closure_edges;
-  closure_edges.reserve(closure.size());
-  for (const ClosureEdge& e : closure) {
-    closure_edges.push_back({e.a, e.b, e.cost});
+  std::vector<Edge>& mst_input = scratch->mst_input_;
+  mst_input.clear();
+  for (const SteinerScratch::ClosureEdge& e : closure) {
+    mst_input.push_back({e.a, e.b, e.cost});
   }
-  std::vector<Edge> closure_mst_plain = KruskalMst(k, closure_edges);
+  const std::vector<Edge>& closure_mst = scratch->closure_mst_;
+  KruskalMst(k, &mst_input, &scratch->sets_, &scratch->closure_mst_);
 
   // ---- Step 3: expand closure-MST edges into shortest paths ---------
-  std::vector<uint8_t> in_gs(n, 0);
-  std::vector<uint32_t> gs_nodes;
-  gs_nodes.reserve(2 * k);
+  // Gs is a node set and an edge set (both sorted below), so each path
+  // is added by walking its parent chain, in any order.
+  std::vector<uint8_t>& in_gs = scratch->in_gs_;
+  in_gs.assign(n, 0);
+  std::vector<uint32_t>& gs_nodes = scratch->gs_nodes_;
+  gs_nodes.clear();
   auto add_gs_node = [&](uint32_t v) {
     if (!in_gs[v]) {
       in_gs[v] = 1;
@@ -152,27 +150,30 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
     }
   };
   for (uint32_t t : terms) add_gs_node(t);
-  std::vector<std::pair<uint32_t, uint32_t>> gs_edge_pairs;
-  auto add_gs_path = [&](const std::vector<uint32_t>& path) {
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      uint32_t a = path[i], b = path[i + 1];
-      add_gs_node(a);
-      add_gs_node(b);
-      gs_edge_pairs.emplace_back(std::min(a, b), std::max(a, b));
+  std::vector<std::pair<uint32_t, uint32_t>>& gs_edge_pairs =
+      scratch->gs_edge_pairs_;
+  gs_edge_pairs.clear();
+  // The shortest path from v back to the root of `parent`'s tree.
+  auto add_gs_chain = [&](const std::vector<uint32_t>& parent, uint32_t v) {
+    add_gs_node(v);
+    for (uint32_t p = parent[v]; p != UINT32_MAX; v = p, p = parent[v]) {
+      add_gs_node(p);
+      gs_edge_pairs.emplace_back(std::min(v, p), std::max(v, p));
     }
   };
-  for (const Edge& e : closure_mst_plain) {
+  for (const Edge& e : closure_mst) {
     if (options.closure_mode == ClosureMode::kClassic) {
-      add_gs_path(spt[e.u].PathTo(terms[e.v]));
+      add_gs_chain(spt[e.u].parent, terms[e.v]);
     } else {
       uint64_t key = static_cast<uint64_t>(e.u) * k + e.v;
-      const ClosureEdge* ce = &closure[*best_candidate.Find(key)];
+      const SteinerScratch::ClosureEdge& ce =
+          closure[*best_candidate.Find(key)];
       // Path: terminal a -> ... -> boundary_u -> boundary_w -> ... ->
-      // terminal b, stitched from the two Voronoi parent chains.
-      std::vector<uint32_t> path = voronoi->PathFromSource(ce->boundary_u);
-      std::vector<uint32_t> tail = voronoi->PathFromSource(ce->boundary_w);
-      path.insert(path.end(), tail.rbegin(), tail.rend());
-      add_gs_path(path);
+      // terminal b, the two Voronoi parent chains and the boundary edge.
+      add_gs_chain(vp.parent, ce.boundary_u);
+      add_gs_chain(vp.parent, ce.boundary_w);
+      gs_edge_pairs.emplace_back(std::min(ce.boundary_u, ce.boundary_w),
+                                 std::max(ce.boundary_u, ce.boundary_w));
     }
   }
   std::sort(gs_edge_pairs.begin(), gs_edge_pairs.end());
@@ -180,68 +181,78 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
                       gs_edge_pairs.end());
 
   // ---- Step 4: MST of the expanded subgraph Gs, then prune ----------
-  // Compact ids for Gs via a flat id-map (sorted for determinism).
+  // Compact ids for Gs via a flat id-map (sorted for determinism). Only
+  // Gs nodes' entries of to_compact are read, and each is written first.
   std::sort(gs_nodes.begin(), gs_nodes.end());
   const std::vector<uint32_t>& to_original = gs_nodes;
-  std::vector<uint32_t> to_compact(n, UINT32_MAX);
+  std::vector<uint32_t>& to_compact = scratch->to_compact_;
+  to_compact.resize(n);
   for (uint32_t i = 0; i < to_original.size(); ++i) {
     to_compact[to_original[i]] = i;
   }
-  std::vector<Edge> gs_edges;
-  gs_edges.reserve(gs_edge_pairs.size());
+  std::vector<Edge>& gs_edges = scratch->mst_input_;
+  gs_edges.clear();
   for (const auto& [a, b] : gs_edge_pairs) {
     gs_edges.push_back({to_compact[a], to_compact[b], eg->EdgeCost(a, b)});
   }
-  std::vector<Edge> gs_mst = KruskalMst(to_original.size(), gs_edges);
+  const size_t gn = to_original.size();
+  const std::vector<Edge>& gs_mst = scratch->gs_mst_;
+  KruskalMst(gn, &gs_edges, &scratch->sets_, &scratch->gs_mst_);
 
   // Prune non-terminal leaves until fixpoint (classic KMB step 5),
   // incrementally: peel leaves off a work list instead of rescanning.
-  const size_t gn = to_original.size();
-  std::vector<uint8_t> is_terminal(gn, 0);
-  for (uint32_t t : terms) is_terminal[to_compact[t]] = 1;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> tree_adj(gn);
-  std::vector<uint32_t> degree(gn, 0);
+  // `keep` marks the terminals (never pruned), and after pruning every
+  // node of the result. `edge_xor` is the XOR of a node's live edge
+  // indices, so a leaf's one live edge is read off without adjacency.
+  std::vector<uint8_t>& keep = scratch->keep_;
+  keep.assign(gn, 0);
+  for (uint32_t t : terms) keep[to_compact[t]] = 1;
+  std::vector<uint32_t>& degree = scratch->degree_;
+  degree.assign(gn, 0);
+  std::vector<uint32_t>& edge_xor = scratch->edge_xor_;
+  edge_xor.assign(gn, 0);
   for (uint32_t i = 0; i < gs_mst.size(); ++i) {
     const Edge& e = gs_mst[i];
-    tree_adj[e.u].emplace_back(e.v, i);
-    tree_adj[e.v].emplace_back(e.u, i);
     ++degree[e.u];
     ++degree[e.v];
+    edge_xor[e.u] ^= i;
+    edge_xor[e.v] ^= i;
   }
-  std::vector<uint8_t> removed_edge(gs_mst.size(), 0);
-  std::vector<uint32_t> leaves;
+  std::vector<uint8_t>& removed_edge = scratch->removed_edge_;
+  removed_edge.assign(gs_mst.size(), 0);
+  std::vector<uint32_t>& leaves = scratch->leaves_;
+  leaves.clear();
   for (uint32_t v = 0; v < gn; ++v) {
-    if (degree[v] == 1 && !is_terminal[v]) leaves.push_back(v);
+    if (degree[v] == 1 && !keep[v]) leaves.push_back(v);
   }
   while (!leaves.empty()) {
     uint32_t v = leaves.back();
     leaves.pop_back();
     if (degree[v] != 1) continue;  // stale: last edge already removed
-    for (const auto& [w, edge_idx] : tree_adj[v]) {
-      if (removed_edge[edge_idx]) continue;
-      removed_edge[edge_idx] = 1;
-      --degree[v];
-      --degree[w];
-      if (degree[w] == 1 && !is_terminal[w]) leaves.push_back(w);
-      break;
-    }
+    const uint32_t edge_idx = edge_xor[v];
+    const uint32_t w = gs_mst[edge_idx].u == v ? gs_mst[edge_idx].v
+                                               : gs_mst[edge_idx].u;
+    removed_edge[edge_idx] = 1;
+    --degree[v];
+    --degree[w];
+    edge_xor[v] ^= edge_idx;
+    edge_xor[w] ^= edge_idx;
+    if (degree[w] == 1 && !keep[w]) leaves.push_back(w);
   }
 
   // ---- Assemble the result ------------------------------------------
-  std::vector<uint8_t> in_final(n, 0);
-  for (uint32_t t : terms) in_final[t] = 1;
   for (uint32_t i = 0; i < gs_mst.size(); ++i) {
     if (removed_edge[i]) continue;
+    keep[gs_mst[i].u] = 1;
+    keep[gs_mst[i].v] = 1;
     uint32_t a = to_original[gs_mst[i].u];
     uint32_t b = to_original[gs_mst[i].v];
-    in_final[a] = 1;
-    in_final[b] = 1;
     result.edges.emplace_back(std::min(a, b), std::max(a, b));
     result.total_cost += gs_mst[i].cost;
   }
   result.nodes.reserve(gn);
-  for (uint32_t v : to_original) {
-    if (in_final[v]) result.nodes.push_back(v);
+  for (uint32_t c = 0; c < gn; ++c) {
+    if (keep[c]) result.nodes.push_back(to_original[c]);
   }
   std::sort(result.edges.begin(), result.edges.end());
   if (options.use_node_weights) {
@@ -249,8 +260,9 @@ Result<SteinerResult> SolveNewst(const WeightedGraph& g,
   }
 
   // Terminals outside the first terminal's closure component.
-  DisjointSets components(k);
-  for (const Edge& e : closure_mst_plain) components.Union(e.u, e.v);
+  DisjointSets& components = scratch->sets_;
+  components.Reset(k);
+  for (const Edge& e : closure_mst) components.Union(e.u, e.v);
   uint32_t root = components.Find(0);
   for (uint32_t i = 1; i < k; ++i) {
     if (components.Find(i) != root) {

@@ -5,7 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/result.h"
+#include "steiner/dijkstra.h"
+#include "steiner/mst.h"
 #include "steiner/stats.h"
 #include "steiner/weighted_graph.h"
 
@@ -57,6 +60,64 @@ struct SteinerResult {
   SteinerStats stats;
 };
 
+/// Reusable working memory for SolveNewst: the Voronoi arrays and the
+/// Dijkstra heap, the closure candidates and their pair index, the
+/// Kruskal buffers, the Gs node and edge lists, and the prune state.
+/// After the first solve on a graph of a given size everything here is
+/// warm, so a Mehlhorn-mode solve allocates only its result and the
+/// canonical terminal list (-E also copies the graph, and the classic
+/// closure keeps one shortest-path tree per terminal). Like
+/// search::SearchScratch it carries no state between calls and refers
+/// to no graph, so results are bit-identical with a fresh or a reused
+/// scratch, whatever graphs it solved before. One per thread:
+/// core::QueryScratch holds one for each solver thread.
+class SteinerScratch {
+ public:
+  SteinerScratch() = default;
+  SteinerScratch(const SteinerScratch&) = delete;
+  SteinerScratch& operator=(const SteinerScratch&) = delete;
+
+ private:
+  friend Result<SteinerResult> SolveNewst(const WeightedGraph&,
+                                          const std::vector<uint32_t>&,
+                                          const NewstOptions&,
+                                          SteinerScratch*);
+
+  /// A closure edge between terminal indices plus what is needed to
+  /// expand it back into a graph path. Classic mode expands through the
+  /// shortest-path tree of terminal a; Mehlhorn mode stores the
+  /// Voronoi-boundary graph edge (u, w) the path crosses.
+  struct ClosureEdge {
+    uint32_t a = 0, b = 0;  // terminal indices, a < b
+    double cost = 0.0;
+    uint32_t boundary_u = UINT32_MAX;  // Mehlhorn: endpoint in cell of a
+    uint32_t boundary_w = UINT32_MAX;  // Mehlhorn: endpoint in cell of b
+  };
+
+  // Step 1: the metric closure.
+  VoronoiPartition voronoi_;
+  DijkstraHeap heap_;
+  std::vector<ClosureEdge> closure_;
+  /// Mehlhorn: terminal-pair key a * k + b -> index in closure_.
+  FlatMap<uint64_t, size_t> best_candidate_;
+  // Steps 2 and 4: Kruskal's input, output and union-find.
+  std::vector<Edge> mst_input_;
+  std::vector<Edge> closure_mst_;
+  std::vector<Edge> gs_mst_;
+  DisjointSets sets_;
+  // Step 3: Gs, the union of the expanded closure-MST paths.
+  std::vector<uint8_t> in_gs_;
+  std::vector<uint32_t> gs_nodes_;
+  std::vector<std::pair<uint32_t, uint32_t>> gs_edge_pairs_;
+  std::vector<uint32_t> to_compact_;
+  // Step 4: leaf pruning, over Gs's compact ids.
+  std::vector<uint8_t> keep_;
+  std::vector<uint32_t> degree_;
+  std::vector<uint32_t> edge_xor_;
+  std::vector<uint8_t> removed_edge_;
+  std::vector<uint32_t> leaves_;
+};
+
 /// Validates + dedups a terminal set: sorts, collapses duplicates, and
 /// rejects empty sets or out-of-range ids with InvalidArgument. Shared by
 /// every Steiner solver so the rules cannot drift.
@@ -79,10 +140,18 @@ Result<std::vector<uint32_t>> CanonicalTerminals(
 /// mode, O(|S| E log V) classic.
 ///
 /// Returns InvalidArgument for an empty terminal set or out-of-range
-/// terminal ids. Duplicate terminals are collapsed.
+/// terminal ids. Duplicate terminals are collapsed. Builds a fresh
+/// SteinerScratch.
 Result<SteinerResult> SolveNewst(const WeightedGraph& g,
                                  const std::vector<uint32_t>& terminals,
                                  const NewstOptions& options = {});
+
+/// Same result, with the working memory in `scratch`; never pass one
+/// scratch to concurrent calls.
+Result<SteinerResult> SolveNewst(const WeightedGraph& g,
+                                 const std::vector<uint32_t>& terminals,
+                                 const NewstOptions& options,
+                                 SteinerScratch* scratch);
 
 }  // namespace rpg::steiner
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "common/histogram.h"
 #include "common/json_writer.h"
 #include "common/table_printer.h"
@@ -133,6 +137,53 @@ TEST(JsonTest, NonFiniteDoublesBecomeNull) {
   w.Double(std::numeric_limits<double>::infinity());
   w.EndArray();
   EXPECT_EQ(w.str(), "[null,null]");
+}
+
+TEST(JsonTest, DoublesPrintAsTenSignificantDigits) {
+  // printf's %.10g: shortest of fixed and exponent form, trailing zeros
+  // dropped, exponent at least two digits.
+  const std::pair<double, const char*> cases[] = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {5e-324, "4.940656458e-324"},
+      {1e-7, "1e-07"},
+      {1e-4, "0.0001"},
+      {0.1, "0.1"},
+      {123456789.123, "123456789.1"},
+      {12345678901.0, "1.23456789e+10"},
+      {1e21, "1e+21"},
+      {std::numeric_limits<double>::max(), "1.797693135e+308"},
+      {-std::numeric_limits<double>::max(), "-1.797693135e+308"},
+  };
+  for (const auto& [value, want] : cases) {
+    JsonWriter w;
+    w.Double(value);
+    EXPECT_EQ(w.str(), want) << value;
+  }
+}
+
+TEST(JsonTest, IntegerExtremes) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Int(std::numeric_limits<int64_t>::min());
+  w.Int(std::numeric_limits<int64_t>::max());
+  w.Int(0);
+  w.UInt(std::numeric_limits<uint64_t>::max());
+  w.UInt(0);
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,9223372036854775807,0,"
+            "18446744073709551615,0]");
+}
+
+TEST(JsonTest, KeysAndStringsAreEscapedInPlace) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("a\"b\\c\n\x1f").String("t\tq\"\x01");
+  w.Key("plain").String("");
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\\\"b\\\\c\\n\\u001f\":\"t\\tq\\\"\\u0001\",\"plain\":\"\"}");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -157,6 +158,108 @@ TEST_F(SearchDifferentialTest, EveryQueryMatchesTheReference) {
     // The comparison means something only if top_k actually truncates.
     EXPECT_GT(full_pages, 0u);
   }
+}
+
+/// The workbench corpus as engine documents, with every citation count
+/// replaced by `citations` and every year by `year` when those are set.
+struct CorpusDocs {
+  std::vector<EngineDocument> docs;
+  std::vector<uint16_t> years;
+  std::vector<uint64_t> citations;
+};
+
+CorpusDocs MakeCorpusDocs(const eval::Workbench& wb,
+                          std::optional<uint64_t> citations,
+                          std::optional<uint16_t> year) {
+  CorpusDocs out;
+  const auto& papers = wb.corpus().papers;
+  for (size_t i = 0; i < papers.size(); ++i) {
+    const uint64_t c = citations.value_or(wb.corpus().citations.CitationCount(
+        static_cast<graph::PaperId>(i)));
+    const uint16_t y = year.value_or(papers[i].year);
+    out.docs.push_back({papers[i].title, papers[i].abstract_text, y, c});
+    out.years.push_back(y);
+    out.citations.push_back(c);
+  }
+  return out;
+}
+
+/// Builds an engine over `corpus` with each profile that applies both a
+/// citation and a recency boost, and holds every call to the reference.
+void ExpectEveryCallMatches(const CorpusDocs& corpus,
+                            const std::vector<Call>& calls) {
+  for (const EngineProfile& profile :
+       {MicrosoftAcademicProfile(), AMinerProfile()}) {
+    SCOPED_TRACE(profile.name);
+    auto engine = SearchEngine::Build(corpus.docs, profile).value();
+    SearchScratch scratch;
+    size_t hits = 0;
+    for (const Call& c : calls) {
+      SCOPED_TRACE(*c.query);
+      auto want = ReferenceSearch(*engine, corpus.years, corpus.citations,
+                                  *c.query, c.top_k, c.year_cutoff,
+                                  c.exclude);
+      auto got = engine->Search(*c.query, c.top_k, c.year_cutoff, c.exclude,
+                                &scratch);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
+        EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+        EXPECT_TRUE(std::isfinite(got[i].score)) << "rank " << i;
+      }
+      hits += got.size();
+    }
+    EXPECT_GT(hits, 0u);
+  }
+}
+
+TEST_F(SearchDifferentialTest, UncitedCorpusMatchesTheReference) {
+  // max_citations 0: the citation boost is off for every document.
+  CorpusDocs corpus = MakeCorpusDocs(*wb_, 0, std::nullopt);
+  ASSERT_EQ(SearchEngine::Build(corpus.docs, AMinerProfile())
+                .value()
+                ->max_citations(),
+            0u);
+  ExpectEveryCallMatches(corpus, Calls());
+}
+
+TEST_F(SearchDifferentialTest, SingleYearCorpusMatchesTheReference) {
+  // Year span 0: the recency boost is off for every document.
+  CorpusDocs corpus = MakeCorpusDocs(*wb_, std::nullopt, 2005);
+  auto engine = SearchEngine::Build(corpus.docs, AMinerProfile()).value();
+  ASSERT_EQ(engine->min_year(), engine->max_year());
+  ExpectEveryCallMatches(corpus, Calls());
+}
+
+TEST_F(SearchDifferentialTest, RestoreWithEmptyBoostRangesScoresFinitely) {
+  // A snapshot may carry any aggregates. With max_citations 0 while
+  // documents are cited, and max_year < min_year, both boosts must drop
+  // out (factor exactly 1.0) rather than divide by zero or a negative
+  // span.
+  CorpusDocs corpus = MakeCorpusDocs(*wb_, std::nullopt, std::nullopt);
+  auto built = SearchEngine::Build(corpus.docs, AMinerProfile()).value();
+  ASSERT_GT(built->max_citations(), 0u);
+  auto restored =
+      SearchEngine::Restore(corpus.docs, AMinerProfile(), built->index(),
+                            /*max_citations=*/0, /*min_year=*/2010,
+                            /*max_year=*/1990)
+          .value();
+  size_t hits = 0;
+  for (const Call& c : Calls()) {
+    SCOPED_TRACE(*c.query);
+    auto want = ReferenceSearch(*restored, corpus.years, corpus.citations,
+                                *c.query, c.top_k, c.year_cutoff, c.exclude);
+    auto got = restored->Search(*c.query, c.top_k, c.year_cutoff, c.exclude);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+      EXPECT_TRUE(std::isfinite(got[i].score)) << "rank " << i;
+      EXPECT_GT(got[i].score, 0.0) << "rank " << i;
+    }
+    hits += got.size();
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 TEST_F(SearchDifferentialTest, ConcurrentScratchesMatchSerialResults) {

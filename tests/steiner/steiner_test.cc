@@ -256,7 +256,7 @@ TEST(MultiSourceDijkstraTest, MatchesPerSourceMinimum) {
   }
 }
 
-TEST(MultiSourceDijkstraTest, UnreachableAndPathFromSource) {
+TEST(MultiSourceDijkstraTest, UnreachableAndParentChain) {
   WeightedGraphBuilder b(5);
   b.AddEdge(0, 1, 1.0);
   b.AddEdge(1, 2, 1.0);
@@ -265,8 +265,11 @@ TEST(MultiSourceDijkstraTest, UnreachableAndPathFromSource) {
   WeightedGraph g = b.Build();
   VoronoiPartition vp = MultiSourceDijkstra(g, {0}, false);
   EXPECT_EQ(vp.source[3], UINT32_MAX);
-  EXPECT_TRUE(vp.PathFromSource(3).empty());
-  EXPECT_EQ(vp.PathFromSource(2), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(vp.parent[3], UINT32_MAX);
+  // 2's parent chain walks back to the source: 2 -> 1 -> 0.
+  EXPECT_EQ(vp.parent[2], 1u);
+  EXPECT_EQ(vp.parent[1], 0u);
+  EXPECT_EQ(vp.parent[0], UINT32_MAX);
 }
 
 // ------------------------------------------------------------------- MST
