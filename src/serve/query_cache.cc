@@ -1,32 +1,22 @@
 #include "serve/query_cache.h"
 
-#include <algorithm>
-#include <list>
-#include <map>
-#include <mutex>
-#include <unordered_map>
-
 #include "common/string_util.h"
 
 namespace rpg::serve {
 
 namespace {
 
-/// FNV-1a over the key; fast, stable across runs, and good enough to
-/// spread keys over a handful of shards.
-size_t HashKey(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h);
+/// Deterministic pipeline failures (no hits for the query, bad
+/// arguments) are cacheable: the immutable corpus guarantees the same
+/// query fails the same way tomorrow. Transient statuses (shed,
+/// shutdown, internal) must retry.
+bool IsCacheableError(const Status& status) {
+  return status.IsNotFound() || status.IsInvalidArgument();
 }
 
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+/// The in-flight table's key: a computation belongs to one epoch.
+std::string FlightKey(const std::string& key, uint64_t epoch_id) {
+  return std::to_string(epoch_id) + '\x1f' + key;
 }
 
 }  // namespace
@@ -55,199 +45,146 @@ size_t EstimateResultBytes(const RenderedResult& result) {
   return bytes;
 }
 
-struct QueryCache::Shard {
-  struct Entry {
-    std::string key;
-    CachedResult result;           // nullptr for negative entries
-    Status status = Status::OK();  // non-OK for negative entries
-    size_t bytes = 0;
-    uint64_t epoch_id = 0;  // stamp of the epoch the result was computed on
-  };
-  using LruList = std::list<Entry>;
-
-  struct PerEpoch {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t stale_evictions = 0;
-  };
-
-  mutable std::mutex mu;
-  LruList lru;  // front = most recent
-  std::unordered_map<std::string, LruList::iterator> index;
-  size_t bytes = 0;
-  size_t negative_entries = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t negative_hits = 0;
-  uint64_t negative_insertions = 0;
-  uint64_t stale_evictions = 0;
-  /// Per-epoch counter split, keyed by epoch id. Epoch ids are
-  /// monotonic, so bounding the map means dropping the oldest epochs.
-  std::map<uint64_t, PerEpoch> by_epoch;
-
-  PerEpoch& Epoch(uint64_t epoch_id) {
-    auto it = by_epoch.try_emplace(epoch_id).first;
-    // Keep the split bounded: a long-lived process flipping daily must
-    // not grow stats without limit. 8 epochs is plenty for dashboards.
-    while (by_epoch.size() > 8 && by_epoch.begin() != it) {
-      by_epoch.erase(by_epoch.begin());
-    }
-    return it->second;
-  }
-};
-
 QueryCache::QueryCache(QueryCacheOptions options)
-    : shard_count_(RoundUpPowerOfTwo(
-          options.num_shards == 0 ? 1 : options.num_shards)) {
-  shards_ = std::make_unique<Shard[]>(shard_count_);
-  shard_max_bytes_ = options.max_bytes / shard_count_;
-  shard_max_entries_ =
-      options.max_entries == 0
-          ? 0
-          : std::max<size_t>(1, options.max_entries / shard_count_);
+    : max_bytes_(options.max_bytes), max_entries_(options.max_entries) {}
+
+EpochCacheStats& QueryCache::Epoch(uint64_t epoch_id) {
+  auto it = by_epoch_.try_emplace(epoch_id, EpochCacheStats{epoch_id}).first;
+  // Keep the split bounded: a long-lived process flipping daily must
+  // not grow stats without limit. 8 epochs is plenty for dashboards.
+  while (by_epoch_.size() > 8 && by_epoch_.begin() != it) {
+    by_epoch_.erase(by_epoch_.begin());
+  }
+  return it->second;
 }
 
-QueryCache::~QueryCache() = default;
-
-size_t QueryCache::num_shards() const { return shard_count_; }
-
-std::optional<CachedValue> QueryCache::Lookup(const std::string& key,
-                                              uint64_t epoch_id, bool count) {
-  Shard& shard = shards_[HashKey(key) & (shard_count_ - 1)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    if (count) {
-      ++shard.misses;
-      ++shard.Epoch(epoch_id).misses;
-    }
-    return std::nullopt;
-  }
-  if (it->second->epoch_id != epoch_id) {
+QueryCache::LruList::iterator QueryCache::FindCurrent(const std::string& key,
+                                                      uint64_t epoch_id) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return lru_.end();
+  LruList::iterator entry = it->second;
+  if (entry->epoch_id != epoch_id) {
     // Stale stamp: the entry was computed on a different epoch. Evict it
     // now (this is the lazy half of flip invalidation — SwapEpoch never
-    // scans the cache) and treat the lookup as a miss. The eviction is
-    // counted even when `count` is false: the entry is really gone.
-    ++shard.stale_evictions;
-    ++shard.Epoch(it->second->epoch_id).stale_evictions;
-    shard.bytes -= it->second->bytes;
-    if (it->second->result == nullptr) --shard.negative_entries;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    if (count) {
-      ++shard.misses;
-      ++shard.Epoch(epoch_id).misses;
-    }
+    // scans the cache).
+    ++stats_.stale_evictions;
+    ++Epoch(entry->epoch_id).stale_evictions;
+    Erase(entry);
+    return lru_.end();
+  }
+  lru_.splice(lru_.begin(), lru_, entry);
+  return entry;
+}
+
+std::optional<CachedValue> QueryCache::Lookup(const std::string& key,
+                                              uint64_t epoch_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  LruList::iterator entry = FindCurrent(key, epoch_id);
+  if (entry == lru_.end()) {
+    ++stats_.misses;
+    ++Epoch(epoch_id).misses;
     return std::nullopt;
   }
-  if (count) {
-    if (it->second->result == nullptr) {
-      ++shard.negative_hits;
-    } else {
-      ++shard.hits;
-      ++shard.Epoch(epoch_id).hits;
-    }
+  if (entry->result == nullptr) {
+    ++stats_.negative_hits;
+  } else {
+    ++stats_.hits;
+    ++Epoch(epoch_id).hits;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return CachedValue{it->second->result, it->second->status};
+  return CachedValue{entry->result, entry->status};
+}
+
+QueryCache::Admission QueryCache::JoinOrClaim(const std::string& key,
+                                              uint64_t epoch_id, Waiter waiter,
+                                              CachedValue* value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // An owner may have published between the caller's miss and now.
+  if (LruList::iterator entry = FindCurrent(key, epoch_id);
+      entry != lru_.end()) {
+    *value = CachedValue{entry->result, entry->status};
+    return Admission::kCached;
+  }
+  auto [flight, claimed] = flights_.try_emplace(FlightKey(key, epoch_id));
+  if (claimed) return Admission::kOwner;
+  flight->second.push_back(std::move(waiter));
+  return Admission::kJoined;
+}
+
+std::vector<QueryCache::Waiter> QueryCache::Publish(
+    const std::string& key, uint64_t epoch_id,
+    const Result<CachedResult>& outcome) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Storing and retiring under one lock: a request admitted after this
+  // sees the entry, one admitted before it is among the waiters. If a
+  // flip landed during the computation, the stamp is already stale and
+  // the first post-flip lookup evicts it.
+  if (outcome.ok()) {
+    if (outcome.value() != nullptr) {
+      Insert(key, outcome.value(), Status::OK(),
+             EstimateResultBytes(*outcome.value()), epoch_id);
+    }
+  } else if (IsCacheableError(outcome.status())) {
+    // A negative entry is just its key and message; sizeof(Entry) covers
+    // the list node payload.
+    Insert(key, nullptr, outcome.status(),
+           sizeof(Entry) + key.size() + outcome.status().message().size(),
+           epoch_id);
+  }
+  std::vector<Waiter> waiters;
+  if (auto flight = flights_.find(FlightKey(key, epoch_id));
+      flight != flights_.end()) {
+    waiters = std::move(flight->second);
+    flights_.erase(flight);
+  }
+  return waiters;
 }
 
 void QueryCache::Insert(const std::string& key, CachedResult result,
-                        uint64_t epoch_id) {
-  if (result == nullptr) return;
-  size_t bytes = EstimateResultBytes(*result);
-  InsertEntry(key, std::move(result), Status::OK(), bytes, epoch_id);
-}
-
-void QueryCache::InsertNegative(const std::string& key, const Status& status,
-                                uint64_t epoch_id) {
-  if (status.ok()) return;
-  // A negative entry is just its key and message; sizeof(Entry) covers
-  // the list node payload.
-  size_t bytes = sizeof(Shard::Entry) + key.size() + status.message().size();
-  InsertEntry(key, nullptr, status, bytes, epoch_id);
-}
-
-void QueryCache::InsertEntry(const std::string& key, CachedResult result,
-                             Status status, size_t bytes, uint64_t epoch_id) {
-  Shard& shard = shards_[HashKey(key) & (shard_count_ - 1)];
-  std::lock_guard<std::mutex> lock(shard.mu);
+                        Status status, size_t bytes, uint64_t epoch_id) {
   // Oversized entries would immediately evict themselves (plus the whole
-  // shard); refuse them instead. With a zero budget that is every entry.
-  if (bytes > shard_max_bytes_) return;
-  if (auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    if (it->second->result == nullptr) --shard.negative_entries;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
+  // cache); refuse them instead. With a zero budget that is every entry.
+  if (bytes > max_bytes_) return;
+  if (auto it = index_.find(key); it != index_.end()) Erase(it->second);
   const bool negative = result == nullptr;
-  shard.lru.push_front(
-      {key, std::move(result), std::move(status), bytes, epoch_id});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += bytes;
+  lru_.push_front({key, std::move(result), std::move(status), bytes, epoch_id});
+  index_[key] = lru_.begin();
+  stats_.bytes += bytes;
   if (negative) {
-    ++shard.negative_entries;
-    ++shard.negative_insertions;
+    ++stats_.negative_entries;
+    ++stats_.negative_insertions;
   } else {
-    ++shard.insertions;
+    ++stats_.insertions;
   }
-  while (shard.bytes > shard_max_bytes_ ||
-         shard.lru.size() > shard_max_entries_) {
-    const auto& tail = shard.lru.back();
-    shard.bytes -= tail.bytes;
-    if (tail.result == nullptr) --shard.negative_entries;
-    shard.index.erase(tail.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  while (stats_.bytes > max_bytes_ || lru_.size() > max_entries_) {
+    Erase(std::prev(lru_.end()));
+    ++stats_.evictions;
   }
 }
 
-void QueryCache::Clear() {
-  for (size_t i = 0; i < shard_count_; ++i) {
-    Shard& shard = shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-    shard.negative_entries = 0;
-  }
+void QueryCache::Erase(LruList::iterator entry) {
+  stats_.bytes -= entry->bytes;
+  if (entry->result == nullptr) --stats_.negative_entries;
+  index_.erase(entry->key);
+  lru_.erase(entry);
+}
+
+size_t QueryCache::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t dropped = lru_.size();
+  lru_.clear();
+  index_.clear();
+  stats_.bytes = 0;
+  stats_.negative_entries = 0;
+  return dropped;
 }
 
 QueryCacheStats QueryCache::Stats() const {
-  QueryCacheStats stats;
-  for (size_t i = 0; i < shard_count_; ++i) {
-    const Shard& shard = shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.insertions += shard.insertions;
-    stats.evictions += shard.evictions;
-    stats.negative_hits += shard.negative_hits;
-    stats.negative_insertions += shard.negative_insertions;
-    stats.stale_evictions += shard.stale_evictions;
-    stats.entries += shard.lru.size();
-    stats.negative_entries += shard.negative_entries;
-    stats.bytes += shard.bytes;
-    for (const auto& [epoch, pe] : shard.by_epoch) {
-      auto it = std::find_if(
-          stats.by_epoch.begin(), stats.by_epoch.end(),
-          [epoch](const EpochCacheStats& e) { return e.epoch == epoch; });
-      if (it == stats.by_epoch.end()) {
-        stats.by_epoch.push_back({epoch, 0, 0, 0});
-        it = std::prev(stats.by_epoch.end());
-      }
-      it->hits += pe.hits;
-      it->misses += pe.misses;
-      it->stale_evictions += pe.stale_evictions;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  QueryCacheStats stats = stats_;
+  stats.entries = lru_.size();
+  for (const auto& [epoch, counts] : by_epoch_) {
+    stats.by_epoch.push_back(counts);
   }
-  std::sort(stats.by_epoch.begin(), stats.by_epoch.end(),
-            [](const EpochCacheStats& a, const EpochCacheStats& b) {
-              return a.epoch < b.epoch;
-            });
   return stats;
 }
 

@@ -2,17 +2,20 @@
 #define RPG_SERVE_QUERY_CACHE_H_
 
 /// \file
-/// Sharded LRU cache over completed RePaGer results, the first line of
-/// defence in the serving layer (docs/serving.md). Survey-generation
-/// traffic is highly repetitive — popular topics dominate — over an
-/// immutable citation graph, so a completed RePagerResult never goes
-/// stale and can be shared verbatim between requests.
+/// LRU cache over completed RePaGer results plus the in-flight table that
+/// makes concurrent identical misses share one computation (single-
+/// flight): the first line of defence in the serving layer
+/// (docs/serving.md). Survey-generation traffic is highly repetitive —
+/// popular topics dominate — over an immutable citation graph, so a
+/// completed RePagerResult never goes stale and can be shared verbatim
+/// between requests.
 ///
-/// Negative caching: deterministic failures ("no hits", "empty query")
-/// are just as repeatable as successes over the immutable corpus, so
-/// the cache also remembers an error Status under the same canonical
-/// key (InsertNegative). A negative entry costs a few hundred bytes and
-/// spares a full KHop+NEWST attempt per repeat of a hopeless query.
+/// Negative caching: deterministic failures ("no hits", "empty query":
+/// NotFound and InvalidArgument) are just as repeatable as successes
+/// over the immutable corpus, so Publish also remembers such an error
+/// Status under the same canonical key. A negative entry costs a few
+/// hundred bytes and spares a full KHop+NEWST attempt per repeat of a
+/// hopeless query. Transient failures (shed, shutdown) are not stored.
 /// Negative hits/insertions/entries are counted separately so
 /// `/api/stats` can tell them apart.
 ///
@@ -26,25 +29,36 @@
 /// entries repopulate. `stale_evictions` plus per-epoch hit/miss splits
 /// let /api/stats show a flip's cache cost directly.
 ///
+/// Single-flight: after a counted miss, JoinOrClaim admits the request
+/// atomically with every other call. The first requester of an (epoch,
+/// key) pair owns the computation; later ones register a waiter on it;
+/// one that arrives after the owner published reads the entry instead.
+/// The flight is epoch-qualified, so a post-flip request never joins a
+/// pre-flip computation (their results may differ). The owner's Publish
+/// stores the outcome, retires the flight and hands back its waiters.
+///
 /// Ownership / thread-safety model:
 ///  - Entries are std::shared_ptr<const RenderedResult>: the cache and
 ///    any number of in-flight responses share one immutable result and
 ///    its pre-rendered reply bytes; eviction only drops the cache's
 ///    reference.
-///  - The key space is split across N shards (a power of two), each with
-///    its own mutex + LRU list, so concurrent lookups on different keys
-///    rarely contend. All public methods are safe from any thread.
+///  - One mutex guards the LRU list, the index, the in-flight table and
+///    the counters; all public methods are safe from any thread. No
+///    waiter or other caller code runs under it.
 ///  - Capacity is bounded both by entries and by (estimated) bytes;
-///    either limit evicts from the LRU tail of the owning shard. Byte
-///    accounting is per shard (total/N each), so a single giant entry
-///    can only displace its own shard's tail — the usual sharded-LRU
-///    approximation. A byte budget of 0 caches nothing: every entry is
-///    oversized, so this is how the serving layer turns the cache off.
+///    either limit evicts from the global LRU tail. An entry larger than
+///    `max_bytes` is not cached, so a byte budget of 0 caches nothing:
+///    this is how the serving layer turns the cache off.
 
 #include <cstdint>
+#include <functional>
+#include <list>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -92,12 +106,10 @@ std::string CanonicalQueryKey(const std::string& query, int num_seeds,
 size_t EstimateResultBytes(const RenderedResult& result);
 
 struct QueryCacheOptions {
-  /// Total byte budget across all shards. 0 caches nothing.
+  /// Byte budget. 0 caches nothing.
   size_t max_bytes = 64ull << 20;
-  /// Total entry budget across all shards. 0 caches nothing.
+  /// Entry budget. 0 caches nothing.
   size_t max_entries = 4096;
-  /// Shard count; rounded up to a power of two, minimum 1.
-  size_t num_shards = 8;
 };
 
 /// Hit/miss/stale counters for one epoch id (the per-epoch split of the
@@ -111,12 +123,12 @@ struct EpochCacheStats {
   uint64_t stale_evictions = 0;
 };
 
-/// Point-in-time counters (sums over all shards). `hits` counts positive
-/// hits only; negative hits/insertions have their own counters.
-/// `entries`/`bytes` include negative entries; `negative_entries` says
-/// how many of them are negative. A stale eviction (epoch-mismatched
-/// entry dropped on lookup) counts as both a miss and a stale_eviction,
-/// never as an `evictions` (capacity) event.
+/// Point-in-time counters. `hits` counts positive hits only; negative
+/// hits/insertions have their own counters. `entries`/`bytes` include
+/// negative entries; `negative_entries` says how many of them are
+/// negative. A stale eviction (epoch-mismatched entry dropped) counts as
+/// a stale_eviction, never as an `evictions` (capacity) event; on Lookup
+/// it is also a miss.
 struct QueryCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -128,59 +140,95 @@ struct QueryCacheStats {
   size_t entries = 0;
   size_t negative_entries = 0;
   size_t bytes = 0;
-  /// Per-epoch split, ascending by epoch id. Bounded: each shard keeps
+  /// Per-epoch split, ascending by epoch id. Bounded: the cache keeps
   /// the counters of the most recent few epochs only.
   std::vector<EpochCacheStats> by_epoch;
 };
 
 class QueryCache {
  public:
+  /// Completion of a joined request: runs once with its flight's
+  /// outcome, on the thread that published it, outside the cache's lock.
+  using Waiter = std::function<void(const Result<CachedResult>&)>;
+
+  /// JoinOrClaim's verdict for a request that missed.
+  enum class Admission {
+    kCached,  ///< an entry of the request's epoch was published meanwhile
+    kJoined,  ///< the waiter is registered on an in-flight computation
+    kOwner,   ///< the caller computes, then must call Publish
+  };
+
   explicit QueryCache(QueryCacheOptions options = {});
-  ~QueryCache();
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
   /// Returns the cached outcome (positive or negative) and refreshes its
-  /// LRU position, or nullopt on miss. An entry whose stamp differs from
-  /// `epoch_id` is stale: it is erased immediately (lazy eviction,
-  /// counted in stale_evictions) and the lookup is a miss. Counts a hit
-  /// or a miss unless `count` is false (used for the serving layer's
-  /// post-claim double-check, which would otherwise count every real
-  /// miss twice — stale eviction still happens regardless).
+  /// LRU position, or nullopt on miss. Counts a hit or a miss. An entry
+  /// whose stamp differs from `epoch_id` is stale: it is erased
+  /// immediately (lazy eviction, counted in stale_evictions) and the
+  /// lookup is a miss.
   std::optional<CachedValue> Lookup(const std::string& key,
-                                    uint64_t epoch_id = 0, bool count = true);
+                                    uint64_t epoch_id = 0);
 
-  /// Inserts (or replaces) a positive entry stamped with `epoch_id`,
-  /// then evicts from the shard's LRU tail until both capacity limits
-  /// hold. An entry larger than a whole shard's byte budget is not
-  /// cached at all.
-  void Insert(const std::string& key, CachedResult result,
-              uint64_t epoch_id = 0);
+  /// Single-flight admission for a request whose Lookup missed. Returns
+  /// kCached with `*value` set when an entry stamped `epoch_id` was
+  /// published since the miss (counted as neither hit nor miss; a stale
+  /// stamp is still evicted); kJoined after registering `waiter` on the
+  /// in-flight computation of (`epoch_id`, `key`); otherwise kOwner,
+  /// after opening that computation's flight. `waiter` is dropped unless
+  /// the result is kJoined.
+  Admission JoinOrClaim(const std::string& key, uint64_t epoch_id,
+                        Waiter waiter, CachedValue* value);
 
-  /// Remembers a deterministic failure under `key` (no-op when `status`
-  /// is OK). Shares the LRU and the capacity budgets with positive
-  /// entries.
-  void InsertNegative(const std::string& key, const Status& status,
-                      uint64_t epoch_id = 0);
+  /// Stores `outcome` under `key` stamped `epoch_id` — a positive entry,
+  /// a negative one for NotFound/InvalidArgument, nothing for other
+  /// errors or a null result — then evicts from the LRU tail until both
+  /// capacity limits hold. Retires the (`epoch_id`, `key`) flight, if
+  /// any, and returns its waiters in join order; the caller runs them.
+  std::vector<Waiter> Publish(const std::string& key, uint64_t epoch_id,
+                              const Result<CachedResult>& outcome);
 
-  /// Drops every entry (counters are preserved).
-  void Clear();
+  /// Drops every entry and returns how many it dropped. Counters and
+  /// in-flight computations are kept.
+  size_t Clear();
 
   QueryCacheStats Stats() const;
 
-  size_t num_shards() const;
-
  private:
-  struct Shard;
+  struct Entry {
+    std::string key;
+    CachedResult result;           // nullptr for negative entries
+    Status status = Status::OK();  // non-OK for negative entries
+    size_t bytes = 0;
+    uint64_t epoch_id = 0;  // stamp of the epoch the result was computed on
+  };
+  using LruList = std::list<Entry>;
 
-  void InsertEntry(const std::string& key, CachedResult result,
-                   Status status, size_t bytes, uint64_t epoch_id);
+  /// The per-epoch counters of `epoch_id`, created on first use.
+  EpochCacheStats& Epoch(uint64_t epoch_id);
+  /// The entry of `key` stamped `epoch_id`, moved to the LRU front, or
+  /// lru_.end(). An entry with another stamp is erased on the way and
+  /// counted as a stale eviction.
+  LruList::iterator FindCurrent(const std::string& key, uint64_t epoch_id);
+  void Insert(const std::string& key, CachedResult result, Status status,
+              size_t bytes, uint64_t epoch_id);
+  void Erase(LruList::iterator entry);
 
-  std::unique_ptr<Shard[]> shards_;
-  size_t shard_count_;
-  size_t shard_max_bytes_;
-  size_t shard_max_entries_;
+  const size_t max_bytes_;
+  const size_t max_entries_;
+
+  mutable std::mutex mu_;
+  LruList lru_;  // front = most recent
+  std::unordered_map<std::string, LruList::iterator> index_;
+  /// In-flight computations, keyed by epoch id + canonical key; each
+  /// holds the waiters registered on it, in join order.
+  std::unordered_map<std::string, std::vector<Waiter>> flights_;
+  /// Live counters; Stats() fills in `entries` and `by_epoch`.
+  QueryCacheStats stats_;
+  /// Per-epoch counter split, keyed by epoch id. Epoch ids are
+  /// monotonic, so bounding the map means dropping the oldest epochs.
+  std::map<uint64_t, EpochCacheStats> by_epoch_;
 };
 
 }  // namespace rpg::serve

@@ -10,32 +10,6 @@
 
 namespace rpg::serve {
 
-/// Single-flight slot: the first requester (owner) computes; duplicates
-/// register a completion waiter. The slot outlives its table entry via
-/// shared_ptr, so the owner can deliver waiters after erasing the entry.
-struct ServeEngine::Flight {
-  using Waiter = std::function<void(const Result<CachedResult>&)>;
-
-  std::mutex mu;
-  bool done = false;
-  /// Valid once `done`; late joiners that find the flight already done
-  /// complete inline from this copy.
-  Result<CachedResult> outcome{Status::Internal("flight not finished")};
-  std::vector<Waiter> waiters;
-};
-
-namespace {
-
-/// Deterministic pipeline failures (no hits for the query, bad
-/// arguments) are cacheable: the immutable corpus guarantees the same
-/// query fails the same way tomorrow. Transient statuses (shutdown,
-/// internal) must retry.
-bool IsCacheableError(const Status& status) {
-  return status.IsNotFound() || status.IsInvalidArgument();
-}
-
-}  // namespace
-
 ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
     : options_(options),
       cache_(options.cache),
@@ -91,7 +65,7 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   requests_total_->Increment();
   inflight_requests_->Add(1);
   // The RCU read: acquire the serving epoch exactly once. Everything
-  // below — cache stamp, flight key, substrate handle, response — uses
+  // below — cache stamp, flight, substrate handle, response — uses
   // this copy, so a concurrent SwapEpoch cannot split the request
   // across two generations.
   EpochHandle epoch = CurrentEpoch();
@@ -123,75 +97,43 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
 
   // Single-flight admission: exactly one requester per (epoch,
   // canonical key) computes; everyone else registers a waiter on its
-  // flight. The epoch qualifier keeps a post-flip request from joining
-  // a pre-flip computation whose result would come from the old graph.
-  const std::string flight_key = std::to_string(eid) + '\x1f' + key;
-  std::shared_ptr<Flight> flight;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    auto it = flights_.find(flight_key);
-    if (it != flights_.end()) {
-      flight = it->second;
-    } else {
-      flight = std::make_shared<Flight>();
-      flights_.emplace(flight_key, flight);
-      owner = true;
-    }
-  }
-
-  if (!owner) {
-    coalesced_hits_->Increment();
-    // The waiter fires on whichever thread retires the flight (owner's
-    // continuation) — that thread is the tail of this request's causal
-    // chain, so writing the wait span there is race-free.
-    uint64_t wait_start = trace ? trace->NowNs() : 0;
-    auto waiter = [this, callback = std::move(callback), e2e, epoch,
-                   trace = std::move(trace),
-                   wait_start](const Result<CachedResult>& outcome) {
-      if (trace) {
-        trace->AddSpan(obs::Stage::kSingleFlightWait, wait_start,
-                       trace->NowNs() - wait_start, outcome.ok() ? 1 : 0);
-      }
-      FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,
-                    /*coalesced=*/true);
-    };
-    bool already_done = false;
-    {
-      std::lock_guard<std::mutex> lock(flight->mu);
-      if (flight->done) {
-        already_done = true;
-      } else {
-        flight->waiters.push_back(waiter);
-      }
-    }
-    // The flight finished between our table lookup and the registration:
-    // complete inline from its stored outcome (never under flight->mu —
-    // the callback is arbitrary user code).
-    if (already_done) waiter(flight->outcome);
-    return;
-  }
-
-  // Post-claim double-check: if another owner inserted the entry between
-  // our miss and our claim (insert happens-before flight retirement,
-  // which happens-before our claim), serve it instead of recomputing —
-  // single-flight stays airtight even across flight generations.
-  if (std::optional<CachedValue> hit =
-          cache_.Lookup(key, eid, /*count=*/false)) {
-    Result<CachedResult> resolved =
-        hit->negative() ? Result<CachedResult>(hit->status)
-                        : Result<CachedResult>(std::move(hit->result));
-    PublishOutcome(key, flight_key, eid, flight, resolved);
-    FinishRequest(callback, e2e, epoch, resolved, /*cache_hit=*/true,
-                  /*coalesced=*/false);
-    return;
+  // flight. The waiter fires on whichever thread publishes the outcome
+  // (the owner's continuation) — that thread is the tail of this
+  // request's causal chain, so writing the wait span there is race-free.
+  uint64_t wait_start = trace ? trace->NowNs() : 0;
+  CachedValue cached;
+  switch (cache_.JoinOrClaim(
+      key, eid,
+      [this, callback, e2e, epoch, trace,
+       wait_start](const Result<CachedResult>& outcome) {
+        coalesced_hits_->Increment();
+        if (trace) {
+          trace->AddSpan(obs::Stage::kSingleFlightWait, wait_start,
+                         trace->NowNs() - wait_start, outcome.ok() ? 1 : 0);
+        }
+        FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,
+                      /*coalesced=*/true);
+      },
+      &cached)) {
+    case QueryCache::Admission::kJoined:
+      return;
+    case QueryCache::Admission::kCached:
+      // An owner published between our miss and our admission.
+      FinishRequest(callback, e2e, epoch,
+                    cached.negative()
+                        ? Result<CachedResult>(cached.status)
+                        : Result<CachedResult>(std::move(cached.result)),
+                    /*cache_hit=*/true, /*coalesced=*/false);
+      return;
+    case QueryCache::Admission::kOwner:
+      break;
   }
 
   core::BatchQuery bq;
   bq.query = query;
   if (num_seeds > 0) bq.options.num_initial_seeds = num_seeds;
   if (year_cutoff > 0) bq.options.year_cutoff = year_cutoff;
-  bq.trace = trace;
+  bq.trace = std::move(trace);
   // Pin the substrate: the solver works on THIS request's epoch no
   // matter how many flips happen while the query sits in the queue, and
   // the aliasing handle keeps the epoch alive through the solve.
@@ -200,7 +142,7 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   // right after this query's solve.
   pool_.SubmitAsync(
       std::move(bq),
-      [this, key, flight_key, eid, epoch = std::move(epoch), flight,
+      [this, key, eid, epoch = std::move(epoch),
        callback = std::move(callback),
        e2e](Result<core::RePagerResult> computed) {
         if (!computed.ok() && computed.status().IsUnavailable()) {
@@ -215,7 +157,12 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
                 ? Result<CachedResult>(
                       RenderResult(std::move(computed).value(), *epoch))
                 : Result<CachedResult>(computed.status());
-        PublishOutcome(key, flight_key, eid, flight, outcome);
+        // The entry is stamped with the epoch it was computed on; the
+        // waiters run here, outside the cache's lock.
+        for (const QueryCache::Waiter& waiter :
+             cache_.Publish(key, eid, outcome)) {
+          waiter(outcome);
+        }
         FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,
                       /*coalesced=*/false);
       });
@@ -232,36 +179,6 @@ void ServeEngine::ObserveStages(const core::RePagerResult& result) {
     }
   }
   pipeline_total_ms_->Observe(result.total_seconds * 1e3);
-}
-
-void ServeEngine::PublishOutcome(const std::string& cache_key,
-                                 const std::string& flight_key,
-                                 uint64_t epoch_id,
-                                 const std::shared_ptr<Flight>& flight,
-                                 const Result<CachedResult>& outcome) {
-  // Publish to the cache BEFORE retiring the flight: a request arriving
-  // in between sees either the cache entry or the in-flight flight —
-  // never a gap that would trigger a duplicate computation. The entry
-  // is stamped with the epoch it was computed on; if a flip landed
-  // while we were computing, the stamp is already stale and the first
-  // post-flip lookup evicts it.
-  if (outcome.ok()) {
-    cache_.Insert(cache_key, outcome.value(), epoch_id);
-  } else if (IsCacheableError(outcome.status())) {
-    cache_.InsertNegative(cache_key, outcome.status(), epoch_id);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flights_mu_);
-    flights_.erase(flight_key);
-  }
-  std::vector<Flight::Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-    flight->outcome = outcome;
-    waiters.swap(flight->waiters);
-  }
-  for (const Flight::Waiter& waiter : waiters) waiter(outcome);
 }
 
 void ServeEngine::FinishRequest(const GenerateCallback& callback,
@@ -327,11 +244,7 @@ Result<EpochHandle> ServeEngine::ReloadFromSnapshot(const std::string& path) {
   return next;
 }
 
-size_t ServeEngine::ClearCache() {
-  size_t entries = cache_.Stats().entries;
-  cache_.Clear();
-  return entries;
-}
+size_t ServeEngine::ClearCache() { return cache_.Clear(); }
 
 std::string ServeEngine::StatsJson() const {
   QueryCacheStats cs = cache_.Stats();
@@ -358,7 +271,8 @@ std::string ServeEngine::StatsJson() const {
   w.Key("num_edges").UInt(epoch->info().num_edges);
   w.EndObject();
   w.Key("cache").BeginObject();
-  w.Key("enabled").Bool(options_.cache.max_bytes > 0);
+  w.Key("enabled").Bool(options_.cache.max_bytes > 0 &&
+                        options_.cache.max_entries > 0);
   w.Key("entries").UInt(cs.entries);
   w.Key("bytes").UInt(cs.bytes);
   w.Key("hits").UInt(cs.hits);

@@ -2,8 +2,8 @@
 #define RPG_SERVE_SERVE_ENGINE_H_
 
 /// \file
-/// The serving facade: sharded result cache + in-flight request
-/// coalescing + work-conserving solver threads + live metrics, over an
+/// The serving facade: result cache with in-flight request coalescing
+/// + work-conserving solver threads + live metrics, over an
 /// atomically swappable serving epoch (serve::Epoch).
 /// ui::RePagerService is a thin route layer on top of this class; see
 /// docs/serving.md for the request lifecycle, the epoch lifecycle, and
@@ -19,17 +19,19 @@
 ///      the shared immutable result in microseconds; a negative hit
 ///      returns the remembered error Status without touching the
 ///      pipeline; a stamp from another epoch is lazily evicted
-///   3. in-flight table (keyed by epoch id + canonical key) — an
+///   3. QueryCache::JoinOrClaim, under the same lock as the cache — an
 ///      identical same-epoch query already being computed is joined,
-///      not recomputed (single-flight)
+///      not recomputed (single-flight); an entry published since the
+///      miss is served as a hit; otherwise this request owns the solve
 ///   4. core::SolverPool::SubmitAsync — queued FIFO and solved by the next
 ///      free solver thread, one query per dispatch; the BatchQuery
 ///      carries the epoch's substrate handle, so the solver works on
 ///      the request's epoch even if a flip happened meanwhile
 ///   5. a completed result gets its reply path bytes rendered once, on
-///      the solver thread (RenderResult, serve/path_json.h), and is
-///      inserted into the cache stamped with the request's epoch
-///      (deterministic errors as negative entries); every stage
+///      the solver thread (RenderResult, serve/path_json.h), and
+///      QueryCache::Publish stores it stamped with the request's epoch
+///      (deterministic errors as negative entries) and hands back the
+///      joined waiters, which run on that thread; every stage
 ///      increments MetricsRegistry counters/histograms
 ///
 /// Results are bit-identical to serial RePaGer::Generate on the same
@@ -56,7 +58,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "core/repager.h"
@@ -165,17 +166,6 @@ class ServeEngine {
   size_t num_threads() const { return pool_.num_solvers(); }
 
  private:
-  struct Flight;
-
-  /// Publishes the outcome: cache (positive entry, or negative for
-  /// deterministic errors, stamped with the request's epoch), flight
-  /// retirement, coalesced waiters. `cache_key` addresses the cache;
-  /// `flight_key` (epoch-qualified) addresses the flights table.
-  void PublishOutcome(const std::string& cache_key,
-                      const std::string& flight_key, uint64_t epoch_id,
-                      const std::shared_ptr<Flight>& flight,
-                      const Result<CachedResult>& outcome);
-
   /// Final per-request bookkeeping (e2e histogram, error counter,
   /// in-flight gauge) + callback invocation. `epoch` is the epoch the
   /// request was served on; it rides out on the ServeResponse.
@@ -211,14 +201,6 @@ class ServeEngine {
   int64_t last_reload_unix_ms_ = 0;
   /// Serializes ReloadFromSnapshot (never held by request paths).
   std::mutex reload_mu_;
-
-  /// Single-flight table: epoch id + canonical key -> the flight every
-  /// duplicate concurrent request registers a waiter on. The epoch
-  /// qualifier keeps a post-flip request from joining a pre-flip
-  /// computation of the same query (their results may differ). The owner
-  /// (first requester) erases the entry once the cache is populated.
-  std::mutex flights_mu_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
 
   // Hot-path instruments, resolved once. (solve_ms is observed by the
   // pool's on_solve closure, not through a member.)

@@ -14,7 +14,7 @@ namespace rpg::ui {
 bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
 
 /// The RePaGer web application backend (§V). A thin route layer: every
-/// query is served by serve::ServeEngine (sharded result cache ->
+/// query is served by serve::ServeEngine (result cache ->
 /// single-flight -> solver threads; see docs/serving.md), so repeated
 /// queries come back from the cache in microseconds and concurrent
 /// misses are solved in parallel. Routes:

@@ -29,6 +29,7 @@
 
 #include "../snapshot/snapshot_test_util.h"
 #include "common/logging.h"
+#include "serve/path_json.h"
 #include "serve/serve_engine.h"
 #include "ui/http_server.h"
 #include "ui/repager_service.h"
@@ -483,6 +484,54 @@ TEST(EpochTest, InFlightOldEpochReplyRendersOldEpochBytes) {
   ASSERT_EQ(after.status, 200) << after.body;
   EXPECT_NE(after.body.find("\"cache_hit\":false"), std::string::npos);
   EXPECT_EQ(PathPart(after.body), ref_b);
+}
+
+TEST(EpochTest, PostFlipRequestNeverJoinsPreFlipFlight) {
+  // Single-flight is epoch-qualified: a request admitted after a flip
+  // computes on the new epoch even while the same key's pre-flip
+  // computation is still queued, instead of joining it and replying
+  // with the old epoch's bytes.
+  std::vector<std::string> queries = TestQueries(2);
+  const std::string& query = queries[1];
+  const std::string ref_a = ReferencePathPart(LoadTestEpoch(false, 1), query);
+  const std::string ref_b = ReferencePathPart(LoadTestEpoch(true, 2), query);
+  ASSERT_NE(ref_a, ref_b);
+
+  ServeEngineOptions options;
+  options.num_threads = 1;  // one solver, so a blocker can hold it
+  ServeEngine engine(LoadTestEpoch(false, 1), options);
+  EpochHandle b = LoadTestEpoch(true, 2);  // loaded before the race starts
+  auto submit = [&engine](const std::string& q, int seeds) {
+    auto promise = std::make_shared<std::promise<Result<ServeResponse>>>();
+    auto future = promise->get_future();
+    engine.GenerateAsync(q, seeds, 0, nullptr,
+                         [promise](Result<ServeResponse> r) {
+                           promise->set_value(std::move(r));
+                         });
+    return future;
+  };
+  // The blocker occupies the solver, so the epoch-A owner is still
+  // queued when the same key arrives on epoch B.
+  auto blocker = submit(queries[0], 50);
+  auto pre_flip = submit(query, 0);
+  engine.SwapEpoch(b);
+  auto post_flip = submit(query, 0);
+  ASSERT_TRUE(blocker.get().ok());
+  Result<ServeResponse> pre = pre_flip.get();
+  Result<ServeResponse> post = post_flip.get();
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+
+  EXPECT_EQ(pre->epoch->id(), 1u);
+  EXPECT_EQ(post->epoch->id(), 2u);
+  EXPECT_FALSE(post->coalesced);
+  EXPECT_FALSE(post->cache_hit);
+  EXPECT_NE(engine.StatsJson().find("\"coalesced_hits\":0"),
+            std::string::npos);
+  EXPECT_EQ(PathPart(RenderPathJson(query, *pre, /*debug=*/false, nullptr)),
+            ref_a);
+  EXPECT_EQ(PathPart(RenderPathJson(query, *post, /*debug=*/false, nullptr)),
+            ref_b);
 }
 
 TEST(EpochTest, SolverScratchOutlivesFreedEpoch) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,7 +51,7 @@ TEST(QueryCacheTest, MissThenHit) {
   QueryCache cache;
   EXPECT_FALSE(cache.Lookup("k").has_value());
   CachedResult r = MakeResult(4);
-  cache.Insert("k", r);
+  cache.Publish("k", 0, r);
   auto hit = cache.Lookup("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_FALSE(hit->negative());
@@ -65,19 +66,18 @@ TEST(QueryCacheTest, MissThenHit) {
 
 TEST(QueryCacheTest, InsertReplacesExisting) {
   QueryCacheOptions options;
-  options.num_shards = 1;
   QueryCache cache(options);
-  cache.Insert("k", MakeResult(4));
+  cache.Publish("k", 0, MakeResult(4));
   CachedResult replacement = MakeResult(8);
-  cache.Insert("k", replacement);
+  cache.Publish("k", 0, replacement);
   EXPECT_EQ(cache.Stats().entries, 1u);
   EXPECT_EQ(cache.Lookup("k")->result.get(), replacement.get());
 }
 
 TEST(QueryCacheTest, ClearDropsEntriesKeepsCounters) {
   QueryCache cache;
-  cache.Insert("a", MakeResult(4));
-  cache.Insert("b", MakeResult(4));
+  cache.Publish("a", 0, MakeResult(4));
+  cache.Publish("b", 0, MakeResult(4));
   cache.Lookup("a");
   cache.Clear();
   QueryCacheStats stats = cache.Stats();
@@ -91,9 +91,8 @@ TEST(QueryCacheTest, ClearDropsEntriesKeepsCounters) {
 
 TEST(QueryCacheTest, NegativeEntryRemembersStatus) {
   QueryCacheOptions options;
-  options.num_shards = 1;
   QueryCache cache(options);
-  cache.InsertNegative("bad", Status::NotFound("no hits for query"));
+  cache.Publish("bad", 0, Status::NotFound("no hits for query"));
   auto hit = cache.Lookup("bad");
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->negative());
@@ -111,17 +110,17 @@ TEST(QueryCacheTest, NegativeEntryRemembersStatus) {
 
 TEST(QueryCacheTest, OkStatusNeverCachedAsNegative) {
   QueryCache cache;
-  cache.InsertNegative("k", Status::OK());
+  // An OK outcome without a result is stored neither way.
+  cache.Publish("k", 0, CachedResult());
   EXPECT_FALSE(cache.Lookup("k").has_value());
 }
 
 TEST(QueryCacheTest, PositiveInsertReplacesNegativeEntry) {
   QueryCacheOptions options;
-  options.num_shards = 1;
   QueryCache cache(options);
-  cache.InsertNegative("k", Status::NotFound("transiently hopeless"));
+  cache.Publish("k", 0, Status::NotFound("transiently hopeless"));
   CachedResult r = MakeResult(4);
-  cache.Insert("k", r);
+  cache.Publish("k", 0, r);
   auto hit = cache.Lookup("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_FALSE(hit->negative());
@@ -133,12 +132,11 @@ TEST(QueryCacheTest, PositiveInsertReplacesNegativeEntry) {
 
 TEST(QueryCacheTest, NegativeEntriesShareLruAndEvict) {
   QueryCacheOptions options;
-  options.num_shards = 1;
   options.max_entries = 2;
   QueryCache cache(options);
-  cache.InsertNegative("n1", Status::NotFound("x"));
-  cache.Insert("p1", MakeResult(1));
-  cache.Insert("p2", MakeResult(1));  // evicts n1 (LRU tail)
+  cache.Publish("n1", 0, Status::NotFound("x"));
+  cache.Publish("p1", 0, MakeResult(1));
+  cache.Publish("p2", 0, MakeResult(1));  // evicts n1 (LRU tail)
   QueryCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.negative_entries, 0u);
@@ -150,14 +148,13 @@ TEST(QueryCacheTest, NegativeEntriesShareLruAndEvict) {
 
 TEST(QueryCacheTest, EntryCapacityEvictsLru) {
   QueryCacheOptions options;
-  options.num_shards = 1;
   options.max_entries = 3;
   QueryCache cache(options);
-  cache.Insert("a", MakeResult(1));
-  cache.Insert("b", MakeResult(1));
-  cache.Insert("c", MakeResult(1));
+  cache.Publish("a", 0, MakeResult(1));
+  cache.Publish("b", 0, MakeResult(1));
+  cache.Publish("c", 0, MakeResult(1));
   cache.Lookup("a");  // refresh a: LRU order is now b < c < a
-  cache.Insert("d", MakeResult(1));
+  cache.Publish("d", 0, MakeResult(1));
   EXPECT_EQ(cache.Stats().entries, 3u);
   EXPECT_EQ(cache.Stats().evictions, 1u);
   EXPECT_FALSE(cache.Lookup("b").has_value());  // b was least recent
@@ -170,17 +167,16 @@ TEST(QueryCacheTest, ByteCapacityAccountingAndEviction) {
   CachedResult small = MakeResult(16);
   size_t unit = EstimateResultBytes(*small);
   QueryCacheOptions options;
-  options.num_shards = 1;
   options.max_entries = 100;  // bytes bind first
   options.max_bytes = unit * 3 + unit / 2;  // fits 3, not 4
   QueryCache cache(options);
-  cache.Insert("a", MakeResult(16));
-  cache.Insert("b", MakeResult(16));
-  cache.Insert("c", MakeResult(16));
+  cache.Publish("a", 0, MakeResult(16));
+  cache.Publish("b", 0, MakeResult(16));
+  cache.Publish("c", 0, MakeResult(16));
   QueryCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.bytes, 3 * unit);
-  cache.Insert("d", MakeResult(16));
+  cache.Publish("d", 0, MakeResult(16));
   stats = cache.Stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.evictions, 1u);
@@ -204,17 +200,16 @@ TEST(QueryCacheTest, EntryBytesIncludeRenderedReply) {
   EXPECT_GE(entry_bytes, 8192u + sizeof(RenderedResult));
 
   QueryCacheOptions options;
-  options.num_shards = 1;
   QueryCache cache(options);
-  cache.Insert("k", rendered);
+  cache.Publish("k", 0, CachedResult(rendered));
   EXPECT_EQ(cache.Stats().bytes, entry_bytes);
 
-  // A shard budget that fits the result alone, but not the result plus
+  // A budget that fits the result alone, but not the result plus
   // its fragment, refuses the rendered entry.
   options.max_bytes = result_bytes + 4096;
   QueryCache tight(options);
-  tight.Insert("bare", bare);
-  tight.Insert("k", rendered);
+  tight.Publish("bare", 0, CachedResult(bare));
+  tight.Publish("k", 0, CachedResult(rendered));
   EXPECT_TRUE(tight.Lookup("bare").has_value());
   EXPECT_FALSE(tight.Lookup("k").has_value());
   EXPECT_EQ(tight.Stats().entries, 1u);
@@ -224,10 +219,9 @@ TEST(QueryCacheTest, EntryBytesIncludeRenderedReply) {
 TEST(QueryCacheTest, OversizedEntryNotCached) {
   CachedResult big = MakeResult(100000);
   QueryCacheOptions options;
-  options.num_shards = 1;
   options.max_bytes = 1024;
   QueryCache cache(options);
-  cache.Insert("big", big);
+  cache.Publish("big", 0, big);
   EXPECT_EQ(cache.Stats().entries, 0u);
   EXPECT_FALSE(cache.Lookup("big").has_value());
 }
@@ -236,22 +230,150 @@ TEST(QueryCacheTest, ZeroByteBudgetCachesNothing) {
   QueryCacheOptions options;
   options.max_bytes = 0;
   QueryCache cache(options);
-  cache.Insert("p", MakeResult(1));
-  cache.InsertNegative("n", Status::NotFound("x"));
+  cache.Publish("p", 0, MakeResult(1));
+  cache.Publish("n", 0, Status::NotFound("x"));
   EXPECT_FALSE(cache.Lookup("p").has_value());
   EXPECT_FALSE(cache.Lookup("n").has_value());
   EXPECT_EQ(cache.Stats().entries, 0u);
   EXPECT_EQ(cache.Stats().bytes, 0u);
 }
 
-TEST(QueryCacheTest, ShardCountRoundsUpToPowerOfTwo) {
+TEST(QueryCacheTest, EntryUpToWholeByteBudgetIsCached) {
+  // The budget is one pool, not split per lock: an entry of half the
+  // budget (four times max_bytes / 8) is cached.
+  CachedResult result = MakeResult(64);
   QueryCacheOptions options;
-  options.num_shards = 5;
+  options.max_bytes = 2 * EstimateResultBytes(*result);
   QueryCache cache(options);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  options.num_shards = 0;
-  QueryCache one(options);
-  EXPECT_EQ(one.num_shards(), 1u);
+  cache.Publish("k", 0, result);
+  EXPECT_TRUE(cache.Lookup("k").has_value());
+  EXPECT_EQ(cache.Stats().entries, 1u);
+}
+
+// ------------------------------------------------- single-flight admission
+
+/// A waiter that appends `id` to `order` when it runs.
+QueryCache::Waiter Record(std::vector<int>* order, int id) {
+  return [order, id](const Result<CachedResult>&) { order->push_back(id); };
+}
+
+TEST(QueryCacheTest, ClaimOwnsJoinsSameEpochOwnsOtherEpoch) {
+  QueryCache cache;
+  std::vector<int> order;
+  CachedValue value;
+  EXPECT_EQ(cache.JoinOrClaim("k", 1, Record(&order, 0), &value),
+            QueryCache::Admission::kOwner);
+  EXPECT_EQ(cache.JoinOrClaim("k", 1, Record(&order, 1), &value),
+            QueryCache::Admission::kJoined);
+  // The flight is epoch-qualified: the same key on another epoch gets
+  // its own computation, never the other epoch's result.
+  EXPECT_EQ(cache.JoinOrClaim("k", 2, Record(&order, 2), &value),
+            QueryCache::Admission::kOwner);
+  EXPECT_EQ(cache.JoinOrClaim("other", 1, Record(&order, 3), &value),
+            QueryCache::Admission::kOwner);
+  EXPECT_TRUE(order.empty());  // no waiter runs at admission
+}
+
+TEST(QueryCacheTest, PublishReturnsWaitersInJoinOrderAndRetiresFlight) {
+  QueryCache cache;
+  std::vector<int> order;
+  CachedValue value;
+  ASSERT_EQ(cache.JoinOrClaim("k", 1, Record(&order, 0), &value),
+            QueryCache::Admission::kOwner);
+  for (int id = 1; id <= 3; ++id) {
+    ASSERT_EQ(cache.JoinOrClaim("k", 1, Record(&order, id), &value),
+              QueryCache::Admission::kJoined);
+  }
+  ASSERT_EQ(cache.JoinOrClaim("k", 2, Record(&order, 9), &value),
+            QueryCache::Admission::kOwner);
+  CachedResult result = MakeResult(4);
+  std::vector<QueryCache::Waiter> waiters = cache.Publish("k", 1, result);
+  ASSERT_EQ(waiters.size(), 3u);
+  for (const QueryCache::Waiter& waiter : waiters) waiter(result);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  // Retired: a second publish finds no waiters, and epoch 2's flight is
+  // still there.
+  EXPECT_TRUE(cache.Publish("k", 1, result).empty());
+  EXPECT_EQ(cache.JoinOrClaim("k", 2, Record(&order, 10), &value),
+            QueryCache::Admission::kJoined);
+  EXPECT_EQ(cache.Publish("k", 2, MakeResult(4)).size(), 1u);
+}
+
+TEST(QueryCacheTest, DeterministicErrorCachedTransientErrorNot) {
+  QueryCache cache;
+  std::vector<int> order;
+  CachedValue value;
+  ASSERT_EQ(cache.JoinOrClaim("bad", 0, Record(&order, 0), &value),
+            QueryCache::Admission::kOwner);
+  EXPECT_TRUE(cache.Publish("bad", 0, Status::NotFound("no hits")).empty());
+  EXPECT_EQ(cache.JoinOrClaim("bad", 0, Record(&order, 1), &value),
+            QueryCache::Admission::kCached);
+  EXPECT_TRUE(value.negative());
+  EXPECT_TRUE(value.status.IsNotFound());
+  EXPECT_EQ(value.status.message(), "no hits");
+
+  ASSERT_EQ(cache.JoinOrClaim("shed", 0, Record(&order, 2), &value),
+            QueryCache::Admission::kOwner);
+  ASSERT_EQ(cache.JoinOrClaim("shed", 0, Record(&order, 3), &value),
+            QueryCache::Admission::kJoined);
+  // A shed solve is transient: its waiters still get it, but nothing is
+  // stored and the next request computes again.
+  EXPECT_EQ(cache.Publish("shed", 0, Status::Unavailable("queue full")).size(),
+            1u);
+  EXPECT_EQ(cache.JoinOrClaim("shed", 0, Record(&order, 4), &value),
+            QueryCache::Admission::kOwner);
+  QueryCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.negative_entries, 1u);
+  EXPECT_EQ(stats.negative_insertions, 1u);
+  EXPECT_EQ(stats.insertions, 0u);
+}
+
+TEST(QueryCacheTest, CachedAdmissionCountsNothingEvictsStaleStamp) {
+  QueryCache cache;
+  std::vector<int> order;
+  CachedValue value;
+  CachedResult result = MakeResult(4);
+  cache.Publish("k", 1, result);
+  EXPECT_EQ(cache.JoinOrClaim("k", 1, Record(&order, 0), &value),
+            QueryCache::Admission::kCached);
+  EXPECT_EQ(value.result.get(), result.get());
+  QueryCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_TRUE(stats.by_epoch.empty());
+
+  // An entry stamped by another epoch is evicted on admission and the
+  // request owns a fresh computation.
+  EXPECT_EQ(cache.JoinOrClaim("k", 2, Record(&order, 1), &value),
+            QueryCache::Admission::kOwner);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.stale_evictions, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  ASSERT_EQ(stats.by_epoch.size(), 1u);
+  EXPECT_EQ(stats.by_epoch[0].epoch, 1u);
+  EXPECT_EQ(stats.by_epoch[0].stale_evictions, 1u);
+}
+
+TEST(QueryCacheTest, ClearReturnsDroppedCountLeavesFlights) {
+  QueryCache cache;
+  std::vector<int> order;
+  CachedValue value;
+  cache.Publish("a", 0, MakeResult(1));
+  cache.Publish("b", 0, Status::NotFound("x"));
+  ASSERT_EQ(cache.JoinOrClaim("k", 0, Record(&order, 0), &value),
+            QueryCache::Admission::kOwner);
+  ASSERT_EQ(cache.JoinOrClaim("k", 0, Record(&order, 1), &value),
+            QueryCache::Admission::kJoined);
+  EXPECT_EQ(cache.Clear(), 2u);
+  EXPECT_EQ(cache.Clear(), 0u);
+  // The computation in flight survives the clear: a duplicate still
+  // joins it, and its publish hands back both waiters.
+  EXPECT_EQ(cache.JoinOrClaim("k", 0, Record(&order, 2), &value),
+            QueryCache::Admission::kJoined);
+  EXPECT_EQ(cache.Publish("k", 0, MakeResult(1)).size(), 2u);
+  EXPECT_EQ(cache.Stats().entries, 1u);
 }
 
 // ---------------------------------------------------------- concurrency
@@ -261,16 +383,50 @@ TEST(QueryCacheTest, ConcurrentMixedTraffic) {
   options.max_entries = 64;
   QueryCache cache(options);
   constexpr int kThreads = 8, kOps = 500;
+  // One slot per (thread, op): set when that op's waiter joined a
+  // flight, counted up each time it runs.
+  std::vector<std::atomic<int>> joined(kThreads * kOps);
+  std::vector<std::atomic<int>> ran(kThreads * kOps);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&, t] {
+      auto run = [](const std::vector<QueryCache::Waiter>& waiters,
+                    const CachedResult& result) {
+        for (const QueryCache::Waiter& waiter : waiters) waiter(result);
+      };
       for (int i = 0; i < kOps; ++i) {
         std::string key = "k" + std::to_string((t * 7 + i) % 100);
         if (i % 3 == 0) {
-          cache.Insert(key, MakeResult(8));
-        } else {
-          auto hit = cache.Lookup(key);
-          if (hit) EXPECT_EQ(hit->result->ranked.size(), 8u);
+          CachedResult result = MakeResult(8);
+          run(cache.Publish(key, 0, result), result);
+          continue;
+        }
+        auto hit = cache.Lookup(key);
+        if (hit) {
+          EXPECT_EQ(hit->result->ranked.size(), 8u);
+          continue;
+        }
+        const int slot = t * kOps + i;
+        CachedValue value;
+        switch (cache.JoinOrClaim(
+            key, 0,
+            [&ran, slot](const Result<CachedResult>& outcome) {
+              EXPECT_TRUE(outcome.ok());
+              ++ran[slot];
+            },
+            &value)) {
+          case QueryCache::Admission::kCached:
+            EXPECT_EQ(value.result->ranked.size(), 8u);
+            break;
+          case QueryCache::Admission::kJoined:
+            ++joined[slot];
+            break;
+          case QueryCache::Admission::kOwner: {
+            std::this_thread::yield();  // a window for duplicates to join
+            CachedResult result = MakeResult(8);
+            run(cache.Publish(key, 0, result), result);
+            break;
+          }
         }
       }
     });
@@ -278,9 +434,14 @@ TEST(QueryCacheTest, ConcurrentMixedTraffic) {
   for (auto& t : threads) t.join();
   QueryCacheStats stats = cache.Stats();
   EXPECT_LE(stats.entries, 64u);
-  // Per thread: 167 inserts (i % 3 == 0), 333 lookups.
+  // Per thread: 167 publishes (i % 3 == 0), 333 lookups; admission
+  // counts neither a hit nor a miss.
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * (kOps * 2 / 3));
+  // Every owner published, so every joined waiter ran, exactly once.
+  for (int slot = 0; slot < kThreads * kOps; ++slot) {
+    EXPECT_EQ(ran[slot].load(), joined[slot].load()) << "slot " << slot;
+  }
 }
 
 }  // namespace

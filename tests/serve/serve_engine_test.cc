@@ -155,6 +155,24 @@ TEST(ServeEngineTest, DisabledCacheAlwaysComputes) {
   ExpectIdentical(*second->result, *first->result);
 }
 
+TEST(ServeEngineTest, ZeroEntryBudgetCachesNothingReportsDisabled) {
+  // An entry budget of 0 caches nothing either, so /api/stats must not
+  // call the cache enabled.
+  ServeEngineOptions options;
+  options.num_threads = 2;
+  options.cache.max_entries = 0;
+  ServeEngine engine(TestEpoch(SharedWorkbench()), options);
+  const auto& entry = SharedWorkbench().bank().Get(0);
+  auto first = engine.Generate(entry.query, 0, entry.year);
+  auto second = engine.Generate(entry.query, 0, entry.year);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->cache_hit);
+  EXPECT_EQ(engine.cache().Stats().entries, 0u);
+  EXPECT_NE(engine.StatsJson().find("\"enabled\":false"), std::string::npos);
+  ExpectIdentical(*second->result, *first->result);
+}
+
 TEST(ServeEngineTest, ConcurrentIdenticalRequestsComputeOnce) {
   ServeEngineOptions options;
   options.num_threads = 2;
