@@ -1,6 +1,6 @@
 // RePaGer web UI (§V) behind the production serving layer: builds the
-// substrates into a serving Epoch, wires a serve::ServeEngine (sharded
-// query cache -> single-flight -> solver threads; see docs/serving.md),
+// substrates into a serving Epoch, wires a serve::ServeEngine (query
+// cache with single-flight -> solver threads; see docs/serving.md),
 // and serves the single-page interface plus the JSON API. The engine
 // serves from a swappable epoch: POST /api/admin/reload
 // (or --watch-snapshot) flips to a new snapshot with zero downtime —

@@ -154,16 +154,23 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   }
 
   // ---- Step 4: seed reallocation by co-occurrence --------------------
+  // How many distinct initial seeds cite each paper. The terminals come
+  // from this count, and it also drives the final ranking (a paper
+  // referenced by many query-relevant articles is very likely on the
+  // survey's reference list).
+  FlatSet<PaperId>& seed_set = scratch->seed_set_;
+  FlatMap<PaperId, int>& cooccurrence = scratch->cooccurrence_;
+  CountCoOccurrence(*graph_, result.initial_seeds, &seed_set, &cooccurrence);
   std::vector<PaperId> terminals =
-      ReallocateSeeds(*graph_, result.initial_seeds, options.seed_mode,
-                      options.min_cooccurrence);
+      DeriveTerminals(*graph_, result.initial_seeds, seed_set, cooccurrence,
+                      options.seed_mode, options.min_cooccurrence);
   // Terminals must live inside the subgraph (they do by construction for
   // out-expansion, but year cutoffs / exclusions can drop them).
   terminals.erase(std::remove_if(terminals.begin(), terminals.end(),
                                  [&](PaperId p) { return !sg.Contains(p); }),
                   terminals.end());
   if (terminals.empty()) {
-    // Degenerate query: fall back to whatever seeds survived.
+    // Empty mode result or degenerate query: fall back to surviving seeds.
     for (PaperId p : result.initial_seeds) {
       if (sg.Contains(p)) terminals.push_back(p);
     }
@@ -172,19 +179,6 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     return Status::NotFound("no usable terminals for: " + query);
   }
   result.terminals = terminals;
-
-  // Query-specific evidence: how many distinct initial seeds cite each
-  // candidate. This is the signal seed reallocation is built on; it also
-  // drives the final ranking (a paper referenced by many query-relevant
-  // articles is very likely on the survey's reference list).
-  FlatMap<PaperId, int>& cooccurrence = scratch->cooccurrence_;
-  cooccurrence.clear();
-  FlatSet<PaperId>& seed_set = scratch->seed_set_;
-  seed_set.clear();
-  seed_set.insert(result.initial_seeds.begin(), result.initial_seeds.end());
-  for (PaperId s : seed_set) {
-    for (PaperId cited : graph_->OutNeighbors(s)) ++cooccurrence[cited];
-  }
   if (trace) {
     trace->AddSpan(obs::Stage::kSeedRealloc, t0, trace->NowNs() - t0,
                    terminals.size());

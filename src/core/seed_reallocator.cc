@@ -1,80 +1,85 @@
 #include "core/seed_reallocator.h"
 
 #include <algorithm>
-
-#include "common/flat_hash.h"
+#include <span>
 
 namespace rpg::core {
 
 using graph::PaperId;
 
-std::vector<PaperId> CoOccurrencePapers(const graph::CitationGraph& g,
-                                        const std::vector<PaperId>& seeds,
-                                        int min_cooccurrence) {
-  FlatSet<PaperId> seed_set;
-  seed_set.insert(seeds.begin(), seeds.end());
-  FlatMap<PaperId, int> counts;
-  for (PaperId s : seed_set) {
+void CountCoOccurrence(const graph::CitationGraph& g,
+                       const std::vector<PaperId>& seeds,
+                       FlatSet<PaperId>* seed_set,
+                       FlatMap<PaperId, int>* counts) {
+  seed_set->clear();
+  seed_set->insert(seeds.begin(), seeds.end());
+  counts->clear();
+  for (PaperId s : *seed_set) {
     if (s >= g.num_nodes()) continue;
-    for (PaperId cited : g.OutNeighbors(s)) {
-      if (!seed_set.contains(cited)) ++counts[cited];
-    }
+    for (PaperId cited : g.OutNeighbors(s)) ++(*counts)[cited];
   }
-  // Fully re-sorted with a total-order tiebreak, so the switch from
-  // unordered_map bucket order to FlatMap insertion order is invisible.
+}
+
+std::vector<PaperId> DeriveTerminals(const graph::CitationGraph& g,
+                                     const std::vector<PaperId>& initial,
+                                     const FlatSet<PaperId>& seed_set,
+                                     const FlatMap<PaperId, int>& counts,
+                                     SeedMode mode, int min_cooccurrence) {
+  if (mode == SeedMode::kInitial) return initial;
+  // At least one citing seed, whatever the threshold: a seed cited only
+  // by itself is not co-cited.
+  const int min_count = std::max(min_cooccurrence, 1);
+  std::vector<PaperId> result;
+  if (mode == SeedMode::kIntersection) {
+    // Initial seeds that are themselves highly co-cited *by the other
+    // seeds*: a seed's citation of itself does not count. A counted seed
+    // is cited, hence in range; its span is sorted.
+    for (PaperId s : initial) {
+      const int* c = counts.Find(s);
+      if (c == nullptr) continue;
+      const std::span<const PaperId> cited = g.OutNeighbors(s);
+      const int self = std::binary_search(cited.begin(), cited.end(), s);
+      if (*c - self >= min_count) result.push_back(s);
+    }
+    return result;
+  }
+  // Fully re-sorted with a total-order tiebreak, so FlatMap insertion
+  // order never shows.
   std::vector<std::pair<PaperId, int>> scored;
   for (const auto& [p, c] : counts) {
-    if (c >= min_cooccurrence) scored.emplace_back(p, c);
+    if (c >= min_count && !seed_set.contains(p)) scored.emplace_back(p, c);
   }
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  std::vector<PaperId> out;
-  out.reserve(scored.size());
-  for (const auto& [p, c] : scored) out.push_back(p);
-  return out;
+  for (const auto& [p, c] : scored) result.push_back(p);
+  if (mode == SeedMode::kUnion) {
+    result.insert(result.end(), initial.begin(), initial.end());
+    std::sort(result.begin(), result.end());
+    result.erase(std::unique(result.begin(), result.end()), result.end());
+  }
+  return result;
+}
+
+std::vector<PaperId> CoOccurrencePapers(const graph::CitationGraph& g,
+                                        const std::vector<PaperId>& seeds,
+                                        int min_cooccurrence) {
+  FlatSet<PaperId> seed_set;
+  FlatMap<PaperId, int> counts;
+  CountCoOccurrence(g, seeds, &seed_set, &counts);
+  return DeriveTerminals(g, seeds, seed_set, counts, SeedMode::kReallocated,
+                         min_cooccurrence);
 }
 
 std::vector<PaperId> ReallocateSeeds(const graph::CitationGraph& g,
                                      const std::vector<PaperId>& initial,
                                      SeedMode mode, int min_cooccurrence) {
-  std::vector<PaperId> result;
-  switch (mode) {
-    case SeedMode::kInitial:
-      result = initial;
-      break;
-    case SeedMode::kReallocated:
-      result = CoOccurrencePapers(g, initial, min_cooccurrence);
-      break;
-    case SeedMode::kUnion: {
-      result = CoOccurrencePapers(g, initial, min_cooccurrence);
-      result.insert(result.end(), initial.begin(), initial.end());
-      std::sort(result.begin(), result.end());
-      result.erase(std::unique(result.begin(), result.end()), result.end());
-      break;
-    }
-    case SeedMode::kIntersection: {
-      // Initial seeds that are themselves highly co-cited *by the other
-      // seeds*: count each seed's citations from fellow seeds.
-      FlatSet<PaperId> seed_set;
-      seed_set.insert(initial.begin(), initial.end());
-      FlatMap<PaperId, int> counts;
-      for (PaperId s : seed_set) {
-        if (s >= g.num_nodes()) continue;
-        for (PaperId cited : g.OutNeighbors(s)) {
-          if (seed_set.contains(cited) && cited != s) ++counts[cited];
-        }
-      }
-      for (PaperId s : initial) {
-        const int* c = counts.Find(s);
-        if (c != nullptr && *c >= min_cooccurrence) {
-          result.push_back(s);
-        }
-      }
-      break;
-    }
-  }
+  FlatSet<PaperId> seed_set;
+  FlatMap<PaperId, int> counts;
+  CountCoOccurrence(g, initial, &seed_set, &counts);
+  std::vector<PaperId> result = DeriveTerminals(g, initial, seed_set, counts,
+                                                mode, min_cooccurrence);
   if (result.empty()) result = initial;
   return result;
 }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "graph/citation_graph.h"
 
 namespace rpg::core {
@@ -16,6 +17,24 @@ enum class SeedMode {
   kUnion,         ///< NEWST-U: union of the two
   kIntersection,  ///< NEWST-I: intersection of the two
 };
+
+/// Counts co-occurrence once (§IV-A step 4): `seed_set` gets the
+/// distinct `seeds`, `counts` how many in-range seeds cite each paper (a
+/// seed citing itself included). Terminals and RePaGer's rank evidence
+/// both come from it. Both outputs are cleared first.
+void CountCoOccurrence(const graph::CitationGraph& g,
+                       const std::vector<graph::PaperId>& seeds,
+                       FlatSet<graph::PaperId>* seed_set,
+                       FlatMap<graph::PaperId, int>* counts);
+
+/// `mode`'s terminals from a CountCoOccurrence of `initial`, possibly
+/// empty. kUnion sorts and de-duplicates; kIntersection keeps the order
+/// of `initial` and counts only citations by *other* seeds.
+std::vector<graph::PaperId> DeriveTerminals(
+    const graph::CitationGraph& g, const std::vector<graph::PaperId>& initial,
+    const FlatSet<graph::PaperId>& seed_set,
+    const FlatMap<graph::PaperId, int>& counts, SeedMode mode,
+    int min_cooccurrence);
 
 /// Papers cited by at least `min_cooccurrence` distinct initial seeds
 /// (§IV-A step 4). Such papers are likely prerequisites: several articles

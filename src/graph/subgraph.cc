@@ -11,32 +11,18 @@ Subgraph::Subgraph(const CitationGraph& g, const std::vector<PaperId>& nodes) {
   Assign(g, nodes, &scratch);
 }
 
-Subgraph::Subgraph(const CitationGraph& g, const std::vector<PaperId>& nodes,
-                   SubgraphScratch* scratch) {
-  Assign(g, nodes, scratch);
-}
-
 void Subgraph::Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
                       SubgraphScratch* scratch) {
+  // Reset the previous members' entries, then grow the index to cover
+  // `g`. Each push_back precedes its map[] write, so every set entry is
+  // in locals_to_global_, even after an Assign that threw midway.
+  std::vector<uint32_t>& map = local_of_;
+  for (PaperId p : locals_to_global_) map[p] = UINT32_MAX;
+  locals_to_global_.clear();
   const size_t n = g.num_nodes();
-  std::vector<uint32_t>& map = scratch->global_to_local_;
   if (map.size() < n) map.resize(n, UINT32_MAX);
 
-  // Restore the map's all-UINT32_MAX invariant on every exit path
-  // (including a bad_alloc mid-build), so a shared scratch can never
-  // poison a later Assign. O(k), not O(n): exactly the mapped globals
-  // are in locals_to_global_.
-  locals_to_global_.clear();
-  struct MapResetGuard {
-    std::vector<uint32_t>& map;
-    const std::vector<PaperId>& touched;
-    ~MapResetGuard() {
-      for (PaperId p : touched) map[p] = UINT32_MAX;
-    }
-  } guard{map, locals_to_global_};
-
-  // Dedup + local id assignment in first-appearance order. push_back
-  // before map[] so a throwing push never leaves an unrecorded entry.
+  // Dedup + local id assignment in first-appearance order.
   for (PaperId p : nodes) {
     if (p >= n || map[p] != UINT32_MAX) continue;
     locals_to_global_.push_back(p);
@@ -104,19 +90,6 @@ void Subgraph::Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
       out_edges_[to] = in_edges_[at];
     }
   }
-
-  // Hash index for ToLocal.
-  local_of_.clear();
-  local_of_.reserve(k);
-  for (uint32_t local = 0; local < k; ++local) {
-    local_of_[locals_to_global_[local]] = local;
-  }
-  // MapResetGuard leaves the scratch map clean for the next Assign.
-}
-
-uint32_t Subgraph::ToLocal(PaperId global) const {
-  const uint32_t* local = local_of_.Find(global);
-  return local == nullptr ? UINT32_MAX : *local;
 }
 
 }  // namespace rpg::graph

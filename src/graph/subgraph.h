@@ -11,19 +11,17 @@
 ///  - A built Subgraph is immutable and self-contained (it does NOT
 ///    retain pointers into the CitationGraph or the scratch); concurrent
 ///    reads are safe.
-///  - SubgraphScratch is transient build state only: a |V|-sized dense
-///    global->local map plus CSR fill cursors, used during Assign() and
-///    reset (in O(subgraph) time) before it returns. One scratch per
-///    thread; reusing it across queries avoids the O(|V|) map allocation
-///    per subgraph build.
-///  - Assign() reuses the Subgraph's own CSR arrays (clear keeps
-///    capacity), so a worker that keeps one Subgraph object alive pays
-///    near-zero allocation after warm-up.
+///  - The Subgraph's ToLocal index is a dense |V|-sized array. The next
+///    Assign() resets only the previous members' entries and grows it
+///    lazily for a larger graph, so one Subgraph serves any graph.
+///  - SubgraphScratch holds only the CSR fill cursor. One per thread.
+///  - Assign() reuses the Subgraph's own arrays (clear keeps capacity),
+///    so a worker that keeps one Subgraph object alive pays near-zero
+///    allocation after warm-up.
 
 #include <span>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "graph/citation_graph.h"
 
 namespace rpg::graph {
@@ -39,7 +37,6 @@ class SubgraphScratch {
 
  private:
   friend class Subgraph;
-  std::vector<uint32_t> global_to_local_;  // UINT32_MAX = absent; lazily sized
   std::vector<uint64_t> cursor_;
 };
 
@@ -58,12 +55,8 @@ class Subgraph {
   /// out-of-range ids dropped) using a private transient scratch.
   Subgraph(const CitationGraph& g, const std::vector<PaperId>& nodes);
 
-  /// Same, but build-time state lives in caller-owned `scratch`.
-  Subgraph(const CitationGraph& g, const std::vector<PaperId>& nodes,
-           SubgraphScratch* scratch);
-
   /// (Re)builds this subgraph in place, reusing existing array capacity.
-  /// `scratch` is left reset and may be reused immediately.
+  /// `scratch` may be reused immediately.
   void Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
               SubgraphScratch* scratch);
 
@@ -74,8 +67,10 @@ class Subgraph {
   PaperId ToGlobal(uint32_t local) const { return locals_to_global_[local]; }
 
   /// Local id for a global paper id, or UINT32_MAX if not in the
-  /// subgraph. One hash probe.
-  uint32_t ToLocal(PaperId global) const;
+  /// subgraph. One bounds-checked array read.
+  uint32_t ToLocal(PaperId global) const {
+    return global < local_of_.size() ? local_of_[global] : UINT32_MAX;
+  }
 
   bool Contains(PaperId global) const {
     return ToLocal(global) != UINT32_MAX;
@@ -107,7 +102,7 @@ class Subgraph {
 
  private:
   std::vector<PaperId> locals_to_global_;
-  FlatMap<PaperId, uint32_t> local_of_;  // ToLocal index
+  std::vector<uint32_t> local_of_;  // ToLocal index; UINT32_MAX = absent
   // Offsets hold num_nodes + 1 entries ({0} when empty) from default
   // construction on, so accessors stay in bounds for every valid local.
   std::vector<uint64_t> out_offsets_{0};

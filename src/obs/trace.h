@@ -23,8 +23,8 @@
 /// It is touched strictly along the request's causal chain — poller
 /// thread at dispatch, solver thread from dequeue through the solve,
 /// completion-delivering thread at the end — and every handoff on that
-/// chain already carries a happens-before edge (solver pool mutex, flight
-/// mutex, completion queue). Never share one context between concurrent
+/// chain already carries a happens-before edge (solver pool mutex, query
+/// cache mutex, completion queue). Never share one context between concurrent
 /// requests.
 ///
 /// Cost model: span recording is two steady_clock reads and a bounded

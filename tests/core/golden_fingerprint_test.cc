@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "core/batch_engine.h"
 #include "core/repager.h"
@@ -78,6 +79,41 @@ class GoldenFingerprintFixture : public ::testing::Test {
     }
   }
 
+  /// Hashes one result's rank order, seeds, terminals, reading path and
+  /// subgraph shape.
+  static void AddResult(const RePagerResult& r, Fnv64* fp) {
+    fp->Add(r.ranked.size());
+    for (graph::PaperId p : r.ranked) fp->Add(p);
+    for (graph::PaperId p : r.initial_seeds) fp->Add(p);
+    for (graph::PaperId p : r.terminals) fp->Add(p);
+    fp->Add(r.path.nodes().size());
+    for (graph::PaperId p : r.path.nodes()) fp->Add(p);
+    for (const auto& [a, b] : r.path.edges()) {
+      fp->Add(a);
+      fp->Add(b);
+    }
+    fp->Add(r.subgraph_nodes);
+    fp->Add(r.subgraph_edges);
+  }
+
+  /// Fingerprint of the first 12 SurveyBank queries run serially with
+  /// `base` plus each entry's year cutoff and exclusion.
+  static uint64_t PipelineFingerprint(const RePagerOptions& base) {
+    Fnv64 fp;
+    const size_t n = std::min<size_t>(wb_->bank().size(), 12);
+    QueryScratch scratch;
+    for (size_t i = 0; i < n; ++i) {
+      const auto& entry = wb_->bank().Get(i);
+      RePagerOptions options = base;
+      options.year_cutoff = entry.year;
+      options.exclude = {entry.paper};
+      auto result = wb_->repager().Generate(entry.query, options, &scratch);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) AddResult(result.value(), &fp);
+    }
+    return fp.value();
+  }
+
   static const eval::Workbench* wb_;
 };
 
@@ -89,35 +125,57 @@ constexpr uint64_t kGoldenPipeline = 0x78bce4bad3f6d61aULL;
 constexpr uint64_t kGoldenConCounts = 0xfb3dc3157e7d4247ULL;
 
 TEST_F(GoldenFingerprintFixture, PipelineResultsMatchGolden) {
-  Fnv64 fp;
-  const size_t n = std::min<size_t>(wb_->bank().size(), 12);
-  ASSERT_GT(n, 0u);
-  QueryScratch scratch;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& entry = wb_->bank().Get(i);
-    RePagerOptions options;
-    options.year_cutoff = entry.year;
-    options.exclude = {entry.paper};
-    auto result = wb_->repager().Generate(entry.query, options, &scratch);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const RePagerResult& r = result.value();
-    fp.Add(r.ranked.size());
-    for (graph::PaperId p : r.ranked) fp.Add(p);
-    for (graph::PaperId p : r.initial_seeds) fp.Add(p);
-    for (graph::PaperId p : r.terminals) fp.Add(p);
-    fp.Add(r.path.nodes().size());
-    for (graph::PaperId p : r.path.nodes()) fp.Add(p);
-    for (const auto& [a, b] : r.path.edges()) {
-      fp.Add(a);
-      fp.Add(b);
-    }
-    fp.Add(r.subgraph_nodes);
-    fp.Add(r.subgraph_edges);
-  }
-  MaybePrint("kGoldenPipeline", fp.value());
-  EXPECT_EQ(fp.value(), kGoldenPipeline)
+  ASSERT_GT(wb_->bank().size(), 0u);
+  const uint64_t value = PipelineFingerprint(RePagerOptions{});
+  MaybePrint("kGoldenPipeline", value);
+  EXPECT_EQ(value, kGoldenPipeline)
       << "pipeline output changed — if intentional, re-capture with "
          "RPG_PRINT_FINGERPRINTS=1 (see file header)";
+}
+
+/// The Table III ablation variants, each pinned over the same 12
+/// queries as kGoldenPipeline. Captured at commit 20c60ef, before seed
+/// reallocation and ranking shared one co-occurrence count.
+struct AblationGolden {
+  const char* name;
+  RePagerOptions options;
+  uint64_t fingerprint;
+};
+
+std::vector<AblationGolden> AblationGoldens() {
+  std::vector<AblationGolden> goldens;
+  auto add = [&](const char* name, uint64_t fingerprint, auto&& configure) {
+    RePagerOptions options;
+    configure(options);
+    goldens.push_back({name, std::move(options), fingerprint});
+  };
+  add("kGoldenInitial", 0x12c8a27077b0bc7fULL,
+      [](RePagerOptions& o) { o.seed_mode = SeedMode::kInitial; });
+  add("kGoldenUnion", 0x1706f2bff2dc54faULL,
+      [](RePagerOptions& o) { o.seed_mode = SeedMode::kUnion; });
+  add("kGoldenIntersection", 0xa5f284d3496f3043ULL,
+      [](RePagerOptions& o) { o.seed_mode = SeedMode::kIntersection; });
+  add("kGoldenNoNodeWeights", 0xf16f384fb9227292ULL,
+      [](RePagerOptions& o) { o.newst.use_node_weights = false; });
+  add("kGoldenNoEdgeWeights", 0x80c9535fb5f73234ULL,
+      [](RePagerOptions& o) { o.newst.use_edge_weights = false; });
+  add("kGoldenNoSteiner", 0x748a6173414d2d08ULL,
+      [](RePagerOptions& o) { o.run_steiner = false; });
+  add("kGoldenMinCooccurrence1", 0xab8f670a8faad1fbULL,
+      [](RePagerOptions& o) { o.min_cooccurrence = 1; });
+  add("kGoldenMinCooccurrence3", 0xcbd0eff5a7a761d6ULL,
+      [](RePagerOptions& o) { o.min_cooccurrence = 3; });
+  return goldens;
+}
+
+TEST_F(GoldenFingerprintFixture, AblationVariantsMatchGolden) {
+  for (const AblationGolden& golden : AblationGoldens()) {
+    const uint64_t value = PipelineFingerprint(golden.options);
+    MaybePrint(golden.name, value);
+    EXPECT_EQ(value, golden.fingerprint)
+        << golden.name << " changed — if intentional, re-capture with "
+        << "RPG_PRINT_FINGERPRINTS=1 (see file header)";
+  }
 }
 
 TEST_F(GoldenFingerprintFixture, ConCountsOverEveryEdgeMatchGolden) {
@@ -168,19 +226,7 @@ TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
   ASSERT_EQ(result.num_ok, batch.size());
   for (const auto& r_or : result.results) {
     ASSERT_TRUE(r_or.ok());
-    const RePagerResult& r = r_or.value();
-    fp.Add(r.ranked.size());
-    for (graph::PaperId p : r.ranked) fp.Add(p);
-    for (graph::PaperId p : r.initial_seeds) fp.Add(p);
-    for (graph::PaperId p : r.terminals) fp.Add(p);
-    fp.Add(r.path.nodes().size());
-    for (graph::PaperId p : r.path.nodes()) fp.Add(p);
-    for (const auto& [a, b] : r.path.edges()) {
-      fp.Add(a);
-      fp.Add(b);
-    }
-    fp.Add(r.subgraph_nodes);
-    fp.Add(r.subgraph_edges);
+    AddResult(r_or.value(), &fp);
   }
   EXPECT_EQ(fp.value(), kGoldenPipeline);
 }

@@ -230,16 +230,29 @@ TEST(SubgraphTest, EdgeIdsIndexTheSourceOutCsr) {
 }
 
 TEST(SubgraphTest, AssignWithSharedScratchMatchesFreshBuilds) {
-  CitationGraph g = BuildDiamond();
+  CitationGraph diamond = BuildDiamond();
+  // A second, larger graph, as a reused QueryScratch meets after an
+  // epoch flip; the walk then goes back to the diamond.
+  GraphBuilder b(8);
+  b.AddCitation(7, 0);
+  b.AddCitation(7, 5);
+  b.AddCitation(5, 4);
+  b.AddCitation(4, 0);
+  b.AddCitation(6, 5);
+  CitationGraph larger = b.Build().value();
   SubgraphScratch scratch;
   Subgraph reused;
   // Re-assigning the same object with one scratch must reproduce every
-  // fresh single-shot build, including after shrinking node sets.
-  std::vector<std::vector<PaperId>> node_sets = {
-      {0, 1, 2, 3}, {0, 1, 3}, {3, 1}, {2}, {0, 1, 2, 3}};
-  for (const auto& nodes : node_sets) {
-    reused.Assign(g, nodes, &scratch);
-    Subgraph fresh(g, nodes);
+  // fresh single-shot build, including after shrinking node sets and
+  // switching graphs.
+  const std::vector<std::pair<const CitationGraph*, std::vector<PaperId>>>
+      inputs = {{&diamond, {0, 1, 2, 3}}, {&diamond, {0, 1, 3}},
+                {&diamond, {3, 1}},       {&diamond, {2}},
+                {&diamond, {0, 1, 2, 3}}, {&larger, {7, 5, 4, 0, 6}},
+                {&diamond, {3, 2}}};
+  for (const auto& [g, nodes] : inputs) {
+    reused.Assign(*g, nodes, &scratch);
+    Subgraph fresh(*g, nodes);
     ASSERT_EQ(reused.num_nodes(), fresh.num_nodes());
     ASSERT_EQ(reused.num_edges(), fresh.num_edges());
     for (uint32_t local = 0; local < fresh.num_nodes(); ++local) {
@@ -249,8 +262,15 @@ TEST(SubgraphTest, AssignWithSharedScratchMatchesFreshBuilds) {
       EXPECT_EQ(ToVector(reused.InNeighbors(local)),
                 ToVector(fresh.InNeighbors(local)));
     }
-    for (PaperId p = 0; p < g.num_nodes(); ++p) {
-      EXPECT_EQ(reused.ToLocal(p), fresh.ToLocal(p));
+    for (PaperId p = 0; p < larger.num_nodes(); ++p) {
+      EXPECT_EQ(reused.ToLocal(p), fresh.ToLocal(p)) << p;
+    }
+    // Ids beyond every graph seen read as absent, not out of bounds.
+    for (PaperId p : {PaperId{99}, PaperId{UINT32_MAX - 1}}) {
+      EXPECT_EQ(reused.ToLocal(p), UINT32_MAX);
+      EXPECT_EQ(fresh.ToLocal(p), UINT32_MAX);
+      EXPECT_FALSE(reused.Contains(p));
+      EXPECT_FALSE(fresh.Contains(p));
     }
   }
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "steiner/exact.h"
@@ -72,6 +75,46 @@ TEST(ExactSteinerTest, NeverWorseThanHeuristics) {
     // KMB guarantee relative to the true optimum.
     EXPECT_LE(kmb->total_cost, 2.0 * exact->total_cost + 1e-9) << trial;
     EXPECT_LE(tm->total_cost, 2.0 * exact->total_cost + 1e-9) << trial;
+  }
+}
+
+TEST(ExactSteinerTest, EdgeWeightedTreesWithinTheKmbBound) {
+  // Kou, Markowsky and Berman: on an edge-weighted instance the tree
+  // costs at most 2(1 - 1/l) times the optimum, l the number of leaves
+  // of an optimal tree. Both closure modes must keep that bound; node
+  // weights are off, since the bound is for edge costs alone.
+  for (ClosureMode mode : {ClosureMode::kMehlhorn, ClosureMode::kClassic}) {
+    NewstOptions options;
+    options.use_node_weights = false;
+    options.closure_mode = mode;
+    Rng rng(780);  // the same instances in both modes
+    std::vector<double> ratios;
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto n = static_cast<uint32_t>(8 + rng.NextBounded(9));
+      WeightedGraph g = RandomConnected(&rng, n, static_cast<int>(n));
+      auto terminals = RandomTerminals(
+          &rng, n, static_cast<uint32_t>(2 + rng.NextBounded(7)));
+      auto exact = SolveExactSteiner(g, terminals, options);
+      auto kmb = SolveNewst(g, terminals, options);
+      ASSERT_TRUE(exact.ok() && kmb.ok()) << trial;
+      std::vector<int> degree(n, 0);
+      for (const auto& [a, b] : exact->edges) {
+        ++degree[a];
+        ++degree[b];
+      }
+      const auto leaves = std::count(degree.begin(), degree.end(), 1);
+      ASSERT_GE(leaves, 2) << trial;
+      const double factor = 2.0 * (1.0 - 1.0 / static_cast<double>(leaves));
+      EXPECT_LE(kmb->total_cost, factor * exact->total_cost + 1e-9)
+          << "trial " << trial << ": " << leaves << " leaves";
+      ratios.push_back(kmb->total_cost / exact->total_cost);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    std::printf("%s closure: tree/optimum cost ratio min %.4f median %.4f "
+                "max %.4f over %zu instances\n",
+                mode == ClosureMode::kMehlhorn ? "Mehlhorn" : "classic",
+                ratios.front(), ratios[ratios.size() / 2], ratios.back(),
+                ratios.size());
   }
 }
 
