@@ -29,8 +29,9 @@ Besides the baseline ratios, a few *absolute* limits gate invariants of
 the fresh run alone (no baseline needed): the request-tracing overhead
 must stay within 5% (tracing.overhead_ratio <= 1.05), the per-stage
 spans must attribute >= 90% of pipeline wall time
-(stages.attributed_fraction >= 0.9), and the edge-cost, search, steiner
-and rank stages must stay under their ceilings. See docs/observability.md and
+(stages.attributed_fraction >= 0.9), and the subgraph, seed-realloc,
+edge-cost, search, steiner and rank stages must stay under their
+ceilings. See docs/observability.md and
 docs/benchmarks.md.
 """
 
@@ -81,6 +82,14 @@ TABLE4_METRICS = [
 #  - stages.rank_ms sorts precomputed rank keys: 0.13-0.19 ms, so 0.35
 #    is ~2x the median (0.63-0.81 recomputing both keys in every
 #    comparison).
+#  - stages.subgraph_ms filters the KHop nodes by year and a sorted
+#    exclusion list, then builds the induced subgraph: 0.20-0.30 ms over
+#    18 runs alternating with 18 of the code before it (hash-set
+#    exclusions, 0.19-0.37), so 0.5 is ~1.7x the worst current run.
+#  - stages.seed_realloc_ms counts co-occurrence once into a reused map
+#    with a sorted seed vector: 0.023-0.032 ms over the same 18 runs
+#    (0.021-0.032 with a hash-set seed set; 0.036-0.042 when the count
+#    ran up to three times), so 0.06 is ~2x the worst current run.
 TABLE4_LIMITS = [
     ("tracing.overhead_ratio", "max", 1.05),
     ("stages.attributed_fraction", "min", 0.90),
@@ -88,6 +97,8 @@ TABLE4_LIMITS = [
     ("stages.search_ms", "max", 0.45),
     ("stages.steiner_ms", "max", 1.2),
     ("stages.rank_ms", "max", 0.35),
+    ("stages.subgraph_ms", "max", 0.5),
+    ("stages.seed_realloc_ms", "max", 0.06),
 ]
 SCALE_METRICS = [
     ("sweep[-1].snapshot_load_seconds", "lower"),
@@ -251,7 +262,8 @@ def self_test():
     healthy = {
         "tracing": {"overhead_ratio": 1.005},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 0.15,
-                   "search_ms": 0.34, "steiner_ms": 0.66, "rank_ms": 0.16},
+                   "search_ms": 0.34, "steiner_ms": 0.66, "rank_ms": 0.16,
+                   "subgraph_ms": 0.25, "seed_realloc_ms": 0.027},
     }
     if check_limits("fixture", healthy, TABLE4_LIMITS, report) != 0:
         print("self-test FAILED: in-bound limits flagged")
@@ -264,6 +276,8 @@ def self_test():
         ("stages", "search_ms", 0.55, "per-posting norms, per-hit log1p"),
         ("stages", "steiner_ms", 1.5, "a solve twice as slow"),
         ("stages", "rank_ms", 0.7, "per-comparison rank keys"),
+        ("stages", "subgraph_ms", 0.6, "a subgraph build twice as slow"),
+        ("stages", "seed_realloc_ms", 0.12, "a seed reallocation 4x as slow"),
     ]
     for section, key, value, what in over_budget:
         fixture = {name: dict(fields) for name, fields in healthy.items()}

@@ -2,25 +2,25 @@
 #define RPG_COMMON_FLAT_HASH_H_
 
 /// \file
-/// Insert-only open-addressing hash containers for the per-query hot
-/// path, where allocation per insert would dominate the small sets a
-/// query builds. The std::unordered_* containers the pipeline
-/// scratch used before are node-based: every insert allocates, every
-/// probe chases a pointer, and clear() frees the nodes — exactly the
-/// behavior a reusable QueryScratch exists to avoid.
+/// An insert-only open-addressing hash map for the per-query hot path:
+/// the co-occurrence counts, the BM25 accumulator and the Steiner
+/// closure's pair index, where an allocation per insert would dominate.
+/// The std::unordered_map the pipeline scratch used before is
+/// node-based: every insert allocates, every probe chases a pointer, and
+/// clear() frees the nodes — exactly the behavior a reusable
+/// QueryScratch exists to avoid.
 ///
-/// FlatSet/FlatMap instead keep a dense `items` vector (the elements, in
-/// insertion order) plus a power-of-two slot table of uint32 indices
+/// FlatMap instead keeps a dense `items` vector of (key, value) pairs, in
+/// insertion order, plus a power-of-two slot table of uint32 indices
 /// into it, linear probing, ~0.7 max load. Properties the pipeline
 /// relies on:
 ///  - insert-only: no erase (the scratch never removes individual keys);
 ///  - clear() keeps capacity, so a warm scratch inserts allocation-free;
 ///  - iteration walks the dense items vector in INSERTION order —
-///    deterministic, unlike unordered_* bucket order, so swapping these
-///    in cannot perturb any downstream order. (The pipeline only ever
-///    feeds iterated elements into commutative integer sums or re-sorts
-///    them with total-order comparators, so the unordered_*→Flat* swap
-///    is bit-identical anyway; the golden-fingerprint suites pin that.)
+///    deterministic, unlike unordered_* bucket order. (The pipeline only
+///    ever feeds iterated elements into commutative integer sums or
+///    re-sorts them with total-order comparators, so the order does not
+///    reach any answer; the golden-fingerprint suites pin that.)
 ///  - keys are integers (PaperId, packed uint64 pairs); the hash is a
 ///    fixed multiplicative mix, NOT randomized per process, which is
 ///    what makes serve-path behavior reproducible run-to-run.
@@ -48,88 +48,10 @@ inline constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
 
 }  // namespace flat_internal
 
-/// Open-addressing hash set over an integral key. See file comment for
-/// the contract (insert-only, capacity-keeping clear, insertion-order
-/// iteration).
-template <typename K>
-class FlatSet {
- public:
-  FlatSet() = default;
-
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-
-  /// Drops all elements but keeps both buffers' capacity.
-  void clear() {
-    items_.clear();
-    std::fill(slots_.begin(), slots_.end(), flat_internal::kEmptySlot);
-  }
-
-  void reserve(size_t n) {
-    items_.reserve(n);
-    GrowSlots(n);
-  }
-
-  /// Returns true iff the key was newly inserted.
-  bool insert(K key) {
-    MaybeGrow();
-    size_t s = ProbeFor(key);
-    if (slots_[s] != flat_internal::kEmptySlot) return false;
-    slots_[s] = static_cast<uint32_t>(items_.size());
-    items_.push_back(key);
-    return true;
-  }
-
-  template <typename It>
-  void insert(It first, It last) {
-    for (; first != last; ++first) insert(*first);
-  }
-
-  bool contains(K key) const {
-    if (slots_.empty()) return false;
-    return slots_[ProbeFor(key)] != flat_internal::kEmptySlot;
-  }
-
-  /// Insertion-order iteration over the dense element vector.
-  auto begin() const { return items_.begin(); }
-  auto end() const { return items_.end(); }
-
- private:
-  size_t ProbeFor(K key) const {
-    const size_t mask = slots_.size() - 1;
-    size_t s = flat_internal::Mix(static_cast<uint64_t>(key)) & mask;
-    while (slots_[s] != flat_internal::kEmptySlot && items_[slots_[s]] != key) {
-      s = (s + 1) & mask;
-    }
-    return s;
-  }
-
-  void MaybeGrow() {
-    // Max load 0.7: grow when (size + 1) / slots > 0.7.
-    if (slots_.empty() || (items_.size() + 1) * 10 > slots_.size() * 7) {
-      GrowSlots(items_.size() + 1);
-    }
-  }
-
-  void GrowSlots(size_t want_items) {
-    size_t want_slots = 16;
-    while (want_slots * 7 < want_items * 10) want_slots <<= 1;
-    if (want_slots <= slots_.size()) return;
-    slots_.assign(want_slots, flat_internal::kEmptySlot);
-    const size_t mask = slots_.size() - 1;
-    for (size_t idx = 0; idx < items_.size(); ++idx) {
-      size_t s = flat_internal::Mix(static_cast<uint64_t>(items_[idx])) & mask;
-      while (slots_[s] != flat_internal::kEmptySlot) s = (s + 1) & mask;
-      slots_[s] = static_cast<uint32_t>(idx);
-    }
-  }
-
-  std::vector<K> items_;
-  std::vector<uint32_t> slots_;
-};
-
-/// Open-addressing hash map over an integral key. Same contract as
-/// FlatSet; values live inline in the dense items vector.
+/// Open-addressing hash map over an integral key. See the file comment
+/// for the contract (insert-only, capacity-keeping clear,
+/// insertion-order iteration); values live inline in the dense items
+/// vector.
 template <typename K, typename V>
 class FlatMap {
  public:
@@ -138,6 +60,7 @@ class FlatMap {
   size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 
+  /// Drops all elements but keeps both buffers' capacity.
   void clear() {
     items_.clear();
     std::fill(slots_.begin(), slots_.end(), flat_internal::kEmptySlot);
@@ -189,6 +112,7 @@ class FlatMap {
   }
 
   void MaybeGrow() {
+    // Max load 0.7: grow when (size + 1) / slots > 0.7.
     if (slots_.empty() || (items_.size() + 1) * 10 > slots_.size() * 7) {
       GrowSlots(items_.size() + 1);
     }

@@ -128,21 +128,19 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     trace->AddSpan(obs::Stage::kKhop, t0, trace->NowNs() - t0, visited);
     t0 = trace->NowNs();
   }
+  std::vector<PaperId>& excluded = scratch->excluded_;
+  excluded.assign(options.exclude.begin(), options.exclude.end());
+  std::sort(excluded.begin(), excluded.end());
   std::vector<PaperId>& candidates = scratch->candidates_;
   candidates.clear();
   for (const auto& level : scratch->khop_.levels) {
     for (PaperId p : level) {
-      if ((*years_)[p] <= options.year_cutoff) candidates.push_back(p);
+      if ((*years_)[p] <= options.year_cutoff &&
+          !std::binary_search(excluded.begin(), excluded.end(), p)) {
+        candidates.push_back(p);
+      }
     }
   }
-  FlatSet<PaperId>& excluded = scratch->excluded_;
-  excluded.clear();
-  excluded.insert(options.exclude.begin(), options.exclude.end());
-  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                  [&](PaperId p) {
-                                    return excluded.contains(p);
-                                  }),
-                   candidates.end());
   scratch->sg_.Assign(*graph_, candidates, &scratch->sg_scratch_);
   const graph::Subgraph& sg = scratch->sg_;
   result.subgraph_nodes = sg.num_nodes();
@@ -158,7 +156,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   // from this count, and it also drives the final ranking (a paper
   // referenced by many query-relevant articles is very likely on the
   // survey's reference list).
-  FlatSet<PaperId>& seed_set = scratch->seed_set_;
+  std::vector<PaperId>& seed_set = scratch->seed_set_;
   FlatMap<PaperId, int>& cooccurrence = scratch->cooccurrence_;
   CountCoOccurrence(*graph_, result.initial_seeds, &seed_set, &cooccurrence);
   std::vector<PaperId> terminals =
@@ -179,6 +177,9 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     return Status::NotFound("no usable terminals for: " + query);
   }
   result.terminals = terminals;
+  std::vector<uint32_t>& local_terminals = scratch->local_terminals_;
+  local_terminals.clear();
+  for (PaperId t : terminals) local_terminals.push_back(sg.ToLocal(t));
   if (trace) {
     trace->AddSpan(obs::Stage::kSeedRealloc, t0, trace->NowNs() - t0,
                    terminals.size());
@@ -191,11 +192,15 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     if (const int* count = cooccurrence.Find(p)) {
       score += static_cast<double>(*count);
     }
-    if (seed_set.contains(p)) score += 1.2;
+    if (std::binary_search(seed_set.begin(), seed_set.end(), p)) {
+      score += 1.2;
+    }
     return score;
   };
 
-  std::vector<PaperId> tree_nodes;
+  // Without the Steiner step (NEWST-C) the terminals stand in for the
+  // tree: the reallocated seed set is the final result, with no path.
+  steiner::SteinerResult local_tree;
   if (options.run_steiner) {
     // ---- Step 5: NEWST over the weighted sub-citation graph ----------
     Timer steiner_timer;
@@ -207,11 +212,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
                      wg.num_edges());
       t0 = trace->NowNs();
     }
-    std::vector<uint32_t>& local_terminals = scratch->local_terminals_;
-    local_terminals.clear();
-    local_terminals.reserve(terminals.size());
-    for (PaperId t : terminals) local_terminals.push_back(sg.ToLocal(t));
-    RPG_ASSIGN_OR_RETURN(steiner::SteinerResult local_tree,
+    RPG_ASSIGN_OR_RETURN(local_tree,
                          SolveNewst(wg, local_terminals, options.newst,
                                     &scratch->steiner_));
     result.steiner_seconds = steiner_timer.ElapsedSeconds();
@@ -222,25 +223,18 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
       t0 = trace->NowNs();
     }
 
-    // Map back to global ids.
+    // Map back to global ids; ReadingPath sorts and orients.
     steiner::SteinerResult tree;
     tree.total_cost = local_tree.total_cost;
     for (uint32_t v : local_tree.nodes) tree.nodes.push_back(sg.ToGlobal(v));
     for (const auto& [a, b] : local_tree.edges) {
-      PaperId ga = sg.ToGlobal(a), gb = sg.ToGlobal(b);
-      tree.edges.emplace_back(std::min(ga, gb), std::max(ga, gb));
+      tree.edges.emplace_back(sg.ToGlobal(a), sg.ToGlobal(b));
     }
-    std::sort(tree.nodes.begin(), tree.nodes.end());
-    std::sort(tree.edges.begin(), tree.edges.end());
     result.path = ReadingPath(tree, *years_);
-    tree_nodes = tree.nodes;
     if (trace) {
       trace->AddSpan(obs::Stage::kReadingPath, t0, trace->NowNs() - t0,
                      tree.nodes.size());
     }
-  } else {
-    // NEWST-C: the reallocated seed set is the final result, no path.
-    tree_nodes = terminals;
   }
 
   // ---- Ranked list: Steiner-tree papers first, then the remaining
@@ -248,48 +242,35 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
   // citation evidence. The tree-first property is what the Table III
   // ablations measure: a different terminal set / weight scheme yields a
   // different tree, and hence a different top of the list.
+  // Each member's block leads one sort; the tree is marked last, so a
+  // tree node that is also a seed ranks with the tree.
   if (trace) t0 = trace->NowNs();
+  std::vector<uint8_t>& block = scratch->rank_block_;
+  block.assign(sg.num_nodes(), 2);
+  for (PaperId seed : result.initial_seeds) {
+    if (sg.Contains(seed)) block[sg.ToLocal(seed)] = 1;
+  }
+  for (uint32_t v : options.run_steiner ? local_tree.nodes : local_terminals) {
+    block[v] = 0;
+  }
   std::vector<QueryScratch::RankKey>& keys = scratch->rank_keys_;
-  auto rank_by_evidence = [&](std::vector<PaperId>* v) {
-    keys.clear();
-    for (PaperId p : *v) keys.push_back({evidence_of(p), Importance(p), p});
-    std::sort(keys.begin(), keys.end(),
-              [](const QueryScratch::RankKey& a,
-                 const QueryScratch::RankKey& b) {
-                if (a.evidence != b.evidence) return a.evidence > b.evidence;
-                if (a.importance != b.importance) {
-                  return a.importance > b.importance;
-                }
-                return a.id < b.id;
-              });
-    for (size_t i = 0; i < keys.size(); ++i) (*v)[i] = keys[i].id;
-  };
-  rank_by_evidence(&tree_nodes);
-  FlatSet<PaperId>& emitted = scratch->emitted_;
-  emitted.clear();
-  emitted.insert(tree_nodes.begin(), tree_nodes.end());
-  result.ranked = std::move(tree_nodes);
-  result.ranked.reserve(sg.num_nodes());
-  std::vector<PaperId>& seed_block = scratch->seed_block_;
-  seed_block.clear();
-  seed_block.reserve(result.initial_seeds.size());
-  for (PaperId s : result.initial_seeds) {
-    if (sg.Contains(s) && !emitted.contains(s)) seed_block.push_back(s);
-  }
-  rank_by_evidence(&seed_block);
-  for (PaperId s : seed_block) {
-    emitted.insert(s);
-    result.ranked.push_back(s);
-  }
-  std::vector<PaperId>& rest = scratch->rest_;
-  rest.clear();
-  rest.reserve(sg.num_nodes());
+  keys.clear();
+  keys.reserve(sg.num_nodes());
   for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
-    PaperId p = sg.ToGlobal(local);
-    if (!emitted.contains(p)) rest.push_back(p);
+    const PaperId p = sg.ToGlobal(local);
+    keys.push_back({evidence_of(p), Importance(p), p, block[local]});
   }
-  rank_by_evidence(&rest);
-  result.ranked.insert(result.ranked.end(), rest.begin(), rest.end());
+  std::sort(keys.begin(), keys.end(),
+            [](const QueryScratch::RankKey& a, const QueryScratch::RankKey& b) {
+              if (a.block != b.block) return a.block < b.block;
+              if (a.evidence != b.evidence) return a.evidence > b.evidence;
+              if (a.importance != b.importance) {
+                return a.importance > b.importance;
+              }
+              return a.id < b.id;
+            });
+  result.ranked.reserve(keys.size());
+  for (const auto& key : keys) result.ranked.push_back(key.id);
 
   if (trace) {
     trace->AddSpan(obs::Stage::kRank, t0, trace->NowNs() - t0,

@@ -94,10 +94,10 @@ struct RePagerResult {
 /// Reusable per-query working memory for RePaGer::Generate: the engine's
 /// BM25 accumulator and hit list, the KHop visit map and frontier levels,
 /// the subgraph id map and CSR arrays, the weighted graph's CSR arrays,
-/// the NEWST solve's arrays (steiner::SteinerScratch), and the ranking
-/// hash sets and sort keys. After the
-/// first query everything here is warm, so subsequent Generate calls make
-/// almost no allocations outside the returned RePagerResult.
+/// the NEWST solve's arrays (steiner::SteinerScratch), and the rank
+/// blocks and sort keys. After the first query everything here is warm,
+/// so subsequent Generate calls make almost no allocations outside the
+/// returned RePagerResult.
 ///
 /// One scratch per thread: each serving solver thread owns one for its
 /// whole life, and BatchEngine gives each pool worker its own. The
@@ -125,18 +125,20 @@ class QueryScratch {
   steiner::SteinerScratch steiner_;
   std::vector<graph::PaperId> candidates_;
   std::vector<uint32_t> local_terminals_;
-  FlatSet<graph::PaperId> excluded_;
-  FlatSet<graph::PaperId> seed_set_;
+  /// Sorted copies of RePagerOptions::exclude and of the distinct
+  /// initial seeds, for binary-search membership.
+  std::vector<graph::PaperId> excluded_;
+  std::vector<graph::PaperId> seed_set_;
   FlatMap<graph::PaperId, int> cooccurrence_;
-  FlatSet<graph::PaperId> emitted_;
-  std::vector<graph::PaperId> seed_block_;
-  std::vector<graph::PaperId> rest_;
+  /// Per subgraph member: 0 tree node, 1 other seed, 2 the rest.
+  std::vector<uint8_t> rank_block_;
   /// One ranked node's sort keys, computed once per node rather than on
-  /// every comparison.
+  /// every comparison. The sort leads with `block` (rank_block_).
   struct RankKey {
     double evidence;
     double importance;
     graph::PaperId id;
+    uint8_t block;
   };
   std::vector<RankKey> rank_keys_;
 };

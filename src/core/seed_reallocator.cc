@@ -9,10 +9,12 @@ using graph::PaperId;
 
 void CountCoOccurrence(const graph::CitationGraph& g,
                        const std::vector<PaperId>& seeds,
-                       FlatSet<PaperId>* seed_set,
+                       std::vector<PaperId>* seed_set,
                        FlatMap<PaperId, int>* counts) {
-  seed_set->clear();
-  seed_set->insert(seeds.begin(), seeds.end());
+  seed_set->assign(seeds.begin(), seeds.end());
+  std::sort(seed_set->begin(), seed_set->end());
+  seed_set->erase(std::unique(seed_set->begin(), seed_set->end()),
+                  seed_set->end());
   counts->clear();
   for (PaperId s : *seed_set) {
     if (s >= g.num_nodes()) continue;
@@ -22,7 +24,7 @@ void CountCoOccurrence(const graph::CitationGraph& g,
 
 std::vector<PaperId> DeriveTerminals(const graph::CitationGraph& g,
                                      const std::vector<PaperId>& initial,
-                                     const FlatSet<PaperId>& seed_set,
+                                     const std::vector<PaperId>& seed_set,
                                      const FlatMap<PaperId, int>& counts,
                                      SeedMode mode, int min_cooccurrence) {
   if (mode == SeedMode::kInitial) return initial;
@@ -47,7 +49,10 @@ std::vector<PaperId> DeriveTerminals(const graph::CitationGraph& g,
   // order never shows.
   std::vector<std::pair<PaperId, int>> scored;
   for (const auto& [p, c] : counts) {
-    if (c >= min_count && !seed_set.contains(p)) scored.emplace_back(p, c);
+    if (c >= min_count &&
+        !std::binary_search(seed_set.begin(), seed_set.end(), p)) {
+      scored.emplace_back(p, c);
+    }
   }
   std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -65,7 +70,7 @@ std::vector<PaperId> DeriveTerminals(const graph::CitationGraph& g,
 std::vector<PaperId> CoOccurrencePapers(const graph::CitationGraph& g,
                                         const std::vector<PaperId>& seeds,
                                         int min_cooccurrence) {
-  FlatSet<PaperId> seed_set;
+  std::vector<PaperId> seed_set;
   FlatMap<PaperId, int> counts;
   CountCoOccurrence(g, seeds, &seed_set, &counts);
   return DeriveTerminals(g, seeds, seed_set, counts, SeedMode::kReallocated,
@@ -75,7 +80,7 @@ std::vector<PaperId> CoOccurrencePapers(const graph::CitationGraph& g,
 std::vector<PaperId> ReallocateSeeds(const graph::CitationGraph& g,
                                      const std::vector<PaperId>& initial,
                                      SeedMode mode, int min_cooccurrence) {
-  FlatSet<PaperId> seed_set;
+  std::vector<PaperId> seed_set;
   FlatMap<PaperId, int> counts;
   CountCoOccurrence(g, initial, &seed_set, &counts);
   std::vector<PaperId> result = DeriveTerminals(g, initial, seed_set, counts,

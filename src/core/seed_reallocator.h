@@ -19,20 +19,22 @@ enum class SeedMode {
 };
 
 /// Counts co-occurrence once (§IV-A step 4): `seed_set` gets the
-/// distinct `seeds`, `counts` how many in-range seeds cite each paper (a
-/// seed citing itself included). Terminals and RePaGer's rank evidence
-/// both come from it. Both outputs are cleared first.
+/// distinct `seeds`, sorted (test it with std::binary_search), `counts`
+/// how many in-range seeds cite each paper (a seed citing itself
+/// included). Terminals and RePaGer's rank evidence both come from it.
+/// Both outputs are overwritten.
 void CountCoOccurrence(const graph::CitationGraph& g,
                        const std::vector<graph::PaperId>& seeds,
-                       FlatSet<graph::PaperId>* seed_set,
+                       std::vector<graph::PaperId>* seed_set,
                        FlatMap<graph::PaperId, int>* counts);
 
-/// `mode`'s terminals from a CountCoOccurrence of `initial`, possibly
-/// empty. kUnion sorts and de-duplicates; kIntersection keeps the order
-/// of `initial` and counts only citations by *other* seeds.
+/// `mode`'s terminals from a CountCoOccurrence of `initial` (its sorted
+/// `seed_set` and its `counts`), possibly empty. kUnion sorts and
+/// de-duplicates; kIntersection keeps the order of `initial` and counts
+/// only citations by *other* seeds.
 std::vector<graph::PaperId> DeriveTerminals(
     const graph::CitationGraph& g, const std::vector<graph::PaperId>& initial,
-    const FlatSet<graph::PaperId>& seed_set,
+    const std::vector<graph::PaperId>& seed_set,
     const FlatMap<graph::PaperId, int>& counts, SeedMode mode,
     int min_cooccurrence);
 

@@ -22,47 +22,6 @@ const std::vector<graph::PaperId>& LabelsOf(const surveybank::SurveyEntry& e,
 Evaluator::Evaluator(const Workbench* wb, std::vector<size_t> entry_indices)
     : wb_(wb), entry_indices_(std::move(entry_indices)) {}
 
-Result<CellResult> Evaluator::Run(Method method, size_t k, LabelLevel level,
-                                  int num_seeds) const {
-  return RunCustom(
-      [&](const QuerySpec& spec, size_t kk) {
-        return RankedListFor(*wb_, method, spec, kk, num_seeds);
-      },
-      k, level);
-}
-
-Result<CellResult> Evaluator::RunCustom(const ListProducer& producer, size_t k,
-                                        LabelLevel level) const {
-  MeanAccumulator f1, precision, recall;
-  for (size_t index : entry_indices_) {
-    const surveybank::SurveyEntry& entry = wb_->bank().Get(index);
-    const auto& truth = LabelsOf(entry, level);
-    if (truth.empty()) continue;
-    QuerySpec spec{entry.query, entry.year, entry.paper};
-    auto ranked_or = producer(spec, k);
-    if (!ranked_or.ok()) {
-      // A query the engine cannot serve scores zero, like an empty list.
-      f1.Add(0.0);
-      precision.Add(0.0);
-      recall.Add(0.0);
-      continue;
-    }
-    PrfAtK m = ComputePrfAtK(ranked_or.value(), truth, k);
-    f1.Add(m.f1);
-    precision.Add(m.precision);
-    recall.Add(m.recall);
-  }
-  if (f1.count() == 0) {
-    return Status::FailedPrecondition("no evaluable queries");
-  }
-  CellResult out;
-  out.f1 = f1.mean();
-  out.precision = precision.mean();
-  out.recall = recall.mean();
-  out.queries = f1.count();
-  return out;
-}
-
 Result<std::vector<std::vector<CellResult>>> Evaluator::RunSweep(
     Method method, const std::vector<size_t>& ks,
     const std::vector<LabelLevel>& levels, int num_seeds) const {

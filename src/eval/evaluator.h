@@ -34,21 +34,15 @@ class Evaluator {
   /// kept (the bank construction already guarantees >= 20 for L1).
   Evaluator(const Workbench* wb, std::vector<size_t> entry_indices);
 
-  /// Averages P@K / F1@K over all queries for one method. `num_seeds`
-  /// feeds the seed-count sweep of Table II.
-  Result<CellResult> Run(Method method, size_t k, LabelLevel level,
-                         int num_seeds = 30) const;
-
-  /// Runs a caller-supplied ranked-list producer (used by the Table III
+  /// A caller-supplied ranked-list producer (used by the Table III
   /// ablations, which need custom RePagerOptions).
   using ListProducer = std::function<Result<std::vector<graph::PaperId>>(
       const QuerySpec&, size_t k)>;
-  Result<CellResult> RunCustom(const ListProducer& producer, size_t k,
-                               LabelLevel level) const;
 
-  /// Full Fig. 8 sweep for one method: computes each query's ranked list
-  /// once (at max K) and evaluates every (K, label-level) cell from it.
-  /// Returns grid[level_index][k_index].
+  /// Averages P@K / F1@K over all queries for one method, for the full
+  /// Fig. 8 sweep: computes each query's ranked list once (at max K) and
+  /// evaluates every (K, label-level) cell from it. `num_seeds` feeds
+  /// the seed-count sweep of Table II. Returns grid[level_index][k_index].
   Result<std::vector<std::vector<CellResult>>> RunSweep(
       Method method, const std::vector<size_t>& ks,
       const std::vector<LabelLevel>& levels, int num_seeds = 30) const;

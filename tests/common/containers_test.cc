@@ -3,13 +3,96 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
+#include "common/flat_hash.h"
 #include "common/histogram.h"
 #include "common/json_writer.h"
 #include "common/table_printer.h"
 
 namespace rpg {
 namespace {
+
+// ------------------------------------------------------------------ FlatMap
+
+TEST(FlatMapTest, SubscriptDefaultConstructsThenAccumulates) {
+  FlatMap<uint32_t, int> m;
+  EXPECT_EQ(m[7], 0);
+  ++m[7];
+  m[7] += 2;
+  ++m[9];
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(*m.Find(7), 3);
+  EXPECT_EQ(*m.Find(9), 1);
+}
+
+TEST(FlatMapTest, LookupsOnAnUnusedMapAndAbsentKeys) {
+  const FlatMap<uint32_t, int> unused;  // no slot table yet
+  EXPECT_TRUE(unused.empty());
+  EXPECT_EQ(unused.Find(0), nullptr);
+  EXPECT_FALSE(unused.contains(0));
+  FlatMap<uint32_t, int> m;
+  m[1] = 10;
+  EXPECT_EQ(m.Find(2), nullptr);
+  EXPECT_FALSE(m.contains(2));
+  EXPECT_FALSE(m.contains(UINT32_MAX));
+  EXPECT_TRUE(m.contains(1));
+}
+
+TEST(FlatMapTest, MutableFindWritesThrough) {
+  FlatMap<uint64_t, double> m;
+  m[5] = 1.5;
+  double* v = m.Find(5);
+  ASSERT_NE(v, nullptr);
+  *v = 4.0;
+  EXPECT_EQ(m[5], 4.0);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMapTest, EveryValueSurvivesRehashes) {
+  // Sequential keys plus keys i << 16, which share their low bits, across
+  // several slot-table growths.
+  FlatMap<uint64_t, uint64_t> m;
+  constexpr uint64_t kCount = 10000;
+  for (uint64_t i = 0; i < kCount / 2; ++i) {
+    m[i] = i + 1;
+    m[(i + 1) << 16] = 3 * i;
+  }
+  ASSERT_EQ(m.size(), kCount);
+  for (uint64_t i = 0; i < kCount / 2; ++i) {
+    const uint64_t* seq = m.Find(i);
+    const uint64_t* shifted = m.Find((i + 1) << 16);
+    ASSERT_NE(seq, nullptr) << i;
+    ASSERT_NE(shifted, nullptr) << i;
+    EXPECT_EQ(*seq, i + 1);
+    EXPECT_EQ(*shifted, 3 * i);
+  }
+  EXPECT_FALSE(m.contains(kCount));
+}
+
+TEST(FlatMapTest, ClearEmptiesAndAllowsReinsertion) {
+  FlatMap<uint32_t, int> m;
+  for (uint32_t i = 0; i < 100; ++i) m[i] = static_cast<int>(i);
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_TRUE(m.begin() == m.end());
+  for (uint32_t i = 0; i < 100; ++i) EXPECT_FALSE(m.contains(i)) << i;
+  m[42] = 7;
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(*m.Find(42), 7);
+  EXPECT_FALSE(m.contains(41));
+}
+
+TEST(FlatMapTest, IteratesInInsertionOrder) {
+  FlatMap<uint32_t, int> m;
+  const std::vector<uint32_t> keys = {90, 3, 1u << 20, 17, 0, 65536};
+  for (size_t i = 0; i < keys.size(); ++i) m[keys[i]] = static_cast<int>(i);
+  ++m[3];  // an update keeps its original position
+  std::vector<std::pair<uint32_t, int>> seen(m.begin(), m.end());
+  const std::vector<std::pair<uint32_t, int>> want = {
+      {90, 0}, {3, 2}, {1u << 20, 2}, {17, 3}, {0, 4}, {65536, 5}};
+  EXPECT_EQ(seen, want);
+}
 
 // ---------------------------------------------------------------- Histogram
 

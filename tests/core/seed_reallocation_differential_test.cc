@@ -126,7 +126,7 @@ void ExpectSameAsReference(const graph::CitationGraph& g,
   for (PaperId s : seeds) {
     if (s < g.num_nodes()) in_range.push_back(s);
   }
-  FlatSet<PaperId> seed_set;
+  std::vector<PaperId> seed_set;
   FlatMap<PaperId, int> counts;
   CountCoOccurrence(g, seeds, &seed_set, &counts);
   const auto want = RefEvidenceCounts(g, in_range);
