@@ -27,7 +27,13 @@ fails (exit 1) when one references:
     components are namespaces declared under src/ (`rpg::`, `graph::`,
     `rpg::text::`, ...), Name must be declared under src/ as a class,
     struct, enum, alias, function or namespace — so docs cannot go on
-    naming a deleted class.
+    naming a deleted class,
+  - a bare CamelCase name that is not declared: a token like
+    `RenderResult` or `JoinOrClaim()` (two or more capitalised words,
+    an optional argument list) must be declared as a class, struct,
+    enum, alias, function or namespace, or be a gtest suite or case
+    name, somewhere under src/, tests/, bench/, perfbench/, examples/
+    or fuzz/ — so docs cannot go on naming a deleted function.
 
 It also fails when a comment in a src/ .h or .cc file names a *.md
 file that exists neither relative to the repository root nor relative
@@ -41,7 +47,9 @@ Before scanning, built-in fixtures check that the bound check catches a
 doc quoting 1.02 against a 1.05 tracing limit, that the member check
 catches a made-up field of a fixture struct, that the name check
 catches `text::TfIdf` against a fixture that declares only
-`text::TfIdfModel`, that the comment check catches a header citing
+`text::TfIdfModel`, that the bare-name check catches
+`EstimateResultBytes` against a fixture that declares only
+`RenderResult`, that the comment check catches a header citing
 DESIGN.md, and that the roadmap check catches a comment citing a
 ROADMAP item.
 
@@ -256,12 +264,75 @@ def name_check_self_test():
     return problems
 
 
+# A bare CamelCase name: `RenderResult`, `JoinOrClaim()`. One capitalised
+# word (`Publish`) or an acronym (`TSan`) is not checked.
+BARE_NAME_RE = re.compile(
+    r"(?P<name>[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\(.*\))?")
+GTEST_RE = re.compile(
+    r"\b(?:TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(\s*(\w+)\s*,\s*(\w+)")
+
+
+def code_names(sources):
+    """Every name declared in `sources` (C++ texts, see declared_names)
+    plus every gtest suite and case name they define."""
+    names = declared_names(sources)[1]
+    for text in sources:
+        for m in GTEST_RE.finditer(text):
+            names.update(m.groups())
+    return names
+
+
+def check_bare_name(token, names):
+    """Problems for a bare CamelCase token that `names` does not hold."""
+    m = BARE_NAME_RE.fullmatch(token)
+    if not m or m.group("name") in names:
+        return []
+    return [f"`{token}`: no class, struct, enum, alias, function or test "
+            f"{m.group('name')} is declared in the code"]
+
+
+BARE_NAME_FIXTURE = """
+namespace rpg::serve {
+struct RenderedResult { std::string path_json; };
+CachedResult RenderResult(const core::RePagerResult& result);
+// EstimateResultBytes was deleted with the one-formula charge
+}  // namespace rpg::serve
+TEST(QueryCacheTest, PositiveEntryIsChargedItsKey) {}
+"""
+
+
+def bare_name_check_self_test():
+    """The bare-name check must flag a doc naming a function the code
+    does not declare (a comment mentioning it does not count) and pass
+    declared names, test names and tokens it does not check. Returns
+    problems."""
+    names = code_names([BARE_NAME_FIXTURE])
+    problems = []
+    for token in ["EstimateResultBytes", "EstimateResultBytes()",
+                  "RenderResults"]:
+        if not check_bare_name(token, names):
+            problems.append(
+                f"bare-name self-check: undeclared name not caught: `{token}`")
+    for token in ["RenderResult", "RenderResult(result, epoch)",
+                  "RenderedResult", "QueryCacheTest",
+                  "PositiveEntryIsChargedItsKey", "Publish", "TSan",
+                  "serve::Unknown", "path_json"]:
+        for problem in check_bare_name(token, names):
+            problems.append(f"bare-name self-check: false alarm: {problem}")
+    return problems
+
+
 SRC_FILES = [path for path in sorted((ROOT / "src").rglob("*"))
              if path.suffix in (".h", ".cc")]
 SRC_TEXTS = [path.read_text(encoding="utf-8", errors="replace")
              for path in SRC_FILES]
 SRC_TYPES = declared_members(SRC_TEXTS)
 SRC_NAMES = declared_names(SRC_TEXTS)
+CODE_NAMES = code_names([
+    path.read_text(encoding="utf-8", errors="replace")
+    for top in ("src", "tests", "bench", "perfbench", "examples", "fuzz")
+    for path in sorted((ROOT / top).rglob("*"))
+    if path.suffix in (".h", ".cc", ".cpp")])
 
 # A Markdown file named in a comment: `README.md`, `docs/snapshot.md`.
 MD_REF_RE = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
@@ -479,12 +550,14 @@ def check_token(token: str):
                 f"`{token}` names unknown CMake target {m.group(1)}")
         problems += check_name(token, SRC_NAMES)
         problems += check_member(token, SRC_TYPES)
+        problems += check_bare_name(token, CODE_NAMES)
     return problems
 
 
 def main() -> int:
     failures = (bound_check_self_test() + member_check_self_test() +
-                name_check_self_test() + md_ref_check_self_test() +
+                name_check_self_test() + bare_name_check_self_test() +
+                md_ref_check_self_test() +
                 roadmap_check_self_test())
     for path, text in zip(SRC_FILES, SRC_TEXTS):
         failures += missing_md_refs(path, text)

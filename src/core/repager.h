@@ -14,15 +14,15 @@
 ///  - Generate() is const and touches only shared immutable state plus
 ///    its own locals — EXCEPT the explicit-scratch overload, whose
 ///    QueryScratch is the per-call mutable state. Give each concurrent
-///    caller its own QueryScratch (each serving solver thread owns one
-///    for its life; BatchEngine allocates one per worker per Run);
+///    caller its own QueryScratch (each core::SolverPool solver thread
+///    keeps one for its life, and a BatchEngine solves on its own pool);
 ///    never share a scratch between threads.
 ///  - The scratch-free Generate() is a thin wrapper that builds a fresh
 ///    QueryScratch per call. Results are bit-identical either way; the
 ///    scratch exists purely so serving can amortize the per-query
-///    allocations (KHop visit map, subgraph id map + CSR arrays,
-///    weighted-graph CSR arrays, the Steiner solve's arrays), which
-///    would otherwise cost as much as the Steiner solve itself.
+///    allocations (KHop visit map, the subgraph's dense ToLocal array,
+///    CSR arrays, the Steiner solve's arrays), which would otherwise
+///    cost as much as the Steiner solve itself.
 
 #include <memory>
 #include <string>
@@ -93,14 +93,14 @@ struct RePagerResult {
 
 /// Reusable per-query working memory for RePaGer::Generate: the engine's
 /// BM25 accumulator and hit list, the KHop visit map and frontier levels,
-/// the subgraph id map and CSR arrays, the weighted graph's CSR arrays,
-/// the NEWST solve's arrays (steiner::SteinerScratch), and the rank
-/// blocks and sort keys. After the first query everything here is warm,
-/// so subsequent Generate calls make almost no allocations outside the
-/// returned RePagerResult.
+/// the subgraph's dense ToLocal array and CSR arrays, the weighted
+/// graph's CSR arrays, the NEWST solve's arrays (steiner::SteinerScratch),
+/// and the rank blocks and sort keys. After the first query everything
+/// here is warm, so subsequent Generate calls make almost no allocations
+/// outside the returned RePagerResult.
 ///
-/// One scratch per thread: each serving solver thread owns one for its
-/// whole life, and BatchEngine gives each pool worker its own. The
+/// One scratch per thread: each core::SolverPool solver thread owns one
+/// for its whole life (a BatchEngine solves on its own pool). The
 /// scratch carries no query state between calls — results are
 /// bit-identical with a fresh or a reused scratch — and refers to no
 /// graph between calls, so it may outlive the epoch it last solved on.

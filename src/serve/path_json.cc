@@ -1,7 +1,7 @@
 #include "serve/path_json.h"
 
 #include <algorithm>
-#include <utility>
+#include <memory>
 
 #include "common/json_writer.h"
 
@@ -55,10 +55,15 @@ std::string RenderPathFragment(const core::RePagerResult& result,
 
 }  // namespace
 
-CachedResult RenderResult(core::RePagerResult result, const Epoch& epoch) {
-  std::string path_json = RenderPathFragment(result, epoch);
-  return std::make_shared<const RenderedResult>(std::move(result),
-                                                std::move(path_json));
+CachedResult RenderResult(const core::RePagerResult& result,
+                          const Epoch& epoch) {
+  return std::make_shared<const RenderedResult>(RenderedResult{
+      .subgraph_nodes = result.subgraph_nodes,
+      .subgraph_edges = result.subgraph_edges,
+      .total_seconds = result.total_seconds,
+      .stages = result.stages,
+      .steiner_stats = result.steiner_stats,
+      .path_json = RenderPathFragment(result, epoch)});
 }
 
 std::string RenderPathJson(const std::string& query,

@@ -12,12 +12,12 @@
 /// The path part ("nodes" through "reading_order": the §V node panel,
 /// read-first edges and navigation order) is a pure function of the
 /// result and the epoch that computed it. RenderResult renders it once,
-/// on the solver thread, and stores it beside the result
-/// (RenderedResult::path_json), so the cache entry, the miss requester
-/// and every coalesced waiter share one copy. RenderPathJson then builds
-/// each reply by writing the six per-request head fields, appending
-/// those stored bytes, and appending the optional debug object: a cache
-/// hit is a byte splice, not a re-render.
+/// on the solver thread, into a RenderedResult that keeps beside it only
+/// the result fields a reply reads, so the cache entry, the miss
+/// requester and every coalesced waiter share one copy. RenderPathJson
+/// then builds each reply by writing the six per-request head fields,
+/// appending those stored bytes, and appending the optional debug
+/// object: a cache hit is a byte splice, not a re-render.
 
 #include <string>
 
@@ -29,10 +29,12 @@
 
 namespace rpg::serve {
 
-/// Wraps a computed result with its path fragment, rendered from
+/// The reply's view of a computed result: its counts, compute time,
+/// stage spans and Steiner counters, and its path fragment rendered from
 /// `epoch` (titles, years and importances of the epoch it was computed
 /// on).
-CachedResult RenderResult(core::RePagerResult result, const Epoch& epoch);
+CachedResult RenderResult(const core::RePagerResult& result,
+                          const Epoch& epoch);
 
 /// The full /api/path body for one served response. `query` is the raw
 /// request text, echoed as-is. `debug` appends the "debug" object (the

@@ -1,6 +1,7 @@
 #include "serve/query_cache.h"
 
 #include "common/string_util.h"
+#include "core/repager.h"
 
 namespace rpg::serve {
 
@@ -32,17 +33,6 @@ std::string CanonicalQueryKey(const std::string& query, int num_seeds,
   // three fields cannot alias each other.
   return normalized + '\x1f' + std::to_string(num_seeds) + '\x1f' +
          std::to_string(year_cutoff);
-}
-
-size_t EstimateResultBytes(const RenderedResult& result) {
-  size_t bytes = sizeof(RenderedResult) + result.path_json.capacity();
-  bytes += result.ranked.capacity() * sizeof(graph::PaperId);
-  bytes += result.initial_seeds.capacity() * sizeof(graph::PaperId);
-  bytes += result.terminals.capacity() * sizeof(graph::PaperId);
-  bytes += result.path.nodes().capacity() * sizeof(graph::PaperId);
-  bytes += result.path.edges().capacity() *
-           sizeof(std::pair<graph::PaperId, graph::PaperId>);
-  return bytes;
 }
 
 QueryCache::QueryCache(QueryCacheOptions options)
@@ -120,15 +110,10 @@ std::vector<QueryCache::Waiter> QueryCache::Publish(
   // the first post-flip lookup evicts it.
   if (outcome.ok()) {
     if (outcome.value() != nullptr) {
-      Insert(key, outcome.value(), Status::OK(),
-             EstimateResultBytes(*outcome.value()), epoch_id);
+      Insert(key, outcome.value(), Status::OK(), epoch_id);
     }
   } else if (IsCacheableError(outcome.status())) {
-    // A negative entry is just its key and message; sizeof(Entry) covers
-    // the list node payload.
-    Insert(key, nullptr, outcome.status(),
-           sizeof(Entry) + key.size() + outcome.status().message().size(),
-           epoch_id);
+    Insert(key, nullptr, outcome.status(), epoch_id);
   }
   std::vector<Waiter> waiters;
   if (auto flight = flights_.find(FlightKey(key, epoch_id));
@@ -140,7 +125,13 @@ std::vector<QueryCache::Waiter> QueryCache::Publish(
 }
 
 void QueryCache::Insert(const std::string& key, CachedResult result,
-                        Status status, size_t bytes, uint64_t epoch_id) {
+                        Status status, uint64_t epoch_id) {
+  // One charge for every entry: its list node and key, plus the reply
+  // (struct and fragment) or the error message.
+  const size_t bytes =
+      sizeof(Entry) + key.size() +
+      (result ? sizeof(RenderedResult) + result->path_json.capacity()
+              : status.message().size());
   // Oversized entries would immediately evict themselves (plus the whole
   // cache); refuse them instead. With a zero budget that is every entry.
   if (bytes > max_bytes_) return;

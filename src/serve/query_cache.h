@@ -2,13 +2,13 @@
 #define RPG_SERVE_QUERY_CACHE_H_
 
 /// \file
-/// LRU cache over completed RePaGer results plus the in-flight table that
+/// LRU cache over rendered RePaGer replies plus the in-flight table that
 /// makes concurrent identical misses share one computation (single-
 /// flight): the first line of defence in the serving layer
 /// (docs/serving.md). Survey-generation traffic is highly repetitive —
 /// popular topics dominate — over an immutable citation graph, so a
-/// completed RePagerResult never goes stale and can be shared verbatim
-/// between requests.
+/// rendered reply never goes stale and can be shared verbatim between
+/// requests.
 ///
 /// Negative caching: deterministic failures ("no hits", "empty query":
 /// NotFound and InvalidArgument) are just as repeatable as successes
@@ -39,9 +39,8 @@
 ///
 /// Ownership / thread-safety model:
 ///  - Entries are std::shared_ptr<const RenderedResult>: the cache and
-///    any number of in-flight responses share one immutable result and
-///    its pre-rendered reply bytes; eviction only drops the cache's
-///    reference.
+///    any number of in-flight responses share one immutable reply;
+///    eviction only drops the cache's reference.
 ///  - One mutex guards the LRU list, the index, the in-flight table and
 ///    the counters; all public methods are safe from any thread. No
 ///    waiter or other caller code runs under it.
@@ -59,27 +58,28 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "core/repager.h"
+#include "common/result.h"
+#include "obs/trace.h"
+#include "steiner/stats.h"
 
 namespace rpg::serve {
 
-/// A pipeline result plus the path part of its /api/path reply
-/// (serve/path_json.h), rendered once on the solver thread that computed
-/// it. The bytes depend only on the result and the epoch that computed
-/// it, so they share the result's lifetime, epoch stamp and byte budget.
-struct RenderedResult : core::RePagerResult {
-  RenderedResult() = default;
-  RenderedResult(core::RePagerResult result, std::string path_json)
-      : core::RePagerResult(std::move(result)),
-        path_json(std::move(path_json)) {}
-
+/// What an /api/path reply (serve/path_json.h) reads of one computed
+/// result: the head's counts and compute time, the debug object's spans
+/// and Steiner counters, and the path part of the body, rendered once
+/// on the solver thread from the epoch that computed it (RenderResult).
+struct RenderedResult {
+  size_t subgraph_nodes = 0;
+  size_t subgraph_edges = 0;
+  double total_seconds = 0.0;
+  obs::SpanSet stages;
+  steiner::SteinerStats steiner_stats;
   std::string path_json;
 };
 
-/// A cached, immutable, shareable pipeline result.
+/// A cached, immutable, shareable reply.
 using CachedResult = std::shared_ptr<const RenderedResult>;
 
 /// One cached outcome: a shared result (positive entry) or the error
@@ -99,11 +99,6 @@ struct CachedValue {
 /// defaults share an entry.
 std::string CanonicalQueryKey(const std::string& query, int num_seeds,
                               int year_cutoff);
-
-/// Estimated heap footprint of one result (vectors + path + rendered
-/// reply bytes), used for the cache's byte accounting. An estimate, not
-/// an exact malloc census.
-size_t EstimateResultBytes(const RenderedResult& result);
 
 struct QueryCacheOptions {
   /// Byte budget. 0 caches nothing.
@@ -212,7 +207,7 @@ class QueryCache {
   /// counted as a stale eviction.
   LruList::iterator FindCurrent(const std::string& key, uint64_t epoch_id);
   void Insert(const std::string& key, CachedResult result, Status status,
-              size_t bytes, uint64_t epoch_id);
+              uint64_t epoch_id);
   void Erase(LruList::iterator entry);
 
   const size_t max_bytes_;

@@ -82,13 +82,13 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   if (hit) {
     if (hit->negative()) {
       negative_hits_->Increment();
-      FinishRequest(callback, e2e, epoch, Result<CachedResult>(hit->status),
+      FinishRequest(callback, e2e, eid, Result<CachedResult>(hit->status),
                     /*cache_hit=*/true, /*coalesced=*/false);
       return;
     }
     cache_hits_->Increment();
     hit_ms_->Observe(e2e.ElapsedSeconds() * 1e3);
-    FinishRequest(callback, e2e, epoch,
+    FinishRequest(callback, e2e, eid,
                   Result<CachedResult>(std::move(hit->result)),
                   /*cache_hit=*/true, /*coalesced=*/false);
     return;
@@ -104,14 +104,14 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   CachedValue cached;
   switch (cache_.JoinOrClaim(
       key, eid,
-      [this, callback, e2e, epoch, trace,
+      [this, callback, e2e, eid, trace,
        wait_start](const Result<CachedResult>& outcome) {
         coalesced_hits_->Increment();
         if (trace) {
           trace->AddSpan(obs::Stage::kSingleFlightWait, wait_start,
                          trace->NowNs() - wait_start, outcome.ok() ? 1 : 0);
         }
-        FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,
+        FinishRequest(callback, e2e, eid, outcome, /*cache_hit=*/false,
                       /*coalesced=*/true);
       },
       &cached)) {
@@ -119,7 +119,7 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
       return;
     case QueryCache::Admission::kCached:
       // An owner published between our miss and our admission.
-      FinishRequest(callback, e2e, epoch,
+      FinishRequest(callback, e2e, eid,
                     cached.negative()
                         ? Result<CachedResult>(cached.status)
                         : Result<CachedResult>(std::move(cached.result)),
@@ -148,22 +148,25 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
         if (!computed.ok() && computed.status().IsUnavailable()) {
           shed_total_->Increment();
         }
-        if (computed.ok()) ObserveStages(*computed);
-        // Render the reply's path bytes here, once per computed result:
-        // the cache entry, this requester and every coalesced waiter
-        // then share them, and each reply only splices them in.
-        Result<CachedResult> outcome =
-            computed.ok()
-                ? Result<CachedResult>(
-                      RenderResult(std::move(computed).value(), *epoch))
-                : Result<CachedResult>(computed.status());
+        // Render the reply once per computed result, for the cache entry,
+        // this requester and every coalesced waiter to share. The result
+        // itself (ranking, path, seeds, terminals) dies with the block.
+        CachedResult rendered;
+        if (computed.ok()) {
+          const core::RePagerResult result = std::move(computed).value();
+          ObserveStages(result);
+          rendered = RenderResult(result, *epoch);
+        }
+        const Result<CachedResult> outcome =
+            rendered != nullptr ? Result<CachedResult>(std::move(rendered))
+                                : Result<CachedResult>(computed.status());
         // The entry is stamped with the epoch it was computed on; the
         // waiters run here, outside the cache's lock.
         for (const QueryCache::Waiter& waiter :
              cache_.Publish(key, eid, outcome)) {
           waiter(outcome);
         }
-        FinishRequest(callback, e2e, epoch, outcome, /*cache_hit=*/false,
+        FinishRequest(callback, e2e, eid, outcome, /*cache_hit=*/false,
                       /*coalesced=*/false);
       });
 }
@@ -182,7 +185,7 @@ void ServeEngine::ObserveStages(const core::RePagerResult& result) {
 }
 
 void ServeEngine::FinishRequest(const GenerateCallback& callback,
-                                const Timer& e2e, const EpochHandle& epoch,
+                                const Timer& e2e, uint64_t epoch_id,
                                 const Result<CachedResult>& outcome,
                                 bool cache_hit, bool coalesced) {
   double seconds = e2e.ElapsedSeconds();
@@ -195,7 +198,7 @@ void ServeEngine::FinishRequest(const GenerateCallback& callback,
   }
   ServeResponse response;
   response.result = outcome.value();
-  response.epoch = epoch;
+  response.epoch_id = epoch_id;
   response.cache_hit = cache_hit;
   response.coalesced = coalesced;
   response.e2e_seconds = seconds;
@@ -229,8 +232,8 @@ void ServeEngine::SwapEpoch(EpochHandle next) {
   RPG_LOG(Info) << "epoch flip -> id " << CurrentEpoch()->id()
                 << " (in-flight requests drain on their own epoch)";
   // `previous` drops here. If this was the last reference the old
-  // substrate frees now; otherwise the final in-flight request's
-  // response destroys it. Either way: never under epoch_mu_.
+  // substrate frees now; otherwise the last in-flight solve on it frees
+  // it once its continuation is done. Either way: never under epoch_mu_.
 }
 
 Result<EpochHandle> ServeEngine::ReloadFromSnapshot(const std::string& path) {

@@ -16,7 +16,7 @@
 ///   1. canonical key  = CanonicalQueryKey(...) — case/whitespace
 ///      normalized, defaults resolved
 ///   2. QueryCache::Lookup with the epoch id — a positive hit returns
-///      the shared immutable result in microseconds; a negative hit
+///      the shared immutable reply in microseconds; a negative hit
 ///      returns the remembered error Status without touching the
 ///      pipeline; a stamp from another epoch is lazily evicted
 ///   3. QueryCache::JoinOrClaim, under the same lock as the cache — an
@@ -27,25 +27,27 @@
 ///      free solver thread, one query per dispatch; the BatchQuery
 ///      carries the epoch's substrate handle, so the solver works on
 ///      the request's epoch even if a flip happened meanwhile
-///   5. a completed result gets its reply path bytes rendered once, on
-///      the solver thread (RenderResult, serve/path_json.h), and
-///      QueryCache::Publish stores it stamped with the request's epoch
+///   5. a completed result is rendered once, on the solver thread, into
+///      its reply (RenderResult, serve/path_json.h) and dropped, and
+///      QueryCache::Publish stores the reply stamped with the epoch
 ///      (deterministic errors as negative entries) and hands back the
 ///      joined waiters, which run on that thread; every stage
 ///      increments MetricsRegistry counters/histograms
 ///
-/// Results are bit-identical to serial RePaGer::Generate on the same
-/// epoch in every path (cache hit, coalesced, solved) — asserted by
-/// tests/serve/serve_engine_test.cc and tests/epoch/epoch_test.cc.
+/// Replies are byte-identical to RenderResult of a serial
+/// RePaGer::Generate on the same epoch in every path (cache hit,
+/// coalesced, solved) — asserted by tests/serve/serve_engine_test.cc and
+/// tests/epoch/epoch_test.cc.
 ///
 /// Ownership / thread-safety model:
 ///  - The serving substrate is an EpochHandle
 ///    (shared_ptr<const Epoch>): the engine holds the current one,
 ///    every in-flight request holds its own, and SwapEpoch replaces the
 ///    engine's under a mutex. The old epoch frees itself when its last
-///    in-flight request completes — RCU by refcount, no drain barrier.
+///    in-flight solve completes — RCU by refcount, no drain barrier. A
+///    response carries only the epoch's id.
 ///  - Generate()/GenerateAsync()/SwapEpoch() are safe from any number
-///    of threads. Cached results are shared_ptr<const ...>: never
+///    of threads. Cached replies are shared_ptr<const ...>: never
 ///    mutated, freely shared across responses.
 ///  - GenerateAsync never blocks on the solve: the callback fires inline
 ///    for cache hits and errors, and from the solver thread that
@@ -80,10 +82,9 @@ struct ServeEngineOptions {
 /// One served response. `result` is immutable and shared with the cache.
 struct ServeResponse {
   CachedResult result;
-  /// The epoch this request was answered on. Holding the response keeps
-  /// the epoch's whole substrate alive, so renderers may dereference
-  /// epoch->titles()/years()/repager() without lifetime caveats.
-  EpochHandle epoch;
+  /// Id of the epoch this request was answered on (the one its reply was
+  /// rendered from).
+  uint64_t epoch_id = 0;
   /// True when the result came straight from the cache.
   bool cache_hit = false;
   /// True when this request joined an identical in-flight computation.
@@ -167,12 +168,11 @@ class ServeEngine {
 
  private:
   /// Final per-request bookkeeping (e2e histogram, error counter,
-  /// in-flight gauge) + callback invocation. `epoch` is the epoch the
-  /// request was served on; it rides out on the ServeResponse.
+  /// in-flight gauge) + callback invocation. `epoch_id` is the id of the
+  /// epoch the request was served on; it rides out on the ServeResponse.
   void FinishRequest(const GenerateCallback& callback, const Timer& e2e,
-                     const EpochHandle& epoch,
-                     const Result<CachedResult>& outcome, bool cache_hit,
-                     bool coalesced);
+                     uint64_t epoch_id, const Result<CachedResult>& outcome,
+                     bool cache_hit, bool coalesced);
 
   /// Feeds a freshly computed result's stage spans into the per-stage
   /// latency histograms. No-op when the result carries no spans (tracing

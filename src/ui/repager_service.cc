@@ -236,9 +236,9 @@ void RePagerService::HandleAsync(const HttpRequest& request,
     // the calling poller thread returns to its event loop immediately.
     // The continuation deliberately does NOT capture `this`: a compute
     // finishing after server.Stop() may outlive the service object, so
-    // it may only touch the response's own epoch and the post-Stop-safe
-    // `done`. The trace shared_ptr rides along; by completion time every
-    // serving-layer span is in it.
+    // it may only touch the response, which carries its rendered reply,
+    // and the post-Stop-safe `done`. The trace shared_ptr rides along; by
+    // completion time every serving-layer span is in it.
     engine_->GenerateAsync(
         q->second, num_seeds, year, request.trace,
         [query = q->second, debug, trace = request.trace,

@@ -76,10 +76,10 @@ EpochHandle LoadTestEpoch(bool relabel, uint64_t id) {
   return epoch_or.value();
 }
 
-/// Order-sensitive FNV-1a over every id-carrying field of the result:
-/// two results fingerprint equal iff they are bit-identical where it
-/// matters (ranked order, path structure, seeds, terminals).
-uint64_t Fingerprint(const core::RePagerResult& r) {
+/// FNV-1a over a reply: the whole path fragment (ids, titles, years,
+/// importances, edges, reading order) and the subgraph counts. Two
+/// replies fingerprint equal iff they are byte-identical there.
+uint64_t Fingerprint(const RenderedResult& r) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -87,31 +87,25 @@ uint64_t Fingerprint(const core::RePagerResult& r) {
       h *= 1099511628211ull;
     }
   };
-  for (graph::PaperId p : r.ranked) mix(p);
-  mix(0xABull);
-  for (graph::PaperId p : r.path.nodes()) mix(p);
-  mix(0xCDull);
-  for (const auto& [a, b] : r.path.edges()) {
-    mix(a);
-    mix(b);
+  for (char c : r.path_json) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
   }
-  mix(0xEFull);
-  for (graph::PaperId p : r.initial_seeds) mix(p);
-  for (graph::PaperId p : r.terminals) mix(p);
+  mix(r.path_json.size());
   mix(r.subgraph_nodes);
   mix(r.subgraph_edges);
   return h;
 }
 
-/// The per-epoch reference: what a fresh, serial, uncached Generate on
-/// this epoch's substrate produces for `query`.
+/// The per-epoch reference: the reply of a fresh, serial, uncached
+/// Generate on this epoch's substrate for `query`.
 uint64_t ReferenceFingerprint(const Epoch& epoch, const std::string& query,
                               int year_cutoff) {
   core::RePagerOptions options;
   if (year_cutoff > 0) options.year_cutoff = year_cutoff;
   auto r = epoch.repager().Generate(query, options);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return Fingerprint(*r);
+  return r.ok() ? Fingerprint(*RenderResult(*r, epoch)) : 0;
 }
 
 /// A handful of SurveyBank queries every suite below shares (the
@@ -187,7 +181,7 @@ TEST(EpochTest, FlipInvalidatesLazilyWithoutGlobalClear) {
   auto recomputed = engine.Generate(query, 0, 0);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_FALSE(recomputed->cache_hit);
-  EXPECT_EQ(recomputed->epoch->id(), 2u);
+  EXPECT_EQ(recomputed->epoch_id, 2u);
   auto rehit = engine.Generate(query, 0, 0);
   ASSERT_TRUE(rehit.ok());
   EXPECT_TRUE(rehit->cache_hit);
@@ -247,7 +241,7 @@ TEST(EpochTest, CorruptReloadRejectedServingUninterrupted) {
   EXPECT_EQ(engine.epoch_flips(), 0u);
   auto after = engine.Generate(query, 0, 0);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->epoch->id(), 1u);
+  EXPECT_EQ(after->epoch_id, 1u);
 
   std::filesystem::remove(corrupt_path);
 }
@@ -411,7 +405,7 @@ TEST(EpochTest, PostFlipResultsEqualFreshBootFromNewSnapshot) {
     auto served = engine.Generate(q, 0, 0);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_FALSE(served->cache_hit);  // old stamps must not leak through
-    EXPECT_EQ(served->epoch->id(), 2u);
+    EXPECT_EQ(served->epoch_id, 2u);
     EXPECT_EQ(Fingerprint(*served->result),
               ReferenceFingerprint(*fresh, q, 0))
         << "post-flip result diverges from fresh boot for query: " << q;
@@ -522,8 +516,8 @@ TEST(EpochTest, PostFlipRequestNeverJoinsPreFlipFlight) {
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
   ASSERT_TRUE(post.ok()) << post.status().ToString();
 
-  EXPECT_EQ(pre->epoch->id(), 1u);
-  EXPECT_EQ(post->epoch->id(), 2u);
+  EXPECT_EQ(pre->epoch_id, 1u);
+  EXPECT_EQ(post->epoch_id, 2u);
   EXPECT_FALSE(post->coalesced);
   EXPECT_FALSE(post->cache_hit);
   EXPECT_NE(engine.StatsJson().find("\"coalesced_hits\":0"),
@@ -561,7 +555,7 @@ TEST(EpochTest, SolverScratchOutlivesFreedEpoch) {
     auto served = engine.Generate(q, 0, 0);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_FALSE(served->cache_hit);
-    EXPECT_EQ(served->epoch->id(), 2u);
+    EXPECT_EQ(served->epoch_id, 2u);
     EXPECT_EQ(Fingerprint(*served->result), ReferenceFingerprint(*fresh, q, 0))
         << "solve after a freed epoch diverges for query: " << q;
   }
@@ -571,7 +565,7 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
   // The live-churn pin (runs under TSan in the tsan-serve CI job):
   // worker threads hammer the engine while the main thread flips the
   // epoch back and forth. Every response must (a) succeed, (b) carry an
-  // epoch handle consistent with its result bytes — i.e. in-flight
+  // epoch id consistent with its reply bytes — i.e. in-flight
   // requests finish bit-identically on the epoch they started on.
   EpochHandle a = LoadTestEpoch(false, 1);
   EpochHandle b = LoadTestEpoch(true, 2);
@@ -580,6 +574,9 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
   for (const std::string& q : queries) {
     fp_a.push_back(ReferenceFingerprint(*a, q, 0));
     fp_b.push_back(ReferenceFingerprint(*b, q, 0));
+    // The reply alone must tell the epochs apart, or a response served
+    // on one epoch but labelled with the other would go unnoticed.
+    ASSERT_NE(fp_a.back(), fp_b.back()) << "epochs agree on query: " << q;
   }
 
   ServeEngineOptions options;
@@ -595,14 +592,16 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
   workers.reserve(kWorkers);
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
-      for (int i = 0; i < kIterations; ++i) {
+      // At least kIterations requests, and on until the second flip, so
+      // that one flip always lands while the workers are serving.
+      for (int i = 0; i < kIterations || engine.epoch_flips() < 2; ++i) {
         const size_t qi = static_cast<size_t>(w + i) % queries.size();
         auto served = engine.Generate(queries[qi], 0, 0);
         if (!served.ok()) {
           ++errors;
           continue;
         }
-        const uint64_t id = served->epoch->id();
+        const uint64_t id = served->epoch_id;
         const uint64_t fp = Fingerprint(*served->result);
         const uint64_t expected = id == 1 ? fp_a[qi] : fp_b[qi];
         if ((id != 1 && id != 2) || fp != expected) ++mismatches;
@@ -623,13 +622,12 @@ TEST(EpochTest, ConcurrentFlipWhileServingZeroErrorsBitIdentical) {
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(engine.epoch_flips(), 1u);
+  EXPECT_GE(engine.epoch_flips(), 2u);
 
   // The flip machinery must not have cleared the cache wholesale: stale
-  // stamps drain one lookup at a time. The concurrent section may or
-  // may not have crossed a flip boundary (a fast run finishes inside
-  // one window), so force one deterministic stale hit: populate on A,
-  // flip to B, re-ask.
+  // stamps drain one lookup at a time. The concurrent section need not
+  // have looked up a stale stamp, so force one deterministic stale hit:
+  // populate on A, flip to B, re-ask.
   const uint64_t stale_before = engine.cache().Stats().stale_evictions;
   engine.SwapEpoch(a);
   ASSERT_TRUE(engine.Generate(queries[0], 0, 0).ok());

@@ -7,14 +7,23 @@
 #include <thread>
 #include <vector>
 
+#include "core/repager.h"
+
 namespace rpg::serve {
 namespace {
 
-CachedResult MakeResult(size_t ranked_size) {
+CachedResult MakeResult(size_t fragment_size) {
   auto result = std::make_shared<RenderedResult>();
-  result->ranked.resize(ranked_size, 7);
-  result->subgraph_nodes = ranked_size;
+  result->path_json.assign(fragment_size, 'x');
+  result->subgraph_nodes = fragment_size;
   return result;
+}
+
+/// What a cache charges for `result` stored under `key`.
+size_t ChargedBytes(const std::string& key, const CachedResult& result) {
+  QueryCache cache;
+  cache.Publish(key, 0, result);
+  return cache.Stats().bytes;
 }
 
 // -------------------------------------------------------- canonical key
@@ -164,8 +173,8 @@ TEST(QueryCacheTest, EntryCapacityEvictsLru) {
 }
 
 TEST(QueryCacheTest, ByteCapacityAccountingAndEviction) {
-  CachedResult small = MakeResult(16);
-  size_t unit = EstimateResultBytes(*small);
+  // Same-length keys, so every entry is charged the same.
+  const size_t unit = ChargedBytes("a", MakeResult(16));
   QueryCacheOptions options;
   options.max_entries = 100;  // bytes bind first
   options.max_bytes = unit * 3 + unit / 2;  // fits 3, not 4
@@ -186,34 +195,42 @@ TEST(QueryCacheTest, ByteCapacityAccountingAndEviction) {
 
 TEST(QueryCacheTest, EntryBytesIncludeRenderedReply) {
   // The stored reply fragment is most of a real entry's footprint (about
-  // 8 KB against a few hundred bytes of ids), so the byte budget must
-  // see it.
+  // 7.8 KB of the 8.8 KB mean over the default workbench's queries), so
+  // the byte budget must see it.
   auto bare = std::make_shared<RenderedResult>();
-  bare->ranked.resize(16, 7);
+  bare->subgraph_nodes = 16;
   auto rendered = std::make_shared<RenderedResult>(*bare);
   rendered->path_json.assign(8192, 'x');
-  const size_t result_bytes = EstimateResultBytes(*bare);
-  const size_t entry_bytes = EstimateResultBytes(*rendered);
+  const size_t bare_bytes = ChargedBytes("a", bare);
+  const size_t entry_bytes = ChargedBytes("b", rendered);
   // The only difference between the two is the fragment's storage.
-  EXPECT_EQ(entry_bytes - result_bytes,
+  EXPECT_EQ(entry_bytes - bare_bytes,
             rendered->path_json.capacity() - bare->path_json.capacity());
   EXPECT_GE(entry_bytes, 8192u + sizeof(RenderedResult));
 
+  // A budget that fits the bare reply, but not the reply plus its
+  // fragment, refuses the rendered entry.
   QueryCacheOptions options;
-  QueryCache cache(options);
-  cache.Publish("k", 0, CachedResult(rendered));
-  EXPECT_EQ(cache.Stats().bytes, entry_bytes);
-
-  // A budget that fits the result alone, but not the result plus
-  // its fragment, refuses the rendered entry.
-  options.max_bytes = result_bytes + 4096;
+  options.max_bytes = bare_bytes + 4096;
   QueryCache tight(options);
-  tight.Publish("bare", 0, CachedResult(bare));
-  tight.Publish("k", 0, CachedResult(rendered));
-  EXPECT_TRUE(tight.Lookup("bare").has_value());
-  EXPECT_FALSE(tight.Lookup("k").has_value());
+  tight.Publish("a", 0, CachedResult(bare));
+  tight.Publish("b", 0, CachedResult(rendered));
+  EXPECT_TRUE(tight.Lookup("a").has_value());
+  EXPECT_FALSE(tight.Lookup("b").has_value());
   EXPECT_EQ(tight.Stats().entries, 1u);
-  EXPECT_EQ(tight.Stats().bytes, result_bytes);
+  EXPECT_EQ(tight.Stats().bytes, bare_bytes);
+}
+
+TEST(QueryCacheTest, PositiveEntryIsChargedItsKey) {
+  // Positive and negative entries are charged by one formula: the key
+  // counts for both. Two entries of one reply differ by their key
+  // lengths alone.
+  CachedResult result = MakeResult(64);
+  const std::string short_key = CanonicalQueryKey("gnn", 30, 2020);
+  const std::string long_key = CanonicalQueryKey("graph neural networks", 30,
+                                                 2020);
+  EXPECT_EQ(ChargedBytes(long_key, result) - ChargedBytes(short_key, result),
+            long_key.size() - short_key.size());
 }
 
 TEST(QueryCacheTest, OversizedEntryNotCached) {
@@ -243,7 +260,7 @@ TEST(QueryCacheTest, EntryUpToWholeByteBudgetIsCached) {
   // budget (four times max_bytes / 8) is cached.
   CachedResult result = MakeResult(64);
   QueryCacheOptions options;
-  options.max_bytes = 2 * EstimateResultBytes(*result);
+  options.max_bytes = 2 * ChargedBytes("k", result);
   QueryCache cache(options);
   cache.Publish("k", 0, result);
   EXPECT_TRUE(cache.Lookup("k").has_value());
@@ -403,7 +420,7 @@ TEST(QueryCacheTest, ConcurrentMixedTraffic) {
         }
         auto hit = cache.Lookup(key);
         if (hit) {
-          EXPECT_EQ(hit->result->ranked.size(), 8u);
+          EXPECT_EQ(hit->result->path_json.size(), 8u);
           continue;
         }
         const int slot = t * kOps + i;
@@ -416,7 +433,7 @@ TEST(QueryCacheTest, ConcurrentMixedTraffic) {
             },
             &value)) {
           case QueryCache::Admission::kCached:
-            EXPECT_EQ(value.result->ranked.size(), 8u);
+            EXPECT_EQ(value.result->path_json.size(), 8u);
             break;
           case QueryCache::Admission::kJoined:
             ++joined[slot];

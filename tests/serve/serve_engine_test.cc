@@ -25,26 +25,24 @@
 namespace rpg::serve {
 namespace {
 
-/// Per-field bit-identity against a serial RePaGer::Generate run.
-void ExpectIdentical(const core::RePagerResult& served,
-                     const core::RePagerResult& serial) {
-  EXPECT_EQ(served.ranked, serial.ranked);
-  EXPECT_EQ(served.path.nodes(), serial.path.nodes());
-  EXPECT_EQ(served.path.edges(), serial.path.edges());
-  EXPECT_EQ(served.initial_seeds, serial.initial_seeds);
-  EXPECT_EQ(served.terminals, serial.terminals);
+/// Byte identity of two replies: the whole path fragment plus the
+/// subgraph counts of the head.
+void ExpectIdentical(const RenderedResult& served,
+                     const RenderedResult& serial) {
+  EXPECT_EQ(served.path_json, serial.path_json);
   EXPECT_EQ(served.subgraph_nodes, serial.subgraph_nodes);
   EXPECT_EQ(served.subgraph_edges, serial.subgraph_edges);
 }
 
-core::RePagerResult SerialReference(const std::string& query, int num_seeds,
-                                    int year_cutoff) {
+/// The reply of a serial RePaGer::Generate run on `epoch`.
+RenderedResult SerialReference(const Epoch& epoch, const std::string& query,
+                               int num_seeds, int year_cutoff) {
   core::RePagerOptions options;
   if (num_seeds > 0) options.num_initial_seeds = num_seeds;
   if (year_cutoff > 0) options.year_cutoff = year_cutoff;
-  auto r = SharedWorkbench().repager().Generate(query, options);
+  auto r = epoch.repager().Generate(query, options);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return std::move(r).value();
+  return r.ok() ? *RenderResult(*r, epoch) : RenderedResult();
 }
 
 TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
@@ -61,8 +59,8 @@ TEST(ServeEngineTest, MissThenHitIdenticalToSerial) {
   EXPECT_TRUE(second->cache_hit);
   EXPECT_EQ(second->result.get(), first->result.get());  // shared entry
 
-  core::RePagerResult serial = SerialReference(entry.query, 0, entry.year);
-  ExpectIdentical(*first->result, serial);
+  ExpectIdentical(*first->result, SerialReference(*engine.CurrentEpoch(),
+                                                  entry.query, 0, entry.year));
 
   QueryCacheStats stats = engine.cache().Stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -84,7 +82,8 @@ TEST(ServeEngineTest, CanonicalKeyUnifiesEquivalentQueries) {
   EXPECT_TRUE(second->cache_hit);
   // The normalization is sound: recomputing the shouted variant serially
   // yields the same result the cache returned.
-  ExpectIdentical(*second->result, SerialReference(shouted, 0, entry.year));
+  ExpectIdentical(*second->result, SerialReference(*engine.CurrentEpoch(),
+                                                   shouted, 0, entry.year));
 }
 
 TEST(ServeEngineTest, ErrorsPropagateAndAreNegativelyCached) {
@@ -127,8 +126,8 @@ TEST(ServeEngineTest, GenerateAsyncDeliversIdenticalResult) {
   Result<ServeResponse> cold = cold_future.get();
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold->cache_hit);
-  ExpectIdentical(*cold->result,
-                  SerialReference(entry.query, 0, entry.year));
+  ExpectIdentical(*cold->result, SerialReference(*engine.CurrentEpoch(),
+                                                 entry.query, 0, entry.year));
 
   // Warm call completes inline (cache hit) before GenerateAsync returns.
   bool hit_inline = false;
@@ -414,13 +413,23 @@ TEST(ServeEngineTest, MissCoalescedAndHitRepliesByteIdentical) {
   size_t checked = 0;
   for (size_t i = 0; i < wb.bank().size(); ++i) {
     const auto& entry = wb.bank().Get(i);
-    // The blocker (a distinct key per iteration) occupies the solver,
-    // so the owner's solve is still queued when its duplicate arrives:
-    // the duplicate joins the flight instead of hitting the cache.
-    auto blocker = submit(entry.query, 100 + static_cast<int>(i), entry.year);
+    // The blocker (a distinct key per iteration) holds the one solver
+    // thread until released: its completion callback runs there and
+    // waits. So the owner's solve is still queued when its duplicate
+    // arrives, and the duplicate joins the flight instead of hitting
+    // the cache, however the threads are scheduled.
+    std::promise<void> release, blocker_done;
+    engine.GenerateAsync(
+        entry.query, 100 + static_cast<int>(i), entry.year, nullptr,
+        [released = release.get_future().share(),
+         &blocker_done](Result<ServeResponse>) {
+          released.wait();
+          blocker_done.set_value();
+        });
     auto owner = submit(entry.query, 0, entry.year);
     auto joined = submit(entry.query, 0, entry.year);
-    blocker.get();
+    release.set_value();
+    blocker_done.get_future().wait();
     Result<ServeResponse> miss = owner.get();
     Result<ServeResponse> coalesced = joined.get();
     ASSERT_EQ(miss.ok(), coalesced.ok()) << entry.query;
