@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "core/repager.h"
 #include "eval/workbench.h"
 
 namespace rpg::bench {
@@ -42,6 +43,18 @@ inline std::unique_ptr<eval::Workbench> BuildWorkbenchOrDie(
     std::exit(1);
   }
   return std::move(wb_or).value();
+}
+
+/// Whether two Generate results give the same answer: reading path,
+/// seeds, terminals and subgraph counts (timings and solver counters
+/// aside).
+inline bool SameAnswer(const core::RePagerResult& a,
+                       const core::RePagerResult& b) {
+  return a.path.nodes() == b.path.nodes() &&
+         a.path.edges() == b.path.edges() &&
+         a.initial_seeds == b.initial_seeds && a.terminals == b.terminals &&
+         a.subgraph_nodes == b.subgraph_nodes &&
+         a.subgraph_edges == b.subgraph_edges;
 }
 
 }  // namespace rpg::bench

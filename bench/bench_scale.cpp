@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/json_writer.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -106,13 +107,6 @@ void WritePercentiles(JsonWriter& w, const Percentiles& p) {
   w.Key("p99_ms").Double(p.p99);
   w.Key("max_ms").Double(p.max);
   w.EndObject();
-}
-
-/// Field-by-field equality of two reading-path results.
-bool SameResult(const core::RePagerResult& a, const core::RePagerResult& b) {
-  return a.path.nodes() == b.path.nodes() && a.path.edges() == b.path.edges() &&
-         a.ranked == b.ranked && a.initial_seeds == b.initial_seeds &&
-         a.terminals == b.terminals;
 }
 
 struct ScalePoint {
@@ -211,7 +205,7 @@ int main() {
       if (rebuilt.ok() != loaded.ok()) continue;
       ++point.queries;
       if (!rebuilt.ok() ||
-          SameResult(rebuilt.value(), loaded.value())) {
+          bench::SameAnswer(rebuilt.value(), loaded.value())) {
         ++point.identical;
       }
       if (loaded.ok()) latencies_ms.push_back(ms);

@@ -32,10 +32,10 @@ eval::CellResult RunVariant(const eval::Workbench& wb,
         if (spec.exclude != graph::kInvalidPaper) {
           options.exclude = {spec.exclude};
         }
-        RPG_ASSIGN_OR_RETURN(core::RePagerResult result,
-                             wb.repager().Generate(spec.query, options));
-        if (result.ranked.size() > k) result.ranked.resize(k);
-        return result.ranked;
+        RPG_ASSIGN_OR_RETURN(std::vector<graph::PaperId> ranked,
+                             wb.repager().Rank(spec.query, options));
+        if (ranked.size() > k) ranked.resize(k);
+        return ranked;
       },
       {50}, {eval::LabelLevel::kAtLeast1});
   if (!grid_or.ok()) {

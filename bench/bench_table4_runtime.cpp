@@ -67,7 +67,7 @@ void BM_RePaGerPipeline(benchmark::State& state) {
     core::RePagerResult result = RunCase(0, num_seeds);
     nodes = result.subgraph_nodes;
     edges = result.subgraph_edges;
-    benchmark::DoNotOptimize(result.ranked.data());
+    benchmark::DoNotOptimize(result.path.nodes().data());
   }
   state.counters["subgraph_nodes"] = static_cast<double>(nodes);
   state.counters["subgraph_edges"] = static_cast<double>(edges);
@@ -424,7 +424,7 @@ int main(int argc, char** argv) {
     }
     double scratch_seconds = t.ElapsedSeconds();
     for (size_t i = 0; i < scratch_results.size(); ++i) {
-      if (scratch_results[i].ranked != serial_results[i].ranked) {
+      if (!bench::SameAnswer(scratch_results[i], serial_results[i])) {
         std::fprintf(stderr,
                      "serial+scratch results diverged at query %zu\n", i);
         std::exit(1);
@@ -447,9 +447,7 @@ int main(int argc, char** argv) {
     bool identical = batch.num_ok == batch_queries.size();
     for (size_t i = 0; identical && i < batch.results.size(); ++i) {
       const auto& r = batch.results[i];
-      identical = r.ok() && r->ranked == serial_results[i].ranked &&
-                  r->path.nodes() == serial_results[i].path.nodes() &&
-                  r->path.edges() == serial_results[i].path.edges();
+      identical = r.ok() && bench::SameAnswer(*r, serial_results[i]);
     }
     double speedup =
         batch.wall_seconds > 0 ? serial_seconds / batch.wall_seconds : 0.0;

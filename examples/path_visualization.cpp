@@ -77,15 +77,15 @@ int main(int argc, char** argv) {
                 result.path.edges().size(), base.c_str());
 
     // The same query without the Steiner step (NEWST-C ablation): a flat
-    // list, no path — this is what "what to read" without "how to read"
-    // looks like.
+    // set of terminals, no path — this is what "what to read" without
+    // "how to read" looks like.
     core::RePagerOptions flat = options;
     flat.run_steiner = false;
     auto flat_result = wb.repager().Generate(entry.query, flat);
     if (flat_result.ok()) {
-      std::printf("     without Steiner step: %zu ranked papers, path size "
+      std::printf("     without Steiner step: %zu terminal papers, path size "
                   "%zu (no reading order)\n",
-                  flat_result->ranked.size(), flat_result->path.size());
+                  flat_result->terminals.size(), flat_result->path.size());
     }
   }
   std::printf("\nrender with: dot -Tsvg %s/path_0.dot -o path_0.svg\n",

@@ -30,9 +30,8 @@ the fresh run alone (no baseline needed): the request-tracing overhead
 must stay within 5% (tracing.overhead_ratio <= 1.05), the per-stage
 spans must attribute >= 90% of pipeline wall time
 (stages.attributed_fraction >= 0.9), and the subgraph, seed-realloc,
-edge-cost, search, steiner and rank stages must stay under their
-ceilings. See docs/observability.md and
-docs/benchmarks.md.
+edge-cost, search and steiner stages must stay under their ceilings.
+See docs/observability.md and docs/benchmarks.md.
 """
 
 import argparse
@@ -79,9 +78,6 @@ TABLE4_METRICS = [
 #    call, so the SteinerScratch reuse serving gets does not show here;
 #    1.2 is ~1.5x the worst run and catches a solve that falls back by
 #    half again.
-#  - stages.rank_ms sorts precomputed rank keys: 0.13-0.19 ms, so 0.35
-#    is ~2x the median (0.63-0.81 recomputing both keys in every
-#    comparison).
 #  - stages.subgraph_ms filters the KHop nodes by year and a sorted
 #    exclusion list, then builds the induced subgraph: 0.20-0.30 ms over
 #    18 runs alternating with 18 of the code before it (hash-set
@@ -96,7 +92,6 @@ TABLE4_LIMITS = [
     ("stages.edge_cost_ms", "max", 0.4),
     ("stages.search_ms", "max", 0.45),
     ("stages.steiner_ms", "max", 1.2),
-    ("stages.rank_ms", "max", 0.35),
     ("stages.subgraph_ms", "max", 0.5),
     ("stages.seed_realloc_ms", "max", 0.06),
 ]
@@ -262,8 +257,8 @@ def self_test():
     healthy = {
         "tracing": {"overhead_ratio": 1.005},
         "stages": {"attributed_fraction": 0.97, "edge_cost_ms": 0.15,
-                   "search_ms": 0.34, "steiner_ms": 0.66, "rank_ms": 0.16,
-                   "subgraph_ms": 0.25, "seed_realloc_ms": 0.027},
+                   "search_ms": 0.34, "steiner_ms": 0.66, "subgraph_ms": 0.25,
+                   "seed_realloc_ms": 0.027},
     }
     if check_limits("fixture", healthy, TABLE4_LIMITS, report) != 0:
         print("self-test FAILED: in-bound limits flagged")
@@ -275,7 +270,6 @@ def self_test():
         ("stages", "search_ms", 0.9, "hash-map search with a full sort"),
         ("stages", "search_ms", 0.55, "per-posting norms, per-hit log1p"),
         ("stages", "steiner_ms", 1.5, "a solve twice as slow"),
-        ("stages", "rank_ms", 0.7, "per-comparison rank keys"),
         ("stages", "subgraph_ms", 0.6, "a subgraph build twice as slow"),
         ("stages", "seed_realloc_ms", 0.12, "a seed reallocation 4x as slow"),
     ]

@@ -35,6 +35,11 @@ fails (exit 1) when one references:
     name, somewhere under src/, tests/, bench/, perfbench/, examples/
     or fuzz/ — so docs cannot go on naming a deleted function.
 
+It also fails when the first column of docs/observability.md's "Span
+taxonomy" table is not exactly the set of names `StageName` returns in
+src/obs/trace.cc — so the docs cannot go on listing a deleted span or
+leave a new one out.
+
 It also fails when a comment in a src/ .h or .cc file names a *.md
 file that exists neither relative to the repository root nor relative
 to that source file's directory — so code cannot go on citing a
@@ -49,9 +54,10 @@ catches a made-up field of a fixture struct, that the name check
 catches `text::TfIdf` against a fixture that declares only
 `text::TfIdfModel`, that the bare-name check catches
 `EstimateResultBytes` against a fixture that declares only
-`RenderResult`, that the comment check catches a header citing
-DESIGN.md, and that the roadmap check catches a comment citing a
-ROADMAP item.
+`RenderResult`, that the span check catches a table naming a `rank`
+stage that the fixture's `StageName` lacks, that the comment check
+catches a header citing DESIGN.md, and that the roadmap check catches
+a comment citing a ROADMAP item.
 
 Wired into the tier-1 flow as the `docs_check` ctest and the
 `docs_check` build target, so docs rot is caught the same way a failing
@@ -408,6 +414,73 @@ def roadmap_check_self_test():
     return []
 
 
+# The names StageName returns, one per `case Stage::k...: return "...";`.
+STAGE_NAME_RE = re.compile(r'case\s+Stage::\w+:\s*return\s+"([^"]+)";')
+# The first column of every row of the "Span taxonomy" table.
+SPAN_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.M)
+
+
+def span_taxonomy_problems(doc_text, trace_text):
+    """Problems when the "## Span taxonomy" table of `doc_text` (the
+    observability doc) names other spans than the StageName switch of
+    `trace_text` (src/obs/trace.cc) returns."""
+    section = re.search(r"^## Span taxonomy\n(.*?)(?=^## |\Z)", doc_text,
+                        re.S | re.M)
+    if section is None:
+        return ["docs/observability.md: no \"## Span taxonomy\" section"]
+    documented = set(SPAN_ROW_RE.findall(section.group(1)))
+    stages = set(STAGE_NAME_RE.findall(trace_text))
+    return ([f"docs/observability.md: span `{name}` is in the Span "
+             f"taxonomy table but StageName never returns it"
+             for name in sorted(documented - stages)] +
+            [f"docs/observability.md: StageName returns `{name}` but the "
+             f"Span taxonomy table lacks it"
+             for name in sorted(stages - documented)])
+
+
+SPAN_TRACE_FIXTURE = """
+const char* StageName(Stage stage) {
+  switch (stage) {
+    case Stage::kSearch:
+      return "search";
+    case Stage::kSolve:
+      return "solve";
+  }
+  return "unknown";
+}
+"""
+SPAN_DOC_FIXTURE = """
+## Span taxonomy
+
+| Span | Recorded by | Meaning |
+|---|---|---|
+| `search` | `RePaGer::Generate` | Seed retrieval |
+{extra}| `solve` | `core::SolverPool` | Whole pipeline execution |
+
+## Surfaces
+
+| `metric` | not a span |
+"""
+
+
+def span_check_self_test():
+    """The span check must flag a table that keeps a deleted `rank` span,
+    and one that drops a span the code records, and pass the matching
+    table. Returns problems."""
+    problems = []
+    matching = SPAN_DOC_FIXTURE.format(extra="")
+    stale = SPAN_DOC_FIXTURE.format(
+        extra="| `rank` | `RePaGer::Generate` | Final ranking |\n")
+    missing = matching.replace("| `solve` |", "| solve |")
+    if span_taxonomy_problems(matching, SPAN_TRACE_FIXTURE):
+        problems.append("span self-check: false alarm on the matching table")
+    for what, doc in (("deleted `rank` span", stale),
+                      ("missing `solve` span", missing)):
+        if len(span_taxonomy_problems(doc, SPAN_TRACE_FIXTURE)) != 1:
+            problems.append(f"span self-check: {what} not caught")
+    return problems
+
+
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
 # ("gated ≥ 0.9"), which refers to the closest metric named before it
@@ -557,8 +630,11 @@ def check_token(token: str):
 def main() -> int:
     failures = (bound_check_self_test() + member_check_self_test() +
                 name_check_self_test() + bare_name_check_self_test() +
-                md_ref_check_self_test() +
+                span_check_self_test() + md_ref_check_self_test() +
                 roadmap_check_self_test())
+    failures += span_taxonomy_problems(
+        (ROOT / "docs" / "observability.md").read_text(encoding="utf-8"),
+        (ROOT / "src" / "obs" / "trace.cc").read_text(encoding="utf-8"))
     for path, text in zip(SRC_FILES, SRC_TEXTS):
         failures += missing_md_refs(path, text)
     for path in CODE_FILES:

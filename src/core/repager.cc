@@ -153,9 +153,9 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
 
   // ---- Step 4: seed reallocation by co-occurrence --------------------
   // How many distinct initial seeds cite each paper. The terminals come
-  // from this count, and it also drives the final ranking (a paper
-  // referenced by many query-relevant articles is very likely on the
-  // survey's reference list).
+  // from this count, and Rank() reads it again as citation evidence (a
+  // paper referenced by many query-relevant articles is very likely on
+  // the survey's reference list).
   std::vector<PaperId>& seed_set = scratch->seed_set_;
   FlatMap<PaperId, int>& cooccurrence = scratch->cooccurrence_;
   CountCoOccurrence(*graph_, result.initial_seeds, &seed_set, &cooccurrence);
@@ -184,23 +184,8 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     trace->AddSpan(obs::Stage::kSeedRealloc, t0, trace->NowNs() - t0,
                    terminals.size());
   }
-  // Unified candidate score: co-occurrence count, with a bonus for being
-  // a direct engine hit (a seed without citation evidence still carries
-  // lexical relevance worth roughly one co-citing seed).
-  auto evidence_of = [&](PaperId p) {
-    double score = 0.0;
-    if (const int* count = cooccurrence.Find(p)) {
-      score += static_cast<double>(*count);
-    }
-    if (std::binary_search(seed_set.begin(), seed_set.end(), p)) {
-      score += 1.2;
-    }
-    return score;
-  };
-
   // Without the Steiner step (NEWST-C) the terminals stand in for the
   // tree: the reallocated seed set is the final result, with no path.
-  steiner::SteinerResult local_tree;
   if (options.run_steiner) {
     // ---- Step 5: NEWST over the weighted sub-citation graph ----------
     Timer steiner_timer;
@@ -212,7 +197,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
                      wg.num_edges());
       t0 = trace->NowNs();
     }
-    RPG_ASSIGN_OR_RETURN(local_tree,
+    RPG_ASSIGN_OR_RETURN(steiner::SteinerResult local_tree,
                          SolveNewst(wg, local_terminals, options.newst,
                                     &scratch->steiner_));
     result.steiner_seconds = steiner_timer.ElapsedSeconds();
@@ -237,49 +222,68 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     }
   }
 
-  // ---- Ranked list: Steiner-tree papers first, then the remaining
-  // engine seeds, then the rest of the sub-graph; every block ordered by
-  // citation evidence. The tree-first property is what the Table III
-  // ablations measure: a different terminal set / weight scheme yields a
-  // different tree, and hence a different top of the list.
-  // Each member's block leads one sort; the tree is marked last, so a
-  // tree node that is also a seed ranks with the tree.
-  if (trace) t0 = trace->NowNs();
-  std::vector<uint8_t>& block = scratch->rank_block_;
-  block.assign(sg.num_nodes(), 2);
-  for (PaperId seed : result.initial_seeds) {
-    if (sg.Contains(seed)) block[sg.ToLocal(seed)] = 1;
-  }
-  for (uint32_t v : options.run_steiner ? local_tree.nodes : local_terminals) {
-    block[v] = 0;
-  }
-  std::vector<QueryScratch::RankKey>& keys = scratch->rank_keys_;
-  keys.clear();
-  keys.reserve(sg.num_nodes());
-  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
-    const PaperId p = sg.ToGlobal(local);
-    keys.push_back({evidence_of(p), Importance(p), p, block[local]});
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](const QueryScratch::RankKey& a, const QueryScratch::RankKey& b) {
-              if (a.block != b.block) return a.block < b.block;
-              if (a.evidence != b.evidence) return a.evidence > b.evidence;
-              if (a.importance != b.importance) {
-                return a.importance > b.importance;
-              }
-              return a.id < b.id;
-            });
-  result.ranked.reserve(keys.size());
-  for (const auto& key : keys) result.ranked.push_back(key.id);
-
   if (trace) {
-    trace->AddSpan(obs::Stage::kRank, t0, trace->NowNs() - t0,
-                   result.ranked.size());
     trace->AttachSteinerStats(result.steiner_stats);
     result.stages = trace->spans();
   }
   result.total_seconds = total_timer.ElapsedSeconds();
   return result;
+}
+
+Result<std::vector<PaperId>> RePaGer::Rank(
+    const std::string& query, const RePagerOptions& options) const {
+  QueryScratch scratch;
+  RPG_ASSIGN_OR_RETURN(RePagerResult result,
+                       Generate(query, options, &scratch));
+  const graph::Subgraph& sg = scratch.sg_;
+  const std::vector<PaperId>& seed_set = scratch.seed_set_;
+  // One member's sort keys, computed once rather than on every
+  // comparison. Evidence is the co-occurrence count, with a bonus for
+  // being a direct engine hit (a seed without citation evidence still
+  // carries lexical relevance worth roughly one co-citing seed).
+  struct RankKey {
+    double evidence;
+    double importance;
+    PaperId id;
+    uint8_t block;
+  };
+  std::vector<RankKey> keys;
+  keys.reserve(sg.num_nodes());
+  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
+    const PaperId p = sg.ToGlobal(local);
+    double evidence = 0.0;
+    if (const int* count = scratch.cooccurrence_.Find(p)) {
+      evidence += static_cast<double>(*count);
+    }
+    if (std::binary_search(seed_set.begin(), seed_set.end(), p)) {
+      evidence += 1.2;
+    }
+    keys.push_back({evidence, Importance(p), p, 2});
+  }
+  // Steiner-tree papers first (block 0; the terminals under NEWST-C),
+  // then the remaining engine seeds (1), then the rest of the sub-graph
+  // (2); every block ordered by citation evidence. The tree-first
+  // property is what the Table III ablations measure: a different
+  // terminal set / weight scheme yields a different tree, and hence a
+  // different top of the list. The tree is marked last, so a tree node
+  // that is also a seed ranks with the tree.
+  for (PaperId seed : result.initial_seeds) {
+    if (sg.Contains(seed)) keys[sg.ToLocal(seed)].block = 1;
+  }
+  for (PaperId p : options.run_steiner ? result.path.nodes()
+                                       : result.terminals) {
+    keys[sg.ToLocal(p)].block = 0;
+  }
+  std::sort(keys.begin(), keys.end(), [](const RankKey& a, const RankKey& b) {
+    if (a.block != b.block) return a.block < b.block;
+    if (a.evidence != b.evidence) return a.evidence > b.evidence;
+    if (a.importance != b.importance) return a.importance > b.importance;
+    return a.id < b.id;
+  });
+  std::vector<PaperId> ranked;
+  ranked.reserve(keys.size());
+  for (const RankKey& key : keys) ranked.push_back(key.id);
+  return ranked;
 }
 
 }  // namespace rpg::core

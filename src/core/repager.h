@@ -4,7 +4,8 @@
 /// \file
 /// The RePaGer pipeline (§IV-A of the paper): free-text query -> engine
 /// seed retrieval -> KHop sub-citation graph -> seed reallocation ->
-/// NEWST Steiner tree -> ranked reading path.
+/// NEWST Steiner tree -> reading path. Rank() orders the candidates of
+/// one Generate run for the top-K evaluation; serving never calls it.
 ///
 /// Ownership / thread-safety model:
 ///  - RePaGer holds const pointers to a CitationGraph, SearchEngine,
@@ -72,10 +73,6 @@ struct RePagerOptions {
 /// Everything RePaGer produces for one query.
 struct RePagerResult {
   ReadingPath path;
-  /// Ranked candidate list: Steiner-tree papers first (most important
-  /// first), then remaining sub-graph candidates by importance. Truncate
-  /// at K for the top-K evaluation.
-  std::vector<graph::PaperId> ranked;
   std::vector<graph::PaperId> initial_seeds;
   std::vector<graph::PaperId> terminals;
   size_t subgraph_nodes = 0;
@@ -95,7 +92,7 @@ struct RePagerResult {
 /// BM25 accumulator and hit list, the KHop visit map and frontier levels,
 /// the subgraph's dense ToLocal array and CSR arrays, the weighted
 /// graph's CSR arrays, the NEWST solve's arrays (steiner::SteinerScratch),
-/// and the rank blocks and sort keys. After the first query everything
+/// and the co-occurrence count. After the first query everything
 /// here is warm, so subsequent Generate calls make almost no allocations
 /// outside the returned RePagerResult.
 ///
@@ -130,17 +127,6 @@ class QueryScratch {
   std::vector<graph::PaperId> excluded_;
   std::vector<graph::PaperId> seed_set_;
   FlatMap<graph::PaperId, int> cooccurrence_;
-  /// Per subgraph member: 0 tree node, 1 other seed, 2 the rest.
-  std::vector<uint8_t> rank_block_;
-  /// One ranked node's sort keys, computed once per node rather than on
-  /// every comparison. The sort leads with `block` (rank_block_).
-  struct RankKey {
-    double evidence;
-    double importance;
-    graph::PaperId id;
-    uint8_t block;
-  };
-  std::vector<RankKey> rank_keys_;
 };
 
 /// The RePaGer system (§IV-A): seed retrieval -> weighted citation graph
@@ -167,6 +153,12 @@ class RePaGer {
   Result<RePagerResult> Generate(const std::string& query,
                                  const RePagerOptions& options,
                                  QueryScratch* scratch) const;
+
+  /// The candidate list the top-K evaluation truncates at K: every
+  /// subgraph member of one Generate(query, options) run, tree papers
+  /// first, then the other seeds, then the rest. Fails as Generate does.
+  Result<std::vector<graph::PaperId>> Rank(const std::string& query,
+                                           const RePagerOptions& options) const;
 
   /// Importance used for ranking: a * pgscore + b * venue — the inverse
   /// of the node-weight denominator, exposed for baselines/tests.

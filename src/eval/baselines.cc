@@ -95,10 +95,10 @@ Result<std::vector<PaperId>> RankedListFor(const Workbench& wb, Method method,
       if (spec.exclude != graph::kInvalidPaper) {
         options.exclude = {spec.exclude};
       }
-      RPG_ASSIGN_OR_RETURN(core::RePagerResult result,
-                           wb.repager().Generate(spec.query, options));
-      if (result.ranked.size() > k) result.ranked.resize(k);
-      return result.ranked;
+      RPG_ASSIGN_OR_RETURN(std::vector<PaperId> ranked,
+                           wb.repager().Rank(spec.query, options));
+      if (ranked.size() > k) ranked.resize(k);
+      return ranked;
     }
   }
   return Status::InvalidArgument("unknown method");

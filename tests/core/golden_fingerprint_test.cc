@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -79,11 +80,16 @@ class GoldenFingerprintFixture : public ::testing::Test {
     }
   }
 
-  /// Hashes one result's rank order, seeds, terminals, reading path and
-  /// subgraph shape.
-  static void AddResult(const RePagerResult& r, Fnv64* fp) {
-    fp->Add(r.ranked.size());
-    for (graph::PaperId p : r.ranked) fp->Add(p);
+  /// Hashes the rank order of `query` under `options`, then the seeds,
+  /// terminals, reading path and subgraph shape of its Generate result
+  /// `r`.
+  static void AddResult(const std::string& query,
+                        const RePagerOptions& options, const RePagerResult& r,
+                        Fnv64* fp) {
+    const std::vector<graph::PaperId> ranked =
+        wb_->repager().Rank(query, options).value();
+    fp->Add(ranked.size());
+    for (graph::PaperId p : ranked) fp->Add(p);
     for (graph::PaperId p : r.initial_seeds) fp->Add(p);
     for (graph::PaperId p : r.terminals) fp->Add(p);
     fp->Add(r.path.nodes().size());
@@ -109,7 +115,7 @@ class GoldenFingerprintFixture : public ::testing::Test {
       options.exclude = {entry.paper};
       auto result = wb_->repager().Generate(entry.query, options, &scratch);
       EXPECT_TRUE(result.ok()) << result.status().ToString();
-      if (result.ok()) AddResult(result.value(), &fp);
+      if (result.ok()) AddResult(entry.query, options, result.value(), &fp);
     }
     return fp.value();
   }
@@ -224,9 +230,10 @@ TEST_F(GoldenFingerprintFixture, BatchedPipelineMatchesSameGolden) {
   BatchEngine engine(&wb_->repager(), {.num_threads = 4});
   BatchResult result = engine.Run(batch);
   ASSERT_EQ(result.num_ok, batch.size());
-  for (const auto& r_or : result.results) {
-    ASSERT_TRUE(r_or.ok());
-    AddResult(r_or.value(), &fp);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(result.results[i].ok());
+    AddResult(batch[i].query, batch[i].options, result.results[i].value(),
+              &fp);
   }
   EXPECT_EQ(fp.value(), kGoldenPipeline);
 }

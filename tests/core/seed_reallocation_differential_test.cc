@@ -1,9 +1,9 @@
 // Seed reallocation and the ranking evidence against a reference: the
 // straightforward implementation that counts co-occurrence separately
 // for each use (the co-cited non-seeds, the seeds co-cited by fellow
-// seeds, and the per-paper evidence Generate ranks by). The single
+// seeds, and the per-paper evidence Rank orders by). The single
 // count that now feeds all three must give the same terminal lists for
-// every SeedMode and threshold, and Generate's ranked list must order
+// every SeedMode and threshold, and RePaGer::Rank's list must order
 // each block exactly as the reference evidence does — for every
 // SurveyBank query and seed count, and on a graph whose seeds cite
 // themselves.
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -185,17 +186,20 @@ class SeedReallocationWorkbenchTest : public ::testing::Test {
 
 const eval::Workbench* SeedReallocationWorkbenchTest::wb_ = nullptr;
 
-/// Generate's terminals and ranked list, rebuilt from the reference:
+/// Generate's terminals and Rank's list, rebuilt from the reference:
 /// the reference terminals restricted to the subgraph (or the surviving
 /// seeds), then the tree, the remaining seeds and the rest of the
 /// subgraph, each block ordered by reference evidence, importance, id.
 void ExpectGenerateMatchesReference(const eval::Workbench& wb,
+                                    const std::string& query,
                                     const RePagerOptions& options,
                                     const RePagerResult& r) {
   const graph::CitationGraph& g = wb.corpus().citations;
   const std::vector<PaperId>& seeds = r.initial_seeds;
-  const std::unordered_set<PaperId> members(r.ranked.begin(),
-                                            r.ranked.end());
+  auto ranked_or = wb.repager().Rank(query, options);
+  ASSERT_TRUE(ranked_or.ok()) << ranked_or.status().ToString();
+  const std::vector<PaperId>& ranked = ranked_or.value();
+  const std::unordered_set<PaperId> members(ranked.begin(), ranked.end());
   ASSERT_EQ(members.size(), r.subgraph_nodes);
 
   std::vector<PaperId> terminals = RefReallocateSeeds(
@@ -239,11 +243,11 @@ void ExpectGenerateMatchesReference(const eval::Workbench& wb,
     want.push_back(s);
   }
   std::vector<PaperId> rest;
-  for (PaperId p : r.ranked) {
+  for (PaperId p : ranked) {
     if (!emitted.contains(p)) rest.push_back(p);
   }
   for (PaperId p : by_evidence(rest)) want.push_back(p);
-  EXPECT_EQ(r.ranked, want);
+  EXPECT_EQ(ranked, want);
 }
 
 TEST_F(SeedReallocationWorkbenchTest, EveryQueryMatchesTheReference) {
@@ -270,7 +274,7 @@ TEST_F(SeedReallocationWorkbenchTest, EveryQueryMatchesTheReference) {
             ExpectSameAsReference(g, result->initial_seeds);
             checked_seeds = true;
           }
-          ExpectGenerateMatchesReference(*wb_, options, *result);
+          ExpectGenerateMatchesReference(*wb_, entry.query, options, *result);
           if (HasFatalFailure()) return;
         }
       }

@@ -83,7 +83,7 @@ TEST(SolverPoolTest, SingleRequestDispatchesImmediately) {
   auto future = SubmitForFuture(pool, MakeQuery(0));
   Result<RePagerResult> result = future.get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->ranked.empty());
+  EXPECT_FALSE(result->path.empty());
   SolverPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.requests, 1u);
   EXPECT_EQ(stats.batches, 1u);  // one dispatch, one query
@@ -134,11 +134,12 @@ TEST(SolverPoolTest, ResultsMatchSerialGenerateBitForBit) {
     auto serial = wb.repager().Generate(queries[i].query, queries[i].options);
     ASSERT_EQ(batched.ok(), serial.ok());
     if (!batched.ok()) continue;
-    EXPECT_EQ(batched->ranked, serial->ranked);
     EXPECT_EQ(batched->path.nodes(), serial->path.nodes());
     EXPECT_EQ(batched->path.edges(), serial->path.edges());
     EXPECT_EQ(batched->initial_seeds, serial->initial_seeds);
     EXPECT_EQ(batched->terminals, serial->terminals);
+    EXPECT_EQ(batched->subgraph_nodes, serial->subgraph_nodes);
+    EXPECT_EQ(batched->subgraph_edges, serial->subgraph_edges);
   }
 }
 

@@ -63,15 +63,17 @@ TEST_F(WorkbenchFixture, RePagerProducesPathAndRanking) {
   options.year_cutoff = entry.year;
   options.exclude = {entry.paper};
   auto result = wb_->repager().Generate(entry.query, options).value();
+  const std::vector<PaperId> ranked =
+      wb_->repager().Rank(entry.query, options).value();
 
-  EXPECT_FALSE(result.ranked.empty());
+  EXPECT_FALSE(ranked.empty());
   EXPECT_EQ(result.initial_seeds.size(), 30u);
   EXPECT_FALSE(result.path.empty());
   EXPECT_GT(result.subgraph_nodes, result.path.size());
 
   // Ranking has no duplicates and respects exclusion + cutoff.
   std::unordered_set<PaperId> seen;
-  for (PaperId p : result.ranked) {
+  for (PaperId p : ranked) {
     EXPECT_TRUE(seen.insert(p).second) << "duplicate " << p;
     EXPECT_NE(p, entry.paper);
     EXPECT_LE(wb_->years()[p], entry.year);
@@ -92,7 +94,8 @@ TEST_F(WorkbenchFixture, RePagerIsDeterministic) {
   options.exclude = {entry.paper};
   auto a = wb_->repager().Generate(entry.query, options).value();
   auto b = wb_->repager().Generate(entry.query, options).value();
-  EXPECT_EQ(a.ranked, b.ranked);
+  EXPECT_EQ(wb_->repager().Rank(entry.query, options).value(),
+            wb_->repager().Rank(entry.query, options).value());
   EXPECT_EQ(a.path.nodes(), b.path.nodes());
   EXPECT_EQ(a.path.edges(), b.path.edges());
 }
@@ -109,26 +112,38 @@ TEST_F(WorkbenchFixture, RePagerRejectsBadInput) {
                   .IsNotFound());
 }
 
+TEST_F(WorkbenchFixture, RankFailsWithGeneratesStatus) {
+  const std::string query = "zzzz qqqq xxxx vvvv";
+  const Status generated = wb_->repager().Generate(query).status();
+  const Status ranked = wb_->repager().Rank(query, {}).status();
+  ASSERT_TRUE(generated.IsNotFound());
+  EXPECT_TRUE(ranked.IsNotFound());
+  EXPECT_EQ(ranked.ToString(), generated.ToString());
+}
+
 TEST_F(WorkbenchFixture, UnsortedExclusionsNeverReachTheResult) {
   const auto& entry = AnyEntry();
   core::RePagerOptions options;
   options.year_cutoff = entry.year;
-  auto base = wb_->repager().Generate(entry.query, options).value();
-  ASSERT_GE(base.ranked.size(), 12u);
+  const std::vector<PaperId> base =
+      wb_->repager().Rank(entry.query, options).value();
+  ASSERT_GE(base.size(), 12u);
   // Papers from the head and the tail of the ranking, in descending id
   // order and with a duplicate, so the exclusion list arrives unsorted.
-  std::vector<PaperId> exclude(base.ranked.begin(), base.ranked.begin() + 3);
-  exclude.insert(exclude.end(), base.ranked.end() - 6, base.ranked.end());
+  std::vector<PaperId> exclude(base.begin(), base.begin() + 3);
+  exclude.insert(exclude.end(), base.end() - 6, base.end());
   std::sort(exclude.rbegin(), exclude.rend());
   exclude.push_back(exclude.front());
   options.exclude = exclude;
   auto result = wb_->repager().Generate(entry.query, options).value();
+  const std::vector<PaperId> ranked =
+      wb_->repager().Rank(entry.query, options).value();
   const std::unordered_set<PaperId> excluded(exclude.begin(), exclude.end());
-  for (PaperId p : result.ranked) EXPECT_FALSE(excluded.contains(p)) << p;
+  for (PaperId p : ranked) EXPECT_FALSE(excluded.contains(p)) << p;
   for (PaperId p : result.path.nodes()) {
     EXPECT_FALSE(excluded.contains(p)) << p;
   }
-  EXPECT_EQ(result.subgraph_nodes, result.ranked.size());
+  EXPECT_EQ(result.subgraph_nodes, ranked.size());
 }
 
 TEST_F(WorkbenchFixture, ReadingPathEdgesFollowYears) {
@@ -232,9 +247,9 @@ TEST_F(WorkbenchFixture, AblationVariantsAllRun) {
     options.seed_mode = mode;
     options.year_cutoff = entry.year;
     options.exclude = {entry.paper};
-    auto result = wb_->repager().Generate(entry.query, options);
-    ASSERT_TRUE(result.ok());
-    EXPECT_FALSE(result->ranked.empty());
+    auto ranked = wb_->repager().Rank(entry.query, options);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_FALSE(ranked->empty());
   }
   for (bool node_weights : {true, false}) {
     for (bool edge_weights : {true, false}) {
@@ -252,7 +267,7 @@ TEST_F(WorkbenchFixture, AblationVariantsAllRun) {
   no_steiner.exclude = {entry.paper};
   auto result = wb_->repager().Generate(entry.query, no_steiner).value();
   EXPECT_TRUE(result.path.empty());
-  EXPECT_FALSE(result.ranked.empty());
+  EXPECT_FALSE(wb_->repager().Rank(entry.query, no_steiner).value().empty());
 }
 
 TEST_F(WorkbenchFixture, SeedCountChangesSubgraphScale) {

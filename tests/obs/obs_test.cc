@@ -41,7 +41,7 @@ TEST(SpanSetTest, AddStageMsAndTotalMs) {
   EXPECT_EQ(set.count, 3u);
   EXPECT_DOUBLE_EQ(set.StageMs(Stage::kSearch), 2.0);
   EXPECT_DOUBLE_EQ(set.StageMs(Stage::kSteiner), 6.0);
-  EXPECT_DOUBLE_EQ(set.StageMs(Stage::kRank), 0.0);
+  EXPECT_DOUBLE_EQ(set.StageMs(Stage::kReadingPath), 0.0);
   EXPECT_DOUBLE_EQ(set.TotalMs(), 8.0);
   set.Clear();
   EXPECT_EQ(set.count, 0u);
@@ -51,7 +51,7 @@ TEST(SpanSetTest, AddStageMsAndTotalMs) {
 TEST(SpanSetTest, CapacityOverflowCountsDroppedInsteadOfWriting) {
   SpanSet set;
   for (uint32_t i = 0; i < SpanSet::kCapacity + 5; ++i) {
-    set.Add(Stage::kRank, i, 1, 0);
+    set.Add(Stage::kReadingPath, i, 1, 0);
   }
   EXPECT_EQ(set.count, SpanSet::kCapacity);
   EXPECT_EQ(set.dropped, 5u);
@@ -60,8 +60,8 @@ TEST(SpanSetTest, CapacityOverflowCountsDroppedInsteadOfWriting) {
 TEST(StageNameTest, EveryStageHasAStableLowercaseName) {
   const char* expected[kNumStages] = {
       "search",       "khop",    "subgraph",          "seed_realloc",
-      "edge_cost",    "steiner", "reading_path",      "rank",
-      "cache_lookup", "singleflight_wait", "batch_queue", "solve"};
+      "edge_cost",    "steiner", "reading_path",      "cache_lookup",
+      "singleflight_wait", "batch_queue", "solve"};
   for (size_t i = 0; i < kNumStages; ++i) {
     EXPECT_STREQ(StageName(static_cast<Stage>(i)), expected[i]);
   }
@@ -98,7 +98,7 @@ TEST(TraceContextTest, AddSpanBetweenClampsPointsBeforeOrigin) {
 TEST(TraceContextTest, AppendRebasedShiftsOntoRequestAxis) {
   SpanSet pipeline;
   pipeline.Add(Stage::kSearch, 0, 1000, 0);
-  pipeline.Add(Stage::kRank, 5000, 2000, 0);
+  pipeline.Add(Stage::kReadingPath, 5000, 2000, 0);
   TraceContext ctx;
   ctx.AppendRebased(pipeline, 100'000);
   ASSERT_EQ(ctx.spans().count, 2u);

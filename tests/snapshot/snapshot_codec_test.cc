@@ -289,11 +289,13 @@ void ExpectSameAnswers(const ServingState& a, const ServingState& b) {
     if (!ra.ok()) continue;
     EXPECT_EQ(ra->path.nodes(), rb->path.nodes()) << query;
     EXPECT_EQ(ra->path.edges(), rb->path.edges()) << query;
-    EXPECT_EQ(ra->ranked, rb->ranked) << query;
     EXPECT_EQ(ra->initial_seeds, rb->initial_seeds) << query;
     EXPECT_EQ(ra->terminals, rb->terminals) << query;
     EXPECT_EQ(ra->subgraph_nodes, rb->subgraph_nodes) << query;
     EXPECT_EQ(ra->subgraph_edges, rb->subgraph_edges) << query;
+    EXPECT_EQ(a.repager().Rank(query, {}).value(),
+              b.repager().Rank(query, {}).value())
+        << query;
   }
 }
 

@@ -56,7 +56,6 @@ void ExpectSameResult(const RePagerResult& a, const RePagerResult& b,
                       const std::string& query) {
   EXPECT_EQ(a.path.nodes(), b.path.nodes()) << query;
   EXPECT_EQ(a.path.edges(), b.path.edges()) << query;
-  EXPECT_EQ(a.ranked, b.ranked) << query;
   EXPECT_EQ(a.initial_seeds, b.initial_seeds) << query;
   EXPECT_EQ(a.terminals, b.terminals) << query;
   EXPECT_EQ(a.subgraph_nodes, b.subgraph_nodes) << query;
@@ -73,6 +72,9 @@ TEST(SnapshotDifferentialTest, SerialQueriesBitIdentical) {
     ASSERT_EQ(rebuilt.ok(), loaded.ok()) << query;
     if (!rebuilt.ok()) continue;
     ExpectSameResult(rebuilt.value(), loaded.value(), query);
+    EXPECT_EQ(wb.repager().Rank(query, {}).value(),
+              state.repager().Rank(query, {}).value())
+        << query;
   }
 }
 
@@ -340,12 +342,12 @@ TEST(SnapshotRelabelTest, QueriesSucceedOnRelabeledState) {
   const ServingState& state = RelabeledState();
   const auto& map = state.new_to_old();
   for (const std::string& query : AllQueries()) {
-    auto result = state.repager().Generate(query);
-    if (!result.ok()) continue;
+    auto ranked = state.repager().Rank(query, {});
+    if (!ranked.ok()) continue;
     // Every returned id must be a valid new id; map-back must stay in
     // range (the permutation check at load already guarantees this, but
     // exercise the path the UI would take).
-    for (graph::PaperId p : result.value().ranked) {
+    for (graph::PaperId p : ranked.value()) {
       ASSERT_LT(p, map.size());
       ASSERT_LT(map[p], map.size());
     }
