@@ -40,6 +40,12 @@ taxonomy" table is not exactly the set of names `StageName` returns in
 src/obs/trace.cc — so the docs cannot go on listing a deleted span or
 leave a new one out.
 
+It also fails when the environment rows of docs/observability.md's
+"Switches" table (first cell "`RPG_...` (environment)") are not exactly
+the `RPG_*` names that src/ reads with `std::getenv` — so the docs
+cannot go on offering a switch the code no longer reads, or leave out
+one it does.
+
 It also fails when a comment in a src/ .h or .cc file names a *.md
 file that exists neither relative to the repository root nor relative
 to that source file's directory — so code cannot go on citing a
@@ -55,7 +61,9 @@ catches `text::TfIdf` against a fixture that declares only
 `text::TfIdfModel`, that the bare-name check catches
 `EstimateResultBytes` against a fixture that declares only
 `RenderResult`, that the span check catches a table naming a `rank`
-stage that the fixture's `StageName` lacks, that the comment check
+stage that the fixture's `StageName` lacks, that the switch check
+catches a table keeping a removed `RPG_LOG_LEVEL` row and one missing
+`RPG_TRACING`, that the comment check
 catches a header citing DESIGN.md, and that the roadmap check catches
 a comment citing a ROADMAP item.
 
@@ -481,6 +489,70 @@ def span_check_self_test():
     return problems
 
 
+# The RPG_* environment variables src/ reads.
+GETENV_RE = re.compile(r'std::getenv\("(RPG_\w+)"\)')
+# The first cell of an environment row of the "Switches" table.
+SWITCH_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\(environment\)\s*\|", re.M)
+
+
+def switch_table_problems(doc_text, src_texts):
+    """Problems when the environment rows of the "## Switches" table of
+    `doc_text` (the observability doc) name other variables than the
+    `std::getenv("RPG_...")` calls in `src_texts` read."""
+    section = re.search(r"^## Switches\n(.*?)(?=^## |\Z)", doc_text,
+                        re.S | re.M)
+    if section is None:
+        return ["docs/observability.md: no \"## Switches\" section"]
+    documented = set(SWITCH_ROW_RE.findall(section.group(1)))
+    read = {name for text in src_texts for name in GETENV_RE.findall(text)}
+    return ([f"docs/observability.md: `{name}` is in the Switches table "
+             f"but src/ never reads it"
+             for name in sorted(documented - read)] +
+            [f"docs/observability.md: src/ reads `{name}` but the Switches "
+             f"table lacks it"
+             for name in sorted(read - documented)])
+
+
+SWITCH_SRC_FIXTURE = """
+bool InitialTracingEnabled() {
+  const char* env = std::getenv("RPG_TRACING");
+  return env == nullptr || env[0] != '0';
+}
+"""
+SWITCH_DOC_FIXTURE = """
+## Switches
+
+| Switch | Kind | Effect |
+|---|---|---|
+| `RPG_TRACING` (environment) | process start | Tracing off switch. |
+| `HttpServerOptions::slow_query_threshold` | per server | Threshold. |
+{extra}
+## Overhead
+
+| `RPG_OTHER` (environment) | not in the Switches section |
+"""
+
+
+def switch_check_self_test():
+    """The switch check must flag a table that keeps a removed
+    `RPG_LOG_LEVEL` row, and one that drops `RPG_TRACING`, which the
+    fixture reads, and pass the matching table. Returns problems."""
+    problems = []
+    matching = SWITCH_DOC_FIXTURE.format(extra="")
+    stale = SWITCH_DOC_FIXTURE.format(
+        extra="| `RPG_LOG_LEVEL` (environment) | process start | Level. |\n")
+    missing = matching.replace("| `RPG_TRACING` (environment) |",
+                               "| RPG_TRACING |")
+    if switch_table_problems(matching, [SWITCH_SRC_FIXTURE]):
+        problems.append("switch self-check: false alarm on the matching "
+                        "table")
+    for what, doc in (("removed `RPG_LOG_LEVEL` row", stale),
+                      ("missing `RPG_TRACING` row", missing)):
+        if len(switch_table_problems(doc, [SWITCH_SRC_FIXTURE])) != 1:
+            problems.append(f"switch self-check: {what} not caught")
+    return problems
+
+
 # A bound quote: a comparison operator and a number, either right after
 # a metric name ("overhead_ratio <= 1.05") or after the word "gated"
 # ("gated ≥ 0.9"), which refers to the closest metric named before it
@@ -630,11 +702,14 @@ def check_token(token: str):
 def main() -> int:
     failures = (bound_check_self_test() + member_check_self_test() +
                 name_check_self_test() + bare_name_check_self_test() +
-                span_check_self_test() + md_ref_check_self_test() +
-                roadmap_check_self_test())
+                span_check_self_test() + switch_check_self_test() +
+                md_ref_check_self_test() + roadmap_check_self_test())
+    observability = (ROOT / "docs" / "observability.md").read_text(
+        encoding="utf-8")
     failures += span_taxonomy_problems(
-        (ROOT / "docs" / "observability.md").read_text(encoding="utf-8"),
+        observability,
         (ROOT / "src" / "obs" / "trace.cc").read_text(encoding="utf-8"))
+    failures += switch_table_problems(observability, SRC_TEXTS)
     for path, text in zip(SRC_FILES, SRC_TEXTS):
         failures += missing_md_refs(path, text)
     for path in CODE_FILES:

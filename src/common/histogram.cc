@@ -48,7 +48,11 @@ std::string Histogram::BucketLabel(size_t i) const {
     if (v == std::floor(v)) {
       return std::to_string(static_cast<int64_t>(v));
     }
-    return FormatDouble(v, 2);
+    // Two decimals, or one significant digit below 0.01, so sub-10 µs
+    // latency edges (0.001, 0.0018, ...) do not all print as "0.00".
+    const double mag = std::fabs(v);
+    return FormatDouble(
+        v, mag < 0.01 ? static_cast<int>(-std::floor(std::log10(mag))) : 2);
   };
   return fmt(edges_[i]) + "-" + fmt(edges_[i + 1]);
 }

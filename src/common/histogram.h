@@ -32,7 +32,8 @@ class Histogram {
   uint64_t overflow() const { return overflow_; }
   uint64_t total() const;
 
-  /// "lo-hi" label for bucket i (integral edges render without decimals).
+  /// "lo-hi" label for bucket i: integral edges render without
+  /// decimals, others with two (one significant digit below 0.01).
   std::string BucketLabel(size_t i) const;
 
   /// Fraction of total mass in bucket i (0 when empty).

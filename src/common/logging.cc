@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -15,38 +14,8 @@
 #include <thread>
 #endif
 
-namespace rpg {
-
+namespace rpg::internal {
 namespace {
-
-const char* LevelTag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-
-LogLevel InitialLogLevel() {
-  const char* env = std::getenv("RPG_LOG_LEVEL");
-  LogLevel level = LogLevel::kInfo;
-  if (env != nullptr) ParseLogLevel(env, &level);
-  return level;
-}
-
-/// Function-local static so the env var is read exactly once, on first
-/// use, thread-safely (magic static) — including uses during static
-/// initialization of other TUs.
-std::atomic<int>& LogLevelVar() {
-  static std::atomic<int> level{static_cast<int>(InitialLogLevel())};
-  return level;
-}
 
 /// Cached kernel thread id (one syscall per thread, ever).
 long CurrentThreadId() {
@@ -65,39 +34,7 @@ long CurrentThreadId() {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  LogLevelVar().store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(
-      LogLevelVar().load(std::memory_order_relaxed));
-}
-
-bool ParseLogLevel(const std::string& s, LogLevel* out) {
-  std::string lower;
-  lower.reserve(s.size());
-  for (char c : s) {
-    lower.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c + 32) : c);
-  }
-  if (lower == "debug" || lower == "d" || lower == "0") {
-    *out = LogLevel::kDebug;
-  } else if (lower == "info" || lower == "i" || lower == "1") {
-    *out = LogLevel::kInfo;
-  } else if (lower == "warning" || lower == "warn" || lower == "w" ||
-             lower == "2") {
-    *out = LogLevel::kWarning;
-  } else if (lower == "error" || lower == "e" || lower == "3") {
-    *out = LogLevel::kError;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-namespace internal {
-
-std::string FormatLogPrefix(LogLevel level, const char* file, int line) {
+std::string FormatLogPrefix(const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
@@ -109,10 +46,10 @@ std::string FormatLogPrefix(LogLevel level, const char* file, int line) {
   char buf[96];
   int n = std::snprintf(
       buf, sizeof(buf),
-      "[%04d-%02d-%02dT%02d:%02d:%02d.%03ldZ tid=%ld %s %s:%d] ",
+      "[%04d-%02d-%02dT%02d:%02d:%02d.%03ldZ tid=%ld %s:%d] ",
       utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
-      utc.tm_min, utc.tm_sec, ts.tv_nsec / 1000000, CurrentThreadId(),
-      LevelTag(level), base, line);
+      utc.tm_min, utc.tm_sec, ts.tv_nsec / 1000000, CurrentThreadId(), base,
+      line);
   if (n < 0) return "[] ";
   return std::string(buf, static_cast<size_t>(n) < sizeof(buf)
                               ? static_cast<size_t>(n)
@@ -136,16 +73,11 @@ void WriteLogLine(std::string line) {
   }
 }
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               static_cast<int>(GetLogLevel())),
-      level_(level) {
-  if (enabled_) stream_ << FormatLogPrefix(level, file, line);
+LogMessage::LogMessage(const char* file, int line) {
+  stream_ << FormatLogPrefix(file, line);
 }
 
-LogMessage::~LogMessage() {
-  if (enabled_) WriteLogLine(stream_.str());
-}
+LogMessage::~LogMessage() { WriteLogLine(stream_.str()); }
 
 FatalMessage::FatalMessage(const char* file, int line, const char* condition) {
   stream_ << "[FATAL " << file << ":" << line << "] check failed: " << condition
@@ -157,5 +89,4 @@ FatalMessage::~FatalMessage() {
   std::abort();
 }
 
-}  // namespace internal
-}  // namespace rpg
+}  // namespace rpg::internal

@@ -4,29 +4,13 @@
 #include <sstream>
 #include <string>
 
-namespace rpg {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Process-wide minimum level; messages below it are dropped. The initial
-/// level comes from the RPG_LOG_LEVEL environment variable at first use
-/// ("debug"/"info"/"warning"/"error", see ParseLogLevel), defaulting to
-/// kInfo when unset or unparseable.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-/// Parses a level name: "debug"/"info"/"warning"/"error" (any case;
-/// "warn" also accepted), the single letters D/I/W/E, or the digits 0-3.
-/// Returns false (and leaves `*out` untouched) on anything else.
-bool ParseLogLevel(const std::string& s, LogLevel* out);
-
-namespace internal {
+namespace rpg::internal {
 
 /// Formats the per-line prefix:
-///   "[<ISO-8601 UTC, ms precision> tid=<thread id> <L> <file>:<line>] "
-/// e.g. "[2026-08-08T12:34:56.789Z tid=4242 I repager.cc:88] ".
+///   "[<ISO-8601 UTC, ms precision> tid=<thread id> <file>:<line>] "
+/// e.g. "[2026-08-08T12:34:56.789Z tid=4242 repager.cc:88] ".
 /// Exposed for the logging unit tests.
-std::string FormatLogPrefix(LogLevel level, const char* file, int line);
+std::string FormatLogPrefix(const char* file, int line);
 
 /// Appends '\n' and writes the whole line to stderr with a single
 /// write(2), so lines emitted by concurrent threads never shear into
@@ -38,7 +22,7 @@ void WriteLogLine(std::string line);
 /// RPG_LOG macro rather than directly.
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  LogMessage(const char* file, int line);
   ~LogMessage();
 
   LogMessage(const LogMessage&) = delete;
@@ -46,29 +30,13 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
-
-}  // namespace internal
-}  // namespace rpg
-
-#define RPG_LOG(level)                                           \
-  ::rpg::internal::LogMessage(::rpg::LogLevel::k##level, __FILE__, __LINE__)
-
-/// Invariant check that aborts with a message; active in all build modes
-/// (used for programmer errors, not for recoverable conditions).
-#define RPG_CHECK(cond)                                                   \
-  if (!(cond))                                                            \
-  ::rpg::internal::FatalMessage(__FILE__, __LINE__, #cond).stream()
-
-namespace rpg::internal {
 
 /// Helper for RPG_CHECK: collects the message then aborts.
 class FatalMessage {
@@ -82,5 +50,14 @@ class FatalMessage {
 };
 
 }  // namespace rpg::internal
+
+/// One prefixed line to stderr: `RPG_LOG << "epoch flip -> id " << id;`.
+#define RPG_LOG ::rpg::internal::LogMessage(__FILE__, __LINE__)
+
+/// Invariant check that aborts with a message; active in all build modes
+/// (used for programmer errors, not for recoverable conditions).
+#define RPG_CHECK(cond)                                                   \
+  if (!(cond))                                                            \
+  ::rpg::internal::FatalMessage(__FILE__, __LINE__, #cond).stream()
 
 #endif  // RPG_COMMON_LOGGING_H_

@@ -8,9 +8,9 @@
 namespace rpg::serve {
 
 std::vector<double> LatencyBucketEdgesMs() {
-  // 0.01 ms .. 100000 ms, 4 buckets per decade (x ~1.78 per step).
+  // 0.001 ms .. 100000 ms, 4 buckets per decade (x ~1.78 per step).
   std::vector<double> edges;
-  for (int i = 0; i <= 28; ++i) {
+  for (int i = -4; i <= 28; ++i) {
     edges.push_back(0.01 * std::pow(10.0, static_cast<double>(i) / 4.0));
   }
   return edges;
@@ -38,24 +38,25 @@ MetricHistogram* MetricsRegistry::GetHistogram(
   return &it->second;
 }
 
-std::string MetricsRegistry::ToJson() const {
-  // Snapshot the instrument sets under the registry lock, then read each
-  // instrument through its own synchronization.
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const MetricHistogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, counter] : counters_) {
-      counters.emplace_back(name, &counter);
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      gauges.emplace_back(name, &gauge);
-    }
-    for (const auto& [name, histogram] : histograms_) {
-      histograms.emplace_back(name, &histogram);
-    }
+MetricsRegistry::Instruments MetricsRegistry::ListInstruments() const {
+  // Snapshot the instrument sets under the registry lock; the caller
+  // reads each instrument through its own synchronization.
+  Instruments out;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, counter] : counters_) {
+    out.counters.emplace_back(name, &counter);
   }
+  for (const auto& [name, gauge] : gauges_) {
+    out.gauges.emplace_back(name, &gauge);
+  }
+  for (const auto& [name, histogram] : histograms_) {
+    out.histograms.emplace_back(name, &histogram);
+  }
+  return out;
+}
+
+std::string MetricsRegistry::ToJson() const {
+  const auto [counters, gauges, histograms] = ListInstruments();
   JsonWriter w;
   w.BeginObject();
   w.Key("counters").BeginObject();
@@ -97,21 +98,7 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 std::string MetricsRegistry::ToPrometheus(const std::string& prefix) const {
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const MetricHistogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, counter] : counters_) {
-      counters.emplace_back(name, &counter);
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      gauges.emplace_back(name, &gauge);
-    }
-    for (const auto& [name, histogram] : histograms_) {
-      histograms.emplace_back(name, &histogram);
-    }
-  }
+  const auto [counters, gauges, histograms] = ListInstruments();
   std::string out;
   for (const auto& [name, counter] : counters) {
     obs::AppendCounter(prefix + "_" + name, counter->value(), &out);

@@ -19,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -71,9 +72,10 @@ class MetricHistogram {
   Histogram histogram_;
 };
 
-/// Log-spaced bucket edges for latencies in milliseconds, 10 µs .. 100 s
-/// (4 buckets per decade) — wide enough that p99 interpolation stays
-/// inside the edges for both cache hits (~µs–ms) and full solves (~s).
+/// Log-spaced bucket edges for latencies in milliseconds, 1 µs .. 100 s
+/// (4 buckets per decade). The 1 µs floor sits below an in-engine cache
+/// hit (~3 µs), so hit quantiles interpolate inside a bucket instead of
+/// clamping to the first edge; the ceiling is far above a full solve.
 std::vector<double> LatencyBucketEdgesMs();
 
 class MetricsRegistry {
@@ -116,6 +118,14 @@ class MetricsRegistry {
   std::string ToPrometheus(const std::string& prefix) const;
 
  private:
+  /// The instrument pointers in name order, copied under mu_.
+  struct Instruments {
+    std::vector<std::pair<std::string, const Counter*>> counters;
+    std::vector<std::pair<std::string, const Gauge*>> gauges;
+    std::vector<std::pair<std::string, const MetricHistogram*>> histograms;
+  };
+  Instruments ListInstruments() const;
+
   mutable std::mutex mu_;
   // std::map: stable node addresses + deterministic JSON field order.
   std::map<std::string, Counter> counters_;

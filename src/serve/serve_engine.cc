@@ -6,6 +6,7 @@
 
 #include "common/json_writer.h"
 #include "common/logging.h"
+#include "obs/prometheus.h"
 #include "serve/path_json.h"
 
 namespace rpg::serve {
@@ -20,12 +21,8 @@ ServeEngine::ServeEngine(EpochHandle epoch, ServeEngineOptions options)
                 double seconds) { solve_ms->Observe(seconds * 1e3); }),
       epoch_(std::move(epoch)),
       requests_total_(metrics_.GetCounter("requests_total")),
-      cache_hits_(metrics_.GetCounter("cache_hits")),
-      cache_misses_(metrics_.GetCounter("cache_misses")),
-      negative_hits_(metrics_.GetCounter("negative_hits")),
       coalesced_hits_(metrics_.GetCounter("coalesced_hits")),
       errors_total_(metrics_.GetCounter("errors_total")),
-      shed_total_(metrics_.GetCounter("shed_total")),
       inflight_requests_(metrics_.GetGauge("inflight_requests")),
       epoch_id_gauge_(metrics_.GetGauge("epoch_id")),
       epoch_flips_total_(metrics_.GetCounter("epoch_flips_total")),
@@ -81,19 +78,16 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
   }
   if (hit) {
     if (hit->negative()) {
-      negative_hits_->Increment();
       FinishRequest(callback, e2e, eid, Result<CachedResult>(hit->status),
                     /*cache_hit=*/true, /*coalesced=*/false);
       return;
     }
-    cache_hits_->Increment();
     hit_ms_->Observe(e2e.ElapsedSeconds() * 1e3);
     FinishRequest(callback, e2e, eid,
                   Result<CachedResult>(std::move(hit->result)),
                   /*cache_hit=*/true, /*coalesced=*/false);
     return;
   }
-  cache_misses_->Increment();
 
   // Single-flight admission: exactly one requester per (epoch,
   // canonical key) computes; everyone else registers a waiter on its
@@ -145,9 +139,6 @@ void ServeEngine::GenerateAsync(const std::string& query, int num_seeds,
       [this, key, eid, epoch = std::move(epoch),
        callback = std::move(callback),
        e2e](Result<core::RePagerResult> computed) {
-        if (!computed.ok() && computed.status().IsUnavailable()) {
-          shed_total_->Increment();
-        }
         // Render the reply once per computed result, for the cache entry,
         // this requester and every coalesced waiter to share. The result
         // itself (path, seeds, terminals) dies with the block.
@@ -211,26 +202,23 @@ EpochHandle ServeEngine::CurrentEpoch() const {
 }
 
 uint64_t ServeEngine::epoch_flips() const {
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  return epoch_flips_;
+  return epoch_flips_total_->value();
 }
 
 void ServeEngine::SwapEpoch(EpochHandle next) {
   RPG_CHECK(next != nullptr);
-  const int64_t now_ms = next->info().loaded_unix_ms;
   EpochHandle previous;
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     previous = std::move(epoch_);  // destroyed outside the lock
     epoch_ = std::move(next);
-    ++epoch_flips_;
-    last_reload_unix_ms_ = now_ms;
+    epoch_flips_total_->Increment();
     epoch_id_gauge_->Set(static_cast<int64_t>(epoch_->id()));
-    epoch_last_reload_unix_seconds_->Set(now_ms / 1000);
+    epoch_last_reload_unix_seconds_->Set(epoch_->info().loaded_unix_ms /
+                                         1000);
   }
-  epoch_flips_total_->Increment();
-  RPG_LOG(Info) << "epoch flip -> id " << CurrentEpoch()->id()
-                << " (in-flight requests drain on their own epoch)";
+  RPG_LOG << "epoch flip -> id " << CurrentEpoch()->id()
+          << " (in-flight requests drain on their own epoch)";
   // `previous` drops here. If this was the last reference the old
   // substrate frees now; otherwise the last in-flight solve on it frees
   // it once its continuation is done. Either way: never under epoch_mu_.
@@ -254,19 +242,21 @@ std::string ServeEngine::StatsJson() const {
   core::SolverPoolStats bs = pool_.Stats();
   EpochHandle epoch;
   uint64_t flips = 0;
-  int64_t last_reload_ms = 0;
   {
+    // SwapEpoch replaces the epoch and counts the flip under this lock.
     std::lock_guard<std::mutex> lock(epoch_mu_);
     epoch = epoch_;
-    flips = epoch_flips_;
-    last_reload_ms = last_reload_unix_ms_;
+    flips = epoch_flips_total_->value();
   }
   JsonWriter w;
   w.BeginObject();
   w.Key("epoch").BeginObject();
   w.Key("id").UInt(epoch->id());
   w.Key("flips").UInt(flips);
-  w.Key("last_reload_unix_ms").Int(last_reload_ms);
+  // The last flip installed the current epoch, so its load time is the
+  // last reload's.
+  w.Key("last_reload_unix_ms")
+      .Int(flips > 0 ? epoch->info().loaded_unix_ms : 0);
   w.Key("source").String(epoch->info().source);
   w.Key("loaded_unix_ms").Int(epoch->info().loaded_unix_ms);
   w.Key("load_seconds").Double(epoch->info().load_seconds);
@@ -311,38 +301,33 @@ std::string ServeEngine::StatsJson() const {
   w.Key("ewma_item_seconds").Double(bs.ewma_item_seconds);
   w.Key("threads").UInt(pool_.num_solvers());
   w.EndObject();
-  // Per-stage latency attribution over computed (non-cached) results.
-  // attributed_fraction = stage-span time / pipeline wall time: how much
-  // of the solve the spans account for (gated >= 0.9 by the bench suite).
-  w.Key("stages").BeginObject();
+  // attributed_fraction = stage-span time / pipeline wall time over
+  // computed (non-cached) results: how much of the solve the spans
+  // account for (gated >= 0.9 by the bench suite). The summaries it is
+  // derived from are under metrics.histograms.
   double stage_sum_ms = 0.0;
-  for (size_t i = 0; i < obs::kNumPipelineStages; ++i) {
-    Histogram h = stage_ms_[i]->Snapshot();
-    stage_sum_ms += h.sum();
-    w.Key(obs::StageName(obs::kPipelineStages[i])).BeginObject();
-    w.Key("count").UInt(h.total());
-    w.Key("total_ms").Double(h.sum());
-    w.Key("mean_ms").Double(h.mean());
-    w.Key("p50_ms").Double(h.Quantile(0.50));
-    w.Key("p90_ms").Double(h.Quantile(0.90));
-    w.Key("p99_ms").Double(h.Quantile(0.99));
-    w.EndObject();
+  for (const MetricHistogram* stage : stage_ms_) {
+    stage_sum_ms += stage->Snapshot().sum();
   }
-  Histogram pipeline = pipeline_total_ms_->Snapshot();
-  w.Key("pipeline").BeginObject();
-  w.Key("count").UInt(pipeline.total());
-  w.Key("total_ms").Double(pipeline.sum());
-  w.Key("mean_ms").Double(pipeline.mean());
-  w.Key("p50_ms").Double(pipeline.Quantile(0.50));
-  w.Key("p90_ms").Double(pipeline.Quantile(0.90));
-  w.Key("p99_ms").Double(pipeline.Quantile(0.99));
-  w.EndObject();
+  const double pipeline_ms = pipeline_total_ms_->Snapshot().sum();
+  w.Key("stages").BeginObject();
   w.Key("attributed_fraction")
-      .Double(pipeline.sum() > 0 ? stage_sum_ms / pipeline.sum() : 0.0);
+      .Double(pipeline_ms > 0 ? stage_sum_ms / pipeline_ms : 0.0);
   w.EndObject();
   w.Key("metrics").Raw(metrics_.ToJson());
   w.EndObject();
   return w.str();
+}
+
+std::string ServeEngine::MetricsText() const {
+  const QueryCacheStats cs = cache_.Stats();
+  const core::SolverPoolStats bs = pool_.Stats();
+  std::string out = metrics_.ToPrometheus("rpg");
+  obs::AppendCounter("rpg_cache_hits", cs.hits, &out);
+  obs::AppendCounter("rpg_cache_misses", cs.misses, &out);
+  obs::AppendCounter("rpg_negative_hits", cs.negative_hits, &out);
+  obs::AppendCounter("rpg_shed_total", bs.rejected_overload, &out);
+  return out;
 }
 
 }  // namespace rpg::serve

@@ -31,8 +31,10 @@
 ///      its reply (RenderResult, serve/path_json.h) and dropped, and
 ///      QueryCache::Publish stores the reply stamped with the epoch
 ///      (deterministic errors as negative entries) and hands back the
-///      joined waiters, which run on that thread; every stage
-///      increments MetricsRegistry counters/histograms
+///      joined waiters, which run on that thread. The cache counts
+///      hits and misses and the pool counts sheds; the MetricsRegistry
+///      holds only what neither counts (requests, coalesced waiters,
+///      errors, latencies, epoch flips)
 ///
 /// Replies are byte-identical to RenderResult of a serial
 /// RePaGer::Generate on the same epoch in every path (cache hit,
@@ -148,7 +150,8 @@ class ServeEngine {
   /// shared_ptr copy; never null).
   EpochHandle CurrentEpoch() const;
 
-  /// Number of SwapEpoch calls since construction.
+  /// Number of SwapEpoch calls since construction (the registry's
+  /// epoch_flips_total counter).
   uint64_t epoch_flips() const;
 
   /// Drops every cached entry; returns the number of entries dropped.
@@ -157,10 +160,19 @@ class ServeEngine {
   /// Live stats document for GET /api/stats:
   ///   {"epoch":{...},"cache":{...},"batcher":{...},"stages":{...},
   ///    "metrics":{counters,gauges,histograms}}
-  /// The "stages" section attributes solve time to pipeline stages
-  /// (count / total_ms / mean_ms / p50..p99 per stage, plus an
-  /// `attributed_fraction` of pipeline time covered by stage spans).
+  /// Cache counters come from QueryCache::Stats and shed counts from
+  /// the solver pool's `batcher.rejected_overload`; the registry holds
+  /// neither. The per-stage latency summaries are the
+  /// `metrics.histograms.stage_<name>_ms` / `pipeline_total_ms` entries;
+  /// "stages" holds only what they cannot show, `attributed_fraction`:
+  /// the share of pipeline time covered by stage spans.
   std::string StatsJson() const;
+
+  /// Prometheus twin of StatsJson for GET /metrics: every registry
+  /// instrument under the `rpg_` prefix, plus rpg_cache_hits,
+  /// rpg_cache_misses and rpg_negative_hits from QueryCache::Stats and
+  /// rpg_shed_total from the solver pool's rejected_overload.
+  std::string MetricsText() const;
 
   const QueryCache& cache() const { return cache_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -195,30 +207,21 @@ class ServeEngine {
   /// per-request hot path's dominant cost.
   mutable std::mutex epoch_mu_;
   EpochHandle epoch_;
-  /// Flip bookkeeping (guarded by epoch_mu_): count + wall-clock of the
-  /// last SwapEpoch, rendered in /api/stats.
-  uint64_t epoch_flips_ = 0;
-  int64_t last_reload_unix_ms_ = 0;
   /// Serializes ReloadFromSnapshot (never held by request paths).
   std::mutex reload_mu_;
 
   // Hot-path instruments, resolved once. (solve_ms is observed by the
   // pool's on_solve closure, not through a member.)
   Counter* requests_total_;
-  Counter* cache_hits_;
-  Counter* cache_misses_;
-  Counter* negative_hits_;
   Counter* coalesced_hits_;
   Counter* errors_total_;
-  /// Requests shed by the solver pool's queue bound (Status::Unavailable →
-  /// HTTP 429 at the edge). Counted once per shed computation, not per
-  /// coalesced waiter.
-  Counter* shed_total_;
   Gauge* inflight_requests_;
   /// Epoch instruments (also scraped via GET /metrics): the current
   /// epoch id, total SwapEpoch flips, and the Unix time of the last
-  /// flip. (Stale-eviction counters live in the cache section of
-  /// /api/stats — QueryCacheStats — split by epoch.)
+  /// flip. The id gauge and the flip counter change under epoch_mu_, so
+  /// a reader holding it sees one consistent pair. (Stale-eviction
+  /// counters live in the cache section of /api/stats — QueryCacheStats
+  /// — split by epoch.)
   Gauge* epoch_id_gauge_;
   Counter* epoch_flips_total_;
   Gauge* epoch_last_reload_unix_seconds_;

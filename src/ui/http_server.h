@@ -166,10 +166,10 @@ struct HttpServerOptions {
 /// consistent snapshot). `open_connections` is the live gauge the
 /// fd-leak tests and `/api/stats` assert on.
 struct HttpServerStats {
-  size_t open_connections = 0;
+  uint64_t open_connections = 0;
   /// Echo of HttpServerOptions::max_connections, so /api/stats can show
   /// open connections against their cap without a second plumbing path.
-  size_t max_connections = 0;
+  uint64_t max_connections = 0;
   uint64_t connections_accepted = 0;
   uint64_t requests_handled = 0;
   uint64_t responses_sent = 0;

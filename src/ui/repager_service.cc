@@ -1,7 +1,8 @@
 #include "ui/repager_service.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <future>
+#include <string_view>
 
 #include "common/json_writer.h"
 #include "common/logging.h"
@@ -35,6 +36,28 @@ namespace {
 /// uint16 publication years).
 constexpr int kMinSeeds = 1, kMaxSeeds = 1000;
 constexpr int kMinYear = 1000, kMaxYear = 2100;
+
+/// The reactor's counters, named once for both stats surfaces: key
+/// `<name>` of /api/stats' "http" section and series `rpg_http_<name>`
+/// of /metrics. The connection levels are gauges, the rest counters.
+struct HttpStatField {
+  const char* name;
+  uint64_t HttpServerStats::*value;
+  bool gauge;
+};
+
+constexpr HttpStatField kHttpStatFields[] = {
+    {"open_connections", &HttpServerStats::open_connections, true},
+    {"max_connections", &HttpServerStats::max_connections, true},
+    {"connections_accepted", &HttpServerStats::connections_accepted, false},
+    {"requests_handled", &HttpServerStats::requests_handled, false},
+    {"responses_sent", &HttpServerStats::responses_sent, false},
+    {"protocol_errors", &HttpServerStats::protocol_errors, false},
+    {"connections_shed", &HttpServerStats::connections_shed, false},
+    {"idle_closes", &HttpServerStats::idle_closes, false},
+    {"timeout_closes", &HttpServerStats::timeout_closes, false},
+    {"deadline_closes", &HttpServerStats::deadline_closes, false},
+};
 
 HttpResponse BadParameter(const std::string& name, const std::string& value) {
   JsonWriter w;
@@ -118,51 +141,33 @@ HttpResponse RePagerService::HandleReload(const HttpRequest& request) const {
 std::string RePagerService::StatsJson() const {
   std::string engine_json = engine_->StatsJson();
   if (server_ == nullptr) return engine_json;
-  HttpServerStats http = server_->Stats();
+  const HttpServerStats http = server_->Stats();
   JsonWriter w;
   w.BeginObject();
   w.Key("http").BeginObject();
-  w.Key("open_connections").UInt(http.open_connections);
-  w.Key("max_connections").UInt(http.max_connections);
-  w.Key("connections_accepted").UInt(http.connections_accepted);
-  w.Key("requests_handled").UInt(http.requests_handled);
-  w.Key("responses_sent").UInt(http.responses_sent);
-  w.Key("protocol_errors").UInt(http.protocol_errors);
-  w.Key("connections_shed").UInt(http.connections_shed);
-  w.Key("idle_closes").UInt(http.idle_closes);
-  w.Key("timeout_closes").UInt(http.timeout_closes);
-  w.Key("deadline_closes").UInt(http.deadline_closes);
+  for (const HttpStatField& field : kHttpStatFields) {
+    w.Key(field.name).UInt(http.*field.value);
+  }
   w.EndObject();
+  // The engine's own {"epoch":...,"metrics":...} members follow.
+  w.RawMembers(
+      std::string_view(engine_json).substr(1, engine_json.size() - 2));
   w.EndObject();
-  // Splice the engine's own {"cache":...,"batcher":...,"metrics":...}
-  // object after the http section; both are non-empty JSON objects.
-  std::string merged = w.str();
-  merged.back() = ',';
-  merged.append(engine_json, 1, std::string::npos);
-  return merged;
+  return w.Release();
 }
 
 std::string RePagerService::MetricsText() const {
-  std::string out = engine_->metrics().ToPrometheus("rpg");
+  std::string out = engine_->MetricsText();
   if (server_ == nullptr) return out;
-  // The reactor's counters live in a plain struct, not the registry;
-  // render them with the same exposition helpers under rpg_http_.
-  HttpServerStats http = server_->Stats();
-  obs::AppendGauge("rpg_http_open_connections",
-                   static_cast<double>(http.open_connections), &out);
-  obs::AppendGauge("rpg_http_max_connections",
-                   static_cast<double>(http.max_connections), &out);
-  obs::AppendCounter("rpg_http_connections_accepted",
-                     http.connections_accepted, &out);
-  obs::AppendCounter("rpg_http_requests_handled", http.requests_handled,
-                     &out);
-  obs::AppendCounter("rpg_http_responses_sent", http.responses_sent, &out);
-  obs::AppendCounter("rpg_http_protocol_errors", http.protocol_errors, &out);
-  obs::AppendCounter("rpg_http_connections_shed", http.connections_shed,
-                     &out);
-  obs::AppendCounter("rpg_http_idle_closes", http.idle_closes, &out);
-  obs::AppendCounter("rpg_http_timeout_closes", http.timeout_closes, &out);
-  obs::AppendCounter("rpg_http_deadline_closes", http.deadline_closes, &out);
+  const HttpServerStats http = server_->Stats();
+  for (const HttpStatField& field : kHttpStatFields) {
+    const std::string name = std::string("rpg_http_") + field.name;
+    if (field.gauge) {
+      obs::AppendGauge(name, static_cast<double>(http.*field.value), &out);
+    } else {
+      obs::AppendCounter(name, http.*field.value, &out);
+    }
+  }
   return out;
 }
 

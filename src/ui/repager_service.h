@@ -100,9 +100,9 @@ class RePagerService {
   /// The /api/stats document: engine stats + the reactor's http section.
   std::string StatsJson() const;
 
-  /// The GET /metrics body: engine instruments (prefix "rpg_") plus the
-  /// reactor's counters/gauges (prefix "rpg_http_") when a server is
-  /// attached.
+  /// The GET /metrics body: ServeEngine::MetricsText (prefix "rpg_")
+  /// plus the reactor's counters/gauges (prefix "rpg_http_") when a
+  /// server is attached.
   std::string MetricsText() const;
 
   serve::ServeEngine* engine_;

@@ -279,11 +279,18 @@ TEST(LiveTracingTest, StatsStagesSectionAttributesSolveTime) {
             200);
   ui::ClientResponse r = stack.Fetch("/api/stats");
   ASSERT_EQ(r.status, 200);
-  ASSERT_NE(r.body.find("\"stages\":{"), std::string::npos) << r.body;
-  EXPECT_NE(r.body.find("\"pipeline\":{"), std::string::npos);
-  EXPECT_NE(r.body.find("\"attributed_fraction\":"), std::string::npos);
+  // "stages" holds only the derived share; the summaries it is derived
+  // from are the registry's histograms.
+  ASSERT_NE(r.body.find("\"stages\":{\"attributed_fraction\":"),
+            std::string::npos)
+      << r.body;
+  const size_t histograms = r.body.find("\"histograms\":{");
+  ASSERT_NE(histograms, std::string::npos) << r.body;
+  EXPECT_NE(r.body.find("\"pipeline_total_ms\":{", histograms),
+            std::string::npos);
   // One computed request: every stage histogram saw one observation.
-  EXPECT_NE(r.body.find("\"steiner\":{\"count\":1"), std::string::npos)
+  EXPECT_NE(r.body.find("\"stage_steiner_ms\":{\"count\":1", histograms),
+            std::string::npos)
       << r.body;
   double fraction = JsonNumber(r.body, "attributed_fraction");
   EXPECT_GT(fraction, 0.0);
@@ -294,9 +301,12 @@ TEST(LiveTracingTest, MetricsEndpointIsWellFormedExposition) {
   SetTracingEnabled(true);
   LiveStack stack;
   const auto& entry = serve::SharedWorkbench().bank().Get(2);
-  ASSERT_EQ(stack.Fetch("/api/path?q=" + EncodeQueryValue(entry.query))
-                .status,
-            200);
+  const std::string path = "/api/path?q=" + EncodeQueryValue(entry.query);
+  ASSERT_EQ(stack.Fetch(path).status, 200);  // miss
+  ASSERT_EQ(stack.Fetch(path).status, 200);  // hit
+  // A query with no search hits: a miss, then a negative hit.
+  ASSERT_EQ(stack.Fetch("/api/path?q=zzzz+qqqq+wwww").status, 404);
+  ASSERT_EQ(stack.Fetch("/api/path?q=zzzz+qqqq+wwww").status, 404);
   ui::ClientResponse r = stack.Fetch("/metrics");
   ASSERT_EQ(r.status, 200);
   EXPECT_NE(r.headers.at("content-type").find("text/plain"),
@@ -310,7 +320,7 @@ TEST(LiveTracingTest, MetricsEndpointIsWellFormedExposition) {
       R"re(([a-zA-Z_:][a-zA-Z0-9_:]*)(\{le="([^"]*)"\})? (-?[0-9]*\.?[0-9]+([eE][+-]?[0-9]+)?|\+Inf|-Inf|NaN))re");
   std::map<std::string, std::string> family_type;
   std::map<std::string, std::vector<double>> bucket_counts;
-  std::map<std::string, double> inf_count, sample_count;
+  std::map<std::string, double> inf_count, sample_count, plain_samples;
   size_t samples = 0;
   size_t pos = 0;
   while (pos < r.body.size()) {
@@ -339,6 +349,7 @@ TEST(LiveTracingTest, MetricsEndpointIsWellFormedExposition) {
     // Histogram series resolve their TYPE through the base name.
     ASSERT_TRUE(family_type.count(name) || family_type.count(base))
         << "sample before # TYPE: " << line;
+    if (!m[2].matched) plain_samples[name] = value;  // not a _bucket line
     if (m[2].matched) {  // a _bucket line
       if (std::string(m[3]) == "+Inf") {
         inf_count[base] = std::strtod(std::string(m[4]).c_str(), nullptr);
@@ -372,6 +383,27 @@ TEST(LiveTracingTest, MetricsEndpointIsWellFormedExposition) {
     ASSERT_TRUE(sample_count.count(base)) << base << " missing _count";
     EXPECT_EQ(inf_count[base], sample_count[base]) << base;
   }
+
+  // The cache's counts have one home, QueryCache::Stats: /metrics and
+  // /api/stats both render them from there.
+  const serve::QueryCacheStats cache = stack.engine().cache().Stats();
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.negative_hits, 1u);
+  EXPECT_EQ(plain_samples["rpg_cache_hits"], static_cast<double>(cache.hits));
+  EXPECT_EQ(plain_samples["rpg_cache_misses"],
+            static_cast<double>(cache.misses));
+  EXPECT_EQ(plain_samples["rpg_negative_hits"],
+            static_cast<double>(cache.negative_hits));
+  ui::ClientResponse stats = stack.Fetch("/api/stats");
+  ASSERT_EQ(stats.status, 200);
+  const std::string cache_json =
+      stats.body.substr(stats.body.find("\"cache\":{"));
+  EXPECT_EQ(JsonNumber(cache_json, "hits"), plain_samples["rpg_cache_hits"]);
+  EXPECT_EQ(JsonNumber(cache_json, "misses"),
+            plain_samples["rpg_cache_misses"]);
+  EXPECT_EQ(JsonNumber(cache_json, "negative_hits"),
+            plain_samples["rpg_negative_hits"]);
 }
 
 TEST(LiveTracingTest, ConcurrentScrapeWhileServingStaysConsistent) {

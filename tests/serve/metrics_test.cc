@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,28 @@ TEST(LatencyBucketsTest, EdgesCoverMicrosecondsToMinutes) {
   EXPECT_LE(edges.front(), 0.01);
   EXPECT_GE(edges.back(), 100000.0 - 1.0);
   for (size_t i = 1; i < edges.size(); ++i) EXPECT_GT(edges[i], edges[i - 1]);
+}
+
+// An in-engine cache hit takes a few microseconds. The first edge must
+// sit below that, or every hit underflows and every quantile reads the
+// first edge.
+TEST(LatencyBucketsTest, MicrosecondHitsResolveBelowTenMicroseconds) {
+  MetricsRegistry registry;
+  MetricHistogram* h =
+      registry.GetHistogram("cache_hit_ms", LatencyBucketEdgesMs());
+  for (int i = 0; i < 1000; ++i) h->Observe(0.0035);
+  Histogram snapshot = h->Snapshot();
+  EXPECT_EQ(snapshot.underflow(), 0u);
+  EXPECT_LT(snapshot.Quantile(0.5), 0.01);
+  EXPECT_GT(snapshot.Quantile(0.5), 0.003);
+  // Every bucket keeps a distinct label, the sub-10 µs ones included.
+  std::set<std::string> labels;
+  for (size_t i = 0; i < snapshot.num_buckets(); ++i) {
+    labels.insert(snapshot.BucketLabel(i));
+  }
+  EXPECT_EQ(labels.size(), snapshot.num_buckets());
+  EXPECT_NE(registry.ToJson().find("\"label\":\"0.003-0.006\""),
+            std::string::npos);
 }
 
 // Regression pins for the Quantile edge cases (docs/observability.md):

@@ -1347,9 +1347,18 @@ TEST_F(ServiceFixture, StatsEndpointReportsLiveCounters) {
   // Overload-control instruments (batcher queue bound + shed counter).
   EXPECT_NE(response.body.find("\"queue_depth\":"), std::string::npos);
   EXPECT_NE(response.body.find("\"max_queue_depth\":"), std::string::npos);
-  EXPECT_NE(response.body.find("\"rejected_overload\":"), std::string::npos);
-  EXPECT_NE(response.body.find("\"shed_total\":"), std::string::npos);
+  const std::string rejected_key = "\"rejected_overload\":";
+  const size_t shed = response.body.find(rejected_key);
+  ASSERT_NE(shed, std::string::npos);
   EXPECT_NE(response.body.find("\"ewma_item_seconds\":"), std::string::npos);
+  // The shed count's one home is the pool's rejected_overload; /metrics
+  // renders it as rpg_shed_total.
+  const std::string count = std::to_string(
+      std::stoull(response.body.substr(shed + rejected_key.size())));
+  HttpResponse metrics = service_->Handle({"GET", "/metrics", {}});
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("\nrpg_shed_total " + count + "\n"),
+            std::string::npos);
 }
 
 TEST_F(ServiceFixture, CacheClearEndpoint) {
