@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/string_util.h"
-#include "graph/graph_io.h"
 #include "search/inverted_index.h"
 #include "snapshot/byte_io.h"
 #include "snapshot/checksum.h"
@@ -127,25 +126,21 @@ std::vector<uint8_t> EncodeVocab(const text::Vocabulary& vocab) {
 
 std::vector<uint8_t> EncodePostings(
     const std::vector<std::vector<search::Posting>>& postings,
-    const std::vector<PaperId>& inv, bool relabel) {
+    const std::vector<PaperId>& inv) {
   std::vector<uint8_t> buf;
   ByteWriter w(&buf);
-  std::vector<search::Posting> scratch;
+  std::vector<search::Posting> list;
   for (const auto& plist : postings) {
-    const std::vector<search::Posting>* list = &plist;
-    if (relabel) {
-      scratch.assign(plist.begin(), plist.end());
-      for (auto& p : scratch) p.doc = inv[p.doc];
-      std::sort(scratch.begin(), scratch.end(),
-                [](const search::Posting& a, const search::Posting& b) {
-                  return a.doc < b.doc;
-                });
-      list = &scratch;
-    }
-    w.PutVarint(list->size());
+    list.assign(plist.begin(), plist.end());
+    for (auto& p : list) p.doc = inv[p.doc];
+    std::sort(list.begin(), list.end(),
+              [](const search::Posting& a, const search::Posting& b) {
+                return a.doc < b.doc;
+              });
+    w.PutVarint(list.size());
     uint32_t prev = 0;
-    for (size_t i = 0; i < list->size(); ++i) {
-      const search::Posting& p = (*list)[i];
+    for (size_t i = 0; i < list.size(); ++i) {
+      const search::Posting& p = list[i];
       w.PutVarint(i == 0 ? p.doc : p.doc - prev);
       w.Put<float>(p.weighted_tf);
       prev = p.doc;
@@ -227,31 +222,22 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
 
   // Graph (out-direction only; the reader rebuilds the transpose), then
   // the Eq. (2) con of every edge in the order the spans are written.
+  // Node u's span is perm[u]'s references renamed by `inv` and sorted
+  // again, which leaves an identity order's spans as they are.
   {
-    std::vector<uint64_t> relabeled_offsets;
-    std::vector<PaperId> relabeled_targets;
-    if (options.relabel) {
-      relabeled_offsets.reserve(n + 1);
-      relabeled_targets.reserve(input.graph->num_edges());
-      relabeled_offsets.push_back(0);
-      std::vector<PaperId> span;
-      for (size_t u = 0; u < n; ++u) {
-        span.clear();
-        for (PaperId v : input.graph->OutNeighbors(perm[u])) {
-          span.push_back(inv[v]);
-        }
-        std::sort(span.begin(), span.end());
-        relabeled_targets.insert(relabeled_targets.end(), span.begin(),
-                                 span.end());
-        relabeled_offsets.push_back(relabeled_targets.size());
+    std::vector<uint64_t> offsets;
+    std::vector<PaperId> targets;
+    offsets.reserve(n + 1);
+    targets.reserve(input.graph->num_edges());
+    offsets.push_back(0);
+    for (size_t u = 0; u < n; ++u) {
+      const size_t begin = targets.size();
+      for (PaperId v : input.graph->OutNeighbors(perm[u])) {
+        targets.push_back(inv[v]);
       }
+      std::sort(targets.begin() + begin, targets.end());
+      offsets.push_back(targets.size());
     }
-    const std::vector<uint64_t>& offsets =
-        options.relabel ? relabeled_offsets
-                        : graph::GraphIo::OutOffsets(*input.graph);
-    const std::vector<PaperId>& targets =
-        options.relabel ? relabeled_targets
-                        : graph::GraphIo::OutTargets(*input.graph);
     std::vector<uint8_t> buf;
     EncodeAdjacency(offsets, targets, &buf);
     file.AddSection(SectionId::kGraphOut, buf);
@@ -284,7 +270,7 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
   // Inverted index + engine.
   file.AddSection(SectionId::kVocab, EncodeVocab(index.vocab()));
   file.AddSection(SectionId::kPostings,
-                  EncodePostings(index.postings(), inv, options.relabel));
+                  EncodePostings(index.postings(), inv));
   {
     const std::vector<float> doc_lengths = Permute(index.doc_lengths(), perm);
     file.AddSection(SectionId::kDocLengths, doc_lengths.data(),

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -54,6 +53,7 @@ const char* ReasonPhrase(int status) {
     case 413: return "Payload Too Large";
     case 429: return "Too Many Requests";
     case 431: return "Request Header Fields Too Large";
+    case 500: return "Internal Server Error";
     case 503: return "Service Unavailable";
     default: return "Error";
   }
@@ -393,28 +393,14 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     size_t drained = 0;
     uint64_t request_seq = 0;  ///< guards stale/duplicate completions
     uint32_t interest = EPOLLIN;
-    /// Deadline generation: every ArmDeadline bumps it,
-    /// invalidating the heap entries pushed for older generations (lazy
-    /// deletion — the heap is pruned as stale heads surface).
-    uint64_t deadline_gen = 0;
+    /// When the current state's deadline fires; max() means none.
+    SteadyClock::time_point deadline = SteadyClock::time_point::max();
   };
 
   struct Completion {
     uint64_t id;
     uint64_t seq;
     HttpResponse response;
-  };
-
-  /// One pending deadline in the lazy-deletion min-heap. Entries are
-  /// never removed eagerly; an entry fires only if its (id, gen) pair
-  /// still matches a live connection.
-  struct DeadlineEntry {
-    SteadyClock::time_point when;
-    uint64_t id;
-    uint64_t gen;
-    bool operator>(const DeadlineEntry& other) const {
-      return when > other.when;
-    }
   };
 
   void Wake() {
@@ -483,21 +469,12 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
         SteadyClock::duration(drain_deadline_.load()));
   }
 
-  /// Bounded epoll_wait timeout: sleep exactly until the earliest live
-  /// deadline (connection or drain), -1 (forever) when there is none.
-  /// Stale heap heads are pruned here so an abandoned deadline never
-  /// causes a pointless early wake-up.
+  /// Bounded epoll_wait timeout: sleep until the connection deadlines'
+  /// lower bound or the drain deadline, whichever is earlier; -1
+  /// (forever) when there is neither. A bound left early by a re-armed
+  /// connection costs one wake-up, whose sweep tightens it.
   int NextTimeoutMs() {
-    while (!deadlines_.empty()) {
-      auto it = conns_.find(deadlines_.top().id);
-      if (it != conns_.end() &&
-          it->second->deadline_gen == deadlines_.top().gen) {
-        break;
-      }
-      deadlines_.pop();
-    }
-    SteadyClock::time_point next = SteadyClock::time_point::max();
-    if (!deadlines_.empty()) next = deadlines_.top().when;
+    SteadyClock::time_point next = next_deadline_;
     if (draining_) next = std::min(next, DrainDeadline());
     if (next == SteadyClock::time_point::max()) return -1;
     auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
@@ -505,19 +482,29 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     return static_cast<int>(std::clamp<int64_t>(remaining.count(), 0, 60'000));
   }
 
-  /// Fires every expired, still-valid deadline: idle kReading
-  /// connections get a clean close, stalled writes/drains are cut.
+  /// Fires every expired deadline: idle kReading connections get a
+  /// clean close, stalled writes/drains are cut, a handler past its
+  /// deadline is answered 503. Nothing can have expired before the
+  /// bound; once it has passed, one pass over the connections collects
+  /// the expired ids and recomputes the bound from the rest.
   void SweepDeadlines() {
     const SteadyClock::time_point now = SteadyClock::now();
-    while (!deadlines_.empty()) {
-      const DeadlineEntry entry = deadlines_.top();
-      auto it = conns_.find(entry.id);
-      if (it == conns_.end() || it->second->deadline_gen != entry.gen) {
-        deadlines_.pop();  // stale: the conn died or re-armed
-        continue;
+    if (now < next_deadline_) return;
+    std::vector<uint64_t> expired;
+    next_deadline_ = SteadyClock::time_point::max();
+    for (const auto& [id, conn] : conns_) {
+      if (conn->deadline <= now) {
+        expired.push_back(id);
+      } else {
+        next_deadline_ = std::min(next_deadline_, conn->deadline);
       }
-      if (entry.when > now) break;
-      deadlines_.pop();
+    }
+    // Each case closes its connection or re-arms it (which lowers the
+    // bound again); ids are looked up afresh rather than trusting a
+    // pointer across those calls.
+    for (uint64_t id : expired) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
       Conn* conn = it->second.get();
       switch (conn->state) {
         case Conn::State::kReading:
@@ -550,21 +537,20 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
     }
   }
 
-  /// Schedules the deadline for the connection's current state,
-  /// superseding any previous one: idle_timeout in kReading,
-  /// handler_timeout in kHandling, kWriteTimeout in kWriting/kDraining.
-  /// A timeout <= 0 leaves the connection without a deadline.
+  /// Sets the deadline for the connection's current state, superseding
+  /// any previous one: idle_timeout in kReading, handler_timeout in
+  /// kHandling, kWriteTimeout in kWriting/kDraining. A timeout <= 0
+  /// leaves the connection without a deadline.
   void ArmDeadline(Conn* conn) {
-    ++conn->deadline_gen;
     std::chrono::milliseconds after = kWriteTimeout;
     if (conn->state == Conn::State::kReading) {
       after = options_->idle_timeout;
     } else if (conn->state == Conn::State::kHandling) {
       after = options_->handler_timeout;
     }
-    if (after.count() <= 0) return;
-    deadlines_.push(
-        {SteadyClock::now() + after, conn->id, conn->deadline_gen});
+    conn->deadline = after.count() > 0 ? SteadyClock::now() + after
+                                       : SteadyClock::time_point::max();
+    next_deadline_ = std::min(next_deadline_, conn->deadline);
   }
 
   /// Sheds a just-accepted fd with the canned inline 503: half-close,
@@ -971,12 +957,10 @@ class HttpServer::Poller : public std::enable_shared_from_this<Poller> {
   bool draining_ = false;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   uint64_t next_conn_id_ = kFirstConnId;
-  /// Lazy-deletion min-heap over (deadline, conn id, generation); see
-  /// DeadlineEntry. At most O(state transitions) entries, pruned as
-  /// stale heads reach the top.
-  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                      std::greater<DeadlineEntry>>
-      deadlines_;
+  /// Lower bound on every connection's deadline: never later than the
+  /// earliest one, possibly earlier once that connection re-armed or
+  /// closed. SweepDeadlines makes it exact again.
+  SteadyClock::time_point next_deadline_ = SteadyClock::time_point::max();
 
   // Cross-thread completion queue. Once the loop has exited nothing
   // drains it again, so Complete() drops what arrives after that.

@@ -29,6 +29,13 @@ bool ParseBoundedInt(const std::string& s, int min, int max, int* out) {
   return true;
 }
 
+int HttpStatusFor(const Status& status) {
+  if (status.IsInvalidArgument()) return 400;
+  if (status.IsNotFound() || status.IsIoError()) return 404;
+  if (status.IsUnavailable()) return 429;
+  return 500;
+}
+
 namespace {
 
 /// Parameter bounds for /api/path. Seeds beyond 1000 would dwarf the
@@ -88,18 +95,16 @@ HttpResponse RePagerService::ErrorResponse(const Status& status) {
   w.BeginObject();
   w.Key("error").String(status.ToString());
   w.EndObject();
-  // Overload shed (solver queue full) is the retryable case: 429 with
-  // the solver pool's measured drain time as the Retry-After hint (1 when
-  // the status carries none).
-  if (status.IsUnavailable()) {
-    HttpResponse response{429, "application/json", w.str()};
+  HttpResponse response{HttpStatusFor(status), "application/json", w.str()};
+  // Overload shed (solver queue full) is the retryable case: the 429
+  // carries the solver pool's measured drain time as the Retry-After
+  // hint (1 when the status carries none).
+  if (response.status == 429) {
     int retry_after = status.retry_after_seconds();
     response.headers["Retry-After"] =
         std::to_string(retry_after > 0 ? retry_after : 1);
-    return response;
   }
-  return {status.IsInvalidArgument() ? 400 : 404, "application/json",
-          w.str()};
+  return response;
 }
 
 HttpResponse RePagerService::HandleReload(const HttpRequest& request) const {
@@ -120,10 +125,7 @@ HttpResponse RePagerService::HandleReload(const HttpRequest& request) const {
     w.Key("reloaded").Bool(false);
     w.Key("error").String(status.ToString());
     w.EndObject();
-    int code = status.IsInvalidArgument() ? 400
-               : (status.IsNotFound() || status.IsIoError()) ? 404
-                                                             : 500;
-    return {code, "application/json", w.str()};
+    return {HttpStatusFor(status), "application/json", w.str()};
   }
   serve::EpochHandle epoch = std::move(epoch_or).value();
   JsonWriter w;

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "serve/serve_engine.h"
 #include "ui/http_server.h"
 
@@ -12,6 +13,12 @@ namespace rpg::ui {
 /// (no sign, whitespace, or trailing garbage) and the value must land in
 /// [min, max]. Exposed for unit tests and the fuzz harnesses.
 bool ParseBoundedInt(const std::string& s, int min, int max, int* out);
+
+/// The HTTP status for a failed request: InvalidArgument -> 400,
+/// NotFound and IoError -> 404, Unavailable (overload shed) -> 429, and
+/// every other code, a server-side failure, -> 500. Shared by /api/path
+/// and /api/admin/reload; exposed for unit tests.
+int HttpStatusFor(const Status& status);
 
 /// The RePaGer web application backend (§V). A thin route layer: every
 /// query is served by serve::ServeEngine (result cache ->

@@ -277,6 +277,26 @@ TEST(ParseHttpResponseTest, BadContentLengthIsError) {
   EXPECT_EQ(r.verdict, ResponseParseResult::Verdict::kError);
 }
 
+// --------------------------------------------------------- HttpStatusFor
+
+TEST(HttpStatusForTest, MapsEveryStatusCode) {
+  const struct {
+    Status status;
+    int http;
+  } rows[] = {
+      {Status::InvalidArgument("bad seeds"), 400},
+      {Status::NotFound("no seeds"), 404},
+      {Status::IoError("unreadable snapshot"), 404},
+      {Status::Unavailable("queue full"), 429},
+      {Status::FailedPrecondition("SolverPool is shut down"), 500},
+      {Status::Internal("broken invariant"), 500},
+      {Status::DeadlineExceeded("abandoned"), 500},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(HttpStatusFor(row.status), row.http) << row.status.ToString();
+  }
+}
+
 // ------------------------------------------------------------ HttpServer
 
 /// Raw blocking client socket connected to 127.0.0.1:`port`; -1 on error.
@@ -896,6 +916,45 @@ TEST(HttpServerTest, ActiveKeepAliveConnectionOutlivesIdleDeadline) {
   EXPECT_TRUE(PollUntil([&] { return server.Stats().open_connections == 0; }));
   EXPECT_EQ(server.Stats().idle_closes, 1u);
   client.Close();
+  server.Stop();
+}
+
+TEST(HttpServerTest, IdleConnectionReapedWhileAnotherStaysBusy) {
+  HttpServerOptions options;
+  options.num_pollers = 1;  // both connections share one poller's timers
+  options.idle_timeout = std::chrono::milliseconds(150);
+  HttpServer server([](const HttpRequest& request) {
+    return HttpResponse{200, "text/plain", "echo:" + request.path};
+  }, options);
+  int port = server.Start(0).value();
+  int silent = ConnectRaw(port);
+  ASSERT_GE(silent, 0);
+  ASSERT_TRUE(PollUntil([&] { return server.Stats().open_connections == 1; }));
+  HttpClient busy;
+  ASSERT_TRUE(busy.Connect(port).ok());
+  // The busy connection re-arms its idle window with every request, far
+  // more often than the silent one's deadline comes due. No re-arm may
+  // hide that earlier deadline: the silent connection is reaped while
+  // the busy one is still being served, and only it is reaped.
+  const auto start = std::chrono::steady_clock::now();
+  bool reaped_while_busy = false;
+  while (std::chrono::steady_clock::now() - start <
+         3 * options.idle_timeout) {
+    auto r = busy.Fetch("GET", "/tick");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200);
+    if (server.Stats().idle_closes == 1) reaped_while_busy = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(reaped_while_busy);
+  EXPECT_EQ(server.Stats().idle_closes, 1u);
+  EXPECT_EQ(server.Stats().open_connections, 1u);
+  // A reaped busy connection would show up as a transparent reconnect.
+  EXPECT_EQ(server.Stats().connections_accepted, 2u);
+  char buf[16];
+  EXPECT_EQ(::read(silent, buf, sizeof(buf)), 0);  // clean EOF
+  ::close(silent);
+  busy.Close();
   server.Stop();
 }
 
