@@ -14,9 +14,9 @@
 //
 // Writes one row per sweep point to BENCH_scale.json; the headline is
 // the load speedup at the largest point (acceptance: >= 10x at 1e5
-// papers — measured ~100x, since loading is dominated by the CSR
-// transpose + checksum walk while rebuilding pays corpus generation,
-// tokenization, indexing, embedding, and PageRank again).
+// papers — measured 36-41x on a 4-vCPU VM, since loading is dominated
+// by the CSR transpose + checksum walk while rebuilding pays corpus
+// generation, tokenization, indexing, embedding, and PageRank again).
 //
 // Scale knobs (env):
 //   RPG_SCALE_SWEEP    comma-separated paper counts (default "20000,100000")

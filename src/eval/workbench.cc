@@ -35,16 +35,19 @@ Result<std::unique_ptr<Workbench>> Workbench::Create(
     wb->venue_scores_.push_back(corpus.venues.Score(p.venue));
   }
 
-  // Engines.
+  // One index for the three engine profiles: BM25's statistics do not
+  // depend on a profile's k1, b or boosts.
+  auto index = std::make_shared<const search::InvertedIndex>(
+      search::InvertedIndex::Build(docs));
   RPG_ASSIGN_OR_RETURN(wb->google_,
-                       search::SearchEngine::Build(
-                           docs, search::GoogleScholarProfile()));
+                       search::SearchEngine::Create(
+                           index, docs, search::GoogleScholarProfile()));
   RPG_ASSIGN_OR_RETURN(wb->microsoft_,
-                       search::SearchEngine::Build(
-                           docs, search::MicrosoftAcademicProfile()));
-  RPG_ASSIGN_OR_RETURN(wb->aminer_, search::SearchEngine::Build(
-                                        std::move(docs),
-                                        search::AMinerProfile()));
+                       search::SearchEngine::Create(
+                           index, docs, search::MicrosoftAcademicProfile()));
+  RPG_ASSIGN_OR_RETURN(wb->aminer_,
+                       search::SearchEngine::Create(
+                           std::move(index), docs, search::AMinerProfile()));
 
   // Global PageRank + weight model (which counts the Eq. (2) con table).
   wb->pagerank_norm_ =

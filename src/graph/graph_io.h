@@ -12,12 +12,9 @@ namespace rpg::graph {
 /// CSR access for the snapshot format and DOT export for citation graphs.
 class GraphIo {
  public:
-  /// Snapshot support — read access to the out-direction CSR arrays.
+  /// Snapshot support — read access to the out-direction CSR offsets.
   static const std::vector<uint64_t>& OutOffsets(const CitationGraph& g) {
     return g.out_offsets_;
-  }
-  static const std::vector<PaperId>& OutTargets(const CitationGraph& g) {
-    return g.out_targets_;
   }
 
   /// Snapshot support — builds a graph from out-direction CSR arrays

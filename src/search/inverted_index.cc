@@ -1,9 +1,7 @@
 #include "search/inverted_index.h"
 
-#include <algorithm>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
 
@@ -21,45 +19,42 @@ std::vector<std::string> InvertedIndex::AnalyzeQuery(const std::string& query) {
   return out;
 }
 
-void InvertedIndex::AddDocument(const std::string& title,
-                                const std::string& abstract_text) {
-  RPG_CHECK(!finalized_) << "AddDocument after Finalize";
-  DocId doc = static_cast<DocId>(doc_lengths_.size());
+InvertedIndex InvertedIndex::Build(const std::vector<EngineDocument>& docs) {
+  InvertedIndex index;
+  index.doc_lengths_.reserve(docs.size());
   std::unordered_map<text::TermId, float> tf;
-  double length = 0.0;
-  for (const auto& tok : text::Tokenize(title)) {
-    text::TermId id = vocab_.GetOrAdd(text::PorterStem(tok));
-    tf[id] += static_cast<float>(options_.title_weight);
-    length += options_.title_weight;
-  }
-  for (const auto& tok : text::Tokenize(abstract_text)) {
-    text::TermId id = vocab_.GetOrAdd(text::PorterStem(tok));
-    tf[id] += 1.0f;
-    length += 1.0;
-  }
-  doc_lengths_.push_back(static_cast<float>(length));
-  if (vocab_.size() > postings_.size()) postings_.resize(vocab_.size());
-  for (const auto& [term, weighted_tf] : tf) {
-    postings_[term].push_back({doc, weighted_tf});
-  }
-}
-
-void InvertedIndex::Finalize() {
-  RPG_CHECK(!finalized_) << "double Finalize";
-  finalized_ = true;
-  for (auto& plist : postings_) {
-    std::sort(plist.begin(), plist.end(),
-              [](const Posting& a, const Posting& b) { return a.doc < b.doc; });
-  }
   double total = 0.0;
-  for (float l : doc_lengths_) total += l;
-  avg_doc_length_ =
-      doc_lengths_.empty() ? 0.0 : total / static_cast<double>(doc_lengths_.size());
+  for (const EngineDocument& d : docs) {
+    const DocId doc = static_cast<DocId>(index.doc_lengths_.size());
+    tf.clear();
+    double length = 0.0;
+    for (const auto& tok : text::Tokenize(d.title)) {
+      text::TermId id = index.vocab_.GetOrAdd(text::PorterStem(tok));
+      tf[id] += static_cast<float>(kTitleWeight);
+      length += kTitleWeight;
+    }
+    for (const auto& tok : text::Tokenize(d.abstract_text)) {
+      text::TermId id = index.vocab_.GetOrAdd(text::PorterStem(tok));
+      tf[id] += 1.0f;
+      length += 1.0;
+    }
+    index.doc_lengths_.push_back(static_cast<float>(length));
+    total += index.doc_lengths_.back();
+    if (index.vocab_.size() > index.postings_.size()) {
+      index.postings_.resize(index.vocab_.size());
+    }
+    // Documents arrive in id order, so every list stays sorted by doc.
+    for (const auto& [term, weighted_tf] : tf) {
+      index.postings_[term].push_back({doc, weighted_tf});
+    }
+  }
+  index.avg_doc_length_ =
+      docs.empty() ? 0.0 : total / static_cast<double>(docs.size());
+  return index;
 }
 
 Result<InvertedIndex> InvertedIndex::Restore(
-    const InvertedIndexOptions& options, text::Vocabulary vocab,
-    std::vector<std::vector<Posting>> postings,
+    text::Vocabulary vocab, std::vector<std::vector<Posting>> postings,
     std::vector<float> doc_lengths, double avg_doc_length) {
   if (postings.size() != vocab.size()) {
     return Status::InvalidArgument("index restore: postings/vocab mismatch");
@@ -76,27 +71,19 @@ Result<InvertedIndex> InvertedIndex::Restore(
       }
     }
   }
-  InvertedIndex index(options);
+  InvertedIndex index;
   index.vocab_ = std::move(vocab);
   index.postings_ = std::move(postings);
   index.doc_lengths_ = std::move(doc_lengths);
   index.avg_doc_length_ = avg_doc_length;
-  index.finalized_ = true;
   return index;
 }
 
 const std::vector<Posting>& InvertedIndex::PostingsFor(
     const std::string& stemmed_term) const {
-  RPG_CHECK(finalized_) << "PostingsFor before Finalize";
   text::TermId id = vocab_.Lookup(stemmed_term);
   if (id == text::kInvalidTerm) return kEmptyPostings;
   return postings_[id];
-}
-
-size_t InvertedIndex::DocumentFrequency(const std::string& stemmed_term) const {
-  text::TermId id = vocab_.Lookup(stemmed_term);
-  if (id == text::kInvalidTerm) return 0;
-  return postings_[id].size();
 }
 
 }  // namespace rpg::search

@@ -32,40 +32,24 @@ EngineProfile AMinerProfile() {
   return p;
 }
 
-Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
+Result<std::unique_ptr<SearchEngine>> SearchEngine::Create(
+    std::shared_ptr<const InvertedIndex> index,
     const std::vector<EngineDocument>& docs, const EngineProfile& profile) {
   if (docs.empty()) {
-    return Status::InvalidArgument("cannot build engine over empty corpus");
+    return Status::InvalidArgument("cannot create engine over empty corpus");
   }
-  auto engine = std::unique_ptr<SearchEngine>(new SearchEngine(profile));
+  if (index->num_documents() != docs.size()) {
+    return Status::InvalidArgument("engine create: index/docs mismatch");
+  }
+  auto engine = std::unique_ptr<SearchEngine>(
+      new SearchEngine(std::move(index), profile));
   engine->min_year_ = INT32_MAX;
   engine->max_year_ = INT32_MIN;
   for (const auto& d : docs) {
-    engine->index_.AddDocument(d.title, d.abstract_text);
     engine->max_citations_ = std::max(engine->max_citations_, d.citations);
     engine->min_year_ = std::min(engine->min_year_, d.year);
     engine->max_year_ = std::max(engine->max_year_, d.year);
   }
-  engine->index_.Finalize();
-  engine->ComputeDocConstants(docs);
-  return engine;
-}
-
-Result<std::unique_ptr<SearchEngine>> SearchEngine::Restore(
-    const std::vector<EngineDocument>& docs, const EngineProfile& profile,
-    InvertedIndex index, uint64_t max_citations, int min_year,
-    int max_year) {
-  if (docs.empty()) {
-    return Status::InvalidArgument("cannot restore engine over empty corpus");
-  }
-  if (index.num_documents() != docs.size()) {
-    return Status::InvalidArgument("engine restore: index/docs mismatch");
-  }
-  auto engine = std::unique_ptr<SearchEngine>(new SearchEngine(profile));
-  engine->index_ = std::move(index);
-  engine->max_citations_ = max_citations;
-  engine->min_year_ = min_year;
-  engine->max_year_ = max_year;
   engine->ComputeDocConstants(docs);
   return engine;
 }
@@ -74,10 +58,9 @@ void SearchEngine::ComputeDocConstants(
     const std::vector<EngineDocument>& docs) {
   // Each expression is the one Search used to evaluate per posting or
   // per hit, in the same order, so every score keeps its bits. Years are
-  // subtracted as doubles: exact for any pair of ints, and no overflow
-  // on a snapshot's hostile aggregates.
+  // subtracted as doubles: exact for any pair of ints.
   const Bm25Params& bm25 = profile_.bm25;
-  const double avg_doc_length = index_.average_doc_length();
+  const double avg_doc_length = index_->average_doc_length();
   const double log_max_citations =
       std::log1p(static_cast<double>(max_citations_));
   const double min_year = static_cast<double>(min_year_);
@@ -87,7 +70,7 @@ void SearchEngine::ComputeDocConstants(
   bm25_norm_.resize(docs.size());
   factors_.resize(docs.size());
   for (size_t i = 0; i < docs.size(); ++i) {
-    const double doc_length = index_.DocLength(static_cast<DocId>(i));
+    const double doc_length = index_->DocLength(static_cast<DocId>(i));
     bm25_norm_[i] =
         avg_doc_length > 0.0
             ? bm25.k1 * (1.0 - bm25.b + bm25.b * doc_length / avg_doc_length)
@@ -120,13 +103,13 @@ std::vector<SearchResult> SearchEngine::Search(
   std::vector<std::string> terms = InvertedIndex::AnalyzeQuery(query);
   FlatMap<DocId, double>& scores = scratch->scores_;
   scores.clear();
-  const size_t n = index_.num_documents();
+  const size_t n = index_->num_documents();
   const double k1_plus_1 = profile_.bm25.k1 + 1.0;
   // Each document's contributions sum in query-term order, so a score is
   // the same double whichever container accumulates it. A contribution
   // is Bm25TermScore's expression with the document's norm precomputed.
   for (const auto& term : terms) {
-    const auto& postings = index_.PostingsFor(term);
+    const auto& postings = index_->PostingsFor(term);
     if (postings.empty()) continue;
     double idf = Bm25Idf(postings.size(), n);
     for (const Posting& p : postings) {

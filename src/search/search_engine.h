@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -11,17 +12,6 @@
 #include "search/inverted_index.h"
 
 namespace rpg::search {
-
-/// A document handed to the engine at build time. `citations` is the
-/// paper's current citation count (used for popularity boosts) and `year`
-/// its publication year (used for time-range restriction, mirroring the
-/// paper's "anytime .. survey year" search setting).
-struct EngineDocument {
-  std::string title;
-  std::string abstract_text;
-  int year = 0;
-  uint64_t citations = 0;
-};
 
 /// One ranked hit.
 struct SearchResult {
@@ -66,11 +56,19 @@ class SearchScratch {
   std::vector<SearchResult> hits_;
 };
 
-/// BM25 retrieval engine over a fixed document collection.
+/// BM25 retrieval engine: one ranking profile over a shared, immutable
+/// inverted index. The three baseline engines of a corpus share one
+/// index and differ only in their profile and per-document constants.
 class SearchEngine {
  public:
-  /// Builds the index. Document ids are their positions in `docs`.
-  static Result<std::unique_ptr<SearchEngine>> Build(
+  /// An engine scoring `index` with `profile`. `docs` are the indexed
+  /// documents (document ids are their positions); only their year and
+  /// citation count are read, so a snapshot may leave the text empty.
+  /// The citation maximum and the year range the boosts divide by are
+  /// derived from `docs`. Fails with InvalidArgument on an empty corpus
+  /// or when the index covers a different number of documents.
+  static Result<std::unique_ptr<SearchEngine>> Create(
+      std::shared_ptr<const InvertedIndex> index,
       const std::vector<EngineDocument>& docs, const EngineProfile& profile);
 
   /// Returns the top-k documents for a free-text query, restricted to
@@ -93,27 +91,16 @@ class SearchEngine {
   const EngineProfile& profile() const { return profile_; }
   size_t num_documents() const { return bm25_norm_.size(); }
 
-  /// Snapshot support — rebuilds an engine from a restored index plus
-  /// the per-document metadata Search() consults at query time (year and
-  /// citation count; title/abstract text is only needed at index-build
-  /// time and is ignored). The max/min aggregates are stored rather
-  /// than recomputed so the restored engine scores bit-identically. Any
-  /// aggregates are accepted: a boost whose range is empty (max_citations
-  /// 0, max_year <= min_year) is left out, as in a built engine.
-  static Result<std::unique_ptr<SearchEngine>> Restore(
-      const std::vector<EngineDocument>& docs, const EngineProfile& profile,
-      InvertedIndex index, uint64_t max_citations, int min_year,
-      int max_year);
-
-  /// Snapshot support — read access to the serialized representation.
-  const InvertedIndex& index() const { return index_; }
+  /// The shared index, and the aggregates the boosts divide by (the
+  /// snapshot writer records them for provenance).
+  const InvertedIndex& index() const { return *index_; }
   uint64_t max_citations() const { return max_citations_; }
   int min_year() const { return min_year_; }
   int max_year() const { return max_year_; }
 
  private:
   /// The query-independent part of a document's score, computed once
-  /// when the engine is built or restored.
+  /// when the engine is created.
   struct DocFactors {
     /// 1 + citation_boost * log1p(citations) / log1p(max_citations),
     /// exactly 1.0 when the boost is off or no document is cited.
@@ -124,10 +111,12 @@ class SearchEngine {
     int year = 0;
   };
 
-  explicit SearchEngine(const EngineProfile& profile) : profile_(profile) {}
+  SearchEngine(std::shared_ptr<const InvertedIndex> index,
+               const EngineProfile& profile)
+      : profile_(profile), index_(std::move(index)) {}
 
-  /// Fills bm25_norm_ and factors_ from the finalized index, the
-  /// aggregates and each document's year and citation count.
+  /// Fills bm25_norm_ and factors_ from the index, the aggregates and
+  /// each document's year and citation count.
   void ComputeDocConstants(const std::vector<EngineDocument>& docs);
 
   EngineProfile profile_;
@@ -136,7 +125,7 @@ class SearchEngine {
   std::vector<double> bm25_norm_;
   /// Per document: the factors and year read once per scored hit.
   std::vector<DocFactors> factors_;
-  InvertedIndex index_;
+  std::shared_ptr<const InvertedIndex> index_;
   uint64_t max_citations_ = 0;
   int min_year_ = 0;
   int max_year_ = 0;

@@ -73,11 +73,15 @@ enum class SectionId : uint32_t {
   /// absolute) each followed by a raw f32 weighted term frequency.
   kPostings = 7,
   kDocLengths = 8,   ///< f32[n] weighted document lengths
-  kIndexMeta = 9,    ///< f64 avg_doc_length, f64 title_weight
+  /// f64 avg_doc_length, f64 title_weight. The average is stored because
+  /// a relabeled file lists kDocLengths in another order, whose sum
+  /// rounds differently; the title weight is written for provenance only.
+  kIndexMeta = 9,
   /// Engine scalars: u64 max_citations, i32 min/max year, f64 bm25 k1,
   /// f64 bm25 b, f64 citation_boost, f64 recency_boost, varint-string
-  /// profile name. Per-doc years come from kYears; per-doc citation
-  /// counts are the graph's in-degrees.
+  /// profile name. Readers use only the profile: the aggregates are
+  /// written for provenance, and the engine derives them from per-doc
+  /// years (kYears) and citation counts (the graph's in-degrees).
   kEngineMeta = 10,
   /// Retired ids, reserved so they are never reused: older files carry
   /// the baseline matcher's embedder options (11) and its raw

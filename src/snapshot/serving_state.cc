@@ -198,21 +198,24 @@ Status ServingState::Build() {
     RPG_ASSIGN_OR_RETURN(doc_lengths,
                          DecodeArray<float>(bytes, n, "doc_lengths"));
   }
-  search::InvertedIndexOptions index_options;
+  // Both meta sections are parsed in full, but only avg_doc_length and
+  // the profile are used: the title weight and the engine's aggregates
+  // are written for provenance, and the engine derives its aggregates
+  // from the per-document years and citation counts.
   double avg_doc_length = 0.0;
   {
     RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
                          reader.Section(SectionId::kIndexMeta));
     ByteReader r(bytes);
-    if (!r.Get(&avg_doc_length) || !r.Get(&index_options.title_weight) ||
-        !r.AtEnd()) {
+    double title_weight = 0.0;
+    if (!r.Get(&avg_doc_length) || !r.Get(&title_weight) || !r.AtEnd()) {
       return Malformed("index_meta");
     }
   }
   search::EngineProfile profile;
-  uint64_t max_citations = 0;
-  int32_t min_year = 0, max_year = 0;
   {
+    uint64_t max_citations = 0;
+    int32_t min_year = 0, max_year = 0;
     RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
                          reader.Section(SectionId::kEngineMeta));
     ByteReader r(bytes);
@@ -258,13 +261,13 @@ Status ServingState::Build() {
   }
   RPG_ASSIGN_OR_RETURN(
       search::InvertedIndex index,
-      search::InvertedIndex::Restore(index_options, std::move(vocab),
-                                     std::move(postings),
+      search::InvertedIndex::Restore(std::move(vocab), std::move(postings),
                                      std::move(doc_lengths), avg_doc_length));
   RPG_ASSIGN_OR_RETURN(
-      engine_, search::SearchEngine::Restore(docs, profile, std::move(index),
-                                             max_citations, min_year,
-                                             max_year));
+      engine_, search::SearchEngine::Create(
+                   std::make_shared<const search::InvertedIndex>(
+                       std::move(index)),
+                   docs, profile));
   weights_ = std::make_unique<rank::WeightModel>(
       &graph_, pagerank_, venue_scores_, std::move(edge_con), params_);
   repager_ = std::make_unique<core::RePaGer>(&graph_, engine_.get(),

@@ -280,7 +280,7 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
     std::vector<uint8_t> buf;
     ByteWriter w(&buf);
     w.Put<double>(index.average_doc_length());
-    w.Put<double>(index.options().title_weight);
+    w.Put<double>(search::kTitleWeight);
     file.AddSection(SectionId::kIndexMeta, buf);
   }
   {

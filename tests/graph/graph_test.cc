@@ -305,8 +305,11 @@ TEST(GraphIoTest, FromOutCsrAcceptsValidCsrAndTransposesSorted) {
 
   // A builder graph's out-CSR round-trips to the same graph.
   CitationGraph built = BuildDiamond();
-  auto copy = GraphIo::FromOutCsr(GraphIo::OutOffsets(built),
-                                  GraphIo::OutTargets(built));
+  std::vector<PaperId> targets;
+  for (PaperId p = 0; p < built.num_nodes(); ++p) {
+    for (PaperId t : built.OutNeighbors(p)) targets.push_back(t);
+  }
+  auto copy = GraphIo::FromOutCsr(GraphIo::OutOffsets(built), targets);
   ASSERT_TRUE(copy.ok()) << copy.status().ToString();
   ASSERT_EQ(copy->num_nodes(), built.num_nodes());
   for (PaperId p = 0; p < built.num_nodes(); ++p) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,6 +13,8 @@
 #include "eval/overlap.h"
 #include "eval/preference_judge.h"
 #include "eval/workbench.h"
+#include "graph/graph_builder.h"
+#include "rank/pagerank.h"
 
 namespace rpg::eval {
 namespace {
@@ -280,6 +283,109 @@ TEST_F(WorkbenchFixture, SeedCountChangesSubgraphScale) {
   auto a = wb_->repager().Generate(entry.query, small).value();
   auto b = wb_->repager().Generate(entry.query, large).value();
   EXPECT_LE(a.subgraph_nodes, b.subgraph_nodes);
+}
+
+// ------------------------------------------------------ planted bridge
+
+/// The one property the Steiner step exists for (§IV-A step 5): a paper
+/// that no seed cites twice, so co-occurrence never makes it a terminal,
+/// joins the result because it is the only bridge between two terminal
+/// clusters. Seeds A1, A2 cite TA and B1, B2 cite TB; TA and TB both cite
+/// Z, which none of the seeds cites. Years grow older down the chain,
+/// and filler papers that do not match the query sit outside the
+/// subgraph.
+class PlantedBridgeTest : public ::testing::Test {
+ protected:
+  enum : PaperId { kA1, kA2, kB1, kB2, kTA, kTB, kZ, kNumPlanted };
+  static constexpr size_t kNumFillers = 4;
+  static constexpr size_t kNumPapers = kNumPlanted + kNumFillers;
+  static constexpr const char* kQuery = "planted bridge";
+
+  void SetUp() override {
+    graph::GraphBuilder builder(kNumPapers);
+    builder.AddCitation(kA1, kTA);
+    builder.AddCitation(kA2, kTA);
+    builder.AddCitation(kB1, kTB);
+    builder.AddCitation(kB2, kTB);
+    builder.AddCitation(kTA, kZ);
+    builder.AddCitation(kTB, kZ);
+    for (PaperId f = kNumPlanted; f + 1 < kNumPapers; ++f) {
+      builder.AddCitation(f + 1, f);
+    }
+    graph_ = std::make_unique<graph::CitationGraph>(builder.Build().value());
+
+    struct Planted {
+      const char* title;
+      uint16_t year;
+    };
+    const Planted planted[kNumPlanted] = {
+        {"planted bridge study one", 2020},
+        {"planted bridge study two", 2020},
+        {"planted bridge report one", 2020},
+        {"planted bridge report two", 2020},
+        {"prerequisite alpha method", 2010},
+        {"prerequisite beta method", 2010},
+        {"foundational theory", 2000}};
+    std::vector<search::EngineDocument> docs;
+    for (PaperId p = 0; p < kNumPapers; ++p) {
+      const Planted paper = p < kNumPlanted
+                                ? planted[p]
+                                : Planted{"unrelated filler paper", 2015};
+      years_.push_back(paper.year);
+      docs.push_back({paper.title, "", paper.year, graph_->InDegree(p)});
+    }
+    engine_ = search::SearchEngine::Create(
+                  std::make_shared<const search::InvertedIndex>(
+                      search::InvertedIndex::Build(docs)),
+                  docs, search::GoogleScholarProfile())
+                  .value();
+    weights_ = std::make_unique<rank::WeightModel>(
+        graph_.get(), rank::NormalizeByMax(rank::PageRank(*graph_)),
+        std::vector<double>(kNumPapers, 0.5));
+    repager_ = std::make_unique<core::RePaGer>(graph_.get(), engine_.get(),
+                                               weights_.get(), &years_);
+  }
+
+  /// Position of `p` in `ranked`.
+  static size_t RankOf(const std::vector<PaperId>& ranked, PaperId p) {
+    return std::find(ranked.begin(), ranked.end(), p) - ranked.begin();
+  }
+
+  std::unique_ptr<graph::CitationGraph> graph_;
+  std::vector<uint16_t> years_;
+  std::unique_ptr<search::SearchEngine> engine_;
+  std::unique_ptr<rank::WeightModel> weights_;
+  std::unique_ptr<core::RePaGer> repager_;
+};
+
+TEST_F(PlantedBridgeTest, SteinerStepAddsTheBridge) {
+  auto result = repager_->Generate(kQuery).value();
+  std::vector<PaperId> seeds = result.initial_seeds;
+  std::sort(seeds.begin(), seeds.end());
+  ASSERT_EQ(seeds, (std::vector<PaperId>{kA1, kA2, kB1, kB2}));
+  std::vector<PaperId> terminals = result.terminals;
+  std::sort(terminals.begin(), terminals.end());
+  EXPECT_EQ(terminals, (std::vector<PaperId>{kTA, kTB}));
+  EXPECT_EQ(result.path.nodes(), (std::vector<PaperId>{kTA, kTB, kZ}));
+
+  // The bridge ranks in the tree block, ahead of every seed.
+  const std::vector<PaperId> ranked = repager_->Rank(kQuery, {}).value();
+  ASSERT_EQ(ranked.size(), 7u);
+  EXPECT_EQ(RankOf(ranked, kZ), 2u);
+  for (PaperId seed : seeds) {
+    EXPECT_GT(RankOf(ranked, seed), RankOf(ranked, kZ));
+  }
+}
+
+TEST_F(PlantedBridgeTest, WithoutSteinerTheBridgeRanksAfterTheSeeds) {
+  core::RePagerOptions no_steiner;
+  no_steiner.run_steiner = false;
+  const std::vector<PaperId> ranked =
+      repager_->Rank(kQuery, no_steiner).value();
+  ASSERT_EQ(ranked.size(), 7u);
+  for (PaperId seed : {kA1, kA2, kB1, kB2}) {
+    EXPECT_LT(RankOf(ranked, seed), RankOf(ranked, kZ));
+  }
 }
 
 }  // namespace

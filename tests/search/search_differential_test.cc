@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -184,14 +185,23 @@ CorpusDocs MakeCorpusDocs(const eval::Workbench& wb,
   return out;
 }
 
-/// Builds an engine over `corpus` with each profile that applies both a
+/// An engine with `profile` over an index of `corpus`.
+std::unique_ptr<SearchEngine> MakeEngine(const CorpusDocs& corpus,
+                                         const EngineProfile& profile) {
+  return SearchEngine::Create(std::make_shared<const InvertedIndex>(
+                                  InvertedIndex::Build(corpus.docs)),
+                              corpus.docs, profile)
+      .value();
+}
+
+/// Creates an engine over `corpus` with each profile that applies both a
 /// citation and a recency boost, and holds every call to the reference.
 void ExpectEveryCallMatches(const CorpusDocs& corpus,
                             const std::vector<Call>& calls) {
   for (const EngineProfile& profile :
        {MicrosoftAcademicProfile(), AMinerProfile()}) {
     SCOPED_TRACE(profile.name);
-    auto engine = SearchEngine::Build(corpus.docs, profile).value();
+    auto engine = MakeEngine(corpus, profile);
     SearchScratch scratch;
     size_t hits = 0;
     for (const Call& c : calls) {
@@ -216,65 +226,41 @@ void ExpectEveryCallMatches(const CorpusDocs& corpus,
 TEST_F(SearchDifferentialTest, UncitedCorpusMatchesTheReference) {
   // max_citations 0: the citation boost is off for every document.
   CorpusDocs corpus = MakeCorpusDocs(*wb_, 0, std::nullopt);
-  ASSERT_EQ(SearchEngine::Build(corpus.docs, AMinerProfile())
-                .value()
-                ->max_citations(),
-            0u);
+  ASSERT_EQ(MakeEngine(corpus, AMinerProfile())->max_citations(), 0u);
   ExpectEveryCallMatches(corpus, Calls());
 }
 
 TEST_F(SearchDifferentialTest, SingleYearCorpusMatchesTheReference) {
   // Year span 0: the recency boost is off for every document.
   CorpusDocs corpus = MakeCorpusDocs(*wb_, std::nullopt, 2005);
-  auto engine = SearchEngine::Build(corpus.docs, AMinerProfile()).value();
+  auto engine = MakeEngine(corpus, AMinerProfile());
   ASSERT_EQ(engine->min_year(), engine->max_year());
   ExpectEveryCallMatches(corpus, Calls());
 }
 
-TEST_F(SearchDifferentialTest, RestoreWithEmptyBoostRangesScoresFinitely) {
-  // A snapshot may carry any aggregates. With max_citations 0 while
-  // documents are cited, and max_year < min_year, both boosts must drop
-  // out (factor exactly 1.0) rather than divide by zero or a negative
-  // span.
-  CorpusDocs corpus = MakeCorpusDocs(*wb_, std::nullopt, std::nullopt);
-  auto built = SearchEngine::Build(corpus.docs, AMinerProfile()).value();
-  ASSERT_GT(built->max_citations(), 0u);
-  auto restored =
-      SearchEngine::Restore(corpus.docs, AMinerProfile(), built->index(),
-                            /*max_citations=*/0, /*min_year=*/2010,
-                            /*max_year=*/1990)
-          .value();
-  size_t hits = 0;
-  for (const Call& c : Calls()) {
-    SCOPED_TRACE(*c.query);
-    auto want = ReferenceSearch(*restored, corpus.years, corpus.citations,
-                                *c.query, c.top_k, c.year_cutoff, c.exclude);
-    auto got = restored->Search(*c.query, c.top_k, c.year_cutoff, c.exclude);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
-      EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
-      EXPECT_TRUE(std::isfinite(got[i].score)) << "rank " << i;
-      EXPECT_GT(got[i].score, 0.0) << "rank " << i;
-    }
-    hits += got.size();
-  }
-  EXPECT_GT(hits, 0u);
-}
-
+/// The three profiles score from one shared index: threads spread over
+/// the engines, each with its own scratch, read the same postings at
+/// once and must each return their engine's serial results.
 TEST_F(SearchDifferentialTest, ConcurrentScratchesMatchSerialResults) {
-  const SearchEngine& engine = wb_->google();
-  const std::vector<Call> calls = Calls();
-  std::vector<std::vector<SearchResult>> serial;
-  for (const Call& c : calls) {
-    serial.push_back(
-        engine.Search(*c.query, c.top_k, c.year_cutoff, c.exclude));
+  const std::vector<const SearchEngine*> engines = {
+      &wb_->google(), &wb_->microsoft(), &wb_->aminer()};
+  for (const SearchEngine* engine : engines) {
+    EXPECT_EQ(&engine->index(), &wb_->google().index());
   }
-  constexpr int kThreads = 4;
+  const std::vector<Call> calls = Calls();
+  std::vector<std::vector<std::vector<SearchResult>>> serial(engines.size());
+  for (size_t e = 0; e < engines.size(); ++e) {
+    for (const Call& c : calls) {
+      serial[e].push_back(
+          engines[e]->Search(*c.query, c.top_k, c.year_cutoff, c.exclude));
+    }
+  }
+  constexpr size_t kThreads = 6;
   std::vector<std::vector<std::vector<SearchResult>>> got(kThreads);
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const SearchEngine& engine = *engines[t % engines.size()];
       SearchScratch scratch;
       for (const Call& c : calls) {
         got[t].push_back(engine.Search(*c.query, c.top_k, c.year_cutoff,
@@ -283,11 +269,13 @@ TEST_F(SearchDifferentialTest, ConcurrentScratchesMatchSerialResults) {
     });
   }
   for (auto& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(got[t].size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
+  for (size_t t = 0; t < kThreads; ++t) {
+    const size_t e = t % engines.size();
+    SCOPED_TRACE(engines[e]->profile().name);
+    ASSERT_EQ(got[t].size(), serial[e].size());
+    for (size_t i = 0; i < serial[e].size(); ++i) {
       SCOPED_TRACE(*calls[i].query);
-      ExpectSameHits(got[t][i], serial[i]);
+      ExpectSameHits(got[t][i], serial[e][i]);
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "search/bm25.h"
 #include "search/inverted_index.h"
 #include "search/search_engine.h"
@@ -9,7 +11,7 @@ namespace {
 
 // ------------------------------------------------------------------ BM25
 
-TEST(Bm25Test, IdfDecreasesWithDocumentFrequency) {
+TEST(Bm25Test, IdfDecreasesAsMoreDocumentsHoldTheTerm) {
   EXPECT_GT(Bm25Idf(1, 1000), Bm25Idf(10, 1000));
   EXPECT_GT(Bm25Idf(10, 1000), Bm25Idf(500, 1000));
   EXPECT_GE(Bm25Idf(1000, 1000), 0.0);  // never negative
@@ -43,9 +45,8 @@ TEST(Bm25Test, ZeroTfScoresZero) {
 // --------------------------------------------------------- InvertedIndex
 
 TEST(InvertedIndexTest, TitleWeightBoostsTermFrequency) {
-  InvertedIndex index;
-  index.AddDocument("neural parsing", "parsing abstracts discuss parsing");
-  index.Finalize();
+  const InvertedIndex index = InvertedIndex::Build(
+      {{"neural parsing", "parsing abstracts discuss parsing"}});
   const auto& postings = index.PostingsFor("pars");  // stemmed
   ASSERT_EQ(postings.size(), 1u);
   // 1 title occurrence (weight 3) + 2 abstract occurrences = 5.
@@ -53,9 +54,7 @@ TEST(InvertedIndexTest, TitleWeightBoostsTermFrequency) {
 }
 
 TEST(InvertedIndexTest, QueriesAreStemmed) {
-  InvertedIndex index;
-  index.AddDocument("citation networks", "");
-  index.Finalize();
+  const InvertedIndex index = InvertedIndex::Build({{"citation networks", ""}});
   auto terms = InvertedIndex::AnalyzeQuery("Citations Network");
   ASSERT_EQ(terms.size(), 2u);
   EXPECT_FALSE(index.PostingsFor(terms[0]).empty());
@@ -63,22 +62,21 @@ TEST(InvertedIndexTest, QueriesAreStemmed) {
 }
 
 TEST(InvertedIndexTest, UnknownTermHasEmptyPostings) {
-  InvertedIndex index;
-  index.AddDocument("a", "b");
-  index.Finalize();
+  const InvertedIndex index = InvertedIndex::Build({{"a", "b"}});
   EXPECT_TRUE(index.PostingsFor("zzz").empty());
-  EXPECT_EQ(index.DocumentFrequency("zzz"), 0u);
 }
 
-TEST(InvertedIndexTest, DocumentFrequencyCounts) {
-  InvertedIndex index;
-  index.AddDocument("graph algorithms", "");
-  index.AddDocument("graph theory", "");
-  index.AddDocument("speech recognition", "");
-  index.Finalize();
-  EXPECT_EQ(index.DocumentFrequency("graph"), 2u);
+TEST(InvertedIndexTest, PostingsListEveryDocumentInIdOrder) {
+  const InvertedIndex index = InvertedIndex::Build({{"graph algorithms", ""},
+                                                    {"speech recognition", ""},
+                                                    {"graph theory", "graph"}});
+  const auto& graph = index.PostingsFor("graph");
+  ASSERT_EQ(graph.size(), 2u);
+  EXPECT_EQ(graph[0].doc, 0u);
+  EXPECT_EQ(graph[1].doc, 2u);
+  EXPECT_FLOAT_EQ(graph[1].weighted_tf, 4.0f);  // title 3 + abstract 1
   EXPECT_EQ(index.num_documents(), 3u);
-  EXPECT_GT(index.average_doc_length(), 0.0);
+  EXPECT_DOUBLE_EQ(index.average_doc_length(), 19.0 / 3.0);
 }
 
 // ------------------------------------------------------------ SearchEngine
@@ -92,8 +90,17 @@ std::vector<EngineDocument> TestDocs() {
   };
 }
 
+/// An engine with `profile` over its own index of `docs`.
+std::unique_ptr<SearchEngine> MakeEngine(
+    const std::vector<EngineDocument>& docs, const EngineProfile& profile) {
+  return SearchEngine::Create(
+             std::make_shared<const InvertedIndex>(InvertedIndex::Build(docs)),
+             docs, profile)
+      .value();
+}
+
 TEST(SearchEngineTest, RanksLexicalMatchesFirst) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto hits = engine->Search("steiner tree", 10, INT32_MAX);
   ASSERT_GE(hits.size(), 2u);
   EXPECT_TRUE(hits[0].doc == 0 || hits[0].doc == 1);
@@ -102,7 +109,7 @@ TEST(SearchEngineTest, RanksLexicalMatchesFirst) {
 }
 
 TEST(SearchEngineTest, YearCutoffFilters) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto hits = engine->Search("steiner tree", 10, 2005);
   for (const auto& h : hits) {
     EXPECT_LE(TestDocs()[h.doc].year, 2005);
@@ -112,25 +119,25 @@ TEST(SearchEngineTest, YearCutoffFilters) {
 }
 
 TEST(SearchEngineTest, ExclusionRemovesDocuments) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto hits = engine->Search("steiner tree", 10, INT32_MAX, {0});
   for (const auto& h : hits) EXPECT_NE(h.doc, 0u);
 }
 
 TEST(SearchEngineTest, TopKTruncates) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto hits = engine->Search("steiner tree reading", 1, INT32_MAX);
   EXPECT_EQ(hits.size(), 1u);
 }
 
 TEST(SearchEngineTest, NoMatchesYieldsEmpty) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   EXPECT_TRUE(engine->Search("quantum chromodynamics", 10, INT32_MAX).empty());
   EXPECT_TRUE(engine->Search("", 10, INT32_MAX).empty());
 }
 
 TEST(SearchEngineTest, ScoresAreSortedDescending) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto hits = engine->Search("steiner tree network reading", 10, INT32_MAX);
   for (size_t i = 1; i < hits.size(); ++i) {
     EXPECT_GE(hits[i - 1].score, hits[i].score);
@@ -138,7 +145,18 @@ TEST(SearchEngineTest, ScoresAreSortedDescending) {
 }
 
 TEST(SearchEngineTest, EmptyCorpusRejected) {
-  EXPECT_TRUE(SearchEngine::Build({}, GoogleScholarProfile())
+  auto empty = std::make_shared<const InvertedIndex>(InvertedIndex::Build({}));
+  EXPECT_TRUE(SearchEngine::Create(empty, {}, GoogleScholarProfile())
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(SearchEngineTest, IndexOverOtherDocumentsRejected) {
+  std::vector<EngineDocument> docs = TestDocs();
+  auto index =
+      std::make_shared<const InvertedIndex>(InvertedIndex::Build(docs));
+  docs.pop_back();
+  EXPECT_TRUE(SearchEngine::Create(index, docs, GoogleScholarProfile())
                   .status()
                   .IsInvalidArgument());
 }
@@ -149,7 +167,7 @@ TEST(SearchEngineTest, CitationBoostBreaksLexicalTies) {
       {"steiner tree", "same abstract", 2000, 0},
       {"steiner tree", "same abstract", 2000, 10000},
   };
-  auto engine = SearchEngine::Build(docs, GoogleScholarProfile()).value();
+  auto engine = MakeEngine(docs, GoogleScholarProfile());
   auto hits = engine->Search("steiner tree", 2, INT32_MAX);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].doc, 1u);
@@ -160,7 +178,7 @@ TEST(SearchEngineTest, RecencyBoostPrefersNewer) {
       {"steiner tree", "same abstract", 1990, 10},
       {"steiner tree", "same abstract", 2020, 10},
   };
-  auto engine = SearchEngine::Build(docs, AMinerProfile()).value();
+  auto engine = MakeEngine(docs, AMinerProfile());
   auto hits = engine->Search("steiner tree", 2, INT32_MAX);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].doc, 1u);
@@ -170,7 +188,7 @@ TEST(SearchEngineTest, TiesAtTheTopKBoundaryKeepTheLowestDocIds) {
   // Ten identical documents score identically; the doc-id tiebreak must
   // pick ids 0..3 in ascending order, not any four of the ten.
   std::vector<EngineDocument> docs(10, {"steiner tree", "same", 2000, 7});
-  auto engine = SearchEngine::Build(docs, GoogleScholarProfile()).value();
+  auto engine = MakeEngine(docs, GoogleScholarProfile());
   auto hits = engine->Search("steiner tree", 4, INT32_MAX);
   ASSERT_EQ(hits.size(), 4u);
   for (size_t i = 0; i < hits.size(); ++i) {
@@ -185,7 +203,7 @@ TEST(SearchEngineTest, TiesAtTheTopKBoundaryKeepTheLowestDocIds) {
 }
 
 TEST(SearchEngineTest, RepeatedQueryTermCountsTwice) {
-  auto engine = SearchEngine::Build(TestDocs(), GoogleScholarProfile()).value();
+  auto engine = MakeEngine(TestDocs(), GoogleScholarProfile());
   auto once = engine->Search("reading", 10, INT32_MAX);
   auto twice = engine->Search("reading reading", 10, INT32_MAX);
   ASSERT_EQ(once.size(), 1u);
@@ -196,7 +214,7 @@ TEST(SearchEngineTest, RepeatedQueryTermCountsTwice) {
 }
 
 TEST(SearchEngineTest, ReusedScratchMatchesFreshCalls) {
-  auto engine = SearchEngine::Build(TestDocs(), AMinerProfile()).value();
+  auto engine = MakeEngine(TestDocs(), AMinerProfile());
   struct Call {
     std::string query;
     size_t top_k;

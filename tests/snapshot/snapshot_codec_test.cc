@@ -415,6 +415,38 @@ TEST(SnapshotReaderTest, EdgeConOutOfRangeFailsClosed) {
   }
 }
 
+/// The engine derives its citation maximum and year range from the
+/// per-paper years and in-degrees; kEngineMeta's copies are written for
+/// provenance only. A file whose stored values would switch the citation
+/// boost off and invert the year range, resealed with valid checksums,
+/// answers exactly like the honest file.
+TEST(SnapshotReaderTest, ForgedEngineAggregatesAreIgnored) {
+  const std::vector<uint8_t> image = TestSnapshotImage(/*relabel=*/false);
+  std::vector<uint8_t> forged = image;
+  std::vector<SectionEntry> toc = TocOf(image);
+  int found = 0;
+  for (SectionEntry& e : toc) {
+    if (e.id != static_cast<uint32_t>(SectionId::kEngineMeta)) continue;
+    ASSERT_GE(e.size, 16u);
+    const uint64_t max_citations = 0;
+    const int32_t min_year = 2010;
+    const int32_t max_year = 1990;
+    std::memcpy(forged.data() + e.offset, &max_citations, 8);
+    std::memcpy(forged.data() + e.offset + 8, &min_year, 4);
+    std::memcpy(forged.data() + e.offset + 12, &max_year, 4);
+    e.checksum = Fnv1a64(forged.data() + e.offset, e.size);
+    ++found;
+  }
+  ASSERT_EQ(found, 1);
+  ASSERT_NE(forged, image);
+  auto forged_or =
+      ServingState::LoadFromBuffer(WithToc(std::move(forged), toc));
+  auto honest_or = ServingState::LoadFromBuffer(image);
+  ASSERT_TRUE(forged_or.ok()) << forged_or.status().ToString();
+  ASSERT_TRUE(honest_or.ok()) << honest_or.status().ToString();
+  ExpectSameAnswers(*forged_or.value(), *honest_or.value());
+}
+
 TEST(SnapshotReaderTest, TocLiesFailClosed) {
   auto image = TestSnapshotImage(/*relabel=*/false);
   SnapshotHeader header;

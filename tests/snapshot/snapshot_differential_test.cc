@@ -266,7 +266,6 @@ TEST(SubgraphTest, EdgeIdsNameTheCitationOnLoadedGraphs) {
   for (const ServingState* state : {&LoadedState(), &RelabeledState()}) {
     const graph::CitationGraph& g = state->graph();
     const auto& offsets = graph::GraphIo::OutOffsets(g);
-    const auto& targets = graph::GraphIo::OutTargets(g);
     std::vector<graph::PaperId> all(g.num_nodes());
     std::iota(all.rbegin(), all.rend(), 0u);
     std::vector<graph::PaperId> every_third;
@@ -280,7 +279,7 @@ TEST(SubgraphTest, EdgeIdsNameTheCitationOnLoadedGraphs) {
       auto names = [&](uint64_t id, uint32_t citer, uint32_t cited) {
         const graph::PaperId u = sg.ToGlobal(citer);
         return offsets[u] <= id && id < offsets[u + 1] &&
-               targets[id] == sg.ToGlobal(cited);
+               g.OutNeighbors(u)[id - offsets[u]] == sg.ToGlobal(cited);
       };
       size_t checked = 0;
       for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
